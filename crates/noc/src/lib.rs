@@ -22,6 +22,8 @@
 
 #![warn(missing_docs)]
 
+mod bitset;
+mod endpoint;
 pub mod mesh;
 pub mod nocout;
 pub mod packet;
@@ -47,6 +49,12 @@ pub trait Interconnect<P> {
 
     /// Remove the next delivered packet at `node`, if any.
     fn eject(&mut self, node: NocNode) -> Option<Packet<P>>;
+
+    /// Remove the oldest delivered packet at the lowest-indexed endpoint
+    /// that holds one (its `dst` names the endpoint). Repeated calls yield
+    /// exactly what ejecting every endpoint dry in endpoint-index order
+    /// would, without visiting the endpoints that hold nothing.
+    fn eject_next(&mut self) -> Option<Packet<P>>;
 
     /// Advance the interconnect by one cycle.
     fn tick(&mut self, now: Cycle);

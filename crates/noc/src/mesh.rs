@@ -6,8 +6,12 @@
 //! chip-to-chip network router connects to the NI blocks directly (that
 //! link is modeled by the SoC layer, not here).
 
-use ni_engine::{Cycle, DelayLine};
+use std::collections::VecDeque;
 
+use ni_engine::Cycle;
+
+use crate::bitset::BitSet;
+use crate::endpoint::Endpoints;
 use crate::packet::{Coord, NocNode, Packet};
 use crate::router::{vq_index, Flight, OutPort, Router, RouterConfig};
 use crate::routing::{attach_of, Port, RoutingPolicy, SplitMix};
@@ -57,23 +61,36 @@ enum LinkDest<P> {
     Endpoint(usize, Packet<P>),
 }
 
-/// Per-endpoint delivery buffer plus injection serialization state.
+/// Link events in flight, in one FIFO slot per arrival cycle.
+///
+/// Every event is sent during a tick at `now` and arrives at `now + 1`
+/// (endpoint delivery) or `now + hop_latency` (next router), so
+/// `hop_latency + 1` slots indexed by arrival cycle cover every cycle that
+/// can hold an event. Ticks run in time order, so appending in grant order
+/// keeps each slot in send order — the `(arrival, send order)` order a
+/// priority queue would pop.
 #[derive(Debug)]
-struct EndpointPort<P> {
-    delivered: std::collections::VecDeque<Packet<P>>,
-    /// Flits resident or in flight toward the delivery queue.
-    reserved_flits: u32,
-    /// Endpoint may inject its next packet at this cycle (16B/cycle port).
-    inject_ready_at: Cycle,
+struct LinkRing<P> {
+    slots: Vec<VecDeque<LinkDest<P>>>,
+    /// Every arrival at or before this cycle has been absorbed.
+    absorbed: Cycle,
 }
 
-impl<P> Default for EndpointPort<P> {
-    fn default() -> Self {
-        EndpointPort {
-            delivered: std::collections::VecDeque::new(),
-            reserved_flits: 0,
-            inject_ready_at: Cycle::ZERO,
-        }
+impl<P> LinkRing<P> {
+    fn slot(&self, at: Cycle) -> usize {
+        (at.0 % self.slots.len() as u64) as usize
+    }
+
+    /// Send `ev`, arriving at `at`.
+    fn push(&mut self, at: Cycle, ev: LinkDest<P>) {
+        debug_assert!(at > self.absorbed && at.0 - self.absorbed.0 < self.slots.len() as u64);
+        let s = self.slot(at);
+        self.slots[s].push_back(ev);
+    }
+
+    /// Events on the wires.
+    fn len(&self) -> usize {
+        self.slots.iter().map(VecDeque::len).sum()
     }
 }
 
@@ -101,8 +118,10 @@ impl<P> Default for EndpointPort<P> {
 pub struct MeshNoc<P> {
     cfg: MeshConfig,
     routers: Vec<Router<P>>,
-    endpoints: Vec<EndpointPort<P>>,
-    links: DelayLine<LinkDest<P>>,
+    /// Routers with `queued_packets > 0`: the only ones arbitration visits.
+    active: BitSet,
+    endpoints: Endpoints<P>,
+    links: LinkRing<P>,
     rng: SplitMix,
     stats: NocStats,
     in_flight: u64,
@@ -115,21 +134,39 @@ impl<P> MeshNoc<P> {
     /// Build a mesh from `cfg`.
     ///
     /// # Panics
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension, the hop latency or the arbitration
+    /// window is zero.
     pub fn new(cfg: MeshConfig) -> MeshNoc<P> {
         assert!(
             cfg.width > 0 && cfg.height > 0,
             "mesh dimensions must be non-zero"
         );
-        let routers = (0..cfg.height)
-            .flat_map(|y| (0..cfg.width).map(move |x| Router::new(Coord::new(x, y))))
+        assert!(
+            cfg.router.hop_latency > 0,
+            "router hop_latency must be at least 1 cycle (a hop lands on a later tick)"
+        );
+        assert!(
+            cfg.router.arbitration_window > 0,
+            "router arbitration_window must be at least 1 (a zero window never grants)"
+        );
+        let (w, h) = (usize::from(cfg.width), usize::from(cfg.height));
+        // An exact-size iterator: the vector is allocated once and each
+        // router is built straight into it.
+        let routers: Vec<Router<P>> = (0..w * h)
+            .map(|i| Router::new(Coord::new((i % w) as u8, (i / w) as u8)))
             .collect();
-        let n_endpoints = cfg.width as usize * cfg.height as usize + 2 * cfg.height as usize;
         MeshNoc {
             cfg,
+            active: BitSet::new(routers.len()),
             routers,
-            endpoints: (0..n_endpoints).map(|_| EndpointPort::default()).collect(),
-            links: DelayLine::new(),
+            // Tiles, then an NI block and an MC per row.
+            endpoints: Endpoints::new(w * h + 2 * h),
+            links: LinkRing {
+                slots: (0..=cfg.router.hop_latency)
+                    .map(|_| VecDeque::new())
+                    .collect(),
+                absorbed: Cycle::ZERO,
+            },
             rng: SplitMix::new(cfg.seed),
             stats: NocStats::default(),
             in_flight: 0,
@@ -211,22 +248,37 @@ impl<P> MeshNoc<P> {
         }
     }
 
-    /// Move ready link events into their destination buffers.
+    /// Move link events that arrived since the last tick into their
+    /// destination buffers, one arrival cycle at a time. Callers may skip
+    /// cycles; nothing arrives more than `hop_latency` cycles after the
+    /// tick that sent it, so only `(absorbed, absorbed + hop_latency]` can
+    /// hold events.
     fn absorb_arrivals(&mut self, now: Cycle) {
-        while let Some(ev) = self.links.pop_ready(now) {
-            match ev {
-                LinkDest::RouterIn(r, port, vq, flight) => {
-                    self.routers[r].accept(port, vq, flight);
-                }
-                LinkDest::Endpoint(idx, pkt) => {
-                    self.stats
-                        .record_delivery(pkt.class, pkt.flits, pkt.injected_at, now);
-                    self.endpoints[idx].delivered.push_back(pkt);
-                    self.in_flight -= 1;
-                    self.last_progress = now;
+        let last = Cycle(
+            now.0
+                .min(self.links.absorbed.0 + self.cfg.router.hop_latency),
+        );
+        let mut at = self.links.absorbed;
+        while at < last {
+            at += 1;
+            let s = self.links.slot(at);
+            while let Some(ev) = self.links.slots[s].pop_front() {
+                match ev {
+                    LinkDest::RouterIn(r, port, vq, flight) => {
+                        self.routers[r].accept(port, vq, flight);
+                        self.active.insert(r);
+                    }
+                    LinkDest::Endpoint(idx, pkt) => {
+                        self.stats
+                            .record_delivery(pkt.class, pkt.flits, pkt.injected_at, now);
+                        self.endpoints.deliver(idx, pkt);
+                        self.in_flight -= 1;
+                        self.last_progress = now;
+                    }
                 }
             }
         }
+        self.links.absorbed = self.links.absorbed.max(now);
     }
 
     /// One grant pass over every output port of every active router.
@@ -234,18 +286,14 @@ impl<P> MeshNoc<P> {
         // Phase A: decide grants. Each (router, output) pair feeds a distinct
         // downstream buffer, so decisions are independent within a cycle.
         self.grants.clear();
-        for r_idx in 0..self.routers.len() {
-            if self.routers[r_idx].queued_packets == 0 {
-                continue;
-            }
+        for r_idx in self.active.iter() {
             for port in Port::ALL {
                 let p_idx = port.index();
-                if self.routers[r_idx].outputs[p_idx].busy_until > now
-                    || self.routers[r_idx].outputs[p_idx].candidates.is_empty()
-                {
+                let out = &self.routers[r_idx].outputs[p_idx];
+                if out.busy_until > now || out.candidates.is_empty() {
                     continue;
                 }
-                if let Some(slot) = self.pick_candidate(r_idx, port, now) {
+                if let Some(slot) = self.pick_candidate(r_idx, port) {
                     self.grants.push((r_idx, p_idx));
                     // Rotate losers later; record chosen slot by moving it to
                     // the ring front so phase B pops the right entry.
@@ -264,19 +312,21 @@ impl<P> MeshNoc<P> {
             }
         }
         // Phase B: apply grants.
-        for g in std::mem::take(&mut self.grants) {
-            self.apply_grant(g.0, g.1, now);
+        for i in 0..self.grants.len() {
+            let (r_idx, p_idx) = self.grants[i];
+            self.apply_grant(r_idx, p_idx, now);
         }
     }
 
     /// Find the first grantable candidate (within the arbitration window) of
     /// output `port` on router `r_idx`. Returns its ring slot.
-    fn pick_candidate(&self, r_idx: usize, port: Port, _now: Cycle) -> Option<usize> {
+    fn pick_candidate(&self, r_idx: usize, port: Port) -> Option<usize> {
         let router = &self.routers[r_idx];
         let ring = &router.outputs[port.index()].candidates;
         let window = self.cfg.router.arbitration_window.min(ring.len());
         for (slot, &(in_port, vq)) in ring.iter().enumerate().take(window) {
-            let head = router.inputs[usize::from(in_port)][usize::from(vq)]
+            let head = router
+                .input(usize::from(in_port), usize::from(vq))
                 .head()
                 .expect("registered candidate has a head");
             let flits = head.pkt.flits;
@@ -294,9 +344,8 @@ impl<P> MeshNoc<P> {
                 }
                 Port::Local | Port::NiAttach | Port::McAttach => {
                     let e = self.endpoint_index(self.delivery_node(router.coord, port));
-                    self.cfg
-                        .delivery_capacity_flits
-                        .saturating_sub(self.endpoints[e].reserved_flits)
+                    self.endpoints
+                        .free_flits(e, self.cfg.delivery_capacity_flits)
                         >= u32::from(flits)
                 }
             };
@@ -315,6 +364,9 @@ impl<P> MeshNoc<P> {
             .pop_front()
             .expect("grant requires a candidate");
         let flight = self.routers[r_idx].take_granted(usize::from(in_port), usize::from(vq));
+        if self.routers[r_idx].queued_packets == 0 {
+            self.active.remove(r_idx);
+        }
         let flits = flight.pkt.flits;
         let coord = self.routers[r_idx].coord;
         let out: &mut OutPort = &mut self.routers[r_idx].outputs[p_idx];
@@ -327,7 +379,7 @@ impl<P> MeshNoc<P> {
                 self.routers[n_idx].reserve(Self::opposite(port).index(), usize::from(vq), flits);
                 self.stats
                     .record_hop(flits, self.crosses_bisection(coord.x, port));
-                self.links.push_at(
+                self.links.push(
                     now + self.cfg.router.hop_latency,
                     LinkDest::RouterIn(
                         n_idx,
@@ -340,13 +392,12 @@ impl<P> MeshNoc<P> {
             Port::Local | Port::NiAttach | Port::McAttach => {
                 let node = self.delivery_node(coord, port);
                 let e = self.endpoint_index(node);
-                self.endpoints[e].reserved_flits += u32::from(flits);
+                self.endpoints.reserve(e, flits);
                 if port != Port::Local {
                     // Attach links are real wires (Fig. 2); count them.
                     self.stats.record_hop(flits, false);
                 }
-                self.links
-                    .push_at(now + 1, LinkDest::Endpoint(e, flight.pkt));
+                self.links.push(now + 1, LinkDest::Endpoint(e, flight.pkt));
             }
         }
     }
@@ -360,13 +411,47 @@ impl<P> MeshNoc<P> {
             );
         }
     }
+
+    /// Check the tick-to-tick bookkeeping: a router is in the active set
+    /// exactly when it buffers packets, an endpoint is ready exactly when
+    /// its delivery queue is non-empty, and every packet in flight is
+    /// either buffered in a router or on a link (packet conservation).
+    /// Pure: for debug assertions.
+    fn audit(&self) -> Result<(), String> {
+        if let Some((i, r)) = self
+            .routers
+            .iter()
+            .enumerate()
+            .find(|&(i, r)| self.active.contains(i) != (r.queued_packets > 0))
+        {
+            return Err(format!(
+                "router {i}: active bit {} with {} packets queued",
+                self.active.contains(i),
+                r.queued_packets
+            ));
+        }
+        self.endpoints.audit()?;
+        let queued: u64 = self
+            .routers
+            .iter()
+            .map(|r| u64::from(r.queued_packets))
+            .sum();
+        let on_links = self.links.len() as u64;
+        if self.in_flight != queued + on_links {
+            return Err(format!(
+                "{} packets in flight but {queued} queued + {on_links} on links",
+                self.in_flight
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl<P> Interconnect<P> for MeshNoc<P> {
     fn try_inject(&mut self, now: Cycle, mut pkt: Packet<P>) -> Result<(), Packet<P>> {
         let (coord, port) = self.inject_port(pkt.src);
         let src_idx = self.endpoint_index(pkt.src);
-        if self.endpoints[src_idx].inject_ready_at > now {
+        if self.endpoints.inject_busy(src_idx, now) {
             self.stats.inject_rejects.incr();
             return Err(pkt);
         }
@@ -393,8 +478,9 @@ impl<P> Interconnect<P> for MeshNoc<P> {
                 exit,
             },
         );
+        self.active.insert(r_idx);
         // Injection port serializes at one flit per cycle.
-        self.endpoints[src_idx].inject_ready_at = now + u64::from(flits);
+        self.endpoints.start_inject(src_idx, now, flits);
         self.in_flight += 1;
         self.stats.injected_packets.incr();
         self.last_progress = now;
@@ -403,15 +489,20 @@ impl<P> Interconnect<P> for MeshNoc<P> {
 
     fn eject(&mut self, node: NocNode) -> Option<Packet<P>> {
         let e = self.endpoint_index(node);
-        let pkt = self.endpoints[e].delivered.pop_front()?;
-        self.endpoints[e].reserved_flits -= u32::from(pkt.flits);
-        Some(pkt)
+        self.endpoints.eject(e)
     }
 
+    fn eject_next(&mut self) -> Option<Packet<P>> {
+        self.endpoints.eject_next()
+    }
+
+    /// Advance one cycle. Tick times must not decrease; cycles may be
+    /// skipped.
     fn tick(&mut self, now: Cycle) {
         self.absorb_arrivals(now);
         self.arbitrate(now);
         self.check_watchdog(now);
+        debug_assert_eq!(self.audit(), Ok(()), "mesh NOC bookkeeping at {now:?}");
     }
 
     fn stats(&self) -> &NocStats {
@@ -605,11 +696,69 @@ mod tests {
         };
         let mut noc: MeshNoc<u64> = MeshNoc::new(cfg);
         let mk = |src: NocNode| Packet::new(src, NocNode::tile(0, 0), MessageClass::NiData, 5, 9);
-        // Fill the injection buffer at (1,0): first packet sits, second is
-        // rejected for buffer space (after the port becomes free again).
+        // The first packet fills the 5-flit injection buffer at (1,0). At
+        // cycle 5 the injection port is free again but the buffer is not.
         noc.try_inject(Cycle(0), mk(NocNode::tile(1, 0))).unwrap();
-        let r = noc.try_inject(Cycle(5), mk(NocNode::tile(1, 0)));
-        // Either still serializing or buffer full; after ticking it drains.
-        assert!(r.is_err() || noc.stats().inject_rejects.get() == 0);
+        assert!(noc.try_inject(Cycle(5), mk(NocNode::tile(1, 0))).is_err());
+        assert_eq!(noc.stats().inject_rejects.get(), 1);
+        // One tick grants the buffered packet westward, draining the buffer.
+        noc.tick(Cycle(5));
+        assert!(noc.try_inject(Cycle(6), mk(NocNode::tile(1, 0))).is_ok());
+        assert_eq!(noc.stats().inject_rejects.get(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "hop_latency")]
+    fn zero_hop_latency_rejected() {
+        let cfg = MeshConfig {
+            router: RouterConfig {
+                hop_latency: 0,
+                ..RouterConfig::default()
+            },
+            ..MeshConfig::default()
+        };
+        let _: MeshNoc<u64> = MeshNoc::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "arbitration_window")]
+    fn zero_arbitration_window_rejected() {
+        let cfg = MeshConfig {
+            router: RouterConfig {
+                arbitration_window: 0,
+                ..RouterConfig::default()
+            },
+            ..MeshConfig::default()
+        };
+        let _: MeshNoc<u64> = MeshNoc::new(cfg);
+    }
+
+    #[test]
+    fn sparse_ticks_absorb_every_skipped_arrival() {
+        // Ticking every 10th cycle (more than the 4-slot link ring spans)
+        // moves a packet one hop per tick: each tick absorbs the arrival
+        // the previous tick's grant scheduled, then grants the next hop.
+        let mut noc: MeshNoc<u64> = MeshNoc::new(MeshConfig::default());
+        let pkt = Packet::new(
+            NocNode::tile(3, 2),
+            NocNode::tile(0, 2),
+            MessageClass::CohReq,
+            1,
+            5,
+        );
+        noc.try_inject(Cycle(0), pkt).unwrap();
+        let mut now = Cycle(0);
+        let got = loop {
+            noc.tick(now);
+            if let Some(p) = noc.eject_next() {
+                break p;
+            }
+            now += 10;
+            assert!(now.0 < 200, "packet lost across sparse ticks");
+        };
+        // Three mesh hops and the local delivery: five ticks.
+        assert_eq!((got.payload, now), (5, Cycle(40)));
+        assert_eq!(noc.stats().mean_latency(), 40.0);
+        assert!(noc.is_idle());
     }
 }

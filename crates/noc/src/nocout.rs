@@ -19,6 +19,7 @@ use std::collections::VecDeque;
 
 use ni_engine::{Cycle, DelayLine};
 
+use crate::endpoint::Endpoints;
 use crate::packet::{Coord, MessageClass, NocNode, Packet};
 use crate::stats::NocStats;
 use crate::Interconnect;
@@ -120,24 +121,6 @@ impl<P> Station<P> {
     }
 }
 
-/// Per-endpoint delivery buffer and injection port.
-#[derive(Debug)]
-struct EndpointPort<P> {
-    delivered: VecDeque<Packet<P>>,
-    reserved_flits: u32,
-    inject_ready_at: Cycle,
-}
-
-impl<P> Default for EndpointPort<P> {
-    fn default() -> Self {
-        EndpointPort {
-            delivered: VecDeque::new(),
-            reserved_flits: 0,
-            inject_ready_at: Cycle::ZERO,
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 enum WireEnd {
     Station(u16),
@@ -149,7 +132,7 @@ enum WireEnd {
 pub struct NocOutNoc<P> {
     cfg: NocOutConfig,
     stations: Vec<Station<P>>,
-    endpoints: Vec<EndpointPort<P>>,
+    endpoints: Endpoints<P>,
     /// In-flight wire traversals.
     links: DelayLine<(WireEnd, Flight<P>)>,
     stats: NocStats,
@@ -229,7 +212,7 @@ impl<P> NocOutNoc<P> {
         NocOutNoc {
             cfg,
             stations,
-            endpoints: (0..n_endpoints).map(|_| EndpointPort::default()).collect(),
+            endpoints: Endpoints::new(n_endpoints),
             links: DelayLine::new(),
             stats: NocStats::default(),
             in_flight: 0,
@@ -356,7 +339,7 @@ impl<P> NocOutNoc<P> {
                         flight.pkt.injected_at,
                         now,
                     );
-                    self.endpoints[e].delivered.push_back(flight.pkt);
+                    self.endpoints.deliver(e, flight.pkt);
                     self.in_flight -= 1;
                     self.last_progress = now;
                 }
@@ -441,11 +424,11 @@ impl<P> NocOutNoc<P> {
                     .expect("non-empty group");
                 (f.pkt.flits, f.endpoint)
             };
-            let free = self
-                .cfg
-                .delivery_capacity_flits
-                .saturating_sub(self.endpoints[endpoint].reserved_flits);
-            if free < u32::from(flits) {
+            if self
+                .endpoints
+                .free_flits(endpoint, self.cfg.delivery_capacity_flits)
+                < u32::from(flits)
+            {
                 return;
             }
             let wq = &mut self.stations[s as usize].wires[w];
@@ -454,7 +437,7 @@ impl<P> NocOutNoc<P> {
             wq.busy_until = now + u64::from(flits);
             wq.rr = (group + 1) % NUM_GROUPS;
             self.stations[s as usize].queued -= 1;
-            self.endpoints[endpoint].reserved_flits += u32::from(flits);
+            self.endpoints.reserve(endpoint, flits);
             self.links
                 .push_at(now + 1, (WireEnd::Endpoint(endpoint), flight));
             self.last_progress = now;
@@ -487,7 +470,7 @@ impl<P> NocOutNoc<P> {
 impl<P> Interconnect<P> for NocOutNoc<P> {
     fn try_inject(&mut self, now: Cycle, mut pkt: Packet<P>) -> Result<(), Packet<P>> {
         let src_idx = self.endpoint_index(pkt.src);
-        if self.endpoints[src_idx].inject_ready_at > now {
+        if self.endpoints.inject_busy(src_idx, now) {
             self.stats.inject_rejects.incr();
             return Err(pkt);
         }
@@ -501,7 +484,7 @@ impl<P> Interconnect<P> for NocOutNoc<P> {
         pkt.injected_at = now;
         let flits = pkt.flits;
         let endpoint = self.endpoint_index(pkt.dst);
-        self.endpoints[src_idx].inject_ready_at = now + u64::from(flits);
+        self.endpoints.start_inject(src_idx, now, flits);
         self.in_flight += 1;
         self.stats.injected_packets.incr();
         self.last_progress = now;
@@ -518,9 +501,11 @@ impl<P> Interconnect<P> for NocOutNoc<P> {
 
     fn eject(&mut self, node: NocNode) -> Option<Packet<P>> {
         let e = self.endpoint_index(node);
-        let pkt = self.endpoints[e].delivered.pop_front()?;
-        self.endpoints[e].reserved_flits -= u32::from(pkt.flits);
-        Some(pkt)
+        self.endpoints.eject(e)
+    }
+
+    fn eject_next(&mut self) -> Option<Packet<P>> {
+        self.endpoints.eject_next()
     }
 
     fn tick(&mut self, now: Cycle) {
@@ -533,6 +518,11 @@ impl<P> Interconnect<P> for NocOutNoc<P> {
                 self.in_flight, self.last_progress, now
             );
         }
+        debug_assert_eq!(
+            self.endpoints.audit(),
+            Ok(()),
+            "NOC-Out endpoints at {now:?}"
+        );
     }
 
     fn stats(&self) -> &NocStats {

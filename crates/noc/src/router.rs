@@ -119,10 +119,10 @@ pub struct OutPort {
 pub struct Router<P> {
     /// Grid position.
     pub coord: Coord,
-    /// Input buffers: `inputs[port][vq]`.
-    pub inputs: Vec<Vec<VirtQueue<P>>>,
+    /// Input buffers, one allocation indexed `port * NUM_VQ + vq`.
+    inputs: Box<[VirtQueue<P>]>,
     /// Output ports.
-    pub outputs: Vec<OutPort>,
+    pub outputs: [OutPort; Port::COUNT],
     /// Total packets buffered here (fast idle check).
     pub queued_packets: u32,
 }
@@ -132,29 +132,40 @@ impl<P> Router<P> {
     pub fn new(coord: Coord) -> Router<P> {
         Router {
             coord,
-            inputs: (0..Port::COUNT)
-                .map(|_| (0..NUM_VQ).map(|_| VirtQueue::default()).collect())
+            inputs: (0..Port::COUNT * NUM_VQ)
+                .map(|_| VirtQueue::default())
                 .collect(),
-            outputs: (0..Port::COUNT).map(|_| OutPort::default()).collect(),
+            outputs: std::array::from_fn(|_| OutPort::default()),
             queued_packets: 0,
         }
     }
 
+    /// Input queue `vq` of input `port`.
+    #[inline]
+    pub fn input(&self, port: usize, vq: usize) -> &VirtQueue<P> {
+        &self.inputs[port * NUM_VQ + vq]
+    }
+
+    #[inline]
+    fn input_mut(&mut self, port: usize, vq: usize) -> &mut VirtQueue<P> {
+        &mut self.inputs[port * NUM_VQ + vq]
+    }
+
     /// Free flit capacity of input queue `(port, vq)` under `cap` flits.
     pub fn free_flits(&self, port: usize, vq: usize, cap: u32) -> u32 {
-        cap.saturating_sub(self.inputs[port][vq].reserved_flits)
+        cap.saturating_sub(self.input(port, vq).reserved_flits)
     }
 
     /// Reserve space for an incoming flight granted by an upstream router.
     pub fn reserve(&mut self, port: usize, vq: usize, flits: u8) {
-        self.inputs[port][vq].reserved_flits += u32::from(flits);
+        self.input_mut(port, vq).reserved_flits += u32::from(flits);
     }
 
     /// Accept a flight that physically arrived at `(port, vq)`; registers it
     /// as an arbitration candidate when it becomes the queue head.
     pub fn accept(&mut self, port: usize, vq: usize, flight: Flight<P>) {
         let out = next_port(self.coord, flight.target, flight.exit, flight.route);
-        let q = &mut self.inputs[port][vq];
+        let q = self.input_mut(port, vq);
         let was_empty = q.is_empty();
         q.push_arrived(flight);
         self.queued_packets += 1;
@@ -171,11 +182,11 @@ impl<P> Router<P> {
     /// # Panics
     /// Panics if the queue is empty — grants are only issued to heads.
     pub fn take_granted(&mut self, port: usize, vq: usize) -> Flight<P> {
-        let q = &mut self.inputs[port][vq];
+        let q = self.input_mut(port, vq);
         let f = q.flights.pop_front().expect("grant on empty queue");
         q.reserved_flits -= u32::from(f.pkt.flits);
         self.queued_packets -= 1;
-        if let Some(next) = self.inputs[port][vq].head() {
+        if let Some(next) = self.input(port, vq).head() {
             let out = next_port(self.coord, next.target, next.exit, next.route);
             self.outputs[out.index()]
                 .candidates

@@ -5,7 +5,7 @@
 use ni_engine::Cycle;
 use ni_noc::{
     Interconnect, MeshConfig, MeshNoc, MessageClass, NocNode, NocOutConfig, NocOutNoc, Packet,
-    RoutingPolicy,
+    RouterConfig, RoutingPolicy,
 };
 use proptest::prelude::*;
 
@@ -16,6 +16,16 @@ fn mesh_node() -> impl Strategy<Value = NocNode> {
         (0u8..8).prop_map(NocNode::NiBlock),
         (0u8..8).prop_map(NocNode::Mc),
     ]
+}
+
+/// Every endpoint of the default 8x8 mesh in its dense index order: tiles
+/// row-major, then NI blocks, then memory controllers.
+fn mesh_endpoints() -> Vec<NocNode> {
+    let tiles = (0..8).flat_map(|y| (0..8).map(move |x| NocNode::tile(x, y)));
+    tiles
+        .chain((0..8).map(NocNode::NiBlock))
+        .chain((0..8).map(NocNode::Mc))
+        .collect()
 }
 
 fn message_class() -> impl Strategy<Value = MessageClass> {
@@ -64,6 +74,7 @@ proptest! {
     #[test]
     fn mesh_delivers_all_packets_exactly_once(
         policy in policy(),
+        hop_latency in 1u64..=4,
         specs in prop::collection::vec(
             (mesh_node(), mesh_node(), message_class(), 1u8..6),
             1..40,
@@ -71,9 +82,16 @@ proptest! {
     ) {
         let cfg = MeshConfig {
             policy,
+            router: RouterConfig {
+                hop_latency,
+                ..RouterConfig::default()
+            },
             ..MeshConfig::default()
         };
         let mut noc: MeshNoc<usize> = MeshNoc::new(cfg);
+        // Fed identically, but drained through `eject_next`.
+        let mut twin: MeshNoc<usize> = MeshNoc::new(cfg);
+        let endpoints = mesh_endpoints();
         let mut now = Cycle(0);
         let mut expect: Vec<Option<(NocNode, MessageClass, u8)>> = Vec::new();
         let mut backlog: Vec<Packet<usize>> = Vec::new();
@@ -93,16 +111,22 @@ proptest! {
             // Retry injections head-first.
             let mut still = Vec::new();
             for pkt in backlog.drain(..) {
+                let twin_took = twin.try_inject(now, pkt.clone()).is_ok();
                 match noc.try_inject(now, pkt) {
-                    Ok(()) => {}
-                    Err(p) => still.push(p),
+                    Ok(()) => prop_assert!(twin_took, "twin rejected an inject"),
+                    Err(p) => {
+                        prop_assert!(!twin_took, "twin accepted a rejected inject");
+                        still.push(p);
+                    }
                 }
             }
             backlog = still;
             noc.tick(now);
-            for spec in &expect {
-                let Some((dst, _, _)) = spec else { continue };
-                while let Some(p) = noc.eject(*dst) {
+            twin.tick(now);
+            let mut polled = Vec::new();
+            for &node in &endpoints {
+                while let Some(p) = noc.eject(node) {
+                    polled.push((p.dst, p.payload));
                     let idx = p.payload;
                     prop_assert!(!seen[idx], "duplicate delivery of packet {idx}");
                     let (edst, eclass, eflits) =
@@ -110,10 +134,11 @@ proptest! {
                     prop_assert_eq!(p.dst, edst, "wrong endpoint");
                     prop_assert_eq!(p.class, eclass, "class corrupted");
                     prop_assert_eq!(p.flits, eflits, "length corrupted");
-                    // Physical floor: 3 cycles per hop along a minimal path.
+                    // Physical floor: `hop_latency` cycles per hop along a
+                    // minimal path.
                     let hops = min_hops(p.src, p.dst, 8);
                     prop_assert!(
-                        now.saturating_since(p.injected_at) + 1 >= 3 * hops,
+                        now.saturating_since(p.injected_at) >= hop_latency * hops,
                         "{:?}->{:?} delivered faster than {} hops allow",
                         p.src, p.dst, hops
                     );
@@ -121,11 +146,16 @@ proptest! {
                     delivered += 1;
                 }
             }
+            let popped: Vec<_> = std::iter::from_fn(|| twin.eject_next())
+                .map(|p| (p.dst, p.payload))
+                .collect();
+            prop_assert_eq!(&popped, &polled, "eject_next order differs from an index-order poll");
             now += 1;
             guard += 1;
             prop_assert!(guard < 20_000, "packets stuck: {delivered}/{total}");
         }
         prop_assert!(noc.is_idle(), "NOC not idle after full delivery");
+        prop_assert!(twin.is_idle(), "twin not idle after full delivery");
         prop_assert_eq!(noc.stats().delivered_packets.get(), total as u64);
     }
 

@@ -133,18 +133,15 @@ pub struct Chip {
     /// Collected latency tomography.
     pub traces: TraceTable,
     latch: DelayLine<Latch>,
-    /// Packets that could not inject yet, FIFO per source node. Only the
-    /// head of each queue can possibly inject (the source's injection port
-    /// serializes), so retries cost one attempt per blocked source per
-    /// cycle, and point-to-point ordering per source is preserved. Ordered
-    /// map: retry order across sources must be deterministic for
-    /// same-seed runs to reproduce under congestion.
+    /// Packets that could not inject yet, FIFO per blocked source node;
+    /// a source's queue is dropped as soon as it empties, so the map holds
+    /// exactly the blocked sources. Only the head of each queue can
+    /// possibly inject (the source's injection port serializes), so
+    /// retries cost one attempt per blocked source per cycle, and
+    /// point-to-point ordering per source is preserved. Ordered map: retry
+    /// order across sources must be deterministic for same-seed runs to
+    /// reproduce under congestion.
     backlog: BTreeMap<NocNode, VecDeque<Packet<ChipMsg>>>,
-    /// Total packets across all backlog queues.
-    backlog_len: usize,
-    /// Every NOC endpoint with possible deliveries, precomputed once so the
-    /// per-cycle drain never allocates.
-    drain_nodes: Vec<NocNode>,
     /// Per-class wake timestamps ([`TickMode::Event`]): component `i` of a
     /// class is visited in its subphase iff `wake[i] <= now`. After a visit
     /// the slot is refreshed from the component's `next_activity`; every
@@ -412,21 +409,6 @@ impl Chip {
             .map(|r| Rrpp::new(NocNode::NiBlock(r as u8), cfg.rmc, home, n_banks))
             .collect();
 
-        // Every endpoint the per-cycle NOC drain must visit, computed once.
-        let mut drain_nodes: Vec<NocNode> = Vec::with_capacity(96);
-        for i in 0..n {
-            drain_nodes.push(tile_node(i));
-        }
-        for r in 0..n_edge as u8 {
-            drain_nodes.push(NocNode::NiBlock(r));
-            drain_nodes.push(NocNode::Mc(r));
-        }
-        if cfg.topology == Topology::NocOut {
-            for c in 0..cfg.nocout.columns {
-                drain_nodes.push(NocNode::Llc(c));
-            }
-        }
-
         let wake_fes = vec![Cycle::ZERO; frontends.len()];
         let wake_bes = vec![Cycle::ZERO; backends.len()];
         let wake_rrpps = vec![Cycle::ZERO; rrpps.len()];
@@ -456,8 +438,6 @@ impl Chip {
             traces: TraceTable::new(),
             latch: DelayLine::new(),
             backlog: BTreeMap::new(),
-            backlog_len: 0,
-            drain_nodes,
             wake_fes,
             wake_bes,
             wake_rrpps,
@@ -668,7 +648,7 @@ impl Chip {
     /// driver's fast path skips such chips wholesale (provided their fabric
     /// endpoint is also idle).
     pub fn is_quiescent(&self) -> bool {
-        self.backlog_len == 0
+        self.backlog.is_empty()
             && self.latch.is_empty()
             && self.cores.iter().all(Core::is_quiescent)
             && self.mc_pending.is_empty()
@@ -794,7 +774,7 @@ impl Chip {
     /// from `self.now` (the next cycle to simulate). `self.now` itself when
     /// backlogged or mid-NOC-flight — those need the full per-cycle loop.
     fn compute_dormant_until(&self) -> Cycle {
-        if self.backlog_len != 0 || !self.noc.as_ref_dyn().is_idle() {
+        if !self.backlog.is_empty() || !self.noc.as_ref_dyn().is_idle() {
             return self.now;
         }
         let mut next = NEVER;
@@ -877,7 +857,7 @@ impl Chip {
 
     /// Fresh scan: every non-core pipeline, buffer, and queue is drained.
     fn pipelines_quiescent(&self) -> bool {
-        self.backlog_len == 0
+        self.backlog.is_empty()
             && self.latch.is_empty()
             && self.mc_pending.is_empty()
             && self.noc.as_ref_dyn().is_idle()
@@ -948,36 +928,30 @@ impl Chip {
         // Preserve per-source FIFO order: a fresh packet must queue behind
         // any packets from the same source still waiting to inject.
         if let Some(q) = self.backlog.get_mut(&pkt.src) {
-            if !q.is_empty() {
-                q.push_back(pkt);
-                self.backlog_len += 1;
-                return;
-            }
+            q.push_back(pkt);
+            return;
         }
         if let Err(p) = self.noc.as_dyn().try_inject(self.now, pkt) {
             self.backlog.entry(p.src).or_default().push_back(p);
-            self.backlog_len += 1;
         }
     }
 
+    /// Retry every blocked source in node order, dropping the sources that
+    /// drain.
     fn retry_backlog(&mut self, now: Cycle) {
-        if self.backlog_len == 0 {
-            return;
-        }
-        for q in self.backlog.values_mut() {
+        let noc = self.noc.as_dyn();
+        self.backlog.retain(|_, q| {
             // Drain each source head-first; stop at the first rejection
             // (the injection port is serialized, so the rest cannot go
             // either).
             while let Some(pkt) = q.pop_front() {
-                match self.noc.as_dyn().try_inject(now, pkt) {
-                    Ok(()) => self.backlog_len -= 1,
-                    Err(p) => {
-                        q.push_front(p);
-                        break;
-                    }
+                if let Err(p) = noc.try_inject(now, pkt) {
+                    q.push_front(p);
+                    break;
                 }
             }
-        }
+            !q.is_empty()
+        });
     }
 
     fn coh_packet(src: NocNode, e: Egress, from_dir: bool) -> Packet<ChipMsg> {
@@ -1256,14 +1230,14 @@ impl Chip {
         }
     }
 
+    /// Hand every delivered packet to its addressee, lowest endpoint index
+    /// first. Runs stay reproducible as long as deliveries that share state
+    /// keep their relative order: MC deliveries share the `mc_seq` tag
+    /// counter (MCs drain in ascending order), and a tile's NI-data
+    /// delivery may reach its edge's RRPP (tiles drain before NI blocks).
     fn drain_noc(&mut self, now: Cycle) {
-        // Visit every endpoint that may have deliveries (list precomputed
-        // at construction: this runs every cycle).
-        for i in 0..self.drain_nodes.len() {
-            let node = self.drain_nodes[i];
-            while let Some(pkt) = self.noc.as_dyn().eject(node) {
-                self.dispatch_packet(now, pkt);
-            }
+        while let Some(pkt) = self.noc.as_dyn().eject_next() {
+            self.dispatch_packet(now, pkt);
         }
     }
 

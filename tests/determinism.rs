@@ -17,8 +17,8 @@ use proptest::prelude::*;
 
 use rackni::ni_fabric::{FaultPlan, ReplicaCfg, RoutingKind, Torus3D};
 use rackni::ni_soc::{
-    ChipConfig, ClosedLoop, GraphShard, KvStore, Op, OpCtx, Rack, RackSimConfig, Scenario,
-    TenantMix, TrafficPattern, Workload,
+    Chip, ChipConfig, ClosedLoop, GraphShard, KvStore, Op, OpCtx, Rack, RackSimConfig, Scenario,
+    Synthetic, TenantMix, Topology, TrafficPattern, Workload,
 };
 
 /// Everything a reordered victim choice, retry, or delivery could perturb:
@@ -264,6 +264,122 @@ fn same_seed_serving_run_is_bit_identical_per_tenant() {
     let (b, tb) = serving_fingerprint(&serving_run(cycles));
     assert_eq!(a, b, "same seed, same mix, different fingerprint");
     assert_eq!(ta, tb, "same seed, different per-tenant accounting");
+}
+
+/// One chip behind the rack emulator on `topology`: half its cores stream
+/// async 512 B reads, half async 512 B writes, enough to back the NOC up
+/// into the chip's per-source injection backlog.
+fn chip_run(topology: Topology, cycles: u64) -> Chip {
+    let cfg = ChipConfig {
+        topology,
+        seed: 0xc41b,
+        ..ChipConfig::default()
+    };
+    let mix = TenantMix::new()
+        .with_tenant(
+            1,
+            Box::new(Synthetic::from_workload(Workload::AsyncRead {
+                size: 512,
+                poll_every: 4,
+            })),
+            1,
+        )
+        .with_tenant(
+            2,
+            Box::new(Synthetic::from_workload(Workload::AsyncWrite {
+                size: 512,
+                poll_every: 4,
+            })),
+            1,
+        );
+    let mut chip = Chip::with_scenario(cfg, &mix);
+    chip.run(cycles);
+    chip
+}
+
+/// A lone chip's fingerprint: the rack fields from its own counters, with
+/// `hops` counting NOC flit-hops (a chip's only network), plus the NOC's
+/// `[injected, delivered, inject_rejects, latency sum]`.
+fn chip_fingerprint(chip: &Chip) -> (Fingerprint, [u64; 4]) {
+    let fs = chip.fabric_stats();
+    let be = chip.backend_stats();
+    let noc = chip.noc_stats();
+    let latency: u128 = noc.latency_by_class.iter().map(|m| m.sum()).sum();
+    let fp = Fingerprint {
+        sent: fs.sent.get(),
+        responded: fs.responded.get(),
+        incoming: fs.incoming_generated.get(),
+        completed_ops: chip.completed_ops(),
+        failed_ops: chip.failed_ops(),
+        payload_bytes: chip.app_payload_bytes(),
+        hops: noc.flit_hops.get(),
+        timeouts: be.itt_timeouts.get(),
+        retries: be.itt_retries.get(),
+        replays: be.replays.get(),
+        quorum_writes: be.quorum_writes.get(),
+        degraded: chip.degraded_ops(),
+        rrpp_means: vec![chip.rrpp_mean_latency()],
+        per_node_ops: vec![chip.completed_ops()],
+    };
+    let counts = [
+        noc.injected_packets.get(),
+        noc.delivered_packets.get(),
+        noc.inject_rejects.get(),
+        latency as u64,
+    ];
+    (fp, counts)
+}
+
+/// The recorded fingerprint of a lone chip: every node-level field but the
+/// counts that are zero on these healthy, unreplicated runs.
+fn recorded(
+    sent: u64,
+    responded: u64,
+    completed_ops: u64,
+    payload_bytes: u64,
+    hops: u64,
+    rrpp_mean: f64,
+) -> Fingerprint {
+    Fingerprint {
+        sent,
+        responded,
+        incoming: sent,
+        completed_ops,
+        failed_ops: 0,
+        payload_bytes,
+        hops,
+        timeouts: 0,
+        retries: 0,
+        replays: 0,
+        quorum_writes: 0,
+        degraded: 0,
+        rrpp_means: vec![rrpp_mean],
+        per_node_ops: vec![completed_ops],
+    }
+}
+
+/// Pins one mesh chip and one NOC-Out chip to values recorded before the
+/// NOC's ring-slot links and ready-endpoint drain: the chip now drains
+/// deliveries in endpoint-index order rather than its own node list, and
+/// this shows the reordering is unobservable.
+#[test]
+fn chip_runs_match_recorded_fingerprints() {
+    let cases = [
+        (
+            Topology::Mesh,
+            recorded(5143, 4595, 396, 612_096, 501_576, 310.3558374543109),
+            [36_975, 36_643, 82_076, 1_226_564],
+        ),
+        (
+            Topology::NocOut,
+            recorded(2536, 1754, 22, 226_176, 39_299, 1764.4885057471265),
+            [15_676, 15_609, 76_377, 400_117],
+        ),
+    ];
+    for (topology, fp, noc) in cases {
+        let got = chip_fingerprint(&chip_run(topology, 6_000));
+        assert_eq!(got, (fp, noc), "{topology:?} chip moved");
+    }
 }
 
 /// Wraps the scenario *inside* a [`ClosedLoop`] and records the largest
