@@ -97,6 +97,11 @@ impl FabricPort {
         self.shared.state.lock().expect("port mutex never poisoned")
     }
 
+    /// True when either inbox may hold undrained arrivals (lock-free).
+    fn inbox_pending(&self) -> bool {
+        self.shared.inbox_pending.load(Ordering::Acquire)
+    }
+
     /// True when the outbox may hold events awaiting
     /// [`flush_outbox`](FabricPort::flush_outbox) — a lock-free peek the
     /// rack driver uses to skip the whole merge pass on quiet cycles.
@@ -168,6 +173,11 @@ impl Fabric for FabricPort {
 
     fn pop_response(&mut self, _now: Cycle, node: u16) -> Option<RemoteResp> {
         debug_assert_eq!(node, self.node, "port used by a foreign node");
+        // Every full chip tick polls both inboxes; a clear flag proves them
+        // empty (see [`PortShared`]), so the common case takes no lock.
+        if !self.inbox_pending() {
+            return None;
+        }
         let mut s = self.lock();
         let r = s.inbox_resps.pop_front();
         if r.is_some() {
@@ -181,6 +191,9 @@ impl Fabric for FabricPort {
 
     fn pop_incoming(&mut self, _now: Cycle, node: u16) -> Option<RemoteReq> {
         debug_assert_eq!(node, self.node, "port used by a foreign node");
+        if !self.inbox_pending() {
+            return None;
+        }
         let mut s = self.lock();
         let r = s.inbox_reqs.pop_front();
         if r.is_some() {
@@ -205,8 +218,7 @@ impl Fabric for FabricPort {
     fn is_idle(&self) -> bool {
         // Two lock-free loads: this runs in every chip's per-cycle fast
         // path. Conservative by construction (see [`PortShared`]).
-        !self.shared.outbox_pending.load(Ordering::Acquire)
-            && !self.shared.inbox_pending.load(Ordering::Acquire)
+        !self.outbox_pending() && !self.inbox_pending()
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
@@ -214,7 +226,7 @@ impl Fabric for FabricPort {
         // only appear when the rack driver collects them between compute
         // phases. Undrained arrivals surface at the chip's next
         // `pop_*`, so report them as due now; otherwise stay silent.
-        if self.shared.inbox_pending.load(Ordering::Acquire) {
+        if self.inbox_pending() {
             Some(now)
         } else {
             None

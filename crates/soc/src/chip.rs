@@ -19,6 +19,105 @@ use crate::scenario::{core_seed, OpCtx, Scenario, Synthetic};
 /// component" (no self-driven event pending).
 const NEVER: Cycle = Cycle(u64::MAX);
 
+/// One component class's wake timestamps ([`TickMode::Event`]) together
+/// with their minimum: component `i` is visited in its subphase iff
+/// `slots[i] <= now`, and a subphase whose minimum lies past `now` returns
+/// without touching a slot. [`NEVER`] marks a component only external
+/// input can revive.
+///
+/// The minimum is exact: a pass rebuilds it from every slot it walks
+/// ([`is_due`](WakeSlots::is_due) folds the slots it leaves alone,
+/// [`set`](WakeSlots::set) the ones it refreshes), and every delivery path
+/// lowers a slot and the minimum together.
+struct WakeSlots {
+    slots: Vec<Cycle>,
+    min: Cycle,
+}
+
+impl WakeSlots {
+    /// `n` components, all due at once (the first tick visits them all).
+    fn new(n: usize) -> WakeSlots {
+        let mut w = WakeSlots {
+            slots: vec![Cycle::ZERO; n],
+            min: NEVER,
+        };
+        w.reset();
+        w
+    }
+
+    /// Start a subphase pass at `now`: `false`, with nothing touched, when
+    /// no slot is due. Otherwise the minimum restarts from [`NEVER`] and the
+    /// pass must call [`is_due`](WakeSlots::is_due) on every slot and
+    /// [`set`](WakeSlots::set) every slot it finds due.
+    fn begin_pass(&mut self, now: Cycle) -> bool {
+        if self.min > now {
+            return false;
+        }
+        self.min = NEVER;
+        true
+    }
+
+    /// Whether component `i` is due at `now`. A slot that is not stays as
+    /// it is, so it is folded into the minimum here.
+    fn is_due(&mut self, i: usize, now: Cycle) -> bool {
+        let at = self.slots[i];
+        if at <= now {
+            return true;
+        }
+        self.min = self.min.min(at);
+        false
+    }
+
+    /// Refresh component `i`'s slot after a visit.
+    fn set(&mut self, i: usize, at: Cycle) {
+        self.slots[i] = at;
+        self.min = self.min.min(at);
+    }
+
+    /// A delivery or submission gave component `i` work at `at`.
+    fn lower(&mut self, i: usize, at: Cycle) {
+        self.slots[i] = self.slots[i].min(at);
+        self.min = self.min.min(at);
+    }
+
+    /// Make every component due (see [`Chip::wake`]).
+    fn reset(&mut self) {
+        self.slots.fill(Cycle::ZERO);
+        self.min = if self.slots.is_empty() {
+            NEVER
+        } else {
+            Cycle::ZERO
+        };
+    }
+
+    /// Debug audit at `now`: the minimum equals a fresh fold of the
+    /// slots, and no slot is later than its component's next activity
+    /// `next(i)`; with `exact`, each slot equals it once both are clamped
+    /// to `now`.
+    fn audit(
+        &self,
+        class: &str,
+        now: Cycle,
+        exact: bool,
+        next: impl Fn(usize) -> Option<Cycle>,
+    ) -> Result<(), String> {
+        let fold = self.slots.iter().copied().min().unwrap_or(NEVER);
+        if self.min != fold {
+            return Err(format!(
+                "{class}: minimum {:?}, slots fold to {fold:?}",
+                self.min
+            ));
+        }
+        for (i, &at) in self.slots.iter().enumerate() {
+            let (at, due) = (at.max(now), next(i).map_or(NEVER, |t| t.max(now)));
+            if at > due || (exact && at != due) {
+                return Err(format!("{class} {i}: slot {at:?}, next activity {due:?}"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// QP region base (bytes).
 const QP_BASE: u64 = 0x0100_0000;
 /// Per-core QP region stride (bytes).
@@ -113,7 +212,10 @@ pub struct Chip {
     mc_seq: u64,
     /// Queue pairs, one per core.
     pub qps: Vec<QueuePair>,
-    /// Cores, one per tile.
+    /// Cores, one per tile. Read freely; mutate through
+    /// [`Chip::core_mut`], or call [`Chip::wake`] afterwards: the event
+    /// tick tracks every core by a wake slot that direct mutation does not
+    /// move.
     pub cores: Vec<Core>,
     frontends: Vec<NiFrontend>,
     fe_index: BTreeMap<NocNode, usize>,
@@ -142,22 +244,25 @@ pub struct Chip {
     /// order across sources must be deterministic for same-seed runs to
     /// reproduce under congestion.
     backlog: BTreeMap<NocNode, VecDeque<Packet<ChipMsg>>>,
-    /// Per-class wake timestamps ([`TickMode::Event`]): component `i` of a
-    /// class is visited in its subphase iff `wake[i] <= now`. After a visit
-    /// the slot is refreshed from the component's `next_activity`; every
-    /// delivery path lowers the target's slot to the delivery cycle, so a
-    /// message can never out-sleep its addressee. [`NEVER`] marks a
-    /// component only external input can revive. Cores have no slot: their
-    /// activity predicate is rescanned every cycle (see
-    /// [`Chip::tick`]'s external-mutation note).
-    wake_fes: Vec<Cycle>,
-    wake_bes: Vec<Cycle>,
-    wake_rrpps: Vec<Cycle>,
-    wake_cxs: Vec<Cycle>,
-    wake_dirs: Vec<Cycle>,
+    /// Per-class wake slots ([`TickMode::Event`]). After a visit a slot is
+    /// refreshed from the component's `next_activity` (`next_ready_at` for
+    /// memory controllers); every delivery path lowers the target's slot,
+    /// so a message can never out-sleep its addressee. Core and memory
+    /// controller slots are exact, not merely early: a core slot is lowered
+    /// to [`Core::next_activity`] after a completion, never to the
+    /// delivery cycle, so the dormant skip engages exactly as often as a
+    /// rescan of every core would allow.
+    wake_cores: WakeSlots,
+    wake_fes: WakeSlots,
+    wake_bes: WakeSlots,
+    wake_rrpps: WakeSlots,
+    wake_cxs: WakeSlots,
+    wake_dirs: WakeSlots,
+    wake_mcs: WakeSlots,
     /// Cycle before which the dormant fast path may skip whole ticks: the
-    /// earliest self-driven event of any non-core component, recomputed at
-    /// the end of every full event tick. `<= now` disables the skip.
+    /// earliest self-driven event of any component, cores included,
+    /// recomputed at the end of every full event tick. `<= now` disables
+    /// the skip.
     dormant_until: Cycle,
     /// Monotonic stamp bumped whenever a tick (or an external entry point
     /// like [`Chip::wake`]/[`Chip::poke_block`]) may have changed chip
@@ -166,13 +271,6 @@ pub struct Chip {
     /// Memoized "all non-core pipelines drained" verdict, as
     /// `(activity stamp it was computed at, verdict)`.
     pipelines_memo: (u64, bool),
-    /// Memoized earliest core self-activity (min over cores of
-    /// [`Core::next_activity`]), as `(activity stamp, horizon)`. Core
-    /// state only changes inside full ticks and through external entry
-    /// points, all of which bump the stamp, so the horizon stays exact
-    /// between recomputes — this turns the dormant fast path's per-cycle
-    /// core scan into one compare.
-    cores_memo: (u64, Cycle),
 }
 
 // The whole node must stay `Send`: the rack driver farms chips out across
@@ -299,7 +397,7 @@ impl Chip {
             dirs.push(DirectoryBank::new(cfg.coherence, node, mc));
         }
 
-        let mcs = (0..n_edge)
+        let mcs: Vec<MemoryController> = (0..n_edge)
             .map(|_| MemoryController::new(cfg.mem))
             .collect();
 
@@ -409,12 +507,16 @@ impl Chip {
             .map(|r| Rrpp::new(NocNode::NiBlock(r as u8), cfg.rmc, home, n_banks))
             .collect();
 
-        let wake_fes = vec![Cycle::ZERO; frontends.len()];
-        let wake_bes = vec![Cycle::ZERO; backends.len()];
-        let wake_rrpps = vec![Cycle::ZERO; rrpps.len()];
-        let wake_cxs = vec![Cycle::ZERO; complexes.len()];
-        let wake_dirs = vec![Cycle::ZERO; dirs.len()];
         Chip {
+            // The slot vectors come first: they read the component counts
+            // before the components move in.
+            wake_cores: WakeSlots::new(cores.len()),
+            wake_fes: WakeSlots::new(frontends.len()),
+            wake_bes: WakeSlots::new(backends.len()),
+            wake_rrpps: WakeSlots::new(rrpps.len()),
+            wake_cxs: WakeSlots::new(complexes.len()),
+            wake_dirs: WakeSlots::new(dirs.len()),
+            wake_mcs: WakeSlots::new(mcs.len()),
             cfg,
             now: Cycle::ZERO,
             noc,
@@ -438,16 +540,10 @@ impl Chip {
             traces: TraceTable::new(),
             latch: DelayLine::new(),
             backlog: BTreeMap::new(),
-            wake_fes,
-            wake_bes,
-            wake_rrpps,
-            wake_cxs,
-            wake_dirs,
             dormant_until: Cycle::ZERO,
             activity: 0,
-            // Stamps that can never match `activity`: first query computes.
+            // A stamp that can never match `activity`: first query computes.
             pipelines_memo: (u64::MAX, false),
-            cores_memo: (u64::MAX, Cycle::ZERO),
         }
     }
 
@@ -620,6 +716,16 @@ impl Chip {
         self.wake();
     }
 
+    /// Mutable access to core `i` (workload resets, retargeting). The chip
+    /// is [woken](Chip::wake) first, like
+    /// [`Rack::chip_mut`](crate::Rack::chip_mut): direct mutation bypasses
+    /// the core's wake slot, and a woken chip revisits every core on its
+    /// next tick.
+    pub fn core_mut(&mut self, i: usize) -> &mut Core {
+        self.wake();
+        &mut self.cores[i]
+    }
+
     /// Mean zero-load RRPP service latency measured so far.
     pub fn rrpp_mean_latency(&self) -> f64 {
         let mut sum = 0.0;
@@ -697,9 +803,10 @@ impl Chip {
         self.tick_cores(now, false);
         self.tick_frontends(now, false);
         self.tick_rmc_backends(now, false);
+        self.tick_rrpps(now, false);
         self.tick_complexes(now, false);
         self.tick_dirs(now, false);
-        self.tick_mcs(now);
+        self.tick_mcs(now, false);
         self.noc.as_dyn().tick(now);
         self.drain_noc(now);
         self.now += 1;
@@ -707,19 +814,16 @@ impl Chip {
     }
 
     /// The event-driven tick: identical subphase order to
-    /// [`Chip::tick_poll`], but each non-core component is visited only
-    /// when its wake timestamp is due, and a chip whose every self-driven
-    /// event lies in the future skips the cycle outright. Every skipped
-    /// visit is provably the no-op the poll loop would have performed, so
-    /// the two modes stay bit-identical in all observables.
+    /// [`Chip::tick_poll`], but each component is visited only when its
+    /// wake slot is due, a subphase with nothing due returns at once, and a
+    /// chip whose every self-driven event lies in the future skips the
+    /// cycle outright. Every skipped visit is provably the no-op the poll
+    /// loop would have performed, so the two modes stay bit-identical in
+    /// all observables.
     fn tick_event(&mut self, now: Cycle) {
-        // Dormant fast path: all pipeline work is scheduled past `now`, the
-        // fabric endpoint is silent, and every core is inert this cycle
-        // (declared-idle window, passively awaiting a completion, or done).
-        // The core horizon is memoized on the activity stamp, which every
-        // full tick and external entry point bumps — same staleness
-        // guarantee as the poll fast path's pipeline memo above.
-        if now < self.dormant_until && now < self.cores_horizon(now) && self.fabric.is_idle() {
+        // Dormant fast path: all work, cores included, is scheduled past
+        // `now` and the fabric endpoint is silent.
+        if now < self.dormant_until && self.fabric.is_idle() {
             self.now += 1;
             return;
         }
@@ -729,9 +833,10 @@ impl Chip {
         self.tick_cores(now, true);
         self.tick_frontends(now, true);
         self.tick_rmc_backends(now, true);
+        self.tick_rrpps(now, true);
         self.tick_complexes(now, true);
         self.tick_dirs(now, true);
-        self.tick_mcs(now);
+        self.tick_mcs(now, true);
         // The NOC ticks and drains unconditionally in a full tick, exactly
         // like the poll loop (an idle NOC tick is a strict no-op; skipping
         // happens at whole-cycle granularity in the dormant path instead).
@@ -740,6 +845,7 @@ impl Chip {
         self.now += 1;
         self.activity = self.activity.wrapping_add(1);
         self.dormant_until = self.compute_dormant_until();
+        debug_assert_eq!(self.audit_wake(), Ok(()), "wake slots after {now:?}");
     }
 
     /// Number of *full* (non-skipped) ticks this chip has executed — the
@@ -751,93 +857,86 @@ impl Chip {
         self.activity
     }
 
-    /// Earliest cycle any core acts on its own, memoized on the activity
-    /// stamp (`NEVER` when every core is passive). While the stamp is
-    /// unchanged no core state has moved, so the absolute horizon computed
-    /// once stays exact; a core active *right now* yields `horizon == now`,
-    /// which forces the full tick that bumps the stamp.
-    fn cores_horizon(&mut self, now: Cycle) -> Cycle {
-        if self.cores_memo.0 == self.activity {
-            return self.cores_memo.1;
-        }
-        let mut h = NEVER;
-        for c in &self.cores {
-            if let Some(t) = c.next_activity(now) {
-                h = h.min(t.max(now));
-            }
-        }
-        self.cores_memo = (self.activity, h);
-        h
-    }
-
-    /// Earliest future cycle any non-core component acts on its own, seen
-    /// from `self.now` (the next cycle to simulate). `self.now` itself when
-    /// backlogged or mid-NOC-flight — those need the full per-cycle loop.
+    /// Earliest future cycle any component acts on its own, seen from
+    /// `self.now` (the next cycle to simulate): the least class minimum or
+    /// latch delivery. `self.now` itself when backlogged or mid-NOC-flight
+    /// — those need the full per-cycle loop.
     fn compute_dormant_until(&self) -> Cycle {
         if !self.backlog.is_empty() || !self.noc.as_ref_dyn().is_idle() {
             return self.now;
         }
-        let mut next = NEVER;
-        for &w in self
-            .wake_fes
-            .iter()
-            .chain(&self.wake_bes)
-            .chain(&self.wake_rrpps)
-            .chain(&self.wake_cxs)
-            .chain(&self.wake_dirs)
-        {
-            next = next.min(w);
-        }
-        if let Some(t) = self.latch.next_ready_at() {
-            next = next.min(t);
-        }
-        for m in &self.mcs {
-            if let Some(t) = m.next_ready_at() {
-                next = next.min(t);
-            }
-        }
-        next
+        [
+            &self.wake_cores,
+            &self.wake_fes,
+            &self.wake_bes,
+            &self.wake_rrpps,
+            &self.wake_cxs,
+            &self.wake_dirs,
+            &self.wake_mcs,
+        ]
+        .iter()
+        .fold(self.latch.next_ready_at().unwrap_or(NEVER), |next, w| {
+            next.min(w.min)
+        })
+    }
+
+    /// Debug audit of the wake bookkeeping at the end of a full event tick,
+    /// seen from `self.now`: every class minimum equals the minimum of its
+    /// slots, no slot is later than its component's next activity, and
+    /// core and memory-controller slots are exact after clamping to
+    /// `self.now`. Side-effect free, so it can run inside `debug_assert!`.
+    fn audit_wake(&self) -> Result<(), String> {
+        let now = self.now;
+        let cores = |i: usize| self.cores[i].next_activity(now);
+        self.wake_cores.audit("core", now, true, cores)?;
+        let fes = |i: usize| self.frontends[i].next_activity(now);
+        self.wake_fes.audit("frontend", now, false, fes)?;
+        let bes = |i: usize| self.backends[i].next_activity(now);
+        self.wake_bes.audit("backend", now, false, bes)?;
+        let rrpps = |i: usize| self.rrpps[i].next_activity(now);
+        self.wake_rrpps.audit("rrpp", now, false, rrpps)?;
+        let cxs = |i: usize| self.complexes[i].next_activity(now);
+        self.wake_cxs.audit("complex", now, false, cxs)?;
+        let dirs = |i: usize| self.dirs[i].next_activity(now);
+        self.wake_dirs.audit("dir", now, false, dirs)?;
+        let mcs = |i: usize| self.mcs[i].next_ready_at();
+        self.wake_mcs.audit("mc", now, true, mcs)
     }
 
     /// Earliest cycle at which this chip does anything on its own: pending
     /// pipeline or NOC work now, a scheduled component event, or a core
     /// leaving its declared-idle window. `None` means only external input
     /// (fabric arrivals, [`Chip::wake`]-style mutation) re-activates it.
-    /// Only meaningful under [`TickMode::Event`], where the wake
-    /// timestamps are maintained; the rack driver and benches use it to
-    /// reason about idle-until-X chips.
+    /// Only meaningful under [`TickMode::Event`], where the wake slots are
+    /// maintained; the rack driver and benches use it to reason about
+    /// idle-until-X chips.
     pub fn next_event_cycle(&self) -> Option<Cycle> {
-        let mut next = if self.dormant_until <= self.now {
-            // Pipeline/NOC work this very cycle (or stale after external
-            // mutation — conservative either way).
+        if self.dormant_until <= self.now {
+            // Work this very cycle (or stale after external mutation —
+            // conservative either way).
             return Some(self.now);
-        } else {
-            self.dormant_until
-        };
-        for c in &self.cores {
-            if let Some(t) = c.next_activity(self.now) {
-                next = next.min(t.max(self.now));
-            }
         }
-        (next != NEVER).then_some(next)
+        (self.dormant_until != NEVER).then_some(self.dormant_until)
     }
 
-    /// Re-activate everything after external mutation: reset every wake
-    /// timestamp and the dormant horizon, and bump the activity stamp so
+    /// Re-activate everything after external mutation: make every wake
+    /// slot due, reset the dormant horizon, and bump the activity stamp so
     /// the memoized quiescence verdict is recomputed. The rack driver
-    /// calls this from `chip_mut`; anything else that reaches around the
-    /// public API to mutate components directly should too.
+    /// calls this from `chip_mut` and [`Chip::core_mut`] calls it too;
+    /// anything else that reaches around the public API to mutate
+    /// components directly should as well.
     pub fn wake(&mut self) {
         self.dormant_until = Cycle::ZERO;
-        for w in self
-            .wake_fes
-            .iter_mut()
-            .chain(&mut self.wake_bes)
-            .chain(&mut self.wake_rrpps)
-            .chain(&mut self.wake_cxs)
-            .chain(&mut self.wake_dirs)
-        {
-            *w = Cycle::ZERO;
+        for w in [
+            &mut self.wake_cores,
+            &mut self.wake_fes,
+            &mut self.wake_bes,
+            &mut self.wake_rrpps,
+            &mut self.wake_cxs,
+            &mut self.wake_dirs,
+            &mut self.wake_mcs,
+        ] {
+            w.reset();
         }
         self.activity = self.activity.wrapping_add(1);
     }
@@ -871,8 +970,8 @@ impl Chip {
 
     /// Run for `cycles`. Under [`TickMode::Event`] with a fabric that
     /// reports no upcoming self-driven events ([`Fabric::next_event`]
-    /// `None`), idle-until-X stretches are jumped in one step instead of
-    /// being skipped cycle by cycle.
+    /// `None`), idle-until-X stretches are jumped in one step to the
+    /// dormant horizon instead of being skipped cycle by cycle.
     pub fn run(&mut self, cycles: u64) {
         let end = Cycle(self.now.0.saturating_add(cycles));
         while self.now < end {
@@ -880,31 +979,11 @@ impl Chip {
                 && self.now < self.dormant_until
                 && self.fabric.next_event(self.now).is_none()
             {
-                if let Some(to) = self.jump_target(end) {
-                    self.now = to;
-                    continue;
-                }
+                self.now = self.dormant_until.min(end);
+                continue;
             }
             self.tick();
         }
-    }
-
-    /// Next cycle `<= end` this chip must actually simulate, when strictly
-    /// ahead of `self.now`: the earlier of the pipelines' dormant horizon
-    /// and every core's own next-activity time. `None` when something acts
-    /// this very cycle (no jump). Caller guarantees the fabric stays
-    /// silent for the whole window.
-    fn jump_target(&self, end: Cycle) -> Option<Cycle> {
-        let now = self.now;
-        let mut next = self.dormant_until;
-        for c in &self.cores {
-            match c.next_activity(now) {
-                None => {}
-                Some(t) if t > now => next = next.min(t),
-                Some(_) => return None,
-            }
-        }
-        Some(next.min(end))
     }
 
     // ---- plumbing ---------------------------------------------------------
@@ -1015,7 +1094,7 @@ impl Chip {
             let home = self.home_of(req.remote_block);
             let r = usize::from(self.edge_of_node(home));
             self.rrpps[r].on_request(now, req);
-            self.wake_rrpps[r] = self.wake_rrpps[r].min(now);
+            self.wake_rrpps.lower(r, now);
         }
     }
 
@@ -1031,39 +1110,58 @@ impl Chip {
                 Latch::Ni { dst, msg } => self.deliver_ni(now, dst, msg),
                 Latch::NetResp { backend, resp } => {
                     self.backends[backend].on_response(now, resp);
-                    self.wake_bes[backend] = self.wake_bes[backend].min(now);
+                    self.wake_bes.lower(backend, now);
                 }
             }
         }
     }
 
     fn tick_cores(&mut self, now: Cycle, gated: bool) {
+        if gated && !self.wake_cores.begin_pass(now) {
+            return;
+        }
         for i in 0..self.cores.len() {
-            // Event mode skips cores that provably do nothing this cycle
-            // (the predicate is exact, never late — see
-            // [`Core::next_activity`]). A ticked core may have submitted
-            // into its tile complex, so that complex must be visited too.
-            if gated && self.cores[i].next_activity(now).is_none_or(|t| t > now) {
+            if gated && !self.wake_cores.is_due(i, now) {
                 continue;
             }
-            self.cores[i].tick(now, &mut self.qps[i], &mut self.complexes[i]);
-            self.wake_cxs[i] = self.wake_cxs[i].min(now);
-            if let Some(req) = self.cores[i].take_numa_request() {
-                // NUMA issue: request packet core tile -> edge -> rack.
-                let row = self.edge_of_tile(i);
-                let pkt =
-                    Self::ni_packet(self.tile_node(i), NocNode::NiBlock(row), NiMsg::NetOut(req));
-                self.inject(pkt);
+            // Event mode skips cores that provably do nothing this cycle
+            // (the predicate is exact, never late — see
+            // [`Core::next_activity`]). A due slot is exact too, except
+            // right after [`Chip::wake`] zeroed it, so the predicate is
+            // re-checked: an idle core whose scenario is done must not draw
+            // from it.
+            if !gated || self.cores[i].next_activity(now).is_some_and(|t| t <= now) {
+                self.tick_core(now, i);
             }
-            for t in self.cores[i].drain_traces() {
-                self.traces.record(t);
+            if gated {
+                self.wake_cores
+                    .set(i, self.cores[i].next_activity(now + 1).unwrap_or(NEVER));
             }
         }
     }
 
+    fn tick_core(&mut self, now: Cycle, i: usize) {
+        self.cores[i].tick(now, &mut self.qps[i], &mut self.complexes[i]);
+        // The core may have submitted into its tile complex, so that
+        // complex must be visited too.
+        self.wake_cxs.lower(i, now);
+        if let Some(req) = self.cores[i].take_numa_request() {
+            // NUMA issue: request packet core tile -> edge -> rack.
+            let row = self.edge_of_tile(i);
+            let pkt = Self::ni_packet(self.tile_node(i), NocNode::NiBlock(row), NiMsg::NetOut(req));
+            self.inject(pkt);
+        }
+        for t in self.cores[i].drain_traces() {
+            self.traces.record(t);
+        }
+    }
+
     fn tick_frontends(&mut self, now: Cycle, gated: bool) {
+        if gated && !self.wake_fes.begin_pass(now) {
+            return;
+        }
         for f in 0..self.frontends.len() {
-            if gated && self.wake_fes[f] > now {
+            if gated && !self.wake_fes.is_due(f, now) {
                 continue;
             }
             let fe_node = self.frontends[f].node();
@@ -1075,15 +1173,19 @@ impl Chip {
             if gated {
                 // The frontend may have submitted into its complex; the
                 // complex subphase runs later this same cycle.
-                self.wake_cxs[cx] = self.wake_cxs[cx].min(now);
-                self.wake_fes[f] = self.frontends[f].next_activity(now + 1).unwrap_or(NEVER);
+                self.wake_cxs.lower(cx, now);
+                self.wake_fes
+                    .set(f, self.frontends[f].next_activity(now + 1).unwrap_or(NEVER));
             }
         }
     }
 
     fn tick_rmc_backends(&mut self, now: Cycle, gated: bool) {
+        if gated && !self.wake_bes.begin_pass(now) {
+            return;
+        }
         for b in 0..self.backends.len() {
-            if gated && self.wake_bes[b] > now {
+            if gated && !self.wake_bes.is_due(b, now) {
                 continue;
             }
             self.backends[b].tick(now);
@@ -1092,11 +1194,18 @@ impl Chip {
                 self.dispatch_rmc(now, node, e);
             }
             if gated {
-                self.wake_bes[b] = self.backends[b].next_activity(now + 1).unwrap_or(NEVER);
+                self.wake_bes
+                    .set(b, self.backends[b].next_activity(now + 1).unwrap_or(NEVER));
             }
         }
+    }
+
+    fn tick_rrpps(&mut self, now: Cycle, gated: bool) {
+        if gated && !self.wake_rrpps.begin_pass(now) {
+            return;
+        }
         for r in 0..self.rrpps.len() {
-            if gated && self.wake_rrpps[r] > now {
+            if gated && !self.wake_rrpps.is_due(r, now) {
                 continue;
             }
             self.rrpps[r].tick(now);
@@ -1108,7 +1217,8 @@ impl Chip {
                 self.fabric.record_rrpp_latency(self.node_id, s);
             }
             if gated {
-                self.wake_rrpps[r] = self.rrpps[r].next_activity(now + 1).unwrap_or(NEVER);
+                self.wake_rrpps
+                    .set(r, self.rrpps[r].next_activity(now + 1).unwrap_or(NEVER));
             }
         }
     }
@@ -1141,8 +1251,11 @@ impl Chip {
     }
 
     fn tick_complexes(&mut self, now: Cycle, gated: bool) {
+        if gated && !self.wake_cxs.begin_pass(now) {
+            return;
+        }
         for c in 0..self.complexes.len() {
-            if gated && self.wake_cxs[c] > now {
+            if gated && !self.wake_cxs.is_due(c, now) {
                 continue;
             }
             self.complexes[c].tick(now);
@@ -1161,6 +1274,11 @@ impl Chip {
                             done.value,
                             &mut self.qps[i],
                         );
+                        // The core subphase already ran this cycle; lower
+                        // the slot to the core's exact next activity (not
+                        // to `now`, which would cost a needless full tick).
+                        self.wake_cores
+                            .lower(i, self.cores[i].next_activity(now).unwrap_or(NEVER));
                     }
                     ni_coherence::AccessOrigin::Ni => {
                         let f = self.fe_of_complex[&c];
@@ -1178,19 +1296,23 @@ impl Chip {
                         // (CQ stores); its subphase already ran this
                         // cycle, so it wakes next cycle — exactly when
                         // the poll loop would next act on it.
-                        self.wake_fes[f] = self.wake_fes[f].min(now);
+                        self.wake_fes.lower(f, now);
                     }
                 }
             }
             if gated {
-                self.wake_cxs[c] = self.complexes[c].next_activity(now + 1).unwrap_or(NEVER);
+                self.wake_cxs
+                    .set(c, self.complexes[c].next_activity(now + 1).unwrap_or(NEVER));
             }
         }
     }
 
     fn tick_dirs(&mut self, now: Cycle, gated: bool) {
+        if gated && !self.wake_dirs.begin_pass(now) {
+            return;
+        }
         for d in 0..self.dirs.len() {
-            if gated && self.wake_dirs[d] > now {
+            if gated && !self.wake_dirs.is_due(d, now) {
                 continue;
             }
             self.dirs[d].tick(now);
@@ -1200,13 +1322,20 @@ impl Chip {
                 self.inject(pkt);
             }
             if gated {
-                self.wake_dirs[d] = self.dirs[d].next_activity(now + 1).unwrap_or(NEVER);
+                self.wake_dirs
+                    .set(d, self.dirs[d].next_activity(now + 1).unwrap_or(NEVER));
             }
         }
     }
 
-    fn tick_mcs(&mut self, now: Cycle) {
+    fn tick_mcs(&mut self, now: Cycle, gated: bool) {
+        if gated && !self.wake_mcs.begin_pass(now) {
+            return;
+        }
         for m in 0..self.mcs.len() {
+            if gated && !self.wake_mcs.is_due(m, now) {
+                continue;
+            }
             while let Some(reply) = self.mcs[m].pop_ready(now) {
                 let (to, _) = self.mc_pending.remove(&reply.tag).expect("tracked request");
                 let msg = match reply.kind {
@@ -1226,6 +1355,10 @@ impl Chip {
                     false,
                 );
                 self.inject(pkt);
+            }
+            if gated {
+                self.wake_mcs
+                    .set(m, self.mcs[m].next_ready_at().unwrap_or(NEVER));
             }
         }
     }
@@ -1267,19 +1400,22 @@ impl Chip {
                     other => panic!("MC received {other:?}"),
                 };
                 self.mc_pending.insert(tag, (src, true));
-                self.mcs[usize::from(m)]
+                let m = usize::from(m);
+                self.mcs[m]
                     .push(now, block, kind_req, value, tag)
                     .expect("uncapped memory controller");
+                self.wake_mcs
+                    .lower(m, self.mcs[m].next_ready_at().unwrap_or(NEVER));
             }
             (_, ClientKind::Directory) => {
                 let d = self.dir_index[&dst];
                 self.dirs[d].deliver(now, src, msg);
-                self.wake_dirs[d] = self.wake_dirs[d].min(now);
+                self.wake_dirs.lower(d, now);
             }
             (_, ClientKind::Cache) => {
                 let c = self.complex_index[&dst];
                 self.complexes[c].deliver(now, msg);
-                self.wake_cxs[c] = self.wake_cxs[c].min(now);
+                self.wake_cxs.lower(c, now);
             }
             (_, ClientKind::NiData) => {
                 // RRPP or backend data path at this node.
@@ -1298,14 +1434,14 @@ impl Chip {
                     } else {
                         self.rrpps[r].on_nc_wack(now, block);
                     }
-                    self.wake_rrpps[r] = self.wake_rrpps[r].min(now);
+                    self.wake_rrpps.lower(r, now);
                 } else if let Some(&b) = self.backend_index.get(&dst) {
                     if is_data {
                         self.backends[b].on_nc_data(now, block, value);
                     } else {
                         self.backends[b].on_nc_wack(now, block);
                     }
-                    self.wake_bes[b] = self.wake_bes[b].min(now);
+                    self.wake_bes.lower(b, now);
                 }
             }
         }
@@ -1316,7 +1452,7 @@ impl Chip {
             NiMsg::WqFwd { entry, qp, fe } => {
                 let b = self.backend_index[&dst];
                 self.backends[b].on_wq_entry(now, entry, qp, fe);
-                self.wake_bes[b] = self.wake_bes[b].min(now);
+                self.wake_bes.lower(b, now);
             }
             NiMsg::CqNotify {
                 qp,
@@ -1326,7 +1462,7 @@ impl Chip {
             } => {
                 let f = self.fe_index[&dst];
                 self.frontends[f].on_notify(qp, wq_id, ok, degraded);
-                self.wake_fes[f] = self.wake_fes[f].min(now);
+                self.wake_fes.lower(f, now);
             }
             NiMsg::NetOut(req) => {
                 // Arrived at the edge: hand to the network router / rack.
@@ -1336,10 +1472,12 @@ impl Chip {
                 if resp.tid >= NUMA_TID_BASE {
                     let tile = (resp.tid & 0xffff_ffff) as usize;
                     self.cores[tile].on_numa_response(now);
+                    self.wake_cores
+                        .lower(tile, self.cores[tile].next_activity(now).unwrap_or(NEVER));
                 } else {
                     let b = self.backend_index[&dst];
                     self.backends[b].on_response(now, resp);
-                    self.wake_bes[b] = self.wake_bes[b].min(now);
+                    self.wake_bes.lower(b, now);
                 }
             }
         }

@@ -399,14 +399,19 @@ fn tick_fingerprint(rack: &Rack) -> TickFingerprint {
     }
 }
 
-/// Tentpole acceptance: the event-driven chip tick (activity sets + dormant
+/// Tentpole acceptance: the event-driven chip tick (wake slots + dormant
 /// skip) is bit-identical to the poll-everything reference on a healthy
 /// rack — the same seeded 3x3x3 scenario run serially under poll sets the
 /// reference, and both tick modes through `Rack::run` at one and four
-/// workers must reproduce it exactly.
+/// workers must reproduce it exactly. A placement x topology axis repeats
+/// the comparison on a 2x2x1 rack for every NI design on the mesh and on
+/// NOC-Out, NUMA loads included, and pins each case's event-mode full-tick
+/// count: a wake slot that fires early changes that count without moving
+/// any fingerprinted statistic.
 #[test]
 fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
-    use rackni::ni_soc::TickMode;
+    use rackni::ni_rmc::NiPlacement;
+    use rackni::ni_soc::{TickMode, Topology};
 
     let build = |mode: TickMode, threads: usize| {
         let mut cfg = rack_cfg(Torus3D::new(3, 3, 3), 2, TrafficPattern::Uniform);
@@ -441,6 +446,51 @@ fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
                  serial poll reference"
             );
         }
+    }
+
+    // (placement, topology, workload, event-mode full ticks summed over
+    // the four chips, recorded before cores and memory controllers had
+    // wake slots).
+    let async_read = Workload::AsyncRead {
+        size: 256,
+        poll_every: 4,
+    };
+    let cases = [
+        (NiPlacement::Split, Topology::Mesh, async_read, 19_872),
+        (NiPlacement::Edge, Topology::Mesh, async_read, 19_688),
+        (NiPlacement::PerTile, Topology::Mesh, async_read, 19_872),
+        (NiPlacement::Split, Topology::NocOut, async_read, 19_856),
+        (NiPlacement::Edge, Topology::NocOut, async_read, 19_020),
+        (NiPlacement::Numa, Topology::Mesh, Workload::NumaRead, 6_864),
+    ];
+    for (placement, topology, workload, full_ticks) in cases {
+        let run = |mode: TickMode| {
+            let mut cfg = rack_cfg(Torus3D::new(2, 2, 1), 3, TrafficPattern::Uniform);
+            cfg.chip.seed = 0x71c5;
+            cfg.chip.placement = placement;
+            cfg.chip.topology = topology;
+            cfg.chip.tick_mode = mode;
+            cfg.threads = 1;
+            let mut rack = Rack::new(cfg, workload);
+            rack.run(5_000);
+            rack
+        };
+        let want = tick_fingerprint(&run(TickMode::Poll));
+        assert!(
+            want.completed_ops > 0 && want.hops > 0,
+            "{placement:?} on {topology:?} must complete ops across the fabric"
+        );
+        let event = run(TickMode::Event);
+        assert_eq!(
+            tick_fingerprint(&event),
+            want,
+            "{placement:?} on {topology:?}: event tick diverged from poll"
+        );
+        let ticks: u64 = event.chips().iter().map(Chip::full_ticks).sum();
+        assert_eq!(
+            ticks, full_ticks,
+            "{placement:?} on {topology:?}: the dormant skip engaged differently"
+        );
     }
 }
 

@@ -251,7 +251,8 @@ fn reset_scenario_keeps_reaping_across_the_reset() {
     chip.run(15_000);
     let before = chip.completed_ops();
     assert!(before > 0, "pre-reset stream must make progress");
-    chip.cores[0].reset_scenario(Box::new(FiniteReads { ops: 2 }));
+    chip.core_mut(0)
+        .reset_scenario(Box::new(FiniteReads { ops: 2 }));
     chip.run(15_000);
     assert!(
         chip.completed_ops() >= before + 2,
@@ -260,6 +261,39 @@ fn reset_scenario_keeps_reaping_across_the_reset() {
         before,
         chip.completed_ops()
     );
+}
+
+/// Mutating a core through `Chip::core_mut` wakes the chip: a core asleep
+/// in a long `IdleFor` window, reset to a back-to-back synchronous
+/// workload, resumes issuing on the next tick under the event tick exactly
+/// as under the poll reference. (Mutating `cores[0]` directly would leave
+/// its wake slot at the end of the idle window and the event tick would
+/// miss the reset.)
+#[test]
+fn core_mut_wakes_a_core_asleep_in_an_idle_window() {
+    use rackni::ni_soc::{Bursty, Chip, TickMode};
+    let run = |tick_mode: TickMode| {
+        let cfg = ChipConfig {
+            active_cores: 1,
+            tick_mode,
+            ..ChipConfig::default()
+        };
+        let bursty = Bursty::new(
+            Box::new(Synthetic::from_workload(Workload::SyncRead { size: 64 })),
+            1,
+            50_000,
+        );
+        let mut chip = Chip::with_scenario(cfg, &bursty);
+        chip.run(20_000);
+        assert_eq!(chip.completed_ops(), 1, "one burst op, then idle");
+        chip.core_mut(0)
+            .reset_workload(Workload::SyncRead { size: 64 });
+        chip.run(10_000);
+        chip.completed_ops()
+    };
+    let poll = run(TickMode::Poll);
+    assert!(poll > 1, "the reset workload must issue: {poll} ops");
+    assert_eq!(run(TickMode::Event), poll, "event tick missed the reset");
 }
 
 /// `Core::set_target` (the pre-scenario retargeting API) must steer a
