@@ -142,15 +142,6 @@ impl DirectoryBank {
         &self.stats
     }
 
-    /// True when no transaction is open and all queues are empty.
-    pub fn is_quiescent(&self) -> bool {
-        self.busy.is_empty()
-            && self.inbox.is_empty()
-            && self.replay.is_empty()
-            && self.outbox.is_empty()
-            && self.egress.is_empty()
-    }
-
     /// Earliest cycle (>= `now`) at which this bank does anything on its
     /// own. Queued or replayed requests and undrained egress demand a tick
     /// immediately; otherwise the only self-driven work is the delayed

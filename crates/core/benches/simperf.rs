@@ -4,10 +4,9 @@
 //! (activity sets + next-event skip). Not a paper artifact — this guards
 //! the reproduction's own usability.
 //!
-//! Unlike the figure/table benches this target is a plain deterministic
-//! harness (no Criterion statistics): every point is one seeded build plus
-//! one timed run, so the output doubles as a machine-readable trajectory.
-//! Three jobs:
+//! A plain deterministic harness (no statistics framework): every point is
+//! one seeded build plus one timed run, so the output doubles as a
+//! machine-readable trajectory. Three jobs:
 //!
 //! 1. **Trajectory** — writes `BENCH_simperf.json` (schema
 //!    `rackni-bench-simperf/1`) at the workspace root, one row per point:
@@ -120,7 +119,7 @@ fn build_bursty_rack(dims: (u16, u16, u16), mode: TickMode) -> Rack {
 }
 
 fn workspace_root() -> PathBuf {
-    // crates/bench -> workspace root; independent of the invoker's cwd
+    // crates/core -> workspace root; independent of the invoker's cwd
     // (cargo bench runs the binary from the package directory).
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }

@@ -1,7 +1,8 @@
 //! One entry point per table/figure of the paper's evaluation.
 //!
 //! Every function returns structured data and can render a paper-style
-//! table; the `ni-bench` harness prints paper-vs-measured side by side.
+//! table; the `paper` example (`examples/paper.rs`) prints
+//! paper-vs-measured side by side.
 //! Experiment scale (operations per point, window sizes) accepts a
 //! [`Scale`] so CI runs stay fast while full runs match the paper's
 //! methodology.
@@ -500,14 +501,6 @@ pub struct RackScalePoint {
     pub mean_hops: f64,
     /// Cycles simulated.
     pub cycles: u64,
-    /// Wall-clock milliseconds `Rack::run` took for this point (excluding
-    /// rack construction).
-    pub wall_ms: f64,
-    /// Simulated cycles per wall-clock second — the simulator-throughput
-    /// number the perf trajectory tracks.
-    pub cycles_per_sec: f64,
-    /// Compute-phase worker threads the run used.
-    pub threads: usize,
 }
 
 fn rack_dims(scale: Scale) -> Vec<(u16, u16, u16)> {
@@ -637,12 +630,7 @@ fn measure_rack_point(
     cycles: u64,
 ) -> RackScalePoint {
     let torus = Torus3D::new(dims.0, dims.1, dims.2);
-    let mut rack = build_rack_point(dims, traffic, 0);
-    // Time only the run: cycles/sec is the simulator-throughput trajectory
-    // number and must not drift with construction cost.
-    let started = crate::report::Stopwatch::start();
-    rack.run(cycles);
-    let wall_secs = started.secs();
+    let rack = run_rack_point(dims, traffic, cycles);
     let freq = Frequency::GHZ2;
     let fs = rack.fabric_stats();
     // Packets that finished their journey (in-flight ones still hold
@@ -662,9 +650,6 @@ fn measure_rack_point(
             rack.hops_traversed() as f64 / packets as f64
         },
         cycles,
-        wall_ms: wall_secs * 1e3,
-        cycles_per_sec: cycles as f64 / wall_secs,
-        threads: rack.worker_count(),
     }
 }
 
@@ -674,10 +659,8 @@ fn measure_rack_point(
 /// experiment the paper's single-node methodology (§5) cannot express —
 /// cross-node flows, per-link load, and scaling with rack size.
 ///
-/// Points run *sequentially* (each rack parallelizes internally across the
-/// compute-phase worker threads), so the per-point wall-clock and
-/// cycles/sec numbers are honest single-experiment measurements rather
-/// than contended co-runs.
+/// Points run *sequentially*; each rack parallelizes internally across the
+/// compute-phase worker threads.
 pub fn rack_scale(scale: Scale, traffic: TrafficPattern) -> Vec<RackScalePoint> {
     rack_dims(scale)
         .into_iter()
@@ -698,8 +681,6 @@ pub fn rack_scale_render(scale: Scale) -> String {
         "peak link (GBps)",
         "hops",
         "mean hops/pkt",
-        "sim cycles/s",
-        "threads",
     ]);
     for p in &pts {
         t.row_owned(vec![
@@ -710,8 +691,6 @@ pub fn rack_scale_render(scale: Scale) -> String {
             f1(p.peak_link_gbps),
             p.hops.to_string(),
             f1(p.mean_hops),
-            f1(p.cycles_per_sec),
-            p.threads.to_string(),
         ]);
     }
     let mut out = t.render();
@@ -991,13 +970,8 @@ pub fn routing_sweep(scale: Scale) -> Vec<RoutingPoint> {
     routing_sweep_at(scale, (4, 4, 4))
 }
 
-/// Render the routing sweep, grouped by scenario, with the DOR-relative
-/// skew and p99 deltas that make the comparison legible.
-pub fn routing_sweep_render(scale: Scale) -> String {
-    routing_points_render(&routing_sweep(scale))
-}
-
-/// Render any routing-sweep grid (see [`routing_sweep_render`]).
+/// Render a routing-sweep grid, grouped by scenario, with the DOR-relative
+/// skew deltas that make the comparison legible.
 pub fn routing_points_render(pts: &[RoutingPoint]) -> String {
     let mut t = Table::new(&[
         "scenario",

@@ -1,5 +1,5 @@
-//! The paper's published numbers, kept here so every benchmark can print
-//! paper-vs-measured side by side (EXPERIMENTS.md records the comparison).
+//! The paper's published numbers, kept here so the `paper` example
+//! (`examples/paper.rs`) can print paper-vs-measured side by side.
 
 /// Table 1 / Table 3, NIedge (QP-based model), 2 GHz cycles.
 pub mod table3_edge {

@@ -1,4 +1,4 @@
-//! Plain-text table formatting for the benchmark harness.
+//! Plain-text table formatting for the experiment reports.
 
 use std::fmt::Write as _;
 
@@ -78,41 +78,6 @@ pub fn f1(x: f64) -> String {
 /// Format a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{x:.1}%")
-}
-
-/// Wall-clock stopwatch for *reporting* simulator throughput.
-///
-/// This is the single sanctioned wall-clock reading point in the
-/// experiment harness. Simulation results must never depend on host time
-/// (the determinism linter's `wall-clock` rule enforces that), but the
-/// bench reports publish wall-ms and cycles/sec trajectory numbers, which
-/// do. Keeping the `Instant` behind this type makes the boundary a single
-/// greppable site instead of ad-hoc `Instant::now()` calls.
-// lint: file-allow(wall-clock) — Stopwatch is the sanctioned reporting
-// boundary; measured time feeds reports only, never simulation state.
-#[derive(Debug)]
-pub struct Stopwatch {
-    started: std::time::Instant,
-}
-
-impl Stopwatch {
-    /// Start timing now.
-    pub fn start() -> Stopwatch {
-        Stopwatch {
-            started: std::time::Instant::now(),
-        }
-    }
-
-    /// Seconds elapsed since [`Stopwatch::start`], clamped away from zero
-    /// so callers may divide by it.
-    pub fn secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64().max(1e-9)
-    }
-
-    /// Milliseconds elapsed since [`Stopwatch::start`].
-    pub fn millis(&self) -> f64 {
-        self.secs() * 1e3
-    }
 }
 
 #[cfg(test)]

@@ -260,7 +260,7 @@ mod tests {
             Some(Role::Experiments)
         );
         assert_eq!(
-            role_of(Path::new("crates/bench/benches/simperf.rs")),
+            role_of(Path::new("crates/core/benches/simperf.rs")),
             Some(Role::Harness)
         );
         assert_eq!(

@@ -22,9 +22,9 @@ pub enum Role {
     /// wall-clock and ambient-RNG hazards apply on top of the common
     /// hygiene rules.
     Experiments,
-    /// Harness code (`bench`, `lint`, top-level `examples/` and `tests/`,
-    /// and any crate's `tests/`/`benches/` dirs): timing and hash maps are
-    /// its job; only the common hygiene rules apply.
+    /// Harness code (`lint`, top-level `examples/` and `tests/`, and any
+    /// crate's `tests/`/`benches/` dirs): timing and hash maps are its job;
+    /// only the common hygiene rules apply.
     Harness,
 }
 
@@ -36,7 +36,7 @@ pub enum Rule {
     /// process (each map draws a fresh `RandomState` seed), so any path
     /// from iteration to sim state diverges between same-seed runs.
     HashOrder,
-    /// `std::time::{Instant, SystemTime}` outside bench/report timing:
+    /// `std::time::{Instant, SystemTime}` outside harness timing code:
     /// wall-clock readings differ on every run by definition.
     WallClock,
     /// `thread_rng`/`rand::random`/`RandomState`: OS-entropy-seeded
@@ -317,7 +317,9 @@ pub fn lint_source(file: &str, src: &str, role: Role, is_sim_lib: bool) -> Vec<F
                 push(
                     idx,
                     Rule::WallClock,
-                    format!("`{word}` outside bench/report timing: wall clocks cannot reach sim results"),
+                    format!(
+                        "`{word}` outside harness timing: wall clocks cannot reach sim results"
+                    ),
                 );
             }
         }

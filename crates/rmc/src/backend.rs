@@ -330,7 +330,7 @@ impl NiBackend {
     /// True when the backend holds no in-flight work anywhere in its
     /// pipeline: no ITT entries, nothing waiting for a slot, no pending
     /// local reads, and empty event/egress queues. Ticking a quiescent
-    /// backend is a no-op, so a quiesced chip may skip it.
+    /// backend is a no-op.
     pub fn is_quiescent(&self) -> bool {
         self.itt.is_empty()
             && self.waiting.is_empty()

@@ -121,21 +121,6 @@ impl NiFrontend {
         self.cq_queue.push_back((qp, wq_id, ok, degraded));
     }
 
-    /// True when the frontend holds no in-flight work: no outstanding WQ
-    /// poll or CQ store, no queued notifications, and nothing pending in
-    /// its event or egress queues. A quiescent frontend would only ever
-    /// re-issue its idle WQ poll loop, so a quiesced chip may safely skip
-    /// ticking it (see the chip driver's fast path).
-    pub fn is_quiescent(&self) -> bool {
-        self.cq_queue.is_empty()
-            && self.polls.is_empty()
-            && self.storing_cq.is_none()
-            && !self.cq_busy
-            && self.events.is_empty()
-            && self.egress.is_empty()
-            && self.retry.is_none()
-    }
-
     /// Earliest cycle (>= `now`) at which this frontend does anything on
     /// its own: a pending retry, an undrained egress queue, a queued CQ
     /// notification, a due internal event, or the next WQ-poll issue slot.

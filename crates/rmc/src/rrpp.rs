@@ -170,19 +170,6 @@ impl Rrpp {
         self.outstanding + self.queue.len()
     }
 
-    /// True when the pipeline is empty end to end: no queued or started
-    /// requests, no outstanding local accesses, and no undelivered egress
-    /// or latency samples. Ticking a quiescent RRPP is a no-op, so a
-    /// quiesced chip may skip it.
-    pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty()
-            && self.pending.is_empty()
-            && self.outstanding == 0
-            && self.started.is_empty()
-            && self.egress.is_empty()
-            && self.samples.is_empty()
-    }
-
     /// Earliest cycle (>= `now`) at which this pipeline does anything on
     /// its own: undrained egress or latency samples, a queued request with
     /// admission credit, or a started request finishing its processing

@@ -264,13 +264,8 @@ pub struct Chip {
     /// recomputed at the end of every full event tick. `<= now` disables
     /// the skip.
     dormant_until: Cycle,
-    /// Monotonic stamp bumped whenever a tick (or an external entry point
-    /// like [`Chip::wake`]/[`Chip::poke_block`]) may have changed chip
-    /// state; keys the memoized pipeline-quiescence scan below.
-    activity: u64,
-    /// Memoized "all non-core pipelines drained" verdict, as
-    /// `(activity stamp it was computed at, verdict)`.
-    pipelines_memo: (u64, bool),
+    /// Full (non-skipped) ticks executed; see [`Chip::full_ticks`].
+    full_ticks: u64,
 }
 
 // The whole node must stay `Send`: the rack driver farms chips out across
@@ -299,16 +294,6 @@ impl Chip {
         });
         // The emulated rack looks like one remote peer: node 1.
         Chip::with_scenario_on(cfg, scenario, Box::new(emulator), 2, None)
-    }
-
-    /// Build a node whose network router hands traffic to `fabric` — the
-    /// pre-scenario multi-node entry point, kept as a thin wrapper.
-    pub fn with_fabric(
-        cfg: ChipConfig,
-        workload: Workload,
-        fabric: Box<dyn Fabric + Send>,
-    ) -> Chip {
-        Chip::with_scenario_on(cfg, &Synthetic::from_workload(workload), fabric, 2, None)
     }
 
     /// Build a node whose network router hands traffic to `fabric`, every
@@ -541,9 +526,7 @@ impl Chip {
             latch: DelayLine::new(),
             backlog: BTreeMap::new(),
             dormant_until: Cycle::ZERO,
-            activity: 0,
-            // A stamp that can never match `activity`: first query computes.
-            pipelines_memo: (u64::MAX, false),
+            full_ticks: 0,
         }
     }
 
@@ -575,9 +558,6 @@ impl Chip {
     /// Updates the home LLC bank's copy in place when one exists, else the
     /// backing store; private L1 copies are not touched.
     pub fn poke_block(&mut self, b: BlockAddr, value: u64) {
-        // Direct state surgery: invalidate the quiescence memo. (Pokes
-        // don't schedule work, but staleness here must never be possible.)
-        self.activity = self.activity.wrapping_add(1);
         let home = self.home_of(b);
         if let Some(&d) = self.dir_index.get(&home) {
             if self.dirs[d].poke_llc(b, value) {
@@ -744,29 +724,6 @@ impl Chip {
         }
     }
 
-    /// True when ticking this chip cannot change any observable state: all
-    /// cores are permanently idle ([`Core::is_quiescent`]), every pipeline
-    /// (frontends, backends, RRPPs, caches, directories, memory) is
-    /// drained, and nothing is in flight on the NOC or the internal
-    /// latches. A quiescent chip's only residual activity would be the NI
-    /// frontends' self-absorbing WQ poll loop, which can produce no
-    /// operations, no fabric traffic, and no completions — so the rack
-    /// driver's fast path skips such chips wholesale (provided their fabric
-    /// endpoint is also idle).
-    pub fn is_quiescent(&self) -> bool {
-        self.backlog.is_empty()
-            && self.latch.is_empty()
-            && self.cores.iter().all(Core::is_quiescent)
-            && self.mc_pending.is_empty()
-            && self.noc.as_ref_dyn().is_idle()
-            && self.frontends.iter().all(NiFrontend::is_quiescent)
-            && self.backends.iter().all(NiBackend::is_quiescent)
-            && self.rrpps.iter().all(Rrpp::is_quiescent)
-            && self.complexes.iter().all(CacheComplex::is_quiescent)
-            && self.dirs.iter().all(DirectoryBank::is_quiescent)
-            && self.mcs.iter().all(|m| m.inflight() == 0)
-    }
-
     /// Advance the node by one cycle.
     pub fn tick(&mut self) {
         let now = self.now;
@@ -784,19 +741,6 @@ impl Chip {
     /// The poll-everything reference tick: every component of every class
     /// is visited every cycle.
     fn tick_poll(&mut self, now: Cycle) {
-        // Quiesced-chip fast path: nothing to do and nothing arriving —
-        // just let time pass. The core scan is recomputed every cycle
-        // (cheap: it exits at the first active core) so external mutation
-        // through `cores`/`chip_mut` can never be masked by a stale cache;
-        // the pipeline scan is memoized on the activity stamp, which every
-        // external entry point bumps.
-        if self.fabric.is_idle()
-            && self.cores.iter().all(Core::is_quiescent)
-            && self.pipelines_quiescent_cached()
-        {
-            self.now += 1;
-            return;
-        }
         self.retry_backlog(now);
         self.pump_fabric(now);
         self.pump_latch(now);
@@ -810,7 +754,7 @@ impl Chip {
         self.noc.as_dyn().tick(now);
         self.drain_noc(now);
         self.now += 1;
-        self.activity = self.activity.wrapping_add(1);
+        self.full_ticks += 1;
     }
 
     /// The event-driven tick: identical subphase order to
@@ -843,18 +787,18 @@ impl Chip {
         self.noc.as_dyn().tick(now);
         self.drain_noc(now);
         self.now += 1;
-        self.activity = self.activity.wrapping_add(1);
+        self.full_ticks += 1;
         self.dormant_until = self.compute_dormant_until();
         debug_assert_eq!(self.audit_wake(), Ok(()), "wake slots after {now:?}");
     }
 
-    /// Number of *full* (non-skipped) ticks this chip has executed — the
-    /// activity-stamp reading, which advances once per full tick plus once
-    /// per external mutation. `now() - full_ticks()` is the cycles the
-    /// fast paths absorbed; benches and the tick-cost table in
-    /// ARCHITECTURE.md use the ratio to verify dormancy actually engages.
+    /// Number of *full* (non-skipped) ticks this chip has executed. Every
+    /// [`TickMode::Poll`] cycle is a full tick; under [`TickMode::Event`],
+    /// `now() - full_ticks()` is the cycles the dormant skip absorbed, and
+    /// benches and the tick-cost table in ARCHITECTURE.md use the ratio to
+    /// verify dormancy actually engages.
     pub fn full_ticks(&self) -> u64 {
-        self.activity
+        self.full_ticks
     }
 
     /// Earliest future cycle any component acts on its own, seen from
@@ -903,26 +847,9 @@ impl Chip {
         self.wake_mcs.audit("mc", now, true, mcs)
     }
 
-    /// Earliest cycle at which this chip does anything on its own: pending
-    /// pipeline or NOC work now, a scheduled component event, or a core
-    /// leaving its declared-idle window. `None` means only external input
-    /// (fabric arrivals, [`Chip::wake`]-style mutation) re-activates it.
-    /// Only meaningful under [`TickMode::Event`], where the wake slots are
-    /// maintained; the rack driver and benches use it to reason about
-    /// idle-until-X chips.
-    pub fn next_event_cycle(&self) -> Option<Cycle> {
-        if self.dormant_until <= self.now {
-            // Work this very cycle (or stale after external mutation —
-            // conservative either way).
-            return Some(self.now);
-        }
-        (self.dormant_until != NEVER).then_some(self.dormant_until)
-    }
-
     /// Re-activate everything after external mutation: make every wake
-    /// slot due, reset the dormant horizon, and bump the activity stamp so
-    /// the memoized quiescence verdict is recomputed. The rack driver
-    /// calls this from `chip_mut` and [`Chip::core_mut`] calls it too;
+    /// slot due and reset the dormant horizon. The rack driver calls this
+    /// from `chip_mut` and [`Chip::core_mut`] calls it too;
     /// anything else that reaches around the public API to mutate
     /// components directly should as well.
     pub fn wake(&mut self) {
@@ -938,34 +865,6 @@ impl Chip {
         ] {
             w.reset();
         }
-        self.activity = self.activity.wrapping_add(1);
-    }
-
-    /// Memoized non-core half of [`Chip::is_quiescent`], keyed on the
-    /// activity stamp: in the steady quiesced state the full pipeline scan
-    /// runs once and each later cycle pays two loads. Any tick or external
-    /// entry point bumps the stamp and forces a recompute.
-    fn pipelines_quiescent_cached(&mut self) -> bool {
-        if self.pipelines_memo.0 == self.activity {
-            return self.pipelines_memo.1;
-        }
-        let q = self.pipelines_quiescent();
-        self.pipelines_memo = (self.activity, q);
-        q
-    }
-
-    /// Fresh scan: every non-core pipeline, buffer, and queue is drained.
-    fn pipelines_quiescent(&self) -> bool {
-        self.backlog.is_empty()
-            && self.latch.is_empty()
-            && self.mc_pending.is_empty()
-            && self.noc.as_ref_dyn().is_idle()
-            && self.frontends.iter().all(NiFrontend::is_quiescent)
-            && self.backends.iter().all(NiBackend::is_quiescent)
-            && self.rrpps.iter().all(Rrpp::is_quiescent)
-            && self.complexes.iter().all(CacheComplex::is_quiescent)
-            && self.dirs.iter().all(DirectoryBank::is_quiescent)
-            && self.mcs.iter().all(|m| m.inflight() == 0)
     }
 
     /// Run for `cycles`. Under [`TickMode::Event`] with a fabric that

@@ -135,6 +135,11 @@ mod tests {
         assert_eq!(c.n_edge(), 8);
         assert_eq!(c.placement, NiPlacement::Split);
         assert_eq!(c.routing, RoutingPolicy::CdrNi);
+        // Table 2: 50 ns memory, 35 ns per rack hop at 2 GHz, and the §5
+        // bandwidth microbenchmark's 128-entry WQs.
+        assert_eq!(c.mem.latency, 100);
+        assert_eq!(c.rack.hop_cycles, 70);
+        assert_eq!(c.qp.wq_entries, 128);
     }
 
     #[test]

@@ -382,21 +382,6 @@ impl Core {
         &self.degraded_read_latency_hist
     }
 
-    /// True when this core will never act again without external input: no
-    /// phase in progress, no scheduled events, no outstanding completions,
-    /// no undrained outputs, and a generator that promises permanent
-    /// idleness ([`Scenario::is_done`]). Backs the chip's quiesced-skip
-    /// fast path; `false` is always the safe answer.
-    pub fn is_quiescent(&self) -> bool {
-        self.phase == Phase::Idle
-            && self.inflight == 0
-            && self.events.is_empty()
-            && self.numa_out.is_none()
-            && self.pending_second_store.is_none()
-            && self.traces.is_empty()
-            && self.scenario.is_done()
-    }
-
     /// Earliest cycle (>= `now`) at which ticking this core does anything.
     /// `None` means the core only acts on external input (a cache or NUMA
     /// completion). The answer is exact, never late:

@@ -24,10 +24,11 @@
 //! Chips share no state during compute and the exchange order is fixed, so
 //! a run is **bit-identical at any thread count** — the serial path, one
 //! worker, and N workers produce the same [`FabricStats`](ni_fabric::FabricStats), completed-op
-//! counts, and latency distributions for the same seed. Quiesced chips
-//! (permanently idle cores, drained pipelines, idle port) are skipped by
-//! [`Chip::tick`]'s fast path, so huge racks with sparse activity stay
-//! cheap.
+//! counts, and latency distributions for the same seed. Under the default
+//! [`TickMode::Event`](crate::TickMode::Event) a chip whose every
+//! component sleeps past the current cycle, with an idle port, skips the
+//! cycle in [`Chip::tick`]'s dormant fast path, so huge racks with sparse
+//! activity stay cheap.
 //!
 //! Worker count: [`RackSimConfig::threads`] (0 = the `RACKNI_THREADS`
 //! environment variable, else [`std::thread::available_parallelism`]).
@@ -277,8 +278,8 @@ impl Rack {
 
     /// Mutable access to one chip (workload resets, memory pokes). The
     /// chip is [woken](Chip::wake) first: direct mutation bypasses the
-    /// event-driven bookkeeping, so every wake timestamp and the memoized
-    /// quiescence verdict are conservatively reset.
+    /// event-driven bookkeeping, so every wake slot and the dormant horizon
+    /// are conservatively reset.
     pub fn chip_mut(&mut self, node: u32) -> &mut Chip {
         let chip = &mut self.chips[node as usize];
         chip.wake();

@@ -230,9 +230,10 @@ pub trait Scenario: std::fmt::Debug + Send + Sync {
 
     /// True when this generator will return [`Op::Idle`] on every future
     /// [`next_op`](Scenario::next_op) call regardless of context — a
-    /// *permanent* idle promise, not a temporary stall. Rack drivers use it
-    /// to skip ticking fully quiesced chips; returning `false` (the
-    /// default) is always safe and merely forgoes the fast path.
+    /// *permanent* idle promise, not a temporary stall. The event-driven
+    /// chip tick uses it to let an idle core with nothing in flight sleep
+    /// instead of consulting its generator every cycle; returning `false`
+    /// (the default) is always safe and merely forgoes that skip.
     fn is_done(&self) -> bool {
         false
     }
@@ -276,8 +277,8 @@ pub fn builtin_scenarios() -> Vec<Box<dyn Scenario>> {
 /// completion-time experiments need: run the rack until
 /// `nodes x cores x ops_per_core` operations have completed and report the
 /// cycle count (see `rackni::experiments::routing_sweep`). Because the cap
-/// trips [`is_done`](Scenario::is_done), fully drained chips take the
-/// rack's quiesced fast path once their cores finish.
+/// trips [`is_done`](Scenario::is_done), a core that has issued its share
+/// and drained stops waking the event-driven chip tick.
 #[derive(Debug)]
 pub struct Capped {
     inner: Box<dyn Scenario>,
@@ -828,7 +829,7 @@ impl Scenario for Synthetic {
 
     fn is_done(&self) -> bool {
         // An Idle workload never issues anything: the permanent-idle
-        // promise that lets rack drivers skip fully quiesced chips.
+        // promise that lets its core sleep under the event-driven tick.
         matches!(self.workload, Workload::Idle)
     }
 }

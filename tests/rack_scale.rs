@@ -29,6 +29,68 @@ fn run_until(rack: &mut Rack, limit: u64, mut done: impl FnMut(&Rack) -> bool) {
     }
 }
 
+/// Shared observable fingerprint for every bit-identity test in this file
+/// (thread counts, tick modes): everything a reordered, duplicated, or
+/// dropped delivery could perturb — aggregate and per-node completion
+/// counts, traffic/fault counters, each chip's NOC traffic (which moves if
+/// any on-chip message is added or lost), and the RRPP latency means
+/// (which change if any packet's *timing* moves).
+#[derive(Debug, PartialEq)]
+struct TickFingerprint {
+    sent: u64,
+    responded: u64,
+    incoming: u64,
+    completed_ops: u64,
+    failed_ops: u64,
+    payload_bytes: u64,
+    hops: u64,
+    dropped: u64,
+    stalls: u64,
+    escapes: u64,
+    timeouts: u64,
+    retries: u64,
+    rrpp_means: Vec<f64>,
+    per_node_ops: Vec<u64>,
+    /// Per chip: NOC packets injected, delivered, flit-hops, and
+    /// injection rejects.
+    per_node_noc: Vec<[u64; 4]>,
+}
+
+fn tick_fingerprint(rack: &Rack) -> TickFingerprint {
+    let fs = rack.fabric_stats();
+    let fstats = rack.fault_stats();
+    let be = rack.backend_stats();
+    TickFingerprint {
+        sent: fs.sent.get(),
+        responded: fs.responded.get(),
+        incoming: fs.incoming_generated.get(),
+        completed_ops: rack.completed_ops(),
+        failed_ops: rack.failed_ops(),
+        payload_bytes: rack.app_payload_bytes(),
+        hops: rack.hops_traversed(),
+        dropped: fstats.packets_dropped.get(),
+        stalls: fstats.dead_link_stalls.get(),
+        escapes: fstats.escape_hops.get(),
+        timeouts: be.itt_timeouts.get(),
+        retries: be.itt_retries.get(),
+        rrpp_means: rack.rrpp_mean_latencies(),
+        per_node_ops: rack.chips().iter().map(|c| c.completed_ops()).collect(),
+        per_node_noc: rack
+            .chips()
+            .iter()
+            .map(|c| {
+                let n = c.noc_stats();
+                [
+                    n.injected_packets.get(),
+                    n.delivered_packets.get(),
+                    n.flit_hops.get(),
+                    n.inject_rejects.get(),
+                ]
+            })
+            .collect(),
+    }
+}
+
 /// Satellite requirement: node A remote-writes a block homed on node B,
 /// then remote-reads it back — the value round-trips through B's actual
 /// memory hierarchy, and both operations pay at least the physical network
@@ -130,34 +192,9 @@ fn numa_workload_crosses_the_torus() {
 /// The two-phase parallel tick is bit-identical to the serial path: the
 /// same seeded 3x3x3 scenario run (a) serially via `Rack::tick`, (b) through
 /// `Rack::run` pinned to one worker, and (c) through `Rack::run` with four
-/// workers must produce byte-equal `FabricStats`, completed-op counts,
-/// per-node RRPP mean latencies, hop counts, and payload bytes.
+/// workers must produce equal [`TickFingerprint`]s.
 #[test]
 fn parallel_rack_is_bit_identical_to_serial_at_any_thread_count() {
-    #[derive(Debug, PartialEq)]
-    struct Fingerprint {
-        sent: u64,
-        responded: u64,
-        incoming: u64,
-        completed_ops: u64,
-        payload_bytes: u64,
-        hops: u64,
-        rrpp_means: Vec<f64>,
-        per_node_ops: Vec<u64>,
-    }
-    let fingerprint = |rack: &Rack| {
-        let fs = rack.fabric_stats();
-        Fingerprint {
-            sent: fs.sent.get(),
-            responded: fs.responded.get(),
-            incoming: fs.incoming_generated.get(),
-            completed_ops: rack.completed_ops(),
-            payload_bytes: rack.app_payload_bytes(),
-            hops: rack.hops_traversed(),
-            rrpp_means: rack.rrpp_mean_latencies(),
-            per_node_ops: rack.chips().iter().map(|c| c.completed_ops()).collect(),
-        }
-    };
     let cycles = 1_500u64;
     let build = |threads: usize| {
         let mut cfg = rack_cfg(Torus3D::new(3, 3, 3), 2, TrafficPattern::Uniform);
@@ -176,7 +213,7 @@ fn parallel_rack_is_bit_identical_to_serial_at_any_thread_count() {
     for _ in 0..cycles {
         serial.tick();
     }
-    let want = fingerprint(&serial);
+    let want = tick_fingerprint(&serial);
     assert!(want.completed_ops > 0, "reference run must do real work");
     assert!(want.hops > 0, "reference run must cross the fabric");
 
@@ -184,7 +221,7 @@ fn parallel_rack_is_bit_identical_to_serial_at_any_thread_count() {
         let mut rack = build(threads);
         rack.run(cycles);
         assert_eq!(
-            fingerprint(&rack),
+            tick_fingerprint(&rack),
             want,
             "{threads}-thread run diverged from the serial reference"
         );
@@ -193,46 +230,14 @@ fn parallel_rack_is_bit_identical_to_serial_at_any_thread_count() {
 
 /// A run with a `FaultPlan` — link kill, node kill, and a repair, with the
 /// ITT watchdog armed — is still a pure function of its config: serial
-/// ticking, one worker, and four workers must produce byte-equal traffic
-/// counters, completed/failed op counts, fault-path counters, and watchdog
-/// statistics. All fault state lives in the driver-side fabric and the
+/// ticking, one worker, and four workers must produce equal
+/// [`TickFingerprint`]s, fault-path counters and watchdog statistics
+/// included. All fault state lives in the driver-side fabric and the
 /// per-chip backends, so thread count can never observe it mid-change.
 #[test]
 fn faulted_rack_runs_are_bit_identical_across_thread_counts() {
     use rackni::ni_fabric::FaultPlan;
 
-    #[derive(Debug, PartialEq)]
-    struct Fingerprint {
-        sent: u64,
-        responded: u64,
-        completed_ops: u64,
-        failed_ops: u64,
-        hops: u64,
-        dropped: u64,
-        stalls: u64,
-        escapes: u64,
-        timeouts: u64,
-        retries: u64,
-        per_node_ops: Vec<u64>,
-    }
-    let fingerprint = |rack: &Rack| {
-        let fs = rack.fabric_stats();
-        let fstats = rack.fault_stats();
-        let be = rack.backend_stats();
-        Fingerprint {
-            sent: fs.sent.get(),
-            responded: fs.responded.get(),
-            completed_ops: rack.completed_ops(),
-            failed_ops: rack.failed_ops(),
-            hops: rack.hops_traversed(),
-            dropped: fstats.packets_dropped.get(),
-            stalls: fstats.dead_link_stalls.get(),
-            escapes: fstats.escape_hops.get(),
-            timeouts: be.itt_timeouts.get(),
-            retries: be.itt_retries.get(),
-            per_node_ops: rack.chips().iter().map(|c| c.completed_ops()).collect(),
-        }
-    };
     let build = |threads: usize| {
         let mut cfg = rack_cfg(Torus3D::new(3, 3, 1), 2, TrafficPattern::Uniform);
         cfg.chip.seed = 0xfa117;
@@ -257,7 +262,7 @@ fn faulted_rack_runs_are_bit_identical_across_thread_counts() {
     for _ in 0..cycles {
         serial.tick();
     }
-    let want = fingerprint(&serial);
+    let want = tick_fingerprint(&serial);
     assert!(want.completed_ops > 0, "reference run must do work");
     assert!(
         want.dropped > 0 && want.timeouts > 0,
@@ -267,7 +272,7 @@ fn faulted_rack_runs_are_bit_identical_across_thread_counts() {
         let mut rack = build(threads);
         rack.run(cycles);
         assert_eq!(
-            fingerprint(&rack),
+            tick_fingerprint(&rack),
             want,
             "{threads}-thread faulted run diverged from the serial reference"
         );
@@ -354,50 +359,6 @@ fn rack_scale_experiment_reports_scaling_rows() {
 }
 
 // ---- Event-driven tick equivalence -----------------------------------------
-
-/// Shared observable fingerprint for the tick-mode equivalence tests:
-/// everything a reordered, duplicated, or dropped delivery could perturb —
-/// aggregate and per-node completion counts, traffic/fault counters, and
-/// the RRPP latency means (which change if any packet's *timing* moves).
-#[derive(Debug, PartialEq)]
-struct TickFingerprint {
-    sent: u64,
-    responded: u64,
-    incoming: u64,
-    completed_ops: u64,
-    failed_ops: u64,
-    payload_bytes: u64,
-    hops: u64,
-    dropped: u64,
-    stalls: u64,
-    escapes: u64,
-    timeouts: u64,
-    retries: u64,
-    rrpp_means: Vec<f64>,
-    per_node_ops: Vec<u64>,
-}
-
-fn tick_fingerprint(rack: &Rack) -> TickFingerprint {
-    let fs = rack.fabric_stats();
-    let fstats = rack.fault_stats();
-    let be = rack.backend_stats();
-    TickFingerprint {
-        sent: fs.sent.get(),
-        responded: fs.responded.get(),
-        incoming: fs.incoming_generated.get(),
-        completed_ops: rack.completed_ops(),
-        failed_ops: rack.failed_ops(),
-        payload_bytes: rack.app_payload_bytes(),
-        hops: rack.hops_traversed(),
-        dropped: fstats.packets_dropped.get(),
-        stalls: fstats.dead_link_stalls.get(),
-        escapes: fstats.escape_hops.get(),
-        timeouts: be.itt_timeouts.get(),
-        retries: be.itt_retries.get(),
-        rrpp_means: rack.rrpp_mean_latencies(),
-        per_node_ops: rack.chips().iter().map(|c| c.completed_ops()).collect(),
-    }
-}
 
 /// Tentpole acceptance: the event-driven chip tick (wake slots + dormant
 /// skip) is bit-identical to the poll-everything reference on a healthy
@@ -547,6 +508,39 @@ fn event_tick_is_bit_identical_to_poll_on_a_faulted_rack() {
             );
         }
     }
+}
+
+/// A finished job leaves the poll reference no private shortcut: on a
+/// 2x1x1 NIedge rack whose cores each issue four 64B async reads and then
+/// idle, the WQ poll loop keeps running at its 512-cycle cadence for the
+/// rest of the run, and every one of those polls is NOC traffic. The poll
+/// tick must perform exactly the polls the event tick does.
+#[test]
+fn event_tick_matches_poll_after_a_finite_job_drains() {
+    use rackni::ni_rmc::NiPlacement;
+    use rackni::ni_soc::{Capped, Synthetic, TickMode};
+
+    let run = |mode: TickMode| {
+        let mut cfg = rack_cfg(Torus3D::new(2, 1, 1), 2, TrafficPattern::Uniform);
+        cfg.chip.seed = 7;
+        cfg.chip.placement = NiPlacement::Edge;
+        cfg.chip.rmc.poll_backoff = 512;
+        cfg.chip.tick_mode = mode;
+        cfg.threads = 1;
+        let job = Capped::new(
+            Box::new(Synthetic::from_workload(Workload::AsyncRead {
+                size: 64,
+                poll_every: 2,
+            })),
+            4,
+        );
+        let mut rack = Rack::with_scenario(cfg, &job);
+        rack.run(30_000);
+        tick_fingerprint(&rack)
+    };
+    let poll = run(TickMode::Poll);
+    assert_eq!(poll.per_node_ops, [8, 8], "every capped op must complete");
+    assert_eq!(run(TickMode::Event), poll);
 }
 
 mod tick_equivalence_props {

@@ -170,8 +170,8 @@ fn random_minimal_rack_reproduces_from_its_seed() {
 }
 
 /// `Capped` turns any scenario into a finite job: the rack completes
-/// exactly `nodes x cores x cap` operations, then quiesces (is_done lets
-/// chips take the fast path), and per-op read-latency tracking covers the
+/// exactly `nodes x cores x cap` operations, then stops issuing (is_done
+/// lets finished cores sleep), and per-op read-latency tracking covers the
 /// asynchronous ops the sync-only histogram never sees.
 #[test]
 fn capped_jobs_complete_exactly_and_record_async_read_tails() {

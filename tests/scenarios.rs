@@ -297,8 +297,7 @@ fn core_mut_wakes_a_core_asleep_in_an_idle_window() {
 }
 
 /// `Core::set_target` (the pre-scenario retargeting API) must steer a
-/// `Workload`-constructed rack's traffic, exactly as the old
-/// `Chip::with_fabric` + `set_target` wiring did.
+/// `Workload`-constructed rack's traffic to the node it names.
 #[test]
 fn set_target_steers_workload_rack_traffic() {
     let torus = Torus3D::new(2, 2, 2);
