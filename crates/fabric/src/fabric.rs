@@ -17,7 +17,7 @@
 //! Multi-node racks do not share a backend instance across chips: each chip
 //! owns a buffered [`FabricPort`](crate::FabricPort) and the rack driver
 //! exchanges the port buffers with one [`TorusFabric`](crate::TorusFabric)
-//! between compute phases, which is what lets chips tick on separate host
+//! between compute steps, which is what lets chips run on separate host
 //! threads.
 
 use ni_engine::{Counter, Cycle};
@@ -74,12 +74,21 @@ pub trait Fabric {
 
     /// Earliest cycle `>= now` at which this fabric may do anything on its
     /// own — deliver a response or incoming request, or otherwise change
-    /// state in [`Fabric::tick`]. `None` promises the fabric stays silent
-    /// at *every* future cycle unless the owning chip injects first, which
-    /// is what licenses event-driven chips to jump over whole idle
-    /// stretches (the soc crate's next-event skip). The default is
-    /// the conservative `Some(now)`: never skippable. Backends with
+    /// state in [`Fabric::tick`]. An event-driven chip reads it every cycle
+    /// it could skip: with nothing else due it skips every cycle before
+    /// the one returned, and jumps over all of them at once in a run
+    /// (the soc crate's dormant fast path and next-event jump).
+    ///
+    /// `None` promises the fabric stays silent at *every* future cycle
+    /// unless the owning chip injects first. The default is the
+    /// conservative `Some(now)`: never skippable. Backends with
     /// self-driven schedules (fault plans, stats windows) must keep it.
+    ///
+    /// For a rack's [`FabricPort`](crate::FabricPort), `Some(t)` is the due
+    /// cycle of the earliest arrival queued in its inbox (`now` if it is
+    /// overdue), which may lie anywhere in the current lookahead window;
+    /// `None` means the inbox is empty. Emissions waiting in the outbox for
+    /// the driver's replay are not events: the chip has already acted.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now)
     }

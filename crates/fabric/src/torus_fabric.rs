@@ -32,6 +32,14 @@
 //!
 //! The fabric implements [`Fabric`], making it a drop-in replacement for
 //! the emulator behind any chip's network router.
+//!
+//! A packet on its final hop has a fixed delivery cycle, so final hops wait
+//! in a delivery heap of their own, apart from the packets still to be
+//! routed. [`TorusFabric::tick`] delivers the due ones into per-node
+//! queues, one cycle at a time. A rack driver that runs its chips a whole
+//! lookahead window at a time ([`TorusFabric::lookahead`]) instead moves
+//! every delivery due inside the window straight into the nodes'
+//! [`FabricPort`]s up front ([`TorusFabric::open_window`]).
 
 use std::collections::VecDeque;
 
@@ -39,6 +47,7 @@ use ni_engine::{Counter, Cycle, DelayLine, Frequency, LinkLoad};
 
 use crate::fabric::{Fabric, FabricStats};
 use crate::fault::{FaultEvent, FaultPlan};
+use crate::port::FabricPort;
 use crate::rack::{RemoteReq, RemoteResp};
 use crate::routing::{LinkView, RoutingKind, RoutingPolicy, ESCAPE_HOP_BUDGET};
 use crate::torus::{Dir, Torus3D};
@@ -78,15 +87,24 @@ impl Default for TorusFabricConfig {
     }
 }
 
+/// Cycles from injecting a self-addressed packet to its delivery: it
+/// touches no link.
+pub(crate) const SELF_DELIVERY_CYCLES: u64 = 1;
+
+/// Wire size of a header-only packet: two 16-byte flits (§6.1.3).
+const HEADER_PKT_BYTES: u64 = 32;
+/// Wire size of a packet carrying a 64-byte cache block: six flits.
+const DATA_PKT_BYTES: u64 = 96;
+
 /// What travels the wires.
 #[derive(Clone, Copy, Debug)]
-enum TorusPkt {
+pub(crate) enum TorusPkt {
     Req(RemoteReq),
     Resp(RemoteResp),
 }
 
 impl TorusPkt {
-    fn dest(&self) -> u16 {
+    pub(crate) fn dest(&self) -> u16 {
         match self {
             TorusPkt::Req(r) => r.target_node,
             TorusPkt::Resp(r) => r.dst_node,
@@ -101,9 +119,9 @@ impl TorusPkt {
             TorusPkt::Resp(r) => r.is_read,
         };
         if data {
-            96
+            DATA_PKT_BYTES
         } else {
-            32
+            HEADER_PKT_BYTES
         }
     }
 }
@@ -202,8 +220,12 @@ pub fn link_report_json(links: &[LinkReport]) -> String {
 /// The multi-node torus transport.
 pub struct TorusFabric {
     cfg: TorusFabricConfig,
-    /// Packets in flight, keyed by arrival time at their next node.
+    /// Packets still to be routed (relayed, or parked at a dead link),
+    /// keyed by arrival time at their next node.
     wires: DelayLine<Transit>,
+    /// Packets on their final hop (self-addressed ones included), keyed by
+    /// delivery cycle at their destination node.
+    arrivals: DelayLine<(u32, TorusPkt)>,
     /// Per-node arrival queues.
     incoming: Vec<VecDeque<RemoteReq>>,
     responses: Vec<VecDeque<RemoteResp>>,
@@ -282,6 +304,7 @@ impl TorusFabric {
         let n = cfg.torus.nodes() as usize;
         TorusFabric {
             wires: DelayLine::new(),
+            arrivals: DelayLine::new(),
             incoming: (0..n).map(|_| VecDeque::new()).collect(),
             responses: (0..n).map(|_| VecDeque::new()).collect(),
             queued: 0,
@@ -493,33 +516,11 @@ impl TorusFabric {
             self.fault_stats.packets_dropped.incr();
             return;
         }
-        // Congestion-blind policies skip the six-counter snapshot on this
-        // per-link-traversal hot path (see RoutingPolicy::uses_link_view).
-        let view = if self.policy.uses_link_view() {
-            self.link_view(from, now).with_escapes(escapes_left)
-        } else {
-            LinkView::idle()
-        };
-        let Some(dir) = self.policy.route(&self.cfg.torus, from, dest, &view) else {
-            // Hard assert (rare path, O(1)): a custom policy returning None
-            // off-destination would otherwise self-requeue this packet
-            // every cycle — a silent livelock in release builds.
-            assert!(
-                from == dest,
-                "policy {} returned None at {from} toward {dest}",
-                self.policy.name()
-            );
+        let Some(dir) = self.route(now, from, dest, escapes_left) else {
             // Already home (self-addressed traffic): deliver next cycle
             // without touching any link.
-            self.wires.push_after(
-                now,
-                1,
-                Transit {
-                    at_node: from,
-                    pkt,
-                    escapes_left,
-                },
-            );
+            self.arrivals
+                .push_after(now, SELF_DELIVERY_CYCLES, (from, pkt));
             return;
         };
         // No packet ever crosses a dead link, whatever the policy chose:
@@ -590,29 +591,139 @@ impl TorusFabric {
         let next = self.cfg.torus.neighbor(from, dir);
         let arrive_in = (depart - now) + ser + self.cfg.hop_cycles;
         self.hops_traversed.incr();
-        self.wires.push_after(
-            now,
-            arrive_in,
-            Transit {
-                at_node: next,
-                pkt,
-                escapes_left,
-            },
+        if next == dest {
+            self.arrivals.push_after(now, arrive_in, (next, pkt));
+        } else {
+            self.wires.push_after(
+                now,
+                arrive_in,
+                Transit {
+                    at_node: next,
+                    pkt,
+                    escapes_left,
+                },
+            );
+        }
+    }
+
+    /// Ask the routing policy for the next hop of a packet at `from`
+    /// headed to `dest`: `None` exactly when it is already home.
+    fn route(&mut self, now: Cycle, from: u32, dest: u32, escapes_left: u8) -> Option<Dir> {
+        // Congestion-blind policies skip the six-counter snapshot on this
+        // per-link-traversal hot path (see RoutingPolicy::uses_link_view).
+        let view = if self.policy.uses_link_view() {
+            self.link_view(from, now).with_escapes(escapes_left)
+        } else {
+            LinkView::idle()
+        };
+        let dir = self.policy.route(&self.cfg.torus, from, dest, &view);
+        // Hard assert (rare path, O(1)): a custom policy returning None
+        // off-destination would otherwise self-requeue its packet every
+        // cycle — a silent livelock in release builds.
+        assert!(
+            dir.is_some() || from == dest,
+            "policy {} returned None at {from} toward {dest}",
+            self.policy.name()
         );
+        dir
+    }
+
+    /// True when a packet arriving at `node` now is lost with it (the node
+    /// is dead), counting the drop.
+    fn lost_at(&mut self, node: u32) -> bool {
+        let lost = self.has_faults && !self.node_up[node as usize];
+        if lost {
+            self.fault_stats.packets_dropped.incr();
+        }
+        lost
+    }
+
+    /// Count a delivery at its destination node.
+    fn count_delivery(&mut self, pkt: &TorusPkt) {
+        match pkt {
+            TorusPkt::Req(_) => self.stats.incoming_generated.incr(),
+            TorusPkt::Resp(_) => self.stats.responded.incr(),
+        }
     }
 
     fn deliver(&mut self, node: u32, pkt: TorusPkt) {
+        self.count_delivery(&pkt);
         self.queued += 1;
         match pkt {
-            TorusPkt::Req(r) => {
-                self.stats.incoming_generated.incr();
-                self.incoming[node as usize].push_back(r);
-            }
-            TorusPkt::Resp(r) => {
-                self.stats.responded.incr();
-                self.responses[node as usize].push_back(r);
+            TorusPkt::Req(r) => self.incoming[node as usize].push_back(r),
+            TorusPkt::Resp(r) => self.responses[node as usize].push_back(r),
+        }
+    }
+
+    /// The fewest cycles between a packet's injection and its delivery at
+    /// another node: one hop's wire latency plus the serialization of the
+    /// smallest (header-only) packet. 72 cycles at the defaults. Nothing a
+    /// node injects at cycle `t` can reach another node before
+    /// `t + lookahead()`, so chips may run that long between exchanges
+    /// without missing an arrival (the conservative lookahead of parallel
+    /// discrete-event simulation).
+    pub fn lookahead(&self) -> u64 {
+        self.cfg.hop_cycles + HEADER_PKT_BYTES.div_ceil(self.cfg.link_bytes_per_cycle)
+    }
+
+    /// Open a lookahead window starting at `start`; returns its end.
+    ///
+    /// Applies the fault events due by `start`, then ends the window at
+    /// the first of `start + lookahead()`, `limit` and the next fault
+    /// event, so node and link health stay fixed inside it. Every packet
+    /// due to land in `[start, end)` is already on its final hop: it is
+    /// counted (or dropped at a dead node) as [`Fabric::tick`] would count
+    /// it, and handed to its node's port in `ports` (indexed by node id)
+    /// with its due cycle, in delivery order. Ports of live nodes may then
+    /// loop self-addressed packets back inside the window (see
+    /// [`FabricPort`]). The driver replays the window's outboxes into the
+    /// fabric afterwards, cycle by cycle, with [`Fabric::tick`] and
+    /// [`FabricPort::flush_outbox`].
+    ///
+    /// # Panics
+    /// Panics if `limit <= start`.
+    pub fn open_window(&mut self, start: Cycle, limit: Cycle, ports: &[FabricPort]) -> Cycle {
+        assert!(limit > start, "empty window at {start:?}");
+        debug_assert_eq!(ports.len(), self.node_up.len(), "one port per node");
+        self.apply_faults(start);
+        let mut end = limit.min(start + self.lookahead());
+        if let Some(e) = self.fault_events.get(self.next_fault) {
+            end = end.min(Cycle(e.at_cycle()));
+        }
+        while let Some(due) = self.arrivals.next_ready_at().filter(|&d| d < end) {
+            let (node, pkt) = self.arrivals.pop_ready(due).expect("peeked arrival");
+            debug_assert!(due >= start, "arrival due at {due:?} missed its window");
+            if !self.lost_at(node) {
+                self.count_delivery(&pkt);
+                ports[node as usize].push_arrival(due, pkt);
             }
         }
+        for port in ports {
+            let up = !self.has_faults || self.node_up[usize::from(port.node())];
+            port.set_loopback_until(if up { end } else { start });
+        }
+        end
+    }
+
+    /// Account a self-addressed packet that its node's port delivered
+    /// itself [`SELF_DELIVERY_CYCLES`] after `now`, inside a lookahead
+    /// window: the injection and
+    /// the delivery [`Fabric::inject`] and the next [`Fabric::tick`] would
+    /// count, with the same routing-policy call, and no wire.
+    pub(crate) fn account_loopback(&mut self, now: Cycle, from: u16, pkt: TorusPkt) {
+        self.apply_faults(now);
+        let node = self.validate_node(from);
+        debug_assert_eq!(u32::from(pkt.dest()), node, "looped back a foreign packet");
+        debug_assert!(
+            !self.has_faults || self.node_up[node as usize],
+            "node {node} looped back a packet while dead"
+        );
+        if let TorusPkt::Req(_) = pkt {
+            self.stats.sent.incr();
+        }
+        let dir = self.route(now, node, node, ESCAPE_HOP_BUDGET);
+        debug_assert!(dir.is_none(), "policy routed a packet away from home");
+        self.count_delivery(&pkt);
     }
 
     /// True when any node has undrained arrivals: the cue for the rack
@@ -645,14 +756,18 @@ impl Fabric for TorusFabric {
         // Naturally idempotent within a cycle: everything `forward` pushes
         // (relay hops included) arrives strictly after `now`, so a second
         // call at the same cycle pops nothing. No guard state needed.
+        // Relays and deliveries touch disjoint state, so routing every
+        // due relay before delivering changes no outcome.
         while let Some(t) = self.wires.pop_ready(now) {
-            if self.has_faults && !self.node_up[t.at_node as usize] {
-                // In flight when its current node died: dropped with it.
-                self.fault_stats.packets_dropped.incr();
-            } else if u32::from(t.pkt.dest()) == t.at_node {
-                self.deliver(t.at_node, t.pkt);
-            } else {
+            debug_assert_ne!(u32::from(t.pkt.dest()), t.at_node, "final hop among relays");
+            // In flight when its current node died: dropped with it.
+            if !self.lost_at(t.at_node) {
                 self.forward(now, t.at_node, t.pkt, t.escapes_left);
+            }
+        }
+        while let Some((node, pkt)) = self.arrivals.pop_ready(now) {
+            if !self.lost_at(node) {
+                self.deliver(node, pkt);
             }
         }
     }
@@ -684,7 +799,18 @@ impl Fabric for TorusFabric {
     }
 
     fn is_idle(&self) -> bool {
-        self.wires.is_empty() && self.queued == 0
+        self.wires.is_empty() && self.arrivals.is_empty() && self.queued == 0
+    }
+
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        // An idle fabric delivers nothing until the next injection; its
+        // pending fault events apply, as always, before that injection
+        // routes.
+        if self.is_idle() {
+            None
+        } else {
+            Some(now)
+        }
     }
 }
 
@@ -714,7 +840,7 @@ mod tests {
 
     fn run_until_idle(f: &mut TorusFabric, from: Cycle, limit: u64) -> Cycle {
         let mut now = from;
-        while !f.wires.is_empty() {
+        while !f.wires.is_empty() || !f.arrivals.is_empty() {
             f.tick(now);
             now += 1;
             assert!(now.0 < limit, "fabric never drained");

@@ -229,8 +229,8 @@ pub struct Chip {
     /// The rack fabric behind the network router: the rate-matching
     /// emulator for single-node runs, or a buffered
     /// [`ni_fabric::FabricPort`] the multi-node rack driver exchanges with
-    /// the real transport between cycles. `Send` so whole chips can tick on
-    /// worker threads.
+    /// the real transport between lookahead windows. `Send` so whole chips
+    /// can run on worker threads.
     fabric: Box<dyn Fabric + Send>,
     /// Collected latency tomography.
     pub traces: TraceTable,
@@ -766,8 +766,10 @@ impl Chip {
     /// all observables.
     fn tick_event(&mut self, now: Cycle) {
         // Dormant fast path: all work, cores included, is scheduled past
-        // `now` and the fabric endpoint is silent.
-        if now < self.dormant_until && self.fabric.is_idle() {
+        // `now` and the fabric endpoint has nothing due by `now`. A rack
+        // port may hold arrivals due later in its window and emissions
+        // awaiting the driver's replay; neither needs this cycle.
+        if now < self.dormant_until && self.fabric.next_event(now).is_none_or(|at| at > now) {
             self.now += 1;
             return;
         }
@@ -867,19 +869,26 @@ impl Chip {
         }
     }
 
-    /// Run for `cycles`. Under [`TickMode::Event`] with a fabric that
-    /// reports no upcoming self-driven events ([`Fabric::next_event`]
-    /// `None`), idle-until-X stretches are jumped in one step to the
-    /// dormant horizon instead of being skipped cycle by cycle.
+    /// Run for `cycles`, bit-identical to calling [`Chip::tick`] that many
+    /// times. Under [`TickMode::Event`] a dormant chip jumps in one step to
+    /// whichever comes first: its dormant horizon, the fabric's next event
+    /// ([`Fabric::next_event`]; for a rack port, the next queued arrival)
+    /// or the end of the run. Every cycle jumped over is one the dormant
+    /// fast path would have skipped, so an idle chip crosses a rack's whole
+    /// lookahead window in one step.
     pub fn run(&mut self, cycles: u64) {
         let end = Cycle(self.now.0.saturating_add(cycles));
         while self.now < end {
-            if self.cfg.tick_mode == TickMode::Event
-                && self.now < self.dormant_until
-                && self.fabric.next_event(self.now).is_none()
-            {
-                self.now = self.dormant_until.min(end);
-                continue;
+            if self.cfg.tick_mode == TickMode::Event && self.now < self.dormant_until {
+                let to = self
+                    .fabric
+                    .next_event(self.now)
+                    .map_or(end, |at| at.min(end))
+                    .min(self.dormant_until);
+                if to > self.now {
+                    self.now = to;
+                    continue;
+                }
             }
             self.tick();
         }

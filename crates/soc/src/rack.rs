@@ -9,26 +9,43 @@
 //! A's RGP unrolls onto the fabric, node B's RRPP services against node B's
 //! memory, and the response rides the torus back to node A's RCP.
 //!
-//! # Two-phase lock step
+//! # Lookahead-windowed lock step
 //!
 //! Chips never touch the shared fabric directly. Each owns a buffered
-//! [`FabricPort`] (outbox/inbox pair), and every rack cycle runs two phases:
+//! [`FabricPort`] (outbox/inbox pair, every entry stamped with its cycle).
+//! No packet a chip injects at cycle `t` can reach another node before
+//! `t + L`, where L is the fabric's [`lookahead`](TorusFabric::lookahead):
+//! one hop's wire latency plus the serialization of the smallest packet,
+//! 72 cycles at the defaults, derived from the config. So [`Rack::run`]
+//! advances in windows of up to L cycles, each a three-step round:
 //!
-//! 1. **Compute** — all chips tick independently against their ports.
-//!    [`Rack::run`] farms this across worker threads (chunked, one barrier
-//!    pair per cycle); [`Rack::tick`] is the inline single-cycle form.
-//! 2. **Exchange** — the driver merges every outbox into the [`TorusFabric`]
-//!    in node-id order, advances the fabric exactly once at the start of
-//!    the next cycle, and distributes arrivals back into per-chip inboxes.
+//! 1. **Open** — the fabric hands every port the arrivals it will deliver
+//!    inside the window, each due at its cycle
+//!    ([`TorusFabric::open_window`]).
+//! 2. **Compute** — every chip runs the whole window against its port.
+//!    With several workers the chips are farmed across threads in static
+//!    chunks, with one barrier pair per window.
+//! 3. **Replay** — the driver advances the fabric one cycle at a time and
+//!    after each tick flushes that cycle's outbox entries into it in
+//!    node-id order, so routing views and fault events see exactly the
+//!    per-cycle schedule.
 //!
-//! Chips share no state during compute and the exchange order is fixed, so
-//! a run is **bit-identical at any thread count** — the serial path, one
-//! worker, and N workers produce the same [`FabricStats`](ni_fabric::FabricStats), completed-op
-//! counts, and latency distributions for the same seed. Under the default
-//! [`TickMode::Event`](crate::TickMode::Event) a chip whose every
-//! component sleeps past the current cycle, with an idle port, skips the
-//! cycle in [`Chip::tick`]'s dormant fast path, so huge racks with sparse
-//! activity stay cheap.
+//! A window also ends at the next fault event, so node health is fixed
+//! inside it. A self-addressed packet lands one cycle after injection,
+//! deep inside a window, so a live node's port loops it back itself.
+//!
+//! [`Rack::tick`] is the per-cycle reference the windowed run must
+//! reproduce: advance the fabric once and collect its deliveries into the
+//! ports, tick every chip, flush every outbox. Chips share no state while
+//! they compute and the replay order is fixed, so a run is
+//! **bit-identical at any window and thread count** — per-cycle ticking,
+//! one worker, and N workers produce the same
+//! [`FabricStats`](ni_fabric::FabricStats), completed-op counts, latency
+//! distributions and per-chip full-tick counts for the same seed. Under
+//! the default [`TickMode::Event`](crate::TickMode::Event) a chip whose
+//! every component sleeps past the current cycle, with nothing due at its
+//! port, skips the cycle, and [`Chip::run`] jumps whole idle stretches, so
+//! huge racks with sparse activity stay cheap.
 //!
 //! Worker count: [`RackSimConfig::threads`] (0 = the `RACKNI_THREADS`
 //! environment variable, else [`std::thread::available_parallelism`]).
@@ -40,7 +57,7 @@
 
 use std::io::{self, Write};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use ni_engine::parallel::{default_threads, par_map_threads};
@@ -129,7 +146,7 @@ pub struct RackSimConfig {
     /// Destination assignment used by the [`Workload`]-based [`Rack::new`]
     /// constructor; scenario-driven racks pick destinations per op instead.
     pub traffic: TrafficPattern,
-    /// Worker threads for the compute phase of [`Rack::run`] (and for chip
+    /// Worker threads for the compute step of [`Rack::run`] (and for chip
     /// construction). `0` resolves at run time via
     /// [`default_threads`] (the `RACKNI_THREADS` environment variable,
     /// else the host's available parallelism); `1` forces the serial path.
@@ -177,6 +194,8 @@ pub struct Rack {
     ports: Vec<FabricPort>,
     scenario_name: String,
     now: Cycle,
+    /// Compute/exchange rounds run so far; see [`Rack::sync_rounds`].
+    sync_rounds: u64,
 }
 
 impl Rack {
@@ -239,6 +258,7 @@ impl Rack {
             ports,
             scenario_name: scenario.name().to_string(),
             now: Cycle::ZERO,
+            sync_rounds: 0,
         }
     }
 
@@ -258,7 +278,7 @@ impl Rack {
         self.fabric.routing_name()
     }
 
-    /// Compute-phase workers [`Rack::run`] will actually use: the
+    /// Compute-step workers [`Rack::run`] will actually use: the
     /// configured [`RackSimConfig::worker_threads`] clamped to the chip
     /// count (a 8-chip rack never runs more than 8 workers). Report this —
     /// not the raw config — in throughput trajectories.
@@ -269,6 +289,15 @@ impl Rack {
     /// Current simulation time.
     pub fn now(&self) -> Cycle {
         self.now
+    }
+
+    /// Compute/exchange rounds run so far: one per [`Rack::tick`], one per
+    /// lookahead window under [`Rack::run`]. A deterministic work counter:
+    /// a long healthy run takes one round per L simulated cycles (see
+    /// [`TorusFabric::lookahead`]), and each round costs one barrier pair
+    /// when chips compute on worker threads.
+    pub fn sync_rounds(&self) -> u64 {
+        self.sync_rounds
     }
 
     /// The simulated chips, in node-id order.
@@ -296,69 +325,91 @@ impl Rack {
         }
     }
 
-    /// Exchange-phase prologue for cycle `now`: advance the shared fabric
-    /// exactly once, then distribute its freshly delivered arrivals into
-    /// the per-chip port inboxes in node-id order.
-    fn fabric_advance_and_distribute(fabric: &mut TorusFabric, ports: &[FabricPort], now: Cycle) {
-        fabric.tick(now);
-        // On quiet cycles (nothing landed anywhere this tick and no
-        // leftovers from earlier ones) the whole per-node collection scan
-        // is one counter check — the common case on an idle-heavy rack.
-        if !fabric.has_deliveries() {
-            return;
-        }
-        for port in ports {
-            port.collect_arrivals(now, fabric);
-        }
-    }
-
-    /// Exchange-phase epilogue for cycle `now`: merge every chip's outbox
-    /// into the shared fabric in node-id order (FIFO within a node), which
-    /// reproduces the injection order of a serial run exactly. Ports with
-    /// an empty outbox cost one lock-free flag load each
-    /// ([`FabricPort::outbox_pending`] inside `flush_outbox`).
-    fn fabric_merge_outboxes(fabric: &mut TorusFabric, ports: &[FabricPort], now: Cycle) {
-        for port in ports {
-            port.flush_outbox(now, fabric);
-        }
-    }
-
-    /// Advance the whole rack by one cycle — the inline (serial) form of
-    /// the two-phase loop: advance the fabric exactly once and distribute
-    /// arrivals, tick every chip against its port, merge outboxes in
-    /// node-id order. [`Rack::run`] executes the identical schedule with
-    /// the chip ticks farmed across worker threads.
+    /// Advance the whole rack by one cycle — the per-cycle reference
+    /// schedule [`Rack::run`] reproduces window by window: advance the
+    /// fabric exactly once and move its deliveries into the ports, tick
+    /// every chip against its port, then flush every outbox into the
+    /// fabric in node-id order (FIFO within a node).
     pub fn tick(&mut self) {
         let now = self.now;
-        Self::fabric_advance_and_distribute(&mut self.fabric, &self.ports, now);
+        self.fabric.tick(now);
+        // On quiet cycles (nothing landed anywhere this tick) the whole
+        // per-node collection scan is one counter check.
+        if self.fabric.has_deliveries() {
+            for port in &self.ports {
+                port.collect_arrivals(now, &mut self.fabric);
+            }
+        }
         for chip in &mut self.chips {
             chip.tick();
         }
-        Self::fabric_merge_outboxes(&mut self.fabric, &self.ports, now);
+        for port in &self.ports {
+            port.flush_outbox(now, &mut self.fabric);
+        }
         self.now += 1;
+        self.sync_rounds += 1;
     }
 
-    /// Run for `cycles`, ticking chips in parallel across the configured
-    /// worker threads (see [`RackSimConfig::threads`]).
+    /// Replay step of the window `[start, end)`: advance the fabric one
+    /// cycle at a time and after each tick flush that cycle's emissions
+    /// into it in node-id order. Ports with an empty outbox are left out
+    /// up front (one lock-free load each); the rest are visited every
+    /// cycle, which returns without locking until their next emission.
+    /// Every delivery due inside the window went to the ports when it
+    /// opened, so these ticks only route.
+    fn replay(fabric: &mut TorusFabric, ports: &[FabricPort], start: Cycle, end: Cycle) {
+        let busy: Vec<&FabricPort> = ports.iter().filter(|p| p.outbox_pending()).collect();
+        let mut now = start;
+        while now < end {
+            fabric.tick(now);
+            for port in &busy {
+                port.flush_outbox(now, fabric);
+            }
+            now += 1;
+        }
+        debug_assert!(
+            !fabric.has_deliveries(),
+            "a delivery fell inside its window"
+        );
+    }
+
+    /// Run for `cycles`, in lookahead windows: bit-identical to calling
+    /// [`Rack::tick`] `cycles` times.
     ///
-    /// The thread pool lives for the whole call: workers are spawned once,
-    /// own static chip chunks, and synchronize on one barrier pair per
-    /// cycle while the driver thread performs the exchange phase. Results
-    /// are bit-identical to calling [`Rack::tick`] `cycles` times.
+    /// Each window runs [`TorusFabric::open_window`] (arrivals due inside
+    /// it into the ports), every chip's [`Chip::run`] to the window end,
+    /// then the replay of the window's outboxes into the fabric. A window
+    /// lasts the fabric's [`lookahead`](TorusFabric::lookahead) — shorter
+    /// only where the run ends or a fault event fires. With one worker
+    /// (see [`RackSimConfig::threads`]) the chips run inline. With more,
+    /// the thread pool lives for the whole call: workers are spawned once,
+    /// own static chip chunks, and meet the driver at one barrier pair per
+    /// window while the driver thread opens and replays windows.
     ///
     /// # Panics
-    /// Propagates the first panic raised inside any chip's tick.
+    /// Propagates the first panic raised inside any chip's tick or the
+    /// driver's exchange.
     pub fn run(&mut self, cycles: u64) {
-        let workers = self.worker_count();
-        if cycles == 0 {
-            return;
+        let end = self.now + cycles;
+        if cycles > 0 && self.worker_count() > 1 {
+            return self.run_threaded(end);
         }
-        if workers <= 1 {
-            for _ in 0..cycles {
-                self.tick();
+        while self.now < end {
+            let start = self.now;
+            let stop = self.fabric.open_window(start, end, &self.ports);
+            for chip in &mut self.chips {
+                chip.run(stop - start);
             }
-            return;
+            Self::replay(&mut self.fabric, &self.ports, start, stop);
+            self.now = stop;
+            self.sync_rounds += 1;
         }
+    }
+
+    /// The windowed loop of [`Rack::run`] with chips computing on worker
+    /// threads.
+    fn run_threaded(&mut self, end: Cycle) {
+        let workers = self.worker_count();
         // Split borrows: workers own disjoint chip chunks for the whole
         // run; the driver keeps the fabric and the port handles.
         let Rack {
@@ -366,6 +417,7 @@ impl Rack {
             fabric,
             ports,
             now,
+            sync_rounds,
             ..
         } = self;
         let chunk_len = chips.len().div_ceil(workers);
@@ -373,24 +425,35 @@ impl Rack {
         // chips over 4 workers yield 3 chunks of <=2): the barrier must be
         // sized to the threads that actually exist or everyone deadlocks.
         let chunks: Vec<&mut [Chip]> = chips.chunks_mut(chunk_len).collect();
-        // Two rendezvous per cycle: one releasing the compute phase, one
-        // closing it. A panicking participant — worker *or* driver — keeps
-        // honoring the barrier protocol for the remaining cycles (skipping
-        // its work) so no thread is ever left waiting, and re-raises its
-        // payload once every barrier pair has been served.
+        // One rendezvous opens a window's compute step and one closes it.
+        // The driver publishes each window's end (a `Release` store the
+        // workers' `Acquire` load pairs with; the barrier orders them as
+        // well) before opening it, and
+        // after the last window opens one more rendezvous with the end set
+        // to `DONE`, which dismisses the workers. A panicking participant
+        // — worker *or* driver — keeps honoring the protocol (skipping its
+        // work, and the driver opens no further window) so no thread is
+        // ever left waiting, and re-raises its payload once the workers
+        // are dismissed.
+        const DONE: u64 = u64::MAX;
         let barrier = Barrier::new(chunks.len() + 1);
+        let window_end = AtomicU64::new(DONE);
         let poisoned = AtomicBool::new(false);
         let mut driver_payload = None;
         std::thread::scope(|s| {
             for chunk in chunks {
                 s.spawn(|| {
                     let mut payload = None;
-                    for _ in 0..cycles {
+                    loop {
                         barrier.wait();
+                        let stop = window_end.load(Ordering::Acquire);
+                        if stop == DONE {
+                            break;
+                        }
                         if payload.is_none() && !poisoned.load(Ordering::Acquire) {
                             let r = catch_unwind(AssertUnwindSafe(|| {
                                 for chip in chunk.iter_mut() {
-                                    chip.tick();
+                                    chip.run(Cycle(stop) - chip.now());
                                 }
                             }));
                             if let Err(p) = r {
@@ -405,31 +468,39 @@ impl Rack {
                     }
                 });
             }
-            // Driver loop. Exchange-phase panics (e.g. a hard assert on an
-            // out-of-range destination inside the fabric merge) must not
-            // unwind past the barrier protocol: workers would block on a
+            // Driver loop. Exchange panics (e.g. a hard assert on an
+            // out-of-range destination inside the replay) must not unwind
+            // past the barrier protocol: workers would block on a
             // rendezvous the driver never reaches and the scope join would
-            // deadlock. Trap them, finish the barrier schedule, re-raise
-            // after the scope.
+            // deadlock. Trap them, dismiss the workers, re-raise after the
+            // scope.
             let trap = |driver_payload: &mut Option<_>, f: &mut dyn FnMut()| {
-                if driver_payload.is_none() && !poisoned.load(Ordering::Acquire) {
-                    if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
-                        poisoned.store(true, Ordering::Release);
-                        *driver_payload = Some(p);
-                    }
+                if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
+                    poisoned.store(true, Ordering::Release);
+                    *driver_payload = Some(p);
                 }
             };
-            for _ in 0..cycles {
+            while *now < end && !poisoned.load(Ordering::Acquire) {
+                let start = *now;
+                let mut stop = None;
                 trap(&mut driver_payload, &mut || {
-                    Self::fabric_advance_and_distribute(fabric, ports, *now);
+                    stop = Some(fabric.open_window(start, end, ports));
                 });
-                barrier.wait(); // open the compute phase
-                barrier.wait(); // close the compute phase
+                let Some(stop) = stop else { break };
+                window_end.store(stop.0, Ordering::Release);
+                barrier.wait(); // open the compute step
+                barrier.wait(); // close the compute step
+                if poisoned.load(Ordering::Acquire) {
+                    break;
+                }
                 trap(&mut driver_payload, &mut || {
-                    Self::fabric_merge_outboxes(fabric, ports, *now);
-                    *now += 1;
+                    Self::replay(fabric, ports, start, stop);
+                    *now = stop;
+                    *sync_rounds += 1;
                 });
             }
+            window_end.store(DONE, Ordering::Release);
+            barrier.wait(); // dismiss the workers
         });
         if let Some(p) = driver_payload {
             resume_unwind(p);
@@ -623,8 +694,8 @@ mod tests {
 
     /// Regression: when ceil-divided chip chunks come out fewer than the
     /// requested workers (5 chips over 4 threads yield 3 chunks), the
-    /// per-cycle barrier must be sized to the real thread count — this
-    /// config used to deadlock. Also asserts the uneven split stays
+    /// barrier must be sized to the real thread count — this config used
+    /// to deadlock. Also asserts the uneven split stays
     /// bit-identical to the serial path.
     #[test]
     fn uneven_chip_chunks_neither_deadlock_nor_diverge() {
@@ -654,9 +725,9 @@ mod tests {
         );
     }
 
-    /// A panic on the *driver* thread during the exchange phase (here: the
+    /// A panic on the *driver* thread during the exchange (here: the
     /// fabric's hard assert on an out-of-range destination firing inside
-    /// the outbox merge) must propagate out of the threaded `Rack::run`
+    /// the outbox replay) must propagate out of the threaded `Rack::run`
     /// instead of leaving the workers parked on a barrier the driver never
     /// reaches. Runs under a watchdog so a regression fails instead of
     /// hanging the suite.
@@ -710,7 +781,7 @@ mod tests {
         }
     }
 
-    /// A panic inside one chip's compute phase must propagate out of the
+    /// A panic inside one chip's compute step must propagate out of the
     /// threaded `Rack::run` instead of deadlocking the barrier protocol.
     #[test]
     fn worker_panic_propagates_out_of_the_threaded_run() {

@@ -110,7 +110,7 @@ const SECTIONS: [Section; 14] = [
     Section {
         id: "rack",
         title: "Rack scale",
-        what: "multi-node torus racks, hop-by-hop fabric, parallel two-phase ticking",
+        what: "multi-node torus racks, hop-by-hop fabric, lookahead-windowed parallel ticking",
         print: |s| println!("{}", experiments::rack_scale_render(s)),
     },
     Section {

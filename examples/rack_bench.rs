@@ -1,20 +1,24 @@
 //! Parallel-rack scaling benchmark: the paper's rack sizes (2x2x2 up to the
 //! 512-node 8x8x8 torus of §1, plus a 4096-node 16x16x16 stretch point)
-//! driven through the two-phase parallel `Rack::run` loop, with simulator
-//! throughput (simulated cycles per wall-clock second) measured serially
-//! and in parallel at every size.
+//! driven through the lookahead-windowed parallel `Rack::run` loop, with
+//! simulator throughput (simulated cycles per wall-clock second) measured
+//! serially and in parallel at every size.
 //!
 //! Three jobs in one binary:
 //!
 //! 1. **Throughput trajectory** — writes `BENCH_rack.json` (schema
-//!    `rackni-bench-rack/2`) so CI can archive cycles/sec per rack size and
+//!    `rackni-bench-rack/3`) so CI can archive cycles/sec per rack size and
 //!    scenario, and future PRs can track simulator-performance regressions.
+//!    Each point also records `sync_rounds`, the rack's compute/exchange
+//!    rounds (`Rack::sync_rounds`): a deterministic work counter, one per
+//!    lookahead window, so at most one per 72 simulated cycles at the
+//!    default fabric config.
 //! 2. **Speedup check** — on multi-core hosts the same seeded run is timed
 //!    once pinned to one worker and once across all workers; the ratio is
 //!    the parallel-tick speedup (reported per size).
 //! 3. **Determinism guard** — the serial and parallel runs of each point
-//!    must produce identical fabric counters, completed ops, and hop
-//!    counts; any divergence aborts the benchmark.
+//!    must produce identical fabric counters, completed ops, hop counts and
+//!    sync rounds; any divergence aborts the benchmark.
 //!
 //! Two traffic shapes run per sweep:
 //!
@@ -72,6 +76,7 @@ struct Fingerprint {
     responded: u64,
     completed_ops: u64,
     hops: u64,
+    sync_rounds: u64,
 }
 
 struct RunResult {
@@ -108,6 +113,7 @@ fn run_point(shape: Shape, dims: (u16, u16, u16), cycles: u64, threads: usize) -
             responded: fs.responded.get(),
             completed_ops: rack.completed_ops(),
             hops: rack.hops_traversed(),
+            sync_rounds: rack.sync_rounds(),
         },
     }
 }
@@ -147,7 +153,7 @@ fn main() {
         ],
     };
     println!(
-        "rackni rack_bench: two-phase parallel rack ticking, scale {scale:?}, \
+        "rackni rack_bench: lookahead-windowed parallel rack ticking, scale {scale:?}, \
          host threads {host_threads}\n"
     );
 
@@ -163,6 +169,7 @@ fn main() {
         "speedup",
         "ops",
         "hops",
+        "sync rounds",
     ]);
     let mut rows = Vec::new();
     for &(shape, dims, cycles) in &points {
@@ -201,9 +208,10 @@ fn main() {
             format!("{speedup:.2}x"),
             serial.fp.completed_ops.to_string(),
             serial.fp.hops.to_string(),
+            serial.fp.sync_rounds.to_string(),
         ]);
         rows.push(format!(
-            r#"    {{"scenario": "{scen}", "torus": "{x}x{y}x{z}", "nodes": {nodes}, "cycles": {cycles}, "serial_cps": {scps:.1}, "parallel_cps": {pcps:.1}, "threads": {eff_threads}, "speedup": {speedup:.4}, "wall_ms_serial": {swall:.1}, "wall_ms_parallel": {pwall:.1}, "build_ms": {bms:.1}, "completed_ops": {ops}, "hops": {hops}}}"#,
+            r#"    {{"scenario": "{scen}", "torus": "{x}x{y}x{z}", "nodes": {nodes}, "cycles": {cycles}, "serial_cps": {scps:.1}, "parallel_cps": {pcps:.1}, "threads": {eff_threads}, "speedup": {speedup:.4}, "wall_ms_serial": {swall:.1}, "wall_ms_parallel": {pwall:.1}, "build_ms": {bms:.1}, "completed_ops": {ops}, "hops": {hops}, "sync_rounds": {rounds}}}"#,
             scen = shape.name(),
             x = dims.0,
             y = dims.1,
@@ -213,13 +221,14 @@ fn main() {
             bms = serial.build_ms,
             ops = serial.fp.completed_ops,
             hops = serial.fp.hops,
+            rounds = serial.fp.sync_rounds,
         ));
     }
     println!("{}", table.render());
     if host_threads > 1 {
         println!(
             "serial and parallel runs produced identical fabric counters, ops, \
-             and hop counts at every size (determinism guard passed)"
+             hop counts and sync rounds at every size (determinism guard passed)"
         );
     } else {
         println!(
@@ -230,7 +239,7 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, r#"  "schema": "rackni-bench-rack/2","#);
+    let _ = writeln!(json, r#"  "schema": "rackni-bench-rack/3","#);
     let _ = writeln!(
         json,
         r#"  "scale": "{}","#,

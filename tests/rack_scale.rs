@@ -189,7 +189,7 @@ fn numa_workload_crosses_the_torus() {
     assert!(lat >= 140.0, "NUMA latency {lat} beats the wire floor");
 }
 
-/// The two-phase parallel tick is bit-identical to the serial path: the
+/// The windowed parallel run is bit-identical to the serial path: the
 /// same seeded 3x3x3 scenario run (a) serially via `Rack::tick`, (b) through
 /// `Rack::run` pinned to one worker, and (c) through `Rack::run` with four
 /// workers must produce equal [`TickFingerprint`]s.
@@ -275,6 +275,132 @@ fn faulted_rack_runs_are_bit_identical_across_thread_counts() {
             tick_fingerprint(&rack),
             want,
             "{threads}-thread faulted run diverged from the serial reference"
+        );
+    }
+}
+
+// ---- Lookahead windows --------------------------------------------------
+
+/// Per-chip full-tick counts: a dormant skip taken or missed in the wrong
+/// cycle moves them without touching any fingerprinted counter.
+fn full_ticks(rack: &Rack) -> Vec<u64> {
+    rack.chips().iter().map(Chip::full_ticks).collect()
+}
+
+/// Run `build(threads)` for `cycles` through a `Rack::tick` loop (one
+/// thread) and through the windowed `Rack::run` at one, two and four
+/// workers: every run must produce the reference's [`TickFingerprint`] and
+/// per-chip full-tick counts. Returns the one-worker windowed rack.
+fn assert_windows_match_per_cycle_ticks(cycles: u64, build: impl Fn(usize) -> Rack) -> Rack {
+    let mut reference = build(1);
+    for _ in 0..cycles {
+        reference.tick();
+    }
+    assert_eq!(reference.sync_rounds(), cycles, "one round per tick");
+    let want = (tick_fingerprint(&reference), full_ticks(&reference));
+    let runs = [1usize, 2, 4].map(|threads| {
+        let mut rack = build(threads);
+        rack.run(cycles);
+        assert_eq!(
+            (tick_fingerprint(&rack), full_ticks(&rack)),
+            want,
+            "windowed run at {threads} threads diverged from per-cycle ticking"
+        );
+        rack
+    });
+    let [one_worker, ..] = runs;
+    one_worker
+}
+
+/// A healthy rack whose writers sit in their destination's replica set:
+/// with K=2 on a rack of two nodes every replicated write sends one of its
+/// quorum legs to the writer's own node, a packet the fabric delivers one
+/// cycle after injection, deep inside a lookahead window.
+fn quorum_write_rack(torus: Torus3D, hop_cycles: u64, link_bytes: u64, threads: usize) -> Rack {
+    use rackni::ni_fabric::ReplicaCfg;
+    use rackni::ni_soc::{Capped, Synthetic};
+
+    let mut cfg = rack_cfg(torus, 2, TrafficPattern::Uniform);
+    cfg.hop_cycles = hop_cycles;
+    cfg.link_bytes_per_cycle = link_bytes;
+    cfg.chip.rmc.replication = ReplicaCfg {
+        k: 2,
+        w: 1,
+        seed: 0x5eed_ab1e,
+    };
+    cfg.chip.rmc.replay_budget = 1;
+    cfg.chip.rmc.itt_timeout = 4_000;
+    cfg.threads = threads;
+    let job = Capped::new(
+        Box::new(Synthetic::from_workload(Workload::AsyncWrite {
+            size: 512,
+            poll_every: 4,
+        })),
+        8,
+    );
+    Rack::with_scenario(cfg, &job)
+}
+
+/// Self-addressed quorum legs land inside the window they were sent in: a
+/// windowed driver must loop them back inside the port, due one cycle
+/// later, or the chip sees them late.
+#[test]
+fn windowed_run_loops_self_addressed_quorum_legs_back_in_the_port() {
+    let rack = assert_windows_match_per_cycle_ticks(12_000, |threads| {
+        quorum_write_rack(Torus3D::new(2, 1, 1), 70, 16, threads)
+    });
+    let fp = tick_fingerprint(&rack);
+    assert_eq!(
+        fp.per_node_ops,
+        [16, 16],
+        "every capped write must complete"
+    );
+    // On two nodes every packet that leaves its node crosses one link:
+    // the deliveries beyond the hop count are the self-addressed legs.
+    assert!(
+        fp.incoming + fp.responded > fp.hops,
+        "no self-addressed leg was sent: {fp:?}"
+    );
+}
+
+/// The window length is derived from the fabric config, hop latency plus
+/// the serialization of the smallest packet: hop 1 and 70 at 16 and 64
+/// bytes per cycle give windows of 3, 2, 72 and 71 cycles, and a healthy
+/// run takes one sync round per window.
+#[test]
+fn windowed_run_matches_per_cycle_ticks_at_every_derived_window() {
+    let cycles = 3_000u64;
+    for (hop, link_bytes, window) in [(1, 16, 3), (1, 64, 2), (70, 16, 72), (70, 64, 71)] {
+        let rack = assert_windows_match_per_cycle_ticks(cycles, |threads| {
+            quorum_write_rack(Torus3D::new(2, 2, 1), hop, link_bytes, threads)
+        });
+        assert!(rack.completed_ops() > 0, "hop {hop}: no op completed");
+        assert_eq!(
+            rack.sync_rounds(),
+            cycles.div_ceil(window),
+            "hop {hop}, {link_bytes} B/cycle: expected {window}-cycle windows"
+        );
+    }
+}
+
+/// Windows are cut wherever a run call ends: `run(100)`, `run(37)` and
+/// `run(rest)` reproduce one `run` of the whole horizon.
+#[test]
+fn split_runs_match_one_run() {
+    let cycles = 6_000u64;
+    for threads in [1usize, 2] {
+        let build = || quorum_write_rack(Torus3D::new(2, 1, 1), 70, 16, threads);
+        let mut whole = build();
+        whole.run(cycles);
+        let mut split = build();
+        split.run(100);
+        split.run(37);
+        split.run(cycles - 137);
+        assert_eq!(split.now(), whole.now());
+        assert_eq!(
+            (tick_fingerprint(&split), full_ticks(&split)),
+            (tick_fingerprint(&whole), full_ticks(&whole)),
+            "split run diverged at {threads} threads"
         );
     }
 }
