@@ -13,15 +13,15 @@
 //!    single-chip microbenchmarks plus idle-heavy and bursty racks at
 //!    2x2x2 / 4x4x4 / 8x8x8, each in both tick modes.
 //! 2. **Speedup gate** (machine-independent) — the event-driven tick must
-//!    clear `RACKNI_SIMPERF_MIN_SPEEDUP` (default 3.0) over the poll tick
-//!    on the idle-heavy 8x8x8 rack. Both runs happen on the same host in
-//!    the same process, so this ratio is stable across machines.
+//!    clear `MIN_SPEEDUP` (3.0) over the poll tick on the idle-heavy 8x8x8
+//!    rack. Both runs happen on the same host in the same process, so this
+//!    ratio is stable across machines.
 //! 3. **Regression gate** (baseline-relative) — if
 //!    `BENCH_simperf_baseline.json` exists at the workspace root, every
-//!    measured point must reach `RACKNI_SIMPERF_TOLERANCE` (default 0.25)
-//!    of its recorded cycles/sec. The committed baseline is from a slow
-//!    1-core container, and the wide tolerance absorbs host variance while
-//!    still catching order-of-magnitude regressions.
+//!    measured point must reach `TOLERANCE` (0.25) of its recorded
+//!    cycles/sec. The committed baseline is from a slow 1-core container,
+//!    and the wide tolerance absorbs host variance while still catching
+//!    order-of-magnitude regressions.
 //!
 //! `RACKNI_SIMPERF_GATE=off` disables both gates (measurement-only runs on
 //! exotic hosts).
@@ -41,6 +41,12 @@ use rackni::ni_soc::{
 };
 use rackni::parallel::default_threads;
 use rackni::report::{f1, Table};
+
+/// Least event-over-poll speedup on the idle-heavy 8x8x8 rack.
+const MIN_SPEEDUP: f64 = 3.0;
+
+/// Least fraction of its baseline cycles/sec a point may reach.
+const TOLERANCE: f64 = 0.25;
 
 /// One measured point of the simulator-performance trajectory.
 struct Measured {
@@ -155,13 +161,6 @@ fn read_baseline(path: &Path) -> Option<Vec<(String, f64)>> {
             })
             .collect(),
     )
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn main() {
@@ -283,16 +282,15 @@ fn main() {
     // Gate 1 (machine-independent): the event tick must actually win on
     // the idle-heavy 512-node rack — the headline claim of the
     // event-driven ticking work.
-    let min_speedup = env_f64("RACKNI_SIMPERF_MIN_SPEEDUP", 3.0);
     let speedup = cps_of("idle_heavy_8x8x8_event") / cps_of("idle_heavy_8x8x8_poll");
-    if speedup < min_speedup {
+    if speedup < MIN_SPEEDUP {
         eprintln!(
             "GATE FAIL: event tick is only {speedup:.2}x over poll on the \
-             idle-heavy 8x8x8 rack (need >= {min_speedup:.1}x)"
+             idle-heavy 8x8x8 rack (need >= {MIN_SPEEDUP:.1}x)"
         );
         failed = true;
     } else {
-        println!("gate: idle-heavy 8x8x8 event speedup {speedup:.2}x >= {min_speedup:.1}x");
+        println!("gate: idle-heavy 8x8x8 event speedup {speedup:.2}x >= {MIN_SPEEDUP:.1}x");
     }
 
     // Gate 2 (baseline-relative): no point may collapse below the
@@ -304,7 +302,6 @@ fn main() {
             baseline_path.display()
         ),
         Some(baseline) => {
-            let tolerance = env_f64("RACKNI_SIMPERF_TOLERANCE", 0.25);
             let mut checked = 0;
             for (name, base_cps) in &baseline {
                 let Some(m) = results.iter().find(|m| &m.name == name) else {
@@ -313,11 +310,11 @@ fn main() {
                     continue;
                 };
                 checked += 1;
-                let floor = base_cps * tolerance;
+                let floor = base_cps * TOLERANCE;
                 if m.cps < floor {
                     eprintln!(
                         "GATE FAIL: {name} at {:.1} cycles/sec, below {floor:.1} \
-                         ({tolerance}x of baseline {base_cps:.1})",
+                         ({TOLERANCE}x of baseline {base_cps:.1})",
                         m.cps
                     );
                     failed = true;
@@ -325,7 +322,7 @@ fn main() {
             }
             if !failed {
                 println!(
-                    "gate: all {checked} baselined points within {tolerance}x of \
+                    "gate: all {checked} baselined points within {TOLERANCE}x of \
                      {}",
                     baseline_path.display()
                 );

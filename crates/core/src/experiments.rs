@@ -778,7 +778,7 @@ pub fn run_scenario_point(scenario: &dyn Scenario, cycles: u64) -> ScenarioPoint
         },
         // The scenario sweep already saturates the host via `par_map` over
         // points; nesting the rack's own worker pool inside it would
-        // oversubscribe every core and add barrier churn for nothing.
+        // oversubscribe every core and add handoff churn for nothing.
         threads: 1,
         ..RackSimConfig::default()
     };

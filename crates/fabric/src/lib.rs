@@ -57,6 +57,4 @@ pub use routing::{
     RoutingPolicy, ESCAPE_HOP_BUDGET,
 };
 pub use torus::{Dir, ProductiveDirs, Torus3D};
-pub use torus_fabric::{
-    link_report_csv, link_report_json, FaultStats, LinkReport, TorusFabric, TorusFabricConfig,
-};
+pub use torus_fabric::{link_report_csv, FaultStats, LinkReport, TorusFabric, TorusFabricConfig};

@@ -12,8 +12,9 @@
 //! 1. **Open** — [`TorusFabric::open_window`] hands every port the arrivals
 //!    the fabric will deliver inside the window, each with its due cycle.
 //! 2. **Compute** — every chip runs the whole window against its own port
-//!    (farmed across host threads, one barrier pair per window), emitting
-//!    into its outbox and popping arrivals as they fall due.
+//!    (farmed across host threads, each worker handed the window end on a
+//!    channel and replying on another), emitting into its outbox and
+//!    popping arrivals as they fall due.
 //! 3. **Replay** — the driver advances the fabric one cycle at a time and
 //!    after each [`Fabric::tick`] flushes that cycle's emissions
 //!    ([`FabricPort::flush_outbox`]) in node-id order, so routing decisions
@@ -112,7 +113,7 @@ fn enqueue<T>(q: &mut VecDeque<(Cycle, T)>, due: Cycle, item: T) {
 /// change to its buffer, so it is exact, and a lock-free `Acquire` load
 /// that reads a cycle is followed by a locked read that finds the entry
 /// it describes. Between the compute and exchange steps the rack's
-/// barrier orders the two sides anyway.
+/// channel handoff orders the two sides anyway.
 #[derive(Debug)]
 struct PortShared {
     state: Mutex<PortState>,

@@ -190,14 +190,6 @@ impl LinkReport {
             self.node, self.dir, self.packets, self.bytes, self.busy_cycles, self.peak_gbps
         )
     }
-
-    /// This row as a JSON object.
-    pub fn json_row(&self) -> String {
-        format!(
-            r#"{{"node":{},"dir":"{}","packets":{},"bytes":{},"busy_cycles":{},"peak_gbps":{:.6}}}"#,
-            self.node, self.dir, self.packets, self.bytes, self.busy_cycles, self.peak_gbps
-        )
-    }
 }
 
 /// Serialize a link report as CSV (header plus one row per directed link).
@@ -209,12 +201,6 @@ pub fn link_report_csv(links: &[LinkReport]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Serialize a link report as a JSON array of per-link objects.
-pub fn link_report_json(links: &[LinkReport]) -> String {
-    let rows: Vec<String> = links.iter().map(LinkReport::json_row).collect();
-    format!("[\n  {}\n]\n", rows.join(",\n  "))
 }
 
 /// The multi-node torus transport.
@@ -419,16 +405,6 @@ impl TorusFabric {
     /// never carried a packet included.
     pub fn link_report(&self) -> Vec<LinkReport> {
         let mut out = Vec::with_capacity(self.links.len());
-        self.link_report_into(&mut out);
-        out
-    }
-
-    /// As [`link_report`](TorusFabric::link_report), reusing `out`'s
-    /// allocation — for callers sampling the report inside loops (periodic
-    /// congestion monitors, per-window sweeps).
-    pub fn link_report_into(&self, out: &mut Vec<LinkReport>) {
-        out.clear();
-        out.reserve(self.links.len());
         for node in 0..self.cfg.torus.nodes() {
             for d in Dir::ALL {
                 let l = &self.links[node as usize * 6 + d.index()];
@@ -442,6 +418,7 @@ impl TorusFabric {
                 });
             }
         }
+        out
     }
 
     /// Largest per-link peak bandwidth in GB/s (0 when idle).
@@ -801,17 +778,6 @@ impl Fabric for TorusFabric {
     fn is_idle(&self) -> bool {
         self.wires.is_empty() && self.arrivals.is_empty() && self.queued == 0
     }
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // An idle fabric delivers nothing until the next injection; its
-        // pending fault events apply, as always, before that injection
-        // routes.
-        if self.is_idle() {
-            None
-        } else {
-            Some(now)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -932,24 +898,6 @@ mod tests {
         f.tick(Cycle(72));
         assert!(f.pop_incoming(Cycle(72), 1).is_some());
         assert!(f.pop_incoming(Cycle(72), 1).is_none());
-    }
-
-    #[test]
-    fn link_report_into_reuses_the_buffer() {
-        let mut f = fabric(2, 1, 1);
-        f.inject(Cycle(0), 0, req(1, 1));
-        run_until_idle(&mut f, Cycle(0), 100_000);
-        let mut buf = Vec::new();
-        f.link_report_into(&mut buf);
-        assert_eq!(buf.len(), 12);
-        let cap = buf.capacity();
-        f.link_report_into(&mut buf);
-        assert_eq!(buf.len(), 12);
-        assert_eq!(buf.capacity(), cap, "second fill must not reallocate");
-        assert_eq!(
-            buf.iter().map(|l| l.packets).sum::<u64>(),
-            f.hops_traversed()
-        );
     }
 
     #[test]

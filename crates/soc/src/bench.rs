@@ -68,8 +68,8 @@ fn run_latency_workload(
         guard += 1;
         assert!(guard < limit, "latency run did not complete {ops} ops");
     }
-    let mean = chip.cores[0].stats.latency.mean();
     let hist = chip.cores[0].latency_histogram();
+    let mean = hist.stats().mean();
     LatencyResult {
         size,
         mean_cycles: mean,
@@ -226,10 +226,8 @@ pub fn run_chip_scenario(
 ) -> ScenarioRunResult {
     let mut chip = Chip::with_scenario(cfg, scenario);
     chip.run(cycles);
-    let mut sync_latency = RunningMean::new();
     let mut hist = Histogram::new();
     for core in &chip.cores {
-        sync_latency.merge(&core.stats.latency);
         hist.merge(core.latency_histogram());
     }
     ScenarioRunResult {
@@ -238,7 +236,7 @@ pub fn run_chip_scenario(
         ops: chip.completed_ops(),
         app_gbps: Frequency::GHZ2
             .gbps_from_bytes_per_cycle(chip.app_payload_bytes() as f64 / cycles.max(1) as f64),
-        sync_latency,
+        sync_latency: *hist.stats(),
         p99_sync_cycles: hist.percentile(0.99),
     }
 }

@@ -152,6 +152,28 @@ fn home_nocout(b: BlockAddr, n_banks: u32) -> NocNode {
     NocNode::Llc((b.0 % u64::from(n_banks)) as u8)
 }
 
+/// The home-directory function of `topology`.
+fn home_fn(topology: Topology) -> fn(BlockAddr, u32) -> NocNode {
+    match topology {
+        Topology::Mesh => home_mesh,
+        Topology::NocOut => home_nocout,
+    }
+}
+
+/// NOC node of tile `i`: both topologies lay tiles out eight to a row.
+fn tile_node(i: usize) -> NocNode {
+    NocNode::Tile(Coord::new((i % 8) as u8, (i / 8) as u8))
+}
+
+/// The NI block a tile's traffic exits through: its mesh row, or its
+/// NOC-Out column.
+fn edge_of_tile(topology: Topology, i: usize) -> u8 {
+    match topology {
+        Topology::Mesh => (i / 8) as u8,
+        Topology::NocOut => (i % 8) as u8,
+    }
+}
+
 enum NocImpl {
     Mesh(MeshNoc<ChipMsg>),
     NocOut(NocOutNoc<ChipMsg>),
@@ -208,7 +230,7 @@ pub struct Chip {
     dirs: Vec<DirectoryBank>,
     dir_index: BTreeMap<NocNode, usize>,
     mcs: Vec<MemoryController>,
-    mc_pending: BTreeMap<u64, (NocNode, bool)>,
+    mc_pending: BTreeMap<u64, NocNode>,
     mc_seq: u64,
     /// Queue pairs, one per core.
     pub qps: Vec<QueuePair>,
@@ -310,24 +332,7 @@ impl Chip {
         let n = cfg.n_cores();
         let n_banks = cfg.n_banks();
         let n_edge = cfg.n_edge();
-        let home: fn(BlockAddr, u32) -> NocNode = match cfg.topology {
-            Topology::Mesh => home_mesh,
-            Topology::NocOut => home_nocout,
-        };
-        let tile_node = |i: usize| -> NocNode {
-            match cfg.topology {
-                Topology::Mesh => NocNode::Tile(Coord::new((i % 8) as u8, (i / 8) as u8)),
-                Topology::NocOut => NocNode::Tile(Coord::new((i % 8) as u8, (i / 8) as u8)),
-            }
-        };
-        // The NI block a tile's traffic exits through: its mesh row, or its
-        // NOC-Out column.
-        let edge_of_tile = |i: usize| -> u8 {
-            match cfg.topology {
-                Topology::Mesh => (i / 8) as u8,
-                Topology::NocOut => (i % 8) as u8,
-            }
-        };
+        let home = home_fn(cfg.topology);
 
         let noc = match cfg.topology {
             Topology::Mesh => {
@@ -426,7 +431,7 @@ impl Chip {
                     cfg.qp,
                     home,
                     n_banks,
-                    Some(NocNode::NiBlock(edge_of_tile(i))),
+                    Some(NocNode::NiBlock(edge_of_tile(cfg.topology, i))),
                 ));
             }
         } else if cfg.placement != NiPlacement::Numa {
@@ -465,7 +470,7 @@ impl Chip {
                 for r in 0..n_edge {
                     let node = NocNode::NiBlock(r as u8);
                     let row_qps: Vec<u32> = (0..n as u32)
-                        .filter(|&i| edge_of_tile(i as usize) == r as u8)
+                        .filter(|&i| edge_of_tile(cfg.topology, i as usize) == r as u8)
                         .collect();
                     fe_index.insert(node, frontends.len());
                     fe_of_complex.insert(complex_index[&node], frontends.len());
@@ -478,7 +483,7 @@ impl Chip {
                     let backend = if cfg.placement == NiPlacement::PerTile {
                         node
                     } else {
-                        NocNode::NiBlock(edge_of_tile(i))
+                        NocNode::NiBlock(edge_of_tile(cfg.topology, i))
                     };
                     fe_index.insert(node, frontends.len());
                     fe_of_complex.insert(i, frontends.len());
@@ -974,22 +979,16 @@ impl Chip {
             if resp.tid >= NUMA_TID_BASE {
                 // NUMA-mode response: travels edge -> core tile over the NOC.
                 let tile = (resp.tid & 0xffff_ffff) as usize;
-                let row = self.edge_of_tile(tile);
-                let pkt = Self::ni_packet(
-                    NocNode::NiBlock(row),
-                    self.tile_node(tile),
-                    NiMsg::NetIn(resp),
-                );
+                let row = edge_of_tile(self.cfg.topology, tile);
+                let pkt =
+                    Self::ni_packet(NocNode::NiBlock(row), tile_node(tile), NiMsg::NetIn(resp));
                 self.inject(pkt);
             } else if self.cfg.placement.backend_per_tile() {
                 // NIper-tile indirection: the response detours via the edge
                 // NI to the issuing tile's backend (§6.2).
-                let row = self.edge_of_tile(bid);
-                let pkt = Self::ni_packet(
-                    NocNode::NiBlock(row),
-                    self.tile_node(bid),
-                    NiMsg::NetIn(resp),
-                );
+                let row = edge_of_tile(self.cfg.topology, bid);
+                let pkt =
+                    Self::ni_packet(NocNode::NiBlock(row), tile_node(bid), NiMsg::NetIn(resp));
                 self.inject(pkt);
             } else {
                 // Backend co-located with the network router.
@@ -1055,8 +1054,8 @@ impl Chip {
         self.wake_cxs.lower(i, now);
         if let Some(req) = self.cores[i].take_numa_request() {
             // NUMA issue: request packet core tile -> edge -> rack.
-            let row = self.edge_of_tile(i);
-            let pkt = Self::ni_packet(self.tile_node(i), NocNode::NiBlock(row), NiMsg::NetOut(req));
+            let row = edge_of_tile(self.cfg.topology, i);
+            let pkt = Self::ni_packet(tile_node(i), NocNode::NiBlock(row), NiMsg::NetOut(req));
             self.inject(pkt);
         }
         for t in self.cores[i].drain_traces() {
@@ -1245,7 +1244,7 @@ impl Chip {
                 continue;
             }
             while let Some(reply) = self.mcs[m].pop_ready(now) {
-                let (to, _) = self.mc_pending.remove(&reply.tag).expect("tracked request");
+                let to = self.mc_pending.remove(&reply.tag).expect("tracked request");
                 let msg = match reply.kind {
                     MemRequestKind::Read => CohMsg::NcData {
                         block: reply.block,
@@ -1307,7 +1306,7 @@ impl Chip {
                     CohMsg::NcWrite { block, value } => (block, MemRequestKind::Write, value),
                     other => panic!("MC received {other:?}"),
                 };
-                self.mc_pending.insert(tag, (src, true));
+                self.mc_pending.insert(tag, src);
                 let m = usize::from(m);
                 self.mcs[m]
                     .push(now, block, kind_req, value, tag)
@@ -1393,22 +1392,8 @@ impl Chip {
 
     // ---- geometry helpers --------------------------------------------------
 
-    fn tile_node(&self, i: usize) -> NocNode {
-        NocNode::Tile(Coord::new((i % 8) as u8, (i / 8) as u8))
-    }
-
-    fn edge_of_tile(&self, i: usize) -> u8 {
-        match self.cfg.topology {
-            Topology::Mesh => (i / 8) as u8,
-            Topology::NocOut => (i % 8) as u8,
-        }
-    }
-
     fn home_of(&self, b: BlockAddr) -> NocNode {
-        match self.cfg.topology {
-            Topology::Mesh => home_mesh(b, self.cfg.n_banks()),
-            Topology::NocOut => home_nocout(b, self.cfg.n_banks()),
-        }
+        home_fn(self.cfg.topology)(b, self.cfg.n_banks())
     }
 
     /// NI-block row/column a node belongs to.

@@ -18,7 +18,7 @@
 //! [`Rack::new`](crate::Rack::new)).
 
 use ni_coherence::{Access, AccessKind, AccessOrigin, CacheComplex};
-use ni_engine::{Cycle, DelayLine, Histogram, RunningMean};
+use ni_engine::{Cycle, DelayLine, Histogram};
 use ni_fabric::RemoteReq;
 use ni_mem::{Addr, BlockAddr};
 use ni_qp::{QpConfig, QueuePair, RemoteOp};
@@ -115,8 +115,6 @@ pub struct CoreStats {
     /// distinct from the transport-level payload counters which also see
     /// retried and failed traffic.
     pub bytes_completed: u64,
-    /// End-to-end latency of synchronous operations (cycles).
-    pub latency: RunningMean,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -352,7 +350,6 @@ impl Core {
         self.stats.completed += 1;
         self.stats.bytes_completed += ni_mem::BLOCK_BYTES;
         let lat = now.saturating_since(self.iter_start);
-        self.stats.latency.record(lat);
         self.latency_hist.record(lat);
         self.read_latency_hist.record(lat);
         self.phase = Phase::Idle;
@@ -708,7 +705,6 @@ impl Core {
                             // ops contribute latency samples.
                             if c.ok {
                                 let lat = now.saturating_since(self.iter_start);
-                                self.stats.latency.record(lat);
                                 self.latency_hist.record(lat);
                             }
                             self.awaiting_sync = None;

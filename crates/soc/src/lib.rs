@@ -43,7 +43,7 @@ pub use chip::{Chip, ChipMsg};
 pub use config::{ChipConfig, TickMode, Topology};
 pub use core_model::{Core, CoreStats, Workload, REMOTE_BASE};
 pub use ni_fabric::RoutingKind;
-pub use rack::{LinkReportFormat, Rack, RackSimConfig, TrafficPattern};
+pub use rack::{Rack, RackSimConfig, TrafficPattern};
 pub use scenario::{
     builtin_scenarios, core_seed, Bursty, Capped, ClosedLoop, GraphShard, KvStore, Op, OpCtx,
     Scenario, Synthetic, TenantMix, TenantSpec, Zipf, ZipfHotspot,

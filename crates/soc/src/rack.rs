@@ -23,8 +23,10 @@
 //!    inside the window, each due at its cycle
 //!    ([`TorusFabric::open_window`]).
 //! 2. **Compute** — every chip runs the whole window against its port.
-//!    With several workers the chips are farmed across threads in static
-//!    chunks, with one barrier pair per window.
+//!    With several workers the chips are split into static chunks: the
+//!    driver runs the first, and each other chunk's worker thread receives
+//!    the window end on a channel and replies on another when done — one
+//!    handoff per worker per window.
 //! 3. **Replay** — the driver advances the fabric one cycle at a time and
 //!    after each tick flushes that cycle's outbox entries into it in
 //!    node-id order, so routing views and fault events see exactly the
@@ -56,15 +58,13 @@
 //! over [`Synthetic`] with the config's [`TrafficPattern`].
 
 use std::io::{self, Write};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use ni_engine::parallel::{default_threads, par_map_threads};
 use ni_engine::Cycle;
 use ni_fabric::{
-    link_report_csv, link_report_json, Fabric, FabricPort, FaultPlan, FaultStats, LinkReport,
-    RoutingKind, Torus3D, TorusFabric, TorusFabricConfig,
+    link_report_csv, Fabric, FabricPort, FaultPlan, FaultStats, LinkReport, RoutingKind, Torus3D,
+    TorusFabric, TorusFabricConfig,
 };
 
 use crate::chip::Chip;
@@ -104,15 +104,6 @@ impl TrafficPattern {
     }
 }
 
-/// Serialization format for [`Rack::write_link_report`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkReportFormat {
-    /// One header line plus one comma-separated row per directed link.
-    Csv,
-    /// A JSON array of per-link objects.
-    Json,
-}
-
 /// Multi-node rack configuration.
 #[derive(Clone, Debug)]
 pub struct RackSimConfig {
@@ -149,8 +140,8 @@ pub struct RackSimConfig {
     /// Worker threads for the compute step of [`Rack::run`] (and for chip
     /// construction). `0` resolves at run time via
     /// [`default_threads`] (the `RACKNI_THREADS` environment variable,
-    /// else the host's available parallelism); `1` forces the serial path.
-    /// Results are bit-identical at every setting.
+    /// else the host's available parallelism); `1` runs every chip on the
+    /// calling thread. Results are bit-identical at every setting.
     pub threads: usize,
 }
 
@@ -278,10 +269,11 @@ impl Rack {
         self.fabric.routing_name()
     }
 
-    /// Compute-step workers [`Rack::run`] will actually use: the
-    /// configured [`RackSimConfig::worker_threads`] clamped to the chip
-    /// count (a 8-chip rack never runs more than 8 workers). Report this —
-    /// not the raw config — in throughput trajectories.
+    /// Compute-step workers [`Rack::run`] will actually use, the calling
+    /// thread included: the configured
+    /// [`RackSimConfig::worker_threads`] clamped to the chip count (a
+    /// 8-chip rack never runs more than 8 workers). Report this — not the
+    /// raw config — in throughput trajectories.
     pub fn worker_count(&self) -> usize {
         self.cfg.worker_threads().min(self.chips.len()).max(1)
     }
@@ -294,8 +286,8 @@ impl Rack {
     /// Compute/exchange rounds run so far: one per [`Rack::tick`], one per
     /// lookahead window under [`Rack::run`]. A deterministic work counter:
     /// a long healthy run takes one round per L simulated cycles (see
-    /// [`TorusFabric::lookahead`]), and each round costs one barrier pair
-    /// when chips compute on worker threads.
+    /// [`TorusFabric::lookahead`]), and each round costs one channel
+    /// handoff per worker thread when chips compute on several.
     pub fn sync_rounds(&self) -> u64 {
         self.sync_rounds
     }
@@ -350,6 +342,14 @@ impl Rack {
         self.sync_rounds += 1;
     }
 
+    /// Compute step of a window for one chunk of chips: run each to the
+    /// window end `stop`.
+    fn compute(chips: &mut [Chip], stop: Cycle) {
+        for chip in chips {
+            chip.run(stop - chip.now());
+        }
+    }
+
     /// Replay step of the window `[start, end)`: advance the fabric one
     /// cycle at a time and after each tick flush that cycle's emissions
     /// into it in node-id order. Ports with an empty outbox are left out
@@ -380,37 +380,25 @@ impl Rack {
     /// it into the ports), every chip's [`Chip::run`] to the window end,
     /// then the replay of the window's outboxes into the fabric. A window
     /// lasts the fabric's [`lookahead`](TorusFabric::lookahead) — shorter
-    /// only where the run ends or a fault event fires. With one worker
-    /// (see [`RackSimConfig::threads`]) the chips run inline. With more,
-    /// the thread pool lives for the whole call: workers are spawned once,
-    /// own static chip chunks, and meet the driver at one barrier pair per
-    /// window while the driver thread opens and replays windows.
+    /// only where the run ends or a fault event fires.
+    ///
+    /// The chips are split into at most
+    /// [`worker_count`](Rack::worker_count) static chunks. The calling
+    /// thread opens and replays every window and runs the first chunk;
+    /// each other chunk gets a scoped worker that lives for the whole
+    /// call, receives each window's end on a channel and replies on a
+    /// second one when its chips reach it. With one worker no thread is
+    /// spawned.
     ///
     /// # Panics
-    /// Propagates the first panic raised inside any chip's tick or the
-    /// driver's exchange.
+    /// Propagates a panic raised inside a chip's run or the driver's
+    /// exchange. A worker that panics drops its reply channel, so the
+    /// driver's wait for it panics in turn; an unwinding driver drops
+    /// every window channel, which ends the other workers.
     pub fn run(&mut self, cycles: u64) {
         let end = self.now + cycles;
-        if cycles > 0 && self.worker_count() > 1 {
-            return self.run_threaded(end);
-        }
-        while self.now < end {
-            let start = self.now;
-            let stop = self.fabric.open_window(start, end, &self.ports);
-            for chip in &mut self.chips {
-                chip.run(stop - start);
-            }
-            Self::replay(&mut self.fabric, &self.ports, start, stop);
-            self.now = stop;
-            self.sync_rounds += 1;
-        }
-    }
-
-    /// The windowed loop of [`Rack::run`] with chips computing on worker
-    /// threads.
-    fn run_threaded(&mut self, end: Cycle) {
-        let workers = self.worker_count();
-        // Split borrows: workers own disjoint chip chunks for the whole
+        let chunk_len = self.chips.len().div_ceil(self.worker_count());
+        // Split borrows: each chunk is owned by one thread for the whole
         // run; the driver keeps the fabric and the port handles.
         let Rack {
             chips,
@@ -420,91 +408,39 @@ impl Rack {
             sync_rounds,
             ..
         } = self;
-        let chunk_len = chips.len().div_ceil(workers);
-        // Ceil-divided chunks can come out fewer than `workers` (e.g. 5
-        // chips over 4 workers yield 3 chunks of <=2): the barrier must be
-        // sized to the threads that actually exist or everyone deadlocks.
-        let chunks: Vec<&mut [Chip]> = chips.chunks_mut(chunk_len).collect();
-        // One rendezvous opens a window's compute step and one closes it.
-        // The driver publishes each window's end (a `Release` store the
-        // workers' `Acquire` load pairs with; the barrier orders them as
-        // well) before opening it, and
-        // after the last window opens one more rendezvous with the end set
-        // to `DONE`, which dismisses the workers. A panicking participant
-        // — worker *or* driver — keeps honoring the protocol (skipping its
-        // work, and the driver opens no further window) so no thread is
-        // ever left waiting, and re-raises its payload once the workers
-        // are dismissed.
-        const DONE: u64 = u64::MAX;
-        let barrier = Barrier::new(chunks.len() + 1);
-        let window_end = AtomicU64::new(DONE);
-        let poisoned = AtomicBool::new(false);
-        let mut driver_payload = None;
+        let mut chunks = chips.chunks_mut(chunk_len);
+        let own = chunks.next().expect("a torus has at least one node");
         std::thread::scope(|s| {
-            for chunk in chunks {
-                s.spawn(|| {
-                    let mut payload = None;
-                    loop {
-                        barrier.wait();
-                        let stop = window_end.load(Ordering::Acquire);
-                        if stop == DONE {
-                            break;
-                        }
-                        if payload.is_none() && !poisoned.load(Ordering::Acquire) {
-                            let r = catch_unwind(AssertUnwindSafe(|| {
-                                for chip in chunk.iter_mut() {
-                                    chip.run(Cycle(stop) - chip.now());
-                                }
-                            }));
-                            if let Err(p) = r {
-                                poisoned.store(true, Ordering::Release);
-                                payload = Some(p);
+            let workers: Vec<(Sender<Cycle>, Receiver<()>)> = chunks
+                .map(|chunk| {
+                    let (window_tx, window_rx) = channel();
+                    let (done_tx, done_rx) = channel();
+                    s.spawn(move || {
+                        for stop in window_rx {
+                            Self::compute(chunk, stop);
+                            if done_tx.send(()).is_err() {
+                                break;
                             }
                         }
-                        barrier.wait();
-                    }
-                    if let Some(p) = payload {
-                        resume_unwind(p);
-                    }
-                });
-            }
-            // Driver loop. Exchange panics (e.g. a hard assert on an
-            // out-of-range destination inside the replay) must not unwind
-            // past the barrier protocol: workers would block on a
-            // rendezvous the driver never reaches and the scope join would
-            // deadlock. Trap them, dismiss the workers, re-raise after the
-            // scope.
-            let trap = |driver_payload: &mut Option<_>, f: &mut dyn FnMut()| {
-                if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
-                    poisoned.store(true, Ordering::Release);
-                    *driver_payload = Some(p);
-                }
-            };
-            while *now < end && !poisoned.load(Ordering::Acquire) {
+                    });
+                    (window_tx, done_rx)
+                })
+                .collect();
+            while *now < end {
                 let start = *now;
-                let mut stop = None;
-                trap(&mut driver_payload, &mut || {
-                    stop = Some(fabric.open_window(start, end, ports));
-                });
-                let Some(stop) = stop else { break };
-                window_end.store(stop.0, Ordering::Release);
-                barrier.wait(); // open the compute step
-                barrier.wait(); // close the compute step
-                if poisoned.load(Ordering::Acquire) {
-                    break;
+                let stop = fabric.open_window(start, end, ports);
+                for (window, _) in &workers {
+                    window.send(stop).expect("a rack worker panicked");
                 }
-                trap(&mut driver_payload, &mut || {
-                    Self::replay(fabric, ports, start, stop);
-                    *now = stop;
-                    *sync_rounds += 1;
-                });
+                Self::compute(own, stop);
+                for (_, done) in &workers {
+                    done.recv().expect("a rack worker panicked");
+                }
+                Self::replay(fabric, ports, start, stop);
+                *now = stop;
+                *sync_rounds += 1;
             }
-            window_end.store(DONE, Ordering::Release);
-            barrier.wait(); // dismiss the workers
         });
-        if let Some(p) = driver_payload {
-            resume_unwind(p);
-        }
     }
 
     /// Total operations completed across all nodes (successful and failed
@@ -568,27 +504,17 @@ impl Rack {
         self.fabric.link_report()
     }
 
-    /// As [`link_report`](Rack::link_report), reusing `out`'s allocation —
-    /// for periodic sampling inside measurement loops.
-    pub fn link_report_into(&self, out: &mut Vec<LinkReport>) {
-        self.fabric.link_report_into(out);
-    }
-
     /// Per-link load imbalance: busiest link's total bytes over the mean of
     /// all loaded links (1.0 when balanced or idle); allocation-free.
     pub fn link_byte_skew(&self) -> f64 {
         self.fabric.link_byte_skew()
     }
 
-    /// Write the per-directed-link report to `w` in the given `format` —
-    /// machine-readable output for hotspot and congestion studies.
-    pub fn write_link_report(&self, w: &mut dyn Write, format: LinkReportFormat) -> io::Result<()> {
-        let links = self.link_report();
-        let body = match format {
-            LinkReportFormat::Csv => link_report_csv(&links),
-            LinkReportFormat::Json => link_report_json(&links),
-        };
-        w.write_all(body.as_bytes())
+    /// Write the per-directed-link report to `w` as CSV (one header line
+    /// plus one row per directed link) — machine-readable output for
+    /// hotspot and congestion studies.
+    pub fn write_link_report(&self, w: &mut dyn Write) -> io::Result<()> {
+        w.write_all(link_report_csv(&self.link_report()).as_bytes())
     }
 
     /// Mean RRPP service latency of each node, in node-id order — skewed
@@ -693,10 +619,10 @@ mod tests {
     }
 
     /// Regression: when ceil-divided chip chunks come out fewer than the
-    /// requested workers (5 chips over 4 threads yield 3 chunks), the
-    /// barrier must be sized to the real thread count — this config used
-    /// to deadlock. Also asserts the uneven split stays
-    /// bit-identical to the serial path.
+    /// requested workers (5 chips over 4 threads yield 3 chunks), the run
+    /// must wait only on the threads that exist — this config used to
+    /// deadlock. Also asserts the uneven split stays bit-identical to the
+    /// serial path.
     #[test]
     fn uneven_chip_chunks_neither_deadlock_nor_diverge() {
         let build = |threads: usize| {
@@ -728,8 +654,8 @@ mod tests {
     /// A panic on the *driver* thread during the exchange (here: the
     /// fabric's hard assert on an out-of-range destination firing inside
     /// the outbox replay) must propagate out of the threaded `Rack::run`
-    /// instead of leaving the workers parked on a barrier the driver never
-    /// reaches. Runs under a watchdog so a regression fails instead of
+    /// instead of leaving the workers waiting for a window the driver never
+    /// sends. Runs under a watchdog so a regression fails instead of
     /// hanging the suite.
     #[test]
     fn driver_phase_panic_propagates_instead_of_deadlocking() {
@@ -781,8 +707,9 @@ mod tests {
         }
     }
 
-    /// A panic inside one chip's compute step must propagate out of the
-    /// threaded `Rack::run` instead of deadlocking the barrier protocol.
+    /// A panic inside one chip's compute step on a worker thread must
+    /// propagate out of the threaded `Rack::run` instead of leaving the
+    /// driver waiting for that worker's reply.
     #[test]
     fn worker_panic_propagates_out_of_the_threaded_run() {
         let cfg = RackSimConfig {
@@ -817,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn link_report_serializes_to_csv_and_json() {
+    fn link_report_serializes_to_csv() {
         let cfg = RackSimConfig {
             torus: Torus3D::new(2, 1, 1),
             chip: ChipConfig {
@@ -829,17 +756,10 @@ mod tests {
         let mut rack = Rack::new(cfg, Workload::SyncRead { size: 64 });
         rack.run(3_000);
         let mut csv = Vec::new();
-        rack.write_link_report(&mut csv, LinkReportFormat::Csv)
-            .expect("in-memory write");
+        rack.write_link_report(&mut csv).expect("in-memory write");
         let csv = String::from_utf8(csv).expect("utf8");
         // Header plus one row per directed link (2 nodes x 6 directions).
         assert_eq!(csv.lines().count(), 1 + 12);
         assert!(csv.starts_with(LinkReport::CSV_HEADER));
-        let mut json = Vec::new();
-        rack.write_link_report(&mut json, LinkReportFormat::Json)
-            .expect("in-memory write");
-        let json = String::from_utf8(json).expect("utf8");
-        assert_eq!(json.matches("\"node\":").count(), 12);
-        assert!(json.trim_start().starts_with('[') && json.trim_end().ends_with(']'));
     }
 }

@@ -55,7 +55,7 @@ fn numa_workload_round_trips_through_the_edge() {
     let ops = chip.cores[0].stats.completed;
     assert!(ops > 10, "NUMA loads must stream: {ops}");
     // Latency floor: NOC to edge + 2 hops + remote service.
-    let mean = chip.cores[0].stats.latency.mean();
+    let mean = chip.cores[0].latency_histogram().stats().mean();
     assert!(mean > 300.0 && mean < 420.0, "NUMA latency {mean}");
 }
 

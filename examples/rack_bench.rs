@@ -18,7 +18,9 @@
 //!    the parallel-tick speedup (reported per size).
 //! 3. **Determinism guard** — the serial and parallel runs of each point
 //!    must produce identical fabric counters, completed ops, hop counts and
-//!    sync rounds; any divergence aborts the benchmark.
+//!    sync rounds, and every `uniform-async` point must complete
+//!    operations (a guard over zero completions compares nothing); any
+//!    divergence aborts the benchmark.
 //!
 //! Two traffic shapes run per sweep:
 //!
@@ -132,7 +134,9 @@ fn main() {
             (Shape::UniformAsync, (2, 2, 2), 6_000),
             (Shape::UniformAsync, (3, 3, 3), 2_500),
             (Shape::UniformAsync, (4, 4, 4), 1_200),
-            (Shape::UniformAsync, (8, 8, 8), 400),
+            // No round trip across the 8x8x8 torus completes within 400
+            // cycles; by 1.2k hundreds have.
+            (Shape::UniformAsync, (8, 8, 8), 1_200),
             (Shape::IdleHeavy, (4, 4, 4), 11_500),
             // Pre-discovery window only (the idle-heavy shape's frontends
             // take ~5.4k cycles to round-robin onto the one active QP):
@@ -178,6 +182,11 @@ fn main() {
         // the parallel run actually gets, not the raw host count.
         let eff_threads = host_threads.min(nodes as usize).max(1);
         let serial = run_point(shape, dims, cycles, 1);
+        assert!(
+            shape != Shape::UniformAsync || serial.fp.completed_ops > 0,
+            "{dims:?}/{}: no operation completed within {cycles} cycles",
+            shape.name()
+        );
         // On a single-core host the parallel run would measure the same
         // configuration twice; reuse the serial numbers.
         let parallel = if host_threads > 1 {

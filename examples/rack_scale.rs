@@ -10,9 +10,7 @@
 use rackni::experiments::{link_byte_skew, Scale};
 use rackni::ni_engine::Frequency;
 use rackni::ni_fabric::Torus3D;
-use rackni::ni_soc::{
-    ChipConfig, LinkReportFormat, Rack, RackSimConfig, TrafficPattern, Workload, ZipfHotspot,
-};
+use rackni::ni_soc::{ChipConfig, Rack, RackSimConfig, TrafficPattern, Workload, ZipfHotspot};
 use rackni::report::{f1, Table};
 
 fn main() {
@@ -123,8 +121,7 @@ fn main() {
     // Machine-readable per-link dump for offline congestion analysis.
     let csv_path = std::path::Path::new("target").join("rack_scale_links.csv");
     let mut csv = std::fs::File::create(&csv_path).expect("create link report");
-    rack.write_link_report(&mut csv, LinkReportFormat::Csv)
-        .expect("write link report");
+    rack.write_link_report(&mut csv).expect("write link report");
     println!("per-link report written to {}\n", csv_path.display());
 
     // Hotspot study: the same rack under Zipf-skewed destinations — the
@@ -158,7 +155,6 @@ fn main() {
     );
     let hot_csv = std::path::Path::new("target").join("rack_scale_links_hotspot.csv");
     let mut f = std::fs::File::create(&hot_csv).expect("create hotspot report");
-    hot.write_link_report(&mut f, LinkReportFormat::Csv)
-        .expect("write hotspot report");
+    hot.write_link_report(&mut f).expect("write hotspot report");
     println!("hotspot per-link report written to {}", hot_csv.display());
 }

@@ -21,48 +21,8 @@ use rackni::ni_soc::{
     Synthetic, TenantMix, Topology, TrafficPattern, Workload,
 };
 
-/// Everything a reordered victim choice, retry, or delivery could perturb:
-/// aggregate and per-node completion counts, traffic/fault/watchdog
-/// counters, and the RRPP latency means (bit-compared — floats diverge if
-/// any sample's *order or timing* moves).
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    sent: u64,
-    responded: u64,
-    incoming: u64,
-    completed_ops: u64,
-    failed_ops: u64,
-    payload_bytes: u64,
-    hops: u64,
-    timeouts: u64,
-    retries: u64,
-    replays: u64,
-    quorum_writes: u64,
-    degraded: u64,
-    rrpp_means: Vec<f64>,
-    per_node_ops: Vec<u64>,
-}
-
-fn fingerprint(rack: &Rack) -> Fingerprint {
-    let fs = rack.fabric_stats();
-    let be = rack.backend_stats();
-    Fingerprint {
-        sent: fs.sent.get(),
-        responded: fs.responded.get(),
-        incoming: fs.incoming_generated.get(),
-        completed_ops: rack.completed_ops(),
-        failed_ops: rack.failed_ops(),
-        payload_bytes: rack.app_payload_bytes(),
-        hops: rack.hops_traversed(),
-        timeouts: be.itt_timeouts.get(),
-        retries: be.itt_retries.get(),
-        replays: be.replays.get(),
-        quorum_writes: be.quorum_writes.get(),
-        degraded: rack.degraded_ops(),
-        rrpp_means: rack.rrpp_mean_latencies(),
-        per_node_ops: rack.chips().iter().map(|c| c.completed_ops()).collect(),
-    }
-}
+mod common;
+use common::{fingerprint, Fingerprint};
 
 /// A healthy seeded rack: 2x2x2 torus, every node issuing async remote
 /// reads. Exercises the frontend poll/dispatch maps, the RRPP pending
@@ -297,10 +257,10 @@ fn chip_run(topology: Topology, cycles: u64) -> Chip {
     chip
 }
 
-/// A lone chip's fingerprint: the rack fields from its own counters, with
-/// `hops` counting NOC flit-hops (a chip's only network), plus the NOC's
-/// `[injected, delivered, inject_rejects, latency sum]`.
-fn chip_fingerprint(chip: &Chip) -> (Fingerprint, [u64; 4]) {
+/// A lone chip's fingerprint — the rack fields from its own counters, with
+/// `hops` counting NOC flit-hops (a chip's only network) and no torus to
+/// drop, stall or escape on — plus its NOC's summed packet latency.
+fn chip_fingerprint(chip: &Chip) -> (Fingerprint, u64) {
     let fs = chip.fabric_stats();
     let be = chip.backend_stats();
     let noc = chip.noc_stats();
@@ -313,6 +273,9 @@ fn chip_fingerprint(chip: &Chip) -> (Fingerprint, [u64; 4]) {
         failed_ops: chip.failed_ops(),
         payload_bytes: chip.app_payload_bytes(),
         hops: noc.flit_hops.get(),
+        dropped: 0,
+        stalls: 0,
+        escapes: 0,
         timeouts: be.itt_timeouts.get(),
         retries: be.itt_retries.get(),
         replays: be.replays.get(),
@@ -320,18 +283,20 @@ fn chip_fingerprint(chip: &Chip) -> (Fingerprint, [u64; 4]) {
         degraded: chip.degraded_ops(),
         rrpp_means: vec![chip.rrpp_mean_latency()],
         per_node_ops: vec![chip.completed_ops()],
+        per_node_noc: vec![[
+            noc.injected_packets.get(),
+            noc.delivered_packets.get(),
+            noc.flit_hops.get(),
+            noc.inject_rejects.get(),
+        ]],
     };
-    let counts = [
-        noc.injected_packets.get(),
-        noc.delivered_packets.get(),
-        noc.inject_rejects.get(),
-        latency as u64,
-    ];
-    (fp, counts)
+    (fp, latency as u64)
 }
 
-/// The recorded fingerprint of a lone chip: every node-level field but the
-/// counts that are zero on these healthy, unreplicated runs.
+/// The recorded fingerprint of a lone chip from its transport counts and
+/// its NOC's `[injected, delivered, inject_rejects, latency sum]`: every
+/// node-level field but the counts that are zero on these healthy,
+/// unreplicated runs.
 fn recorded(
     sent: u64,
     responded: u64,
@@ -339,8 +304,10 @@ fn recorded(
     payload_bytes: u64,
     hops: u64,
     rrpp_mean: f64,
-) -> Fingerprint {
-    Fingerprint {
+    noc: [u64; 4],
+) -> (Fingerprint, u64) {
+    let [injected, delivered, rejects, latency] = noc;
+    let fp = Fingerprint {
         sent,
         responded,
         incoming: sent,
@@ -348,6 +315,9 @@ fn recorded(
         failed_ops: 0,
         payload_bytes,
         hops,
+        dropped: 0,
+        stalls: 0,
+        escapes: 0,
         timeouts: 0,
         retries: 0,
         replays: 0,
@@ -355,7 +325,9 @@ fn recorded(
         degraded: 0,
         rrpp_means: vec![rrpp_mean],
         per_node_ops: vec![completed_ops],
-    }
+        per_node_noc: vec![[injected, delivered, hops, rejects]],
+    };
+    (fp, latency)
 }
 
 /// Pins one mesh chip and one NOC-Out chip to values recorded before the
@@ -367,18 +339,32 @@ fn chip_runs_match_recorded_fingerprints() {
     let cases = [
         (
             Topology::Mesh,
-            recorded(5143, 4595, 396, 612_096, 501_576, 310.3558374543109),
-            [36_975, 36_643, 82_076, 1_226_564],
+            recorded(
+                5143,
+                4595,
+                396,
+                612_096,
+                501_576,
+                310.3558374543109,
+                [36_975, 36_643, 82_076, 1_226_564],
+            ),
         ),
         (
             Topology::NocOut,
-            recorded(2536, 1754, 22, 226_176, 39_299, 1764.4885057471265),
-            [15_676, 15_609, 76_377, 400_117],
+            recorded(
+                2536,
+                1754,
+                22,
+                226_176,
+                39_299,
+                1764.4885057471265,
+                [15_676, 15_609, 76_377, 400_117],
+            ),
         ),
     ];
-    for (topology, fp, noc) in cases {
+    for (topology, want) in cases {
         let got = chip_fingerprint(&chip_run(topology, 6_000));
-        assert_eq!(got, (fp, noc), "{topology:?} chip moved");
+        assert_eq!(got, want, "{topology:?} chip moved");
     }
 }
 

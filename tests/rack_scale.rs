@@ -6,6 +6,9 @@ use rackni::ni_fabric::Torus3D;
 use rackni::ni_mem::Addr;
 use rackni::ni_soc::{Chip, ChipConfig, Rack, RackSimConfig, TrafficPattern, Workload};
 
+mod common;
+use common::fingerprint;
+
 const REMOTE_BASE: u64 = 1 << 40;
 
 fn rack_cfg(torus: Torus3D, active_cores: usize, traffic: TrafficPattern) -> RackSimConfig {
@@ -26,68 +29,6 @@ fn run_until(rack: &mut Rack, limit: u64, mut done: impl FnMut(&Rack) -> bool) {
         rack.tick();
         guard += 1;
         assert!(guard < limit, "rack run exceeded {limit} cycles");
-    }
-}
-
-/// Shared observable fingerprint for every bit-identity test in this file
-/// (thread counts, tick modes): everything a reordered, duplicated, or
-/// dropped delivery could perturb — aggregate and per-node completion
-/// counts, traffic/fault counters, each chip's NOC traffic (which moves if
-/// any on-chip message is added or lost), and the RRPP latency means
-/// (which change if any packet's *timing* moves).
-#[derive(Debug, PartialEq)]
-struct TickFingerprint {
-    sent: u64,
-    responded: u64,
-    incoming: u64,
-    completed_ops: u64,
-    failed_ops: u64,
-    payload_bytes: u64,
-    hops: u64,
-    dropped: u64,
-    stalls: u64,
-    escapes: u64,
-    timeouts: u64,
-    retries: u64,
-    rrpp_means: Vec<f64>,
-    per_node_ops: Vec<u64>,
-    /// Per chip: NOC packets injected, delivered, flit-hops, and
-    /// injection rejects.
-    per_node_noc: Vec<[u64; 4]>,
-}
-
-fn tick_fingerprint(rack: &Rack) -> TickFingerprint {
-    let fs = rack.fabric_stats();
-    let fstats = rack.fault_stats();
-    let be = rack.backend_stats();
-    TickFingerprint {
-        sent: fs.sent.get(),
-        responded: fs.responded.get(),
-        incoming: fs.incoming_generated.get(),
-        completed_ops: rack.completed_ops(),
-        failed_ops: rack.failed_ops(),
-        payload_bytes: rack.app_payload_bytes(),
-        hops: rack.hops_traversed(),
-        dropped: fstats.packets_dropped.get(),
-        stalls: fstats.dead_link_stalls.get(),
-        escapes: fstats.escape_hops.get(),
-        timeouts: be.itt_timeouts.get(),
-        retries: be.itt_retries.get(),
-        rrpp_means: rack.rrpp_mean_latencies(),
-        per_node_ops: rack.chips().iter().map(|c| c.completed_ops()).collect(),
-        per_node_noc: rack
-            .chips()
-            .iter()
-            .map(|c| {
-                let n = c.noc_stats();
-                [
-                    n.injected_packets.get(),
-                    n.delivered_packets.get(),
-                    n.flit_hops.get(),
-                    n.inject_rejects.get(),
-                ]
-            })
-            .collect(),
     }
 }
 
@@ -123,7 +64,7 @@ fn cross_node_write_then_read_round_trips_through_remote_memory() {
         TOKEN,
         "write payload must land in the remote node's memory"
     );
-    let write_lat = rack.chips()[0].cores[0].stats.latency.mean();
+    let write_lat = rack.chips()[0].cores[0].latency_histogram().stats().mean();
     assert!(
         write_lat >= (2 * hops * 70) as f64,
         "write latency {write_lat} beats the 2 x {hops} x 70 network floor"
@@ -138,7 +79,7 @@ fn cross_node_write_then_read_round_trips_through_remote_memory() {
         TOKEN,
         "read must return the value written in phase 1"
     );
-    let mean_lat = rack.chips()[0].cores[0].stats.latency.mean();
+    let mean_lat = rack.chips()[0].cores[0].latency_histogram().stats().mean();
     assert!(
         mean_lat >= (2 * hops * 70) as f64,
         "mean op latency {mean_lat} beats the network floor"
@@ -185,14 +126,14 @@ fn numa_workload_crosses_the_torus() {
         r.chips().iter().all(|c| c.completed_ops() >= 3)
     });
     // One hop each way at 70 cycles plus remote service: well above 140.
-    let lat = rack.chips()[0].cores[0].stats.latency.mean();
+    let lat = rack.chips()[0].cores[0].latency_histogram().stats().mean();
     assert!(lat >= 140.0, "NUMA latency {lat} beats the wire floor");
 }
 
 /// The windowed parallel run is bit-identical to the serial path: the
 /// same seeded 3x3x3 scenario run (a) serially via `Rack::tick`, (b) through
 /// `Rack::run` pinned to one worker, and (c) through `Rack::run` with four
-/// workers must produce equal [`TickFingerprint`]s.
+/// workers must produce equal [`common::Fingerprint`]s.
 #[test]
 fn parallel_rack_is_bit_identical_to_serial_at_any_thread_count() {
     let cycles = 1_500u64;
@@ -213,7 +154,7 @@ fn parallel_rack_is_bit_identical_to_serial_at_any_thread_count() {
     for _ in 0..cycles {
         serial.tick();
     }
-    let want = tick_fingerprint(&serial);
+    let want = fingerprint(&serial);
     assert!(want.completed_ops > 0, "reference run must do real work");
     assert!(want.hops > 0, "reference run must cross the fabric");
 
@@ -221,7 +162,7 @@ fn parallel_rack_is_bit_identical_to_serial_at_any_thread_count() {
         let mut rack = build(threads);
         rack.run(cycles);
         assert_eq!(
-            tick_fingerprint(&rack),
+            fingerprint(&rack),
             want,
             "{threads}-thread run diverged from the serial reference"
         );
@@ -231,7 +172,7 @@ fn parallel_rack_is_bit_identical_to_serial_at_any_thread_count() {
 /// A run with a `FaultPlan` — link kill, node kill, and a repair, with the
 /// ITT watchdog armed — is still a pure function of its config: serial
 /// ticking, one worker, and four workers must produce equal
-/// [`TickFingerprint`]s, fault-path counters and watchdog statistics
+/// [`common::Fingerprint`]s, fault-path counters and watchdog statistics
 /// included. All fault state lives in the driver-side fabric and the
 /// per-chip backends, so thread count can never observe it mid-change.
 #[test]
@@ -262,7 +203,7 @@ fn faulted_rack_runs_are_bit_identical_across_thread_counts() {
     for _ in 0..cycles {
         serial.tick();
     }
-    let want = tick_fingerprint(&serial);
+    let want = fingerprint(&serial);
     assert!(want.completed_ops > 0, "reference run must do work");
     assert!(
         want.dropped > 0 && want.timeouts > 0,
@@ -272,7 +213,7 @@ fn faulted_rack_runs_are_bit_identical_across_thread_counts() {
         let mut rack = build(threads);
         rack.run(cycles);
         assert_eq!(
-            tick_fingerprint(&rack),
+            fingerprint(&rack),
             want,
             "{threads}-thread faulted run diverged from the serial reference"
         );
@@ -289,7 +230,7 @@ fn full_ticks(rack: &Rack) -> Vec<u64> {
 
 /// Run `build(threads)` for `cycles` through a `Rack::tick` loop (one
 /// thread) and through the windowed `Rack::run` at one, two and four
-/// workers: every run must produce the reference's [`TickFingerprint`] and
+/// workers: every run must produce the reference's [`common::Fingerprint`] and
 /// per-chip full-tick counts. Returns the one-worker windowed rack.
 fn assert_windows_match_per_cycle_ticks(cycles: u64, build: impl Fn(usize) -> Rack) -> Rack {
     let mut reference = build(1);
@@ -297,12 +238,12 @@ fn assert_windows_match_per_cycle_ticks(cycles: u64, build: impl Fn(usize) -> Ra
         reference.tick();
     }
     assert_eq!(reference.sync_rounds(), cycles, "one round per tick");
-    let want = (tick_fingerprint(&reference), full_ticks(&reference));
+    let want = (fingerprint(&reference), full_ticks(&reference));
     let runs = [1usize, 2, 4].map(|threads| {
         let mut rack = build(threads);
         rack.run(cycles);
         assert_eq!(
-            (tick_fingerprint(&rack), full_ticks(&rack)),
+            (fingerprint(&rack), full_ticks(&rack)),
             want,
             "windowed run at {threads} threads diverged from per-cycle ticking"
         );
@@ -349,7 +290,7 @@ fn windowed_run_loops_self_addressed_quorum_legs_back_in_the_port() {
     let rack = assert_windows_match_per_cycle_ticks(12_000, |threads| {
         quorum_write_rack(Torus3D::new(2, 1, 1), 70, 16, threads)
     });
-    let fp = tick_fingerprint(&rack);
+    let fp = fingerprint(&rack);
     assert_eq!(
         fp.per_node_ops,
         [16, 16],
@@ -398,8 +339,8 @@ fn split_runs_match_one_run() {
         split.run(cycles - 137);
         assert_eq!(split.now(), whole.now());
         assert_eq!(
-            (tick_fingerprint(&split), full_ticks(&split)),
-            (tick_fingerprint(&whole), full_ticks(&whole)),
+            (fingerprint(&split), full_ticks(&split)),
+            (fingerprint(&whole), full_ticks(&whole)),
             "split run diverged at {threads} threads"
         );
     }
@@ -518,7 +459,7 @@ fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
     for _ in 0..cycles {
         reference.tick();
     }
-    let want = tick_fingerprint(&reference);
+    let want = fingerprint(&reference);
     assert!(want.completed_ops > 0, "reference run must do real work");
     assert!(want.hops > 0, "reference run must cross the fabric");
 
@@ -527,7 +468,7 @@ fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
             let mut rack = build(mode, threads);
             rack.run(cycles);
             assert_eq!(
-                tick_fingerprint(&rack),
+                fingerprint(&rack),
                 want,
                 "{mode:?} tick at {threads} threads diverged from the \
                  serial poll reference"
@@ -562,14 +503,14 @@ fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
             rack.run(5_000);
             rack
         };
-        let want = tick_fingerprint(&run(TickMode::Poll));
+        let want = fingerprint(&run(TickMode::Poll));
         assert!(
             want.completed_ops > 0 && want.hops > 0,
             "{placement:?} on {topology:?} must complete ops across the fabric"
         );
         let event = run(TickMode::Event);
         assert_eq!(
-            tick_fingerprint(&event),
+            fingerprint(&event),
             want,
             "{placement:?} on {topology:?}: event tick diverged from poll"
         );
@@ -615,7 +556,7 @@ fn event_tick_is_bit_identical_to_poll_on_a_faulted_rack() {
     for _ in 0..cycles {
         reference.tick();
     }
-    let want = tick_fingerprint(&reference);
+    let want = fingerprint(&reference);
     assert!(want.completed_ops > 0, "reference run must do work");
     assert!(
         want.dropped > 0 && want.timeouts > 0,
@@ -627,7 +568,7 @@ fn event_tick_is_bit_identical_to_poll_on_a_faulted_rack() {
             let mut rack = build(mode, threads);
             rack.run(cycles);
             assert_eq!(
-                tick_fingerprint(&rack),
+                fingerprint(&rack),
                 want,
                 "{mode:?} tick at {threads} threads diverged from the \
                  serial poll reference on the faulted fabric"
@@ -662,7 +603,7 @@ fn event_tick_matches_poll_after_a_finite_job_drains() {
         );
         let mut rack = Rack::with_scenario(cfg, &job);
         rack.run(30_000);
-        tick_fingerprint(&rack)
+        fingerprint(&rack)
     };
     let poll = run(TickMode::Poll);
     assert_eq!(poll.per_node_ops, [8, 8], "every capped op must complete");
@@ -716,7 +657,7 @@ mod tick_equivalence_props {
                 };
                 let mut rack = Rack::with_scenario(cfg, &*scenario);
                 rack.run(4_000);
-                tick_fingerprint(&rack)
+                fingerprint(&rack)
             };
             let poll = run(TickMode::Poll);
             let event = run(TickMode::Event);
