@@ -1,52 +1,66 @@
 //! Simulator performance: simulated cycles per wall-clock second for the
-//! configurations the experiment harness runs most, measured head-to-head
-//! between the poll-everything chip tick and the event-driven tick
-//! (activity sets + next-event skip). Not a paper artifact — this guards
-//! the reproduction's own usability.
+//! configurations the experiment harness runs most, from single chips to
+//! racks of 2x2x2 up to the paper's 512-node 8x8x8 torus (§1) and a
+//! 4096-node 16x16x16 stretch point, with the poll-everything chip tick and
+//! the event-driven tick (activity sets + next-event skip) head-to-head.
+//! Not a paper artifact — this guards the reproduction's own usability.
 //!
 //! A plain deterministic harness (no statistics framework): every point is
-//! one seeded build plus one timed run, so the output doubles as a
-//! machine-readable trajectory. Three jobs:
+//! a seeded build plus a timed run, so the output doubles as a
+//! machine-readable trajectory. Four jobs:
 //!
 //! 1. **Trajectory** — writes `BENCH_simperf.json` (schema
-//!    `rackni-bench-simperf/1`) at the workspace root, one row per point:
-//!    single-chip microbenchmarks plus idle-heavy and bursty racks at
-//!    2x2x2 / 4x4x4 / 8x8x8, each in both tick modes.
-//! 2. **Speedup gate** (machine-independent) — the event-driven tick must
+//!    `rackni-bench-simperf/2`) at the workspace root, one row per point.
+//!    Rack rows add `build_ms`, `hops` and `sync_rounds` (one per lookahead
+//!    window). Every event-mode rack point runs at one worker
+//!    (`serial_cps`) and at the default worker count (`cps`; `speedup` is
+//!    their ratio); on a one-thread host the serial run fills both. Poll
+//!    twins run once, at the default worker count.
+//! 2. **Determinism guard** — a point's two runs must agree on fabric
+//!    counters, completed ops, hops and sync rounds, and every
+//!    uniform-async and bursty point must complete operations (a guard over
+//!    zero completions compares nothing); either failure aborts the run.
+//! 3. **Speedup gate** (machine-independent) — the event-driven tick must
 //!    clear `MIN_SPEEDUP` (3.0) over the poll tick on the idle-heavy 8x8x8
 //!    rack. Both runs happen on the same host in the same process, so this
 //!    ratio is stable across machines.
-//! 3. **Regression gate** (baseline-relative) — if
+//! 4. **Regression gate** (baseline-relative) — if
 //!    `BENCH_simperf_baseline.json` exists at the workspace root, every
-//!    measured point must reach `TOLERANCE` (0.25) of its recorded
-//!    cycles/sec. The committed baseline is from a slow 1-core container,
-//!    and the wide tolerance absorbs host variance while still catching
-//!    order-of-magnitude regressions.
+//!    point it names must be measured and reach `TOLERANCE` (0.25) of its
+//!    recorded cycles/sec (`cps`). The committed baseline is from a slow
+//!    1-core container, and the wide tolerance absorbs host variance while
+//!    still catching order-of-magnitude regressions.
 //!
-//! `RACKNI_SIMPERF_GATE=off` disables both gates (measurement-only runs on
-//! exotic hosts).
+//! `RACKNI_SCALE=full` adds long-horizon rack points (names ending in
+//! `_full`, among them the 512-node rack at 50k cycles) and leaves the
+//! quick points as they are. `RACKNI_SIMPERF_GATE=off` disables both gates
+//! (measurement-only runs on exotic hosts); the determinism guard always
+//! runs.
 //!
 //! ```sh
 //! cargo bench --bench simperf
+//! RACKNI_SCALE=full cargo bench --bench simperf
 //! RACKNI_SIMPERF_GATE=off cargo bench --bench simperf
 //! ```
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use rackni::experiments::{build_idle_rack_point, build_rack_point};
+use rackni::experiments::{build_idle_rack_point, build_rack_point, Scale};
+use rackni::ni_engine::parallel::default_threads;
 use rackni::ni_rmc::NiPlacement;
 use rackni::ni_soc::{
     Bursty, Chip, ChipConfig, Rack, RackSimConfig, Synthetic, TickMode, TrafficPattern, Workload,
 };
-use rackni::parallel::default_threads;
-use rackni::report::{f1, Table};
+use rackni::report::{f1, read_points, BenchFile, Table};
 
 /// Least event-over-poll speedup on the idle-heavy 8x8x8 rack.
 const MIN_SPEEDUP: f64 = 3.0;
 
 /// Least fraction of its baseline cycles/sec a point may reach.
 const TOLERANCE: f64 = 0.25;
+
+type Dims = (u16, u16, u16);
 
 /// One measured point of the simulator-performance trajectory.
 struct Measured {
@@ -55,6 +69,35 @@ struct Measured {
     wall_ms: f64,
     cps: f64,
     completed_ops: u64,
+    rack: Option<RackRun>,
+}
+
+/// What a rack point adds to its row.
+struct RackRun {
+    build_ms: f64,
+    /// Fabric requests sent, incoming requests and responses delivered.
+    fabric: [u64; 3],
+    hops: u64,
+    sync_rounds: u64,
+    /// One-worker cycles/sec, for event-mode points.
+    serial_cps: Option<f64>,
+}
+
+impl Measured {
+    /// The columns a rerun of the same point must reproduce exactly.
+    fn work(&self) -> (u64, [u64; 3], u64, u64) {
+        let r = self.rack.as_ref().expect("rack point");
+        (self.completed_ops, r.fabric, r.hops, r.sync_rounds)
+    }
+}
+
+/// Builds a rack point's rack on `threads` workers (0 = the default count).
+type Build = fn(Dims, usize, TickMode) -> Rack;
+
+/// The saturated shape `experiments::rack_scale` sweeps: back-to-back async
+/// reads, in the default event tick only.
+fn uniform_async(dims: Dims, threads: usize, _: TickMode) -> Rack {
+    build_rack_point(dims, TrafficPattern::Uniform, threads)
 }
 
 fn mode_tag(mode: TickMode) -> &'static str {
@@ -74,27 +117,82 @@ fn measure_chip(name: &str, mut chip: Chip, cycles: u64) -> Measured {
         wall_ms: wall * 1e3,
         cps: cycles as f64 / wall.max(1e-9),
         completed_ops: chip.completed_ops(),
+        rack: None,
     }
 }
 
-fn measure_rack(name: &str, mut rack: Rack, cycles: u64) -> Measured {
-    let t = Instant::now();
+/// Build and time one run of a rack point on `threads` workers (0 = the
+/// default count). The rack is dropped before returning, so a point's two
+/// runs never hold two racks at once.
+fn time_rack(
+    name: &str,
+    build: Build,
+    dims: Dims,
+    mode: TickMode,
+    cycles: u64,
+    threads: usize,
+) -> Measured {
+    let t0 = Instant::now();
+    let mut rack = build(dims, threads, mode);
+    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let t1 = Instant::now();
     rack.run(cycles);
-    let wall = t.elapsed().as_secs_f64();
+    let wall = t1.elapsed().as_secs_f64();
+    let fs = rack.fabric_stats();
     Measured {
         name: name.to_string(),
         cycles,
         wall_ms: wall * 1e3,
         cps: cycles as f64 / wall.max(1e-9),
         completed_ops: rack.completed_ops(),
+        rack: Some(RackRun {
+            build_ms,
+            fabric: [
+                fs.sent.get(),
+                fs.incoming_generated.get(),
+                fs.responded.get(),
+            ],
+            hops: rack.hops_traversed(),
+            sync_rounds: rack.sync_rounds(),
+            serial_cps: None,
+        }),
     }
+}
+
+/// Measure one rack point. An event-mode point is timed at one worker and
+/// at the default worker count, and the two runs must agree (see the
+/// module docs); a poll twin is timed once, at the default worker count.
+fn measure_rack(shape: &str, build: Build, dims: Dims, mode: TickMode, cycles: u64) -> Measured {
+    let (x, y, z) = dims;
+    let name = format!("{shape}_{x}x{y}x{z}_{}", mode_tag(mode));
+    let first_threads = if mode == TickMode::Event { 1 } else { 0 };
+    let mut m = time_rack(&name, build, dims, mode, cycles, first_threads);
+    if mode == TickMode::Event {
+        let serial_cps = m.cps;
+        if default_threads() > 1 {
+            let parallel = time_rack(&name, build, dims, mode, cycles, 0);
+            assert_eq!(
+                parallel.work(),
+                m.work(),
+                "{name}: the default-worker run diverged from the one-worker run \
+                 (ops, fabric sent/incoming/responded, hops, sync rounds)"
+            );
+            m = parallel;
+        }
+        m.rack.as_mut().expect("rack point").serial_cps = Some(serial_cps);
+    }
+    assert!(
+        shape == "idle_heavy" || m.completed_ops > 0,
+        "{name}: no operation completed within {cycles} cycles"
+    );
+    m
 }
 
 /// The *bursty* shape: shorter think-time windows than the idle-heavy rack
 /// point (8-op bursts against 100-cycle windows, 32-cycle poll backoff),
 /// so full ticks are a much larger fraction of the run — the regime where
 /// the event tick's win is modest and its bookkeeping overhead would show.
-fn build_bursty_rack(dims: (u16, u16, u16), mode: TickMode) -> Rack {
+fn build_bursty_rack(dims: Dims, threads: usize, mode: TickMode) -> Rack {
     use rackni::ni_fabric::Torus3D;
     let mut chip = ChipConfig {
         active_cores: 2,
@@ -107,7 +205,7 @@ fn build_bursty_rack(dims: (u16, u16, u16), mode: TickMode) -> Rack {
         torus: Torus3D::new(dims.0, dims.1, dims.2),
         chip,
         traffic: TrafficPattern::Uniform,
-        threads: 0,
+        threads,
         ..RackSimConfig::default()
     };
     let scenario = Bursty::new(
@@ -130,44 +228,12 @@ fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Extract `"key": <number>` from a single JSON row (the files this bench
-/// writes put one point per line, so line-wise scanning is exact).
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Baseline cycles/sec per point name, read from a previous run's JSON.
-fn read_baseline(path: &Path) -> Option<Vec<(String, f64)>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    Some(
-        text.lines()
-            .filter_map(|l| {
-                let name = json_str(l, "name")?;
-                let cps = json_num(l, "cps")?;
-                Some((name.to_string(), cps))
-            })
-            .collect(),
-    )
-}
-
 fn main() {
+    let scale = Scale::from_env();
+    let host_threads = default_threads();
     println!(
         "rackni simperf: simulator cycles/sec, poll vs event-driven chip \
-         ticking (host threads {})\n",
-        default_threads()
+         ticking, one vs default workers (scale {scale:?}, host threads {host_threads})\n"
     );
     let mut results: Vec<Measured> = Vec::new();
 
@@ -189,53 +255,110 @@ fn main() {
         5_000,
     ));
 
-    // Rack sweeps: idle-heavy (the event tick's home regime) and bursty
-    // (short windows; checks the bookkeeping doesn't cost more than it
-    // saves), each size in both tick modes on identical seeded workloads.
-    // One full burst-plus-think period (~11.5k cycles) per point, so the
-    // measured ratio reflects the workload's true duty cycle rather than
-    // over- or under-weighting the burst tail.
-    let idle_sizes: [((u16, u16, u16), u64); 3] = [
-        ((2, 2, 2), 11_500),
-        ((4, 4, 4), 11_500),
-        ((8, 8, 8), 11_500),
+    // Rack points: (shape, dims, cycles, with a poll twin). The idle-heavy
+    // racks run one full burst-plus-think period (~11.5k cycles), so the
+    // measured event/poll ratio reflects the workload's true duty cycle.
+    // The 16x16x16 idle-heavy point is pre-discovery only (its frontends
+    // take ~5.4k cycles to round-robin onto the one active QP): it prices
+    // the 4096-node build and the dormant path, not traffic. The bursty
+    // racks run past their first completions (cycles 800-1 000). The
+    // uniform-async horizons let hundreds of round trips complete at every
+    // size, the 8x8x8 torus included.
+    let idle: Build = build_idle_rack_point;
+    let quick: [(&str, Build, Dims, u64, bool); 9] = [
+        ("idle_heavy", idle, (2, 2, 2), 11_500, true),
+        ("idle_heavy", idle, (4, 4, 4), 11_500, true),
+        ("idle_heavy", idle, (8, 8, 8), 11_500, true),
+        ("idle_heavy", idle, (16, 16, 16), 600, false),
+        ("bursty", build_bursty_rack, (8, 8, 8), 2_400, true),
+        ("uniform_async", uniform_async, (2, 2, 2), 6_000, false),
+        ("uniform_async", uniform_async, (3, 3, 3), 2_500, false),
+        ("uniform_async", uniform_async, (4, 4, 4), 1_200, false),
+        ("uniform_async", uniform_async, (8, 8, 8), 1_200, false),
     ];
-    for (dims, cycles) in idle_sizes {
-        for mode in [TickMode::Event, TickMode::Poll] {
-            let name = format!(
-                "idle_heavy_{}x{}x{}_{}",
-                dims.0,
-                dims.1,
-                dims.2,
-                mode_tag(mode)
-            );
-            let rack = build_idle_rack_point(dims, 0, mode);
-            results.push(measure_rack(&name, rack, cycles));
+    for (shape, build, dims, cycles, poll_twin) in quick {
+        results.push(measure_rack(shape, build, dims, TickMode::Event, cycles));
+        if poll_twin {
+            results.push(measure_rack(shape, build, dims, TickMode::Poll, cycles));
         }
     }
-    for mode in [TickMode::Event, TickMode::Poll] {
-        let name = format!("bursty_8x8x8_{}", mode_tag(mode));
-        results.push(measure_rack(&name, build_bursty_rack((8, 8, 8), mode), 800));
+    // Full scale adds the 512-node rack at a >=50k-cycle horizon (tens of
+    // thousands of round trips at ~1.1k cycles each) and the 4096-node rack
+    // past WQ discovery, so its bursts cross the fabric.
+    if scale == Scale::Full {
+        let full: [(&str, Build, Dims, u64); 6] = [
+            ("uniform_async", uniform_async, (2, 2, 2), 60_000),
+            ("uniform_async", uniform_async, (3, 3, 3), 60_000),
+            ("uniform_async", uniform_async, (4, 4, 4), 60_000),
+            ("uniform_async", uniform_async, (8, 8, 8), 50_000),
+            ("idle_heavy", idle, (8, 8, 8), 50_000),
+            ("idle_heavy", idle, (16, 16, 16), 8_000),
+        ];
+        for (shape, build, dims, cycles) in full {
+            let mut m = measure_rack(shape, build, dims, TickMode::Event, cycles);
+            m.name.push_str("_full");
+            results.push(m);
+        }
     }
-    // The saturated uniform-async rack point (BENCH_rack.json's workhorse),
-    // for continuity with the rack trajectory.
-    results.push(measure_rack(
-        "uniform_async_4x4x4_event",
-        build_rack_point((4, 4, 4), TrafficPattern::Uniform, 0),
-        1_200,
-    ));
 
-    let mut table = Table::new(&["point", "cycles", "wall (ms)", "cycles/sec", "ops"]);
+    let mut table = Table::new(&[
+        "point",
+        "cycles",
+        "build (ms)",
+        "wall (ms)",
+        "serial cyc/s",
+        "cycles/sec",
+        "speedup",
+        "ops",
+        "hops",
+        "sync rounds",
+    ]);
+    let mut bench = BenchFile::new("rackni-bench-simperf/2", scale);
+    bench.header().num("host_threads", host_threads);
     for m in &results {
+        let dash = || "-".to_string();
+        let serial_cps = m.rack.as_ref().and_then(|r| r.serial_cps);
         table.row_owned(vec![
             m.name.clone(),
             m.cycles.to_string(),
+            m.rack.as_ref().map_or_else(dash, |r| f1(r.build_ms)),
             f1(m.wall_ms),
+            serial_cps.map_or_else(dash, f1),
             f1(m.cps),
+            serial_cps.map_or_else(dash, |s| format!("{:.2}x", m.cps / s)),
             m.completed_ops.to_string(),
+            m.rack.as_ref().map_or_else(dash, |r| r.hops.to_string()),
+            m.rack
+                .as_ref()
+                .map_or_else(dash, |r| r.sync_rounds.to_string()),
         ]);
+        let row = bench.point();
+        row.str("name", &m.name)
+            .num("cycles", m.cycles)
+            .float("wall_ms", m.wall_ms, 2)
+            .float("cps", m.cps, 1)
+            .num("completed_ops", m.completed_ops);
+        if let Some(r) = &m.rack {
+            row.float("build_ms", r.build_ms, 1)
+                .num("hops", r.hops)
+                .num("sync_rounds", r.sync_rounds);
+            if let Some(s) = r.serial_cps {
+                row.float("serial_cps", s, 1).float("speedup", m.cps / s, 4);
+            }
+        }
     }
     println!("{}", table.render());
+    if host_threads > 1 {
+        println!(
+            "one-worker and default-worker runs agreed on ops, fabric counters, \
+             hops and sync rounds at every event-mode rack point (determinism guard passed)"
+        );
+    } else {
+        println!(
+            "single-thread host: each event-mode point ran once, so its default-worker \
+             columns repeat the serial run (set RACKNI_THREADS on a bigger box)"
+        );
+    }
 
     let cps_of = |name: &str| {
         results
@@ -252,24 +375,8 @@ fn main() {
     let bursty_speedup = cps_of("bursty_8x8x8_event") / cps_of("bursty_8x8x8_poll");
     println!("bursty 8x8x8: event tick {bursty_speedup:.2}x over poll");
 
-    // Trajectory file, one point per line (the baseline reader depends on
-    // the line-wise layout).
-    let rows: Vec<String> = results
-        .iter()
-        .map(|m| {
-            format!(
-                r#"    {{"name": "{}", "cycles": {}, "wall_ms": {:.2}, "cps": {:.1}, "completed_ops": {}}}"#,
-                m.name, m.cycles, m.wall_ms, m.cps, m.completed_ops
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"schema\": \"rackni-bench-simperf/1\",\n  \"host_threads\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
-        default_threads(),
-        rows.join(",\n")
-    );
     let out = workspace_root().join("BENCH_simperf.json");
-    std::fs::write(&out, &json).expect("write BENCH_simperf.json");
+    bench.write(&out).expect("write BENCH_simperf.json");
     println!("\nsimperf trajectory written to {}", out.display());
 
     if std::env::var("RACKNI_SIMPERF_GATE").as_deref() == Ok("off") {
@@ -293,23 +400,31 @@ fn main() {
         println!("gate: idle-heavy 8x8x8 event speedup {speedup:.2}x >= {MIN_SPEEDUP:.1}x");
     }
 
-    // Gate 2 (baseline-relative): no point may collapse below the
-    // tolerance fraction of its committed baseline cycles/sec.
+    // Gate 2 (baseline-relative): every baselined point must be measured
+    // (a renamed point or a drifted row format would otherwise switch its
+    // gate off) and reach the tolerance fraction of its baseline.
     let baseline_path = workspace_root().join("BENCH_simperf_baseline.json");
-    match read_baseline(&baseline_path) {
-        None => println!(
+    match std::fs::read_to_string(&baseline_path) {
+        Err(_) => println!(
             "no baseline at {} — regression gate skipped",
             baseline_path.display()
         ),
-        Some(baseline) => {
-            let mut checked = 0;
-            for (name, base_cps) in &baseline {
-                let Some(m) = results.iter().find(|m| &m.name == name) else {
-                    // A renamed/retired point is a baseline-refresh job,
-                    // not a perf regression.
+        Ok(text) => {
+            let baseline = read_points(&text).expect("BENCH_simperf_baseline.json parses");
+            for point in &baseline {
+                let (Some(name), Some(base_cps)) = (
+                    point.get("name"),
+                    point.get("cps").and_then(|c| c.parse::<f64>().ok()),
+                ) else {
+                    eprintln!("GATE FAIL: baseline point without a name or cps: {point:?}");
+                    failed = true;
                     continue;
                 };
-                checked += 1;
+                let Some(m) = results.iter().find(|m| m.name == name) else {
+                    eprintln!("GATE FAIL: baselined point {name} was not measured");
+                    failed = true;
+                    continue;
+                };
                 let floor = base_cps * TOLERANCE;
                 if m.cps < floor {
                     eprintln!(
@@ -322,8 +437,8 @@ fn main() {
             }
             if !failed {
                 println!(
-                    "gate: all {checked} baselined points within {TOLERANCE}x of \
-                     {}",
+                    "gate: all {} baselined points measured and within {TOLERANCE}x of {}",
+                    baseline.len(),
                     baseline_path.display()
                 );
             }

@@ -7,6 +7,7 @@
 //! [`Scale`] so CI runs stay fast while full runs match the paper's
 //! methodology.
 
+use ni_engine::parallel::par_map;
 use ni_engine::Frequency;
 use ni_fabric::{Dir, FaultPlan, ReplicaCfg, RoutingKind, Torus3D};
 use ni_metrics::{interference_index, SloSummary};
@@ -20,7 +21,6 @@ use ni_soc::{
 };
 
 use crate::paper;
-use crate::parallel::par_map;
 use crate::report::{f1, pct, Table};
 
 /// Experiment scale: trade fidelity for wall-clock time.
@@ -536,10 +536,10 @@ fn rack_point_cycles(scale: Scale, dims: (u16, u16, u16)) -> u64 {
 /// Build (without running) the sweep's canonical rack for one dims point:
 /// NIedge chips, four requesting cores per node, 512B async reads. This is
 /// the single source of truth for the rack-throughput baseline — the
-/// `rack_scale` sweep, its render, and the `rack_bench` example (the
-/// `BENCH_rack.json` trajectory) all construct their racks here, so they
-/// always measure the same experiment. `threads` is the compute-phase
-/// worker count (0 = auto, 1 = serial).
+/// `rack_scale` sweep, its render, and the `simperf` bench's
+/// `uniform_async_*` points (the `BENCH_simperf.json` trajectory) all
+/// construct their racks here, so they always measure the same experiment.
+/// `threads` is the compute-phase worker count (0 = auto, 1 = serial).
 pub fn build_rack_point(dims: (u16, u16, u16), traffic: TrafficPattern, threads: usize) -> Rack {
     let cfg = RackSimConfig {
         torus: Torus3D::new(dims.0, dims.1, dims.2),
@@ -748,12 +748,6 @@ pub struct ScenarioPoint {
     pub cycles: u64,
 }
 
-/// Busiest-link bytes over the mean bytes of all loaded links (delegates to
-/// the fabric's allocation-free accumulator scan).
-pub fn link_byte_skew(rack: &Rack) -> f64 {
-    rack.link_byte_skew()
-}
-
 fn rrpp_latency_skew(rack: &Rack) -> f64 {
     let lats: Vec<f64> = rack
         .rrpp_mean_latencies()
@@ -790,7 +784,7 @@ pub fn run_scenario_point(scenario: &dyn Scenario, cycles: u64) -> ScenarioPoint
         agg_ni_gbps: Frequency::GHZ2
             .gbps_from_bytes_per_cycle(rack.app_payload_bytes() as f64 / cycles.max(1) as f64),
         peak_link_gbps: rack.peak_link_gbps(),
-        link_skew: link_byte_skew(&rack),
+        link_skew: rack.link_byte_skew(),
         rrpp_skew: rrpp_latency_skew(&rack),
         hops: rack.hops_traversed(),
         cycles,
@@ -895,6 +889,32 @@ fn routing_ops_per_core(scale: Scale) -> u64 {
     }
 }
 
+/// Run `scenario` capped at `ops_per_core` ops per active core on a serial
+/// rack built from `cfg`, in 200-cycle slices (a tight completion cycle
+/// without checking every cycle), until every capped op completes or
+/// `horizon` passes; `observe` sees the rack after each slice. Returns the
+/// rack and the op count the job expects.
+fn run_capped_job(
+    cfg: RackSimConfig,
+    scenario: Box<dyn Scenario>,
+    ops_per_core: u64,
+    horizon: u64,
+    mut observe: impl FnMut(&Rack),
+) -> (Rack, u64) {
+    // Grid cells already saturate the host via `par_map`; nesting the
+    // rack's worker pool inside would oversubscribe it.
+    let cfg = RackSimConfig { threads: 1, ..cfg };
+    let expected_ops = u64::from(cfg.torus.nodes()) * cfg.chip.active_cores as u64 * ops_per_core;
+    let capped = Capped::new(scenario, ops_per_core);
+    let mut rack = Rack::with_scenario(cfg, &capped);
+    const SLICE: u64 = 200;
+    while rack.completed_ops() < expected_ops && rack.now().0 < horizon {
+        rack.run(SLICE.min(horizon - rack.now().0));
+        observe(&rack);
+    }
+    (rack, expected_ops)
+}
+
 /// Run one cell of the routing grid: `scenario` capped at `ops_per_core`
 /// ops per core on a `dims` rack routed by `routing`, until the job
 /// completes (or `horizon` cycles pass).
@@ -906,28 +926,16 @@ pub fn run_routing_point(
     ops_per_core: u64,
     horizon: u64,
 ) -> RoutingPoint {
-    let active_cores = 2;
     let cfg = RackSimConfig {
         torus: Torus3D::new(dims.0, dims.1, dims.2),
         chip: ChipConfig {
-            active_cores,
+            active_cores: 2,
             ..ChipConfig::default()
         },
         routing,
-        // Grid points already saturate the host via `par_map`; nesting the
-        // rack's worker pool inside would oversubscribe it.
-        threads: 1,
         ..RackSimConfig::default()
     };
-    let expected_ops = u64::from(cfg.torus.nodes()) * active_cores as u64 * ops_per_core;
-    let capped = Capped::new(scenario, ops_per_core);
-    let mut rack = Rack::with_scenario(cfg, &capped);
-    // Step in 200-cycle slices so the completion cycle is tight without
-    // checking every cycle.
-    const SLICE: u64 = 200;
-    while rack.completed_ops() < expected_ops && rack.now().0 < horizon {
-        rack.run(SLICE.min(horizon - rack.now().0));
-    }
+    let (rack, expected_ops) = run_capped_job(cfg, scenario, ops_per_core, horizon, |_| {});
     let hist = rack.read_latency_histogram();
     RoutingPoint {
         scenario: scenario_label,
@@ -1181,10 +1189,9 @@ pub fn run_failure_point(
     fault: FaultCase,
     params: FailureParams,
 ) -> FailurePoint {
-    let active_cores = 2;
     let torus = Torus3D::new(dims.0, dims.1, dims.2);
     let mut chip = ChipConfig {
-        active_cores,
+        active_cores: 2,
         ..ChipConfig::default()
     };
     // The ITT watchdog is the recovery story for erased traffic; without
@@ -1196,18 +1203,10 @@ pub fn run_failure_point(
         chip,
         routing,
         faults: fault.plan(torus, params.kill_at),
-        // Grid cells already saturate the host via `par_map`; nesting the
-        // rack's worker pool inside would oversubscribe it.
-        threads: 1,
         ..RackSimConfig::default()
     };
-    let expected_ops = u64::from(torus.nodes()) * active_cores as u64 * params.ops_per_core;
-    let capped = Capped::new(scenario, params.ops_per_core);
-    let mut rack = Rack::with_scenario(cfg, &capped);
-    const SLICE: u64 = 200;
-    while rack.completed_ops() < expected_ops && rack.now().0 < params.horizon {
-        rack.run(SLICE.min(params.horizon - rack.now().0));
-    }
+    let (rack, expected_ops) =
+        run_capped_job(cfg, scenario, params.ops_per_core, params.horizon, |_| {});
     let hist = rack.read_latency_histogram();
     let be = rack.backend_stats();
     let fs = rack.fault_stats();
@@ -1462,10 +1461,9 @@ pub fn run_availability_point(
     w: u8,
     params: FailureParams,
 ) -> AvailabilityPoint {
-    let active_cores = 2;
     let torus = Torus3D::new(dims.0, dims.1, dims.2);
     let mut chip = ChipConfig {
-        active_cores,
+        active_cores: 2,
         ..ChipConfig::default()
     };
     chip.rmc.itt_timeout = params.itt_timeout;
@@ -1483,26 +1481,20 @@ pub fn run_availability_point(
         chip,
         routing: RoutingKind::FaultAdaptive,
         faults: plan,
-        // Grid cells already saturate the host via `par_map`.
-        threads: 1,
         ..RackSimConfig::default()
     };
-    let expected_ops = u64::from(torus.nodes()) * active_cores as u64 * params.ops_per_core;
-    let capped = Capped::new(scenario, params.ops_per_core);
-    let mut rack = Rack::with_scenario(cfg, &capped);
-    const SLICE: u64 = 200;
     // Track when the rack last *looked* degraded: the last slice boundary
     // at which a failed or degraded completion landed.
     let mut last_degraded_activity = 0u64;
     let mut seen = (0u64, 0u64);
-    while rack.completed_ops() < expected_ops && rack.now().0 < params.horizon {
-        rack.run(SLICE.min(params.horizon - rack.now().0));
-        let cur = (rack.failed_ops(), rack.degraded_ops());
-        if cur != seen {
-            seen = cur;
-            last_degraded_activity = rack.now().0;
-        }
-    }
+    let (rack, expected_ops) =
+        run_capped_job(cfg, scenario, params.ops_per_core, params.horizon, |rack| {
+            let cur = (rack.failed_ops(), rack.degraded_ops());
+            if cur != seen {
+                seen = cur;
+                last_degraded_activity = rack.now().0;
+            }
+        });
     let (mut lost_reads, mut corpse_failed_reads) = (0u64, 0u64);
     for (node, c) in rack.chips().iter().enumerate() {
         if killed.contains(&(node as u32)) {

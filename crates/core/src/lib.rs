@@ -31,7 +31,6 @@
 
 pub mod experiments;
 pub mod paper;
-pub mod parallel;
 pub mod report;
 
 pub use ni_coherence;

@@ -1,6 +1,11 @@
-//! Plain-text table formatting for the experiment reports.
+//! Report output: plain-text tables for the experiment reports, and the
+//! one writer and reader of the `BENCH_*.json` files.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::io;
+use std::path::Path;
+
+use crate::experiments::Scale;
 
 /// A simple fixed-width table printer.
 ///
@@ -80,6 +85,132 @@ pub fn pct(x: f64) -> String {
     format!("{x:.1}%")
 }
 
+/// One flat JSON object — a `BENCH_*.json` header or one of its points —
+/// as `(key, value text)` pairs in insertion order.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct JsonRow {
+    fields: Vec<(String, String)>,
+}
+
+impl JsonRow {
+    /// Append a string field. Strings are written unescaped.
+    ///
+    /// # Panics
+    /// Panics if the value holds a `"` or a `\`.
+    pub fn str(&mut self, key: &str, value: impl Display) -> &mut JsonRow {
+        let value = value.to_string();
+        assert!(
+            !value.contains(['"', '\\']),
+            "BENCH strings are written unescaped: {value:?}"
+        );
+        self.num(key, format!("\"{value}\""))
+    }
+
+    /// Append a field written as `value` displays: an integer or a boolean.
+    pub fn num(&mut self, key: &str, value: impl Display) -> &mut JsonRow {
+        self.fields.push((key.to_string(), value.to_string()));
+        self
+    }
+
+    /// Append a float field with `decimals` digits after the point.
+    pub fn float(&mut self, key: &str, value: f64, decimals: usize) -> &mut JsonRow {
+        self.num(key, format!("{value:.decimals$}"))
+    }
+
+    /// The value of `key` as written, without a string's quotes.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        let (_, text) = self.fields.iter().find(|(k, _)| k == key)?;
+        Some(text.trim_matches('"'))
+    }
+
+    fn render(&self) -> String {
+        let fields: Vec<String> = self
+            .fields
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        format!("{{{}}}", fields.join(", "))
+    }
+
+    /// Parse one point line as [`BenchFile`] writes it, or `None` if the
+    /// line is not in that format. No value holds a `"`, so `, "` can only
+    /// start the next field.
+    fn parse(line: &str) -> Option<JsonRow> {
+        let mut row = JsonRow::default();
+        for field in line.strip_prefix("{\"")?.strip_suffix('}')?.split(", \"") {
+            let (key, text) = field.split_once("\": ")?;
+            row.num(key, text);
+        }
+        Some(row)
+    }
+}
+
+/// A `BENCH_*.json` file: its header fields one per line, then a `points`
+/// array one point per line, so [`read_points`] can read it line by line.
+#[derive(Debug)]
+pub struct BenchFile {
+    header: JsonRow,
+    points: Vec<JsonRow>,
+}
+
+impl BenchFile {
+    /// Start a file tagged with its `schema` and the `scale` it ran at.
+    pub fn new(schema: &str, scale: Scale) -> BenchFile {
+        let mut header = JsonRow::default();
+        header
+            .str("schema", schema)
+            .str("scale", format!("{scale:?}").to_lowercase());
+        BenchFile {
+            header,
+            points: Vec::new(),
+        }
+    }
+
+    /// The header, for fields after `schema` and `scale`.
+    pub fn header(&mut self) -> &mut JsonRow {
+        &mut self.header
+    }
+
+    /// Append an empty point to fill in.
+    pub fn point(&mut self) -> &mut JsonRow {
+        self.points.push(JsonRow::default());
+        self.points.last_mut().expect("a point was just pushed")
+    }
+
+    fn render(&self) -> String {
+        let mut out = String::from("{\n");
+        for (k, v) in &self.header.fields {
+            let _ = writeln!(out, "  \"{k}\": {v},");
+        }
+        let points: Vec<String> = self
+            .points
+            .iter()
+            .map(|p| format!("    {}", p.render()))
+            .collect();
+        let _ = write!(out, "  \"points\": [\n{}\n  ]\n}}\n", points.join(",\n"));
+        out
+    }
+
+    /// Write the file to `path`.
+    pub fn write(&self, path: impl AsRef<Path>) -> io::Result<()> {
+        std::fs::write(path, self.render())
+    }
+}
+
+/// The points of a `BENCH_*.json` file written by [`BenchFile`]: every
+/// line that opens an object with a key. Fails on the first such line that
+/// does not parse, so a drifted format cannot drop points unnoticed.
+pub fn read_points(text: &str) -> Result<Vec<JsonRow>, String> {
+    text.lines()
+        .map(str::trim)
+        .filter(|l| l.starts_with("{\""))
+        .map(|l| {
+            JsonRow::parse(l.strip_suffix(',').unwrap_or(l))
+                .ok_or_else(|| format!("unreadable BENCH point: {l}"))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,5 +237,41 @@ mod tests {
     fn formatters() {
         assert_eq!(f1(1.25), "1.2");
         assert_eq!(pct(79.66), "79.7%");
+    }
+
+    #[test]
+    fn bench_rows_round_trip() {
+        let mut bench = BenchFile::new("rackni-bench-test/1", Scale::Quick);
+        bench.header().num("host_threads", 2);
+        bench
+            .point()
+            .str("name", "a_4x4x4")
+            .num("cycles", 1200)
+            .float("cps", 12.345, 1)
+            .num("ok", true);
+        bench.point().str("name", "b").float("skew", -0.5, 4);
+        let text = bench.render();
+        assert!(text.starts_with(
+            "{\n  \"schema\": \"rackni-bench-test/1\",\n  \"scale\": \"quick\",\n  \"host_threads\": 2,\n"
+        ));
+        let points = read_points(&text).expect("readable");
+        assert_eq!(points, bench.points);
+        assert_eq!(points[0].get("name"), Some("a_4x4x4"));
+        assert_eq!(points[0].get("cps"), Some("12.3"));
+        assert_eq!(points[1].get("skew"), Some("-0.5000"));
+        assert_eq!(points[1].get("cps"), None);
+        assert!(read_points("    {\"name\" \"x\", \"cps\": 1},").is_err());
+    }
+
+    #[test]
+    fn committed_simperf_baseline_reads_as_eleven_named_points() {
+        let text = include_str!("../../../BENCH_simperf_baseline.json");
+        let points = read_points(text).expect("baseline parses");
+        assert_eq!(points.len(), 11);
+        for p in &points {
+            assert!(p.get("name").is_some_and(|n| !n.is_empty()), "{p:?}");
+            let cps: f64 = p.get("cps").and_then(|c| c.parse().ok()).expect("cps");
+            assert!(cps > 0.0, "{p:?}");
+        }
     }
 }

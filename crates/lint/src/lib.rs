@@ -272,7 +272,7 @@ mod tests {
             Some(Role::Harness)
         );
         assert_eq!(
-            role_of(Path::new("examples/rack_bench.rs")),
+            role_of(Path::new("examples/failure_study.rs")),
             Some(Role::Harness)
         );
         assert_eq!(role_of(Path::new("crates/compat/rand/src/lib.rs")), None);

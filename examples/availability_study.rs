@@ -27,12 +27,11 @@
 //! RACKNI_SCALE=full cargo run --release --example availability_study
 //! ```
 
-use std::fmt::Write as _;
-
 use rackni::experiments::{
     availability_points_render, availability_sweep, AvailFault, AvailabilityPoint, FailureParams,
     Scale, AVAIL_KW,
 };
+use rackni::report::BenchFile;
 
 fn main() {
     let scale = Scale::from_env();
@@ -141,52 +140,39 @@ fn main() {
     );
 
     // Machine-readable table for CI artifacts.
-    let mut rows = Vec::new();
+    let mut bench = BenchFile::new("rackni-bench-availability/1", scale);
+    bench
+        .header()
+        .num("kill_at", params.kill_at)
+        .num("itt_timeout", params.itt_timeout)
+        .num("itt_retries", params.itt_retries);
     for p in &pts {
-        rows.push(format!(
-            r#"    {{"scenario": "{}", "fault": "{}", "k": {}, "w": {}, "torus": "{}x{}x{}", "kill_at": {}, "expected_ops": {}, "completed_ops": {}, "failed_ops": {}, "lost_reads": {}, "corpse_failed_reads": {}, "degraded_ops": {}, "replays": {}, "quorum_writes": {}, "quorum_leg_failures": {}, "completed_all": {}, "completion_cycles": {}, "recovery_cycles": {}, "ops_per_kcycle": {:.4}, "p50_ok_read": {}, "p99_ok_read": {}, "p99_degraded_read": {}}}"#,
-            p.scenario,
-            p.fault.label(),
-            p.k,
-            p.w,
-            p.dims.0,
-            p.dims.1,
-            p.dims.2,
-            p.kill_at,
-            p.expected_ops,
-            p.completed_ops,
-            p.failed_ops,
-            p.lost_reads,
-            p.corpse_failed_reads,
-            p.degraded_ops,
-            p.replays,
-            p.quorum_writes,
-            p.quorum_leg_failures,
-            p.completed_all,
-            p.completion_cycles,
-            p.recovery_cycles,
-            p.ops_per_kcycle,
-            p.p50_read_cycles,
-            p.p99_read_cycles,
-            p.p99_degraded_read_cycles,
-        ));
+        bench
+            .point()
+            .str("scenario", p.scenario)
+            .str("fault", p.fault.label())
+            .num("k", p.k)
+            .num("w", p.w)
+            .str("torus", format!("{}x{}x{}", p.dims.0, p.dims.1, p.dims.2))
+            .num("kill_at", p.kill_at)
+            .num("expected_ops", p.expected_ops)
+            .num("completed_ops", p.completed_ops)
+            .num("failed_ops", p.failed_ops)
+            .num("lost_reads", p.lost_reads)
+            .num("corpse_failed_reads", p.corpse_failed_reads)
+            .num("degraded_ops", p.degraded_ops)
+            .num("replays", p.replays)
+            .num("quorum_writes", p.quorum_writes)
+            .num("quorum_leg_failures", p.quorum_leg_failures)
+            .num("completed_all", p.completed_all)
+            .num("completion_cycles", p.completion_cycles)
+            .num("recovery_cycles", p.recovery_cycles)
+            .float("ops_per_kcycle", p.ops_per_kcycle, 4)
+            .num("p50_ok_read", p.p50_read_cycles)
+            .num("p99_ok_read", p.p99_read_cycles)
+            .num("p99_degraded_read", p.p99_degraded_read_cycles);
     }
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, r#"  "schema": "rackni-bench-availability/1","#);
-    let _ = writeln!(
-        json,
-        r#"  "scale": "{}","#,
-        format!("{scale:?}").to_lowercase()
-    );
-    let _ = writeln!(json, r#"  "kill_at": {},"#, params.kill_at);
-    let _ = writeln!(json, r#"  "itt_timeout": {},"#, params.itt_timeout);
-    let _ = writeln!(json, r#"  "itt_retries": {},"#, params.itt_retries);
-    let _ = writeln!(json, r#"  "points": ["#);
-    let _ = writeln!(json, "{}", rows.join(",\n"));
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
     let path = "BENCH_availability.json";
-    std::fs::write(path, &json).expect("write BENCH_availability.json");
+    bench.write(path).expect("write BENCH_availability.json");
     println!("\navailability table written to {path}");
 }

@@ -17,19 +17,18 @@
 //!
 //! The assertions below are the acceptance criteria CI enforces; the cell
 //! table lands in `BENCH_failure.json` (schema `rackni-bench-failure/1`)
-//! next to `BENCH_rack.json`.
+//! next to `BENCH_simperf.json`.
 //!
 //! ```sh
 //! cargo run --release --example failure_study                 # quick (CI)
 //! RACKNI_SCALE=full cargo run --release --example failure_study
 //! ```
 
-use std::fmt::Write as _;
-
 use rackni::experiments::{
     failure_points_render, failure_sweep, FailureParams, FailurePoint, FaultCase, Scale,
 };
 use rackni::ni_fabric::RoutingKind;
+use rackni::report::BenchFile;
 
 fn main() {
     let scale = Scale::from_env();
@@ -145,48 +144,35 @@ fn main() {
     );
 
     // Machine-readable trajectory for CI artifacts.
-    let mut rows = Vec::new();
+    let mut bench = BenchFile::new("rackni-bench-failure/1", scale);
+    bench
+        .header()
+        .num("kill_at", params.kill_at)
+        .num("itt_timeout", params.itt_timeout)
+        .num("itt_retries", params.itt_retries);
     for p in &pts {
-        rows.push(format!(
-            r#"    {{"scenario": "{}", "fault": "{}", "routing": "{}", "torus": "{}x{}x{}", "kill_at": {}, "expected_ops": {}, "completed_ops": {}, "failed_ops": {}, "completed_all": {}, "completion_cycles": {}, "p50_ok_read": {}, "p99_ok_read": {}, "link_skew": {:.4}, "itt_timeouts": {}, "itt_retries": {}, "packets_dropped": {}, "dead_link_stalls": {}, "escape_hops": {}}}"#,
-            p.scenario,
-            p.fault.label(),
-            p.routing.name(),
-            p.dims.0,
-            p.dims.1,
-            p.dims.2,
-            p.kill_at,
-            p.expected_ops,
-            p.completed_ops,
-            p.failed_ops,
-            p.completed_all,
-            p.completion_cycles,
-            p.p50_read_cycles,
-            p.p99_read_cycles,
-            p.link_skew,
-            p.itt_timeouts,
-            p.itt_retries,
-            p.packets_dropped,
-            p.dead_link_stalls,
-            p.escape_hops,
-        ));
+        bench
+            .point()
+            .str("scenario", p.scenario)
+            .str("fault", p.fault.label())
+            .str("routing", p.routing.name())
+            .str("torus", format!("{}x{}x{}", p.dims.0, p.dims.1, p.dims.2))
+            .num("kill_at", p.kill_at)
+            .num("expected_ops", p.expected_ops)
+            .num("completed_ops", p.completed_ops)
+            .num("failed_ops", p.failed_ops)
+            .num("completed_all", p.completed_all)
+            .num("completion_cycles", p.completion_cycles)
+            .num("p50_ok_read", p.p50_read_cycles)
+            .num("p99_ok_read", p.p99_read_cycles)
+            .float("link_skew", p.link_skew, 4)
+            .num("itt_timeouts", p.itt_timeouts)
+            .num("itt_retries", p.itt_retries)
+            .num("packets_dropped", p.packets_dropped)
+            .num("dead_link_stalls", p.dead_link_stalls)
+            .num("escape_hops", p.escape_hops);
     }
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, r#"  "schema": "rackni-bench-failure/1","#);
-    let _ = writeln!(
-        json,
-        r#"  "scale": "{}","#,
-        format!("{scale:?}").to_lowercase()
-    );
-    let _ = writeln!(json, r#"  "kill_at": {},"#, params.kill_at);
-    let _ = writeln!(json, r#"  "itt_timeout": {},"#, params.itt_timeout);
-    let _ = writeln!(json, r#"  "itt_retries": {},"#, params.itt_retries);
-    let _ = writeln!(json, r#"  "points": ["#);
-    let _ = writeln!(json, "{}", rows.join(",\n"));
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
     let path = "BENCH_failure.json";
-    std::fs::write(path, &json).expect("write BENCH_failure.json");
+    bench.write(path).expect("write BENCH_failure.json");
     println!("\nblast-radius table written to {path}");
 }

@@ -13,9 +13,9 @@
 //! ```
 
 use rackni::experiments::{run_scenario_point, Scale};
+use rackni::ni_engine::parallel::par_map;
 use rackni::ni_rmc::NiPlacement;
 use rackni::ni_soc::{run_chip_scenario, ChipConfig, GraphShard};
-use rackni::parallel::par_map;
 use rackni::report::{f1, Table};
 
 /// Bytes per edge in the fetched adjacency lists (destination id + weight).

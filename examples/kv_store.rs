@@ -17,9 +17,9 @@
 //! ```
 
 use rackni::experiments::{run_scenario_point, Scale};
+use rackni::ni_engine::parallel::par_map;
 use rackni::ni_rmc::NiPlacement;
 use rackni::ni_soc::{run_chip_scenario, ChipConfig, KvStore};
-use rackni::parallel::par_map;
 use rackni::report::{f1, Table};
 
 fn cfg(p: NiPlacement) -> ChipConfig {

@@ -18,12 +18,12 @@ use rackni::experiments::{
     self, bandwidth_vs_size, latency_vs_size, nicache_ablation, routing_ablation, table3, Scale,
     BANDWIDTH_SIZES, LATENCY_SIZES,
 };
+use rackni::ni_engine::parallel::par_map;
 use rackni::ni_fabric::Torus3D;
 use rackni::ni_noc::RoutingPolicy;
 use rackni::ni_rmc::NiPlacement;
 use rackni::ni_soc::{run_sync_latency, ChipConfig, Topology};
 use rackni::paper;
-use rackni::parallel::par_map;
 use rackni::report::{f1, pct, Table};
 
 /// One printable section: the id that selects it, its banner, its body.

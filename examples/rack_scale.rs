@@ -7,7 +7,7 @@
 //! cargo run --release --example rack_scale
 //! ```
 
-use rackni::experiments::{link_byte_skew, Scale};
+use rackni::experiments::Scale;
 use rackni::ni_engine::Frequency;
 use rackni::ni_fabric::Torus3D;
 use rackni::ni_soc::{ChipConfig, Rack, RackSimConfig, TrafficPattern, Workload, ZipfHotspot};
@@ -138,8 +138,8 @@ fn main() {
     };
     let mut hot = Rack::with_scenario(hot_cfg, &ZipfHotspot::default());
     hot.run(cycles);
-    let uniform_skew = link_byte_skew(&rack);
-    let hot_skew = link_byte_skew(&hot);
+    let uniform_skew = rack.link_byte_skew();
+    let hot_skew = hot.link_byte_skew();
     println!(
         "link load skew (busiest link bytes / mean loaded link): uniform {uniform_skew:.2}x, \
          zipf-hotspot {hot_skew:.2}x"

@@ -26,12 +26,11 @@
 //! RACKNI_SCALE=full cargo run --release --example serving_study
 //! ```
 
-use std::fmt::Write as _;
-
 use rackni::experiments::{
     serving_interference, serving_points_render, serving_sweep, Scale, ServingPoint,
     SERVING_KV_SERVICE, SERVING_THINK, SERVING_WINDOW, TENANT_BULK, TENANT_KV,
 };
+use rackni::report::BenchFile;
 
 /// The kv tenant's p99 ceiling under the shared mix, in cycles, at quick
 /// scale. Quick scale measures ~13k on the 4x4x4 rack (the bulk tenant
@@ -186,46 +185,37 @@ fn main() {
     );
 
     // Machine-readable table for CI artifacts.
-    let mut rows = Vec::new();
+    let mut bench = BenchFile::new("rackni-bench-serving/1", scale);
+    bench
+        .header()
+        .num("window", SERVING_WINDOW)
+        .num("think", SERVING_THINK)
+        .num("service", SERVING_KV_SERVICE)
+        .float("kv_interference_index", interference, 4);
     for p in &pts {
         for t in &p.tenants {
-            rows.push(format!(
-                r#"    {{"case": "{}", "tenant": "{}", "tag": {}, "torus": "{}x{}x{}", "cycles": {}, "offered_per_kcycle": {:.4}, "achieved_per_kcycle": {:.4}, "goodput_bytes_per_kcycle": {:.4}, "failure_rate": {:.6}, "p50": {}, "p99": {}, "p999": {}, "samples": {}}}"#,
-                p.case,
-                t.label,
-                t.tag,
-                p.dims.0,
-                p.dims.1,
-                p.dims.2,
-                p.cycles,
-                t.slo.offered_per_kcycle,
-                t.slo.achieved_per_kcycle,
-                t.slo.goodput_bytes_per_kcycle,
-                t.slo.failure_rate,
-                t.slo.p50,
-                t.slo.p99,
-                t.slo.p999,
-                t.slo.samples,
-            ));
+            bench
+                .point()
+                .str("case", p.case)
+                .str("tenant", t.label)
+                .num("tag", t.tag)
+                .str("torus", format!("{}x{}x{}", p.dims.0, p.dims.1, p.dims.2))
+                .num("cycles", p.cycles)
+                .float("offered_per_kcycle", t.slo.offered_per_kcycle, 4)
+                .float("achieved_per_kcycle", t.slo.achieved_per_kcycle, 4)
+                .float(
+                    "goodput_bytes_per_kcycle",
+                    t.slo.goodput_bytes_per_kcycle,
+                    4,
+                )
+                .float("failure_rate", t.slo.failure_rate, 6)
+                .num("p50", t.slo.p50)
+                .num("p99", t.slo.p99)
+                .num("p999", t.slo.p999)
+                .num("samples", t.slo.samples);
         }
     }
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, r#"  "schema": "rackni-bench-serving/1","#);
-    let _ = writeln!(
-        json,
-        r#"  "scale": "{}","#,
-        format!("{scale:?}").to_lowercase()
-    );
-    let _ = writeln!(json, r#"  "window": {SERVING_WINDOW},"#);
-    let _ = writeln!(json, r#"  "think": {SERVING_THINK},"#);
-    let _ = writeln!(json, r#"  "service": {SERVING_KV_SERVICE},"#);
-    let _ = writeln!(json, r#"  "kv_interference_index": {:.4},"#, interference);
-    let _ = writeln!(json, r#"  "points": ["#);
-    let _ = writeln!(json, "{}", rows.join(",\n"));
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
     let path = "BENCH_serving.json";
-    std::fs::write(path, &json).expect("write BENCH_serving.json");
+    bench.write(path).expect("write BENCH_serving.json");
     println!("serving table written to {path}");
 }

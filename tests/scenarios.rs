@@ -3,7 +3,6 @@
 //! 8-node torus rack), seed-determinism of op streams and whole-rack runs,
 //! and the hotspot skew the uniform `TrafficPattern` enum could not express.
 
-use rackni::experiments::link_byte_skew;
 use rackni::ni_fabric::Torus3D;
 use rackni::ni_soc::{
     builtin_scenarios, run_chip_scenario, ChipConfig, Op, OpCtx, Rack, RackSimConfig, Scenario,
@@ -149,8 +148,8 @@ fn zipf_hotspot_skews_per_link_load_beyond_uniform() {
     let mut hot = Rack::with_scenario(rack_cfg(42, 4), &ZipfHotspot::default());
     hot.run(cycles);
 
-    let u_skew = link_byte_skew(&uniform);
-    let h_skew = link_byte_skew(&hot);
+    let u_skew = uniform.link_byte_skew();
+    let h_skew = hot.link_byte_skew();
     assert!(
         h_skew > u_skew * 1.2,
         "zipf link skew {h_skew:.2}x must clearly exceed uniform {u_skew:.2}x"
