@@ -34,6 +34,8 @@ struct Line {
 /// One bank's data array.
 #[derive(Debug)]
 pub struct LlcArray {
+    /// Lines of each set, empty until the first [`LlcArray::install`]:
+    /// racks build hundreds of banks and most are never filled.
     sets: Vec<Vec<Line>>,
     ways: usize,
     /// Block -> set index memo (cheap set mapping by block address bits).
@@ -51,11 +53,9 @@ impl LlcArray {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(ways > 0, "need at least one way");
         LlcArray {
-            // Way storage grows lazily on first touch: racks instantiate
-            // hundreds of banks and most sets are never filled, so eager
-            // per-set way allocation would dominate whole-rack construction
-            // time and memory.
-            sets: (0..sets).map(|_| Vec::new()).collect(),
+            // Nothing is allocated until the first install; every other
+            // method consults `lookup` before touching a set.
+            sets: Vec::new(),
             ways,
             index_mask: (sets - 1) as u64,
             clock: 0,
@@ -132,6 +132,10 @@ impl LlcArray {
             line.dirty = line.dirty || dirty;
             line.lru = clock;
             return None;
+        }
+        if self.sets.is_empty() {
+            let n = self.index_mask as usize + 1;
+            self.sets = (0..n).map(|_| Vec::new()).collect();
         }
         let mut victim = None;
         if self.sets[s].len() >= self.ways {
@@ -236,6 +240,18 @@ mod tests {
         assert_eq!(a.invalidate(BlockAddr(5)), Some(50));
         assert!(!a.contains(BlockAddr(5)));
         assert_eq!(a.invalidate(BlockAddr(5)), None);
+    }
+
+    #[test]
+    fn untouched_bank_answers_every_query() {
+        let mut a = LlcArray::new(256, 16);
+        assert_eq!(a.get(BlockAddr(64)), None);
+        assert_eq!(a.peek(BlockAddr(64)), None);
+        assert!(!a.update_in_place(BlockAddr(64), 1));
+        assert_eq!(a.invalidate(BlockAddr(64)), None);
+        assert!(a.is_empty() && !a.contains(BlockAddr(64)));
+        assert!(a.install(BlockAddr(64), 7, true).is_none());
+        assert_eq!(a.peek(BlockAddr(64)), Some((7, true)));
     }
 
     #[test]

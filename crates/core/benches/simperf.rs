@@ -17,9 +17,10 @@
 //!    their ratio); on a one-thread host the serial run fills both. Poll
 //!    twins run once, at the default worker count.
 //! 2. **Determinism guard** — a point's two runs must agree on fabric
-//!    counters, completed ops, hops and sync rounds, and every
-//!    uniform-async and bursty point must complete operations (a guard over
-//!    zero completions compares nothing); either failure aborts the run.
+//!    counters, completed ops, hops and sync rounds, and every rack point
+//!    but the quick, pre-discovery 16x16x16 one must complete operations
+//!    (a guard over zero completions compares nothing); either failure
+//!    aborts the run.
 //! 3. **Speedup gate** (machine-independent) — the event-driven tick must
 //!    clear `MIN_SPEEDUP` (3.0) over the poll tick on the idle-heavy 8x8x8
 //!    rack. Both runs happen on the same host in the same process, so this
@@ -162,7 +163,15 @@ fn time_rack(
 /// Measure one rack point. An event-mode point is timed at one worker and
 /// at the default worker count, and the two runs must agree (see the
 /// module docs); a poll twin is timed once, at the default worker count.
-fn measure_rack(shape: &str, build: Build, dims: Dims, mode: TickMode, cycles: u64) -> Measured {
+/// Unless `pre_discovery`, the point must complete operations.
+fn measure_rack(
+    shape: &str,
+    build: Build,
+    dims: Dims,
+    mode: TickMode,
+    cycles: u64,
+    pre_discovery: bool,
+) -> Measured {
     let (x, y, z) = dims;
     let name = format!("{shape}_{x}x{y}x{z}_{}", mode_tag(mode));
     let first_threads = if mode == TickMode::Event { 1 } else { 0 };
@@ -182,7 +191,7 @@ fn measure_rack(shape: &str, build: Build, dims: Dims, mode: TickMode, cycles: u
         m.rack.as_mut().expect("rack point").serial_cps = Some(serial_cps);
     }
     assert!(
-        shape == "idle_heavy" || m.completed_ops > 0,
+        pre_discovery || m.completed_ops > 0,
         "{name}: no operation completed within {cycles} cycles"
     );
     m
@@ -258,9 +267,10 @@ fn main() {
     // Rack points: (shape, dims, cycles, with a poll twin). The idle-heavy
     // racks run one full burst-plus-think period (~11.5k cycles), so the
     // measured event/poll ratio reflects the workload's true duty cycle.
-    // The 16x16x16 idle-heavy point is pre-discovery only (its frontends
-    // take ~5.4k cycles to round-robin onto the one active QP): it prices
-    // the 4096-node build and the dormant path, not traffic. The bursty
+    // The quick 16x16x16 idle-heavy point is pre-discovery only (its
+    // frontends take ~5.4k cycles to round-robin onto the one active QP),
+    // so it is the one point allowed to complete nothing: it prices the
+    // 4096-node build and the dormant path, not traffic. The bursty
     // racks run past their first completions (cycles 800-1 000). The
     // uniform-async horizons let hundreds of round trips complete at every
     // size, the 8x8x8 torus included.
@@ -277,14 +287,30 @@ fn main() {
         ("uniform_async", uniform_async, (8, 8, 8), 1_200, false),
     ];
     for (shape, build, dims, cycles, poll_twin) in quick {
-        results.push(measure_rack(shape, build, dims, TickMode::Event, cycles));
+        let pre_discovery = dims == (16, 16, 16);
+        results.push(measure_rack(
+            shape,
+            build,
+            dims,
+            TickMode::Event,
+            cycles,
+            pre_discovery,
+        ));
         if poll_twin {
-            results.push(measure_rack(shape, build, dims, TickMode::Poll, cycles));
+            results.push(measure_rack(
+                shape,
+                build,
+                dims,
+                TickMode::Poll,
+                cycles,
+                pre_discovery,
+            ));
         }
     }
     // Full scale adds the 512-node rack at a >=50k-cycle horizon (tens of
     // thousands of round trips at ~1.1k cycles each) and the 4096-node rack
-    // past WQ discovery, so its bursts cross the fabric.
+    // over one full burst-plus-think period, like the other idle-heavy
+    // points: its first reads complete between cycles 10 000 and 10 500.
     if scale == Scale::Full {
         let full: [(&str, Build, Dims, u64); 6] = [
             ("uniform_async", uniform_async, (2, 2, 2), 60_000),
@@ -292,10 +318,10 @@ fn main() {
             ("uniform_async", uniform_async, (4, 4, 4), 60_000),
             ("uniform_async", uniform_async, (8, 8, 8), 50_000),
             ("idle_heavy", idle, (8, 8, 8), 50_000),
-            ("idle_heavy", idle, (16, 16, 16), 8_000),
+            ("idle_heavy", idle, (16, 16, 16), 11_500),
         ];
         for (shape, build, dims, cycles) in full {
-            let mut m = measure_rack(shape, build, dims, TickMode::Event, cycles);
+            let mut m = measure_rack(shape, build, dims, TickMode::Event, cycles, false);
             m.name.push_str("_full");
             results.push(m);
         }

@@ -124,7 +124,10 @@ impl RunningMean {
 
 /// Power-of-two-bucketed histogram for latency distributions.
 ///
-/// Bucket `i` covers `[2^i, 2^(i+1))`; bucket 0 covers `[0, 2)`.
+/// Bucket `i` covers `[2^i, 2^(i+1))`; bucket 0 covers `[0, 2)`. The
+/// buckets are allocated by the first `record` (or a `merge` from a
+/// histogram that has them), so a histogram that never sees a sample
+/// costs no heap.
 ///
 /// ```
 /// use ni_engine::Histogram;
@@ -134,31 +137,38 @@ impl RunningMean {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Histogram {
+    /// `BUCKETS` counts once a sample arrived, empty before.
     buckets: Vec<u64>,
     stats: RunningMean,
     /// Exact samples kept while small, for precise percentiles in tests.
     exact: Vec<u64>,
-    exact_cap: usize,
 }
 
 impl Histogram {
+    const BUCKETS: usize = 64;
+
+    /// Exact samples kept before percentiles degrade to the buckets.
+    const EXACT_CAP: usize = 65_536;
+
     /// New histogram keeping up to 64K exact samples before degrading to
-    /// bucketed percentiles.
+    /// bucketed percentiles. Allocates nothing; equal to `default()`.
     pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; 64],
-            stats: RunningMean::new(),
-            exact: Vec::new(),
-            exact_cap: 65_536,
+        Self::default()
+    }
+
+    fn buckets_mut(&mut self) -> &mut [u64] {
+        if self.buckets.is_empty() {
+            self.buckets = vec![0; Self::BUCKETS];
         }
+        &mut self.buckets
     }
 
     /// Record one sample.
     pub fn record(&mut self, sample: u64) {
         let idx = (64 - sample.leading_zeros()).min(63) as usize;
-        self.buckets[idx] += 1;
+        self.buckets_mut()[idx] += 1;
         self.stats.record(sample);
-        if self.exact.len() < self.exact_cap {
+        if self.exact.len() < Self::EXACT_CAP {
             self.exact.push(sample);
         }
     }
@@ -172,12 +182,14 @@ impl Histogram {
     /// histograms). Exact samples are kept up to the cap; past it the
     /// percentiles degrade to the bucketed approximation, as with `record`.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+        if !other.buckets.is_empty() {
+            for (a, b) in self.buckets_mut().iter_mut().zip(&other.buckets) {
+                *a += b;
+            }
         }
         self.stats.merge(&other.stats);
         for &s in &other.exact {
-            if self.exact.len() >= self.exact_cap {
+            if self.exact.len() >= Self::EXACT_CAP {
                 break;
             }
             self.exact.push(s);
@@ -501,6 +513,50 @@ mod tests {
         assert_eq!(h.percentile(0.5), 50);
         assert_eq!(h.percentile(1.0), 100);
         assert_eq!(h.stats().count(), 100);
+    }
+
+    #[test]
+    fn default_histogram_records_like_new() {
+        let (mut d, mut n) = (Histogram::default(), Histogram::new());
+        for v in [5, 700, 3, 41, 41, 9_000] {
+            d.record(v);
+            n.record(v);
+        }
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(d.percentile(q), n.percentile(q), "q {q}");
+        }
+        assert_eq!((d.buckets, d.exact), (n.buckets, n.exact));
+    }
+
+    #[test]
+    fn merging_with_a_never_recorded_histogram_keeps_the_recorded_one() {
+        let mut recorded = Histogram::new();
+        for v in 1..=200u64 {
+            recorded.record(v * 3);
+        }
+        let same = |h: &Histogram| {
+            assert_eq!(h.buckets, recorded.buckets);
+            assert_eq!(h.exact, recorded.exact);
+            let (a, b) = (h.stats(), recorded.stats());
+            assert_eq!(
+                (a.count(), a.sum(), a.min(), a.max()),
+                (b.count(), b.sum(), b.min(), b.max())
+            );
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                assert_eq!(h.percentile(q), recorded.percentile(q), "q {q}");
+            }
+        };
+        let mut into_empty = Histogram::new();
+        into_empty.merge(&recorded);
+        same(&into_empty);
+        let mut from_empty = recorded.clone();
+        from_empty.merge(&Histogram::new());
+        same(&from_empty);
+        // Two never-recorded histograms merge without allocating buckets.
+        let mut empty = Histogram::default();
+        empty.merge(&Histogram::new());
+        assert!(empty.buckets.is_empty());
+        assert_eq!(empty.percentile(0.5), 0);
     }
 
     #[test]

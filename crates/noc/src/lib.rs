@@ -27,7 +27,7 @@ mod endpoint;
 pub mod mesh;
 pub mod nocout;
 pub mod packet;
-pub mod router;
+mod router;
 pub mod routing;
 pub mod stats;
 

@@ -13,7 +13,7 @@ use ni_engine::Cycle;
 use crate::bitset::BitSet;
 use crate::endpoint::Endpoints;
 use crate::packet::{Coord, NocNode, Packet};
-use crate::router::{vq_index, Flight, OutPort, Router, RouterConfig};
+use crate::router::{vq_index, Flight, FlightSlab, OutPort, Router, RouterConfig};
 use crate::routing::{attach_of, Port, RoutingPolicy, SplitMix};
 use crate::stats::NocStats;
 use crate::Interconnect;
@@ -55,9 +55,10 @@ impl Default for MeshConfig {
 /// Where a link event terminates.
 #[derive(Debug)]
 enum LinkDest<P> {
-    /// Arrival into a router input buffer `(router index, port, vq)`.
-    RouterIn(usize, usize, usize, Flight<P>),
-    /// Delivery into an endpoint queue.
+    /// Arrival of the flight in a slab slot into a router input buffer
+    /// `(router index, port, vq, slot)`.
+    RouterIn(usize, usize, usize, u32),
+    /// Delivery into an endpoint queue; the packet has left the slab.
     Endpoint(usize, Packet<P>),
 }
 
@@ -92,6 +93,15 @@ impl<P> LinkRing<P> {
     fn len(&self) -> usize {
         self.slots.iter().map(VecDeque::len).sum()
     }
+
+    /// Events on the wires toward a router (their flights hold slab slots).
+    fn router_bound(&self) -> usize {
+        self.slots
+            .iter()
+            .flatten()
+            .filter(|ev| matches!(ev, LinkDest::RouterIn(..)))
+            .count()
+    }
 }
 
 /// The mesh NOC.
@@ -117,7 +127,9 @@ impl<P> LinkRing<P> {
 #[derive(Debug)]
 pub struct MeshNoc<P> {
     cfg: MeshConfig,
-    routers: Vec<Router<P>>,
+    routers: Vec<Router>,
+    /// Every flight buffered in a router or on a router-to-router link.
+    slab: FlightSlab<P>,
     /// Routers with `queued_packets > 0`: the only ones arbitration visits.
     active: BitSet,
     endpoints: Endpoints<P>,
@@ -152,13 +164,14 @@ impl<P> MeshNoc<P> {
         let (w, h) = (usize::from(cfg.width), usize::from(cfg.height));
         // An exact-size iterator: the vector is allocated once and each
         // router is built straight into it.
-        let routers: Vec<Router<P>> = (0..w * h)
+        let routers: Vec<Router> = (0..w * h)
             .map(|i| Router::new(Coord::new((i % w) as u8, (i / w) as u8)))
             .collect();
         MeshNoc {
             cfg,
             active: BitSet::new(routers.len()),
             routers,
+            slab: FlightSlab::default(),
             // Tiles, then an NI block and an MC per row.
             endpoints: Endpoints::new(w * h + 2 * h),
             links: LinkRing {
@@ -264,8 +277,8 @@ impl<P> MeshNoc<P> {
             let s = self.links.slot(at);
             while let Some(ev) = self.links.slots[s].pop_front() {
                 match ev {
-                    LinkDest::RouterIn(r, port, vq, flight) => {
-                        self.routers[r].accept(port, vq, flight);
+                    LinkDest::RouterIn(r, port, vq, id) => {
+                        self.routers[r].accept(port, vq, id, &mut self.slab);
                         self.active.insert(r);
                     }
                     LinkDest::Endpoint(idx, pkt) => {
@@ -329,7 +342,7 @@ impl<P> MeshNoc<P> {
                 .input(usize::from(in_port), usize::from(vq))
                 .head()
                 .expect("registered candidate has a head");
-            let flits = head.pkt.flits;
+            let flits = self.slab.get(head).pkt.flits;
             let ok = match port {
                 Port::North | Port::South | Port::East | Port::West => {
                     let n = self
@@ -363,11 +376,12 @@ impl<P> MeshNoc<P> {
             .candidates
             .pop_front()
             .expect("grant requires a candidate");
-        let flight = self.routers[r_idx].take_granted(usize::from(in_port), usize::from(vq));
+        let id =
+            self.routers[r_idx].take_granted(usize::from(in_port), usize::from(vq), &self.slab);
         if self.routers[r_idx].queued_packets == 0 {
             self.active.remove(r_idx);
         }
-        let flits = flight.pkt.flits;
+        let flits = self.slab.get(id).pkt.flits;
         let coord = self.routers[r_idx].coord;
         let out: &mut OutPort = &mut self.routers[r_idx].outputs[p_idx];
         out.busy_until = now + u64::from(flits);
@@ -381,12 +395,7 @@ impl<P> MeshNoc<P> {
                     .record_hop(flits, self.crosses_bisection(coord.x, port));
                 self.links.push(
                     now + self.cfg.router.hop_latency,
-                    LinkDest::RouterIn(
-                        n_idx,
-                        Self::opposite(port).index(),
-                        usize::from(vq),
-                        flight,
-                    ),
+                    LinkDest::RouterIn(n_idx, Self::opposite(port).index(), usize::from(vq), id),
                 );
             }
             Port::Local | Port::NiAttach | Port::McAttach => {
@@ -397,7 +406,8 @@ impl<P> MeshNoc<P> {
                     // Attach links are real wires (Fig. 2); count them.
                     self.stats.record_hop(flits, false);
                 }
-                self.links.push(now + 1, LinkDest::Endpoint(e, flight.pkt));
+                let pkt = self.slab.remove(id).pkt;
+                self.links.push(now + 1, LinkDest::Endpoint(e, pkt));
             }
         }
     }
@@ -414,9 +424,11 @@ impl<P> MeshNoc<P> {
 
     /// Check the tick-to-tick bookkeeping: a router is in the active set
     /// exactly when it buffers packets, an endpoint is ready exactly when
-    /// its delivery queue is non-empty, and every packet in flight is
-    /// either buffered in a router or on a link (packet conservation).
-    /// Pure: for debug assertions.
+    /// its delivery queue is non-empty, every packet in flight is either
+    /// buffered in a router or on a link (packet conservation), and every
+    /// slab slot is either free or holds a flight buffered in a router or
+    /// on a router-bound link (slab conservation). Pure: for debug
+    /// assertions.
     fn audit(&self) -> Result<(), String> {
         if let Some((i, r)) = self
             .routers
@@ -443,6 +455,20 @@ impl<P> MeshNoc<P> {
                 self.in_flight
             ));
         }
+        let live = self.slab.live();
+        let router_bound = self.links.router_bound();
+        if live as u64 != queued + router_bound as u64 {
+            return Err(format!(
+                "{live} live slab slots but {queued} queued + {router_bound} on router-bound links"
+            ));
+        }
+        let free = self.slab.free_len();
+        if free + live != self.slab.slots() {
+            return Err(format!(
+                "{free} free + {live} live slab slots, but the slab holds {}",
+                self.slab.slots()
+            ));
+        }
         Ok(())
     }
 }
@@ -467,17 +493,14 @@ impl<P> Interconnect<P> for MeshNoc<P> {
         pkt.injected_at = now;
         let (target, exit) = attach_of(pkt.dst, self.cfg.width);
         let flits = pkt.flits;
+        let id = self.slab.insert(Flight {
+            pkt,
+            route,
+            target,
+            exit,
+        });
         self.routers[r_idx].reserve(port.index(), vq, flits);
-        self.routers[r_idx].accept(
-            port.index(),
-            vq,
-            Flight {
-                pkt,
-                route,
-                target,
-                exit,
-            },
-        );
+        self.routers[r_idx].accept(port.index(), vq, id, &mut self.slab);
         self.active.insert(r_idx);
         // Injection port serializes at one flit per cycle.
         self.endpoints.start_inject(src_idx, now, flits);
@@ -705,6 +728,57 @@ mod tests {
         noc.tick(Cycle(5));
         assert!(noc.try_inject(Cycle(6), mk(NocNode::tile(1, 0))).is_ok());
         assert_eq!(noc.stats().inject_rejects.get(), 1);
+    }
+
+    #[test]
+    fn draining_congested_cross_traffic_frees_every_slab_slot() {
+        // One-packet virtual queues and every tile sending 5-flit packets
+        // across the mesh keep flights queued behind each other.
+        let cfg = MeshConfig {
+            router: RouterConfig {
+                vq_capacity_flits: 5,
+                ..RouterConfig::default()
+            },
+            ..MeshConfig::default()
+        };
+        let mut noc: MeshNoc<u64> = MeshNoc::new(cfg);
+        let (mut sent, mut got, mut peak_live) = (0u64, 0u64, 0);
+        let mut now = Cycle(0);
+        while now.0 < 3000 && (now.0 < 200 || !noc.is_idle()) {
+            if now.0 < 200 {
+                for (x, y) in (0..8u8).flat_map(|x| (0..8u8).map(move |y| (x, y))) {
+                    let dst = if x == y {
+                        NocNode::tile(7 - x, 7 - y)
+                    } else {
+                        NocNode::tile(y, x)
+                    };
+                    let pkt = Packet::new(NocNode::tile(x, y), dst, MessageClass::NiData, 5, sent);
+                    if noc.try_inject(now, pkt).is_ok() {
+                        sent += 1;
+                    }
+                }
+            }
+            noc.tick(now);
+            peak_live = peak_live.max(noc.slab.live());
+            while noc.eject_next().is_some() {
+                got += 1;
+            }
+            now += 1;
+        }
+        assert!(noc.is_idle(), "traffic did not drain by {now:?}");
+        assert_eq!(got, sent);
+        assert!(
+            noc.stats().inject_rejects.get() > 0,
+            "traffic never backed up"
+        );
+        assert!(
+            peak_live > 64,
+            "only {peak_live} flights were ever buffered at once"
+        );
+        assert!(noc.slab.slots() >= peak_live);
+        assert_eq!(noc.slab.live(), 0);
+        assert_eq!(noc.slab.free_len(), noc.slab.slots());
+        assert_eq!(noc.audit(), Ok(()));
     }
 
     #[test]
