@@ -39,8 +39,6 @@ struct World {
     mc: MemoryController,
     fabric: DelayLine<Sent>,
     fabric_latency: u64,
-    mc_pending: HashMap<u64, (NocNode, CohMsg)>,
-    mc_seq: u64,
     now: Cycle,
     transcript: Vec<Sent>,
     completions: Vec<(NocNode, Completion)>,
@@ -61,8 +59,6 @@ impl World {
             mc: MemoryController::new(MemConfig::default()),
             fabric: DelayLine::new(),
             fabric_latency: 3,
-            mc_pending: HashMap::new(),
-            mc_seq: 0,
             now: Cycle(0),
             transcript: Vec::new(),
             completions: Vec::new(),
@@ -93,19 +89,19 @@ impl World {
         while let Some(s) = self.fabric.pop_ready(now) {
             self.transcript.push(s.clone());
             if s.to == MC_NODE {
-                let tag = self.mc_seq;
-                self.mc_seq += 1;
-                self.mc_pending.insert(tag, (s.from, s.msg));
+                // Only directory banks address the MC; the tag names the
+                // sending bank.
+                let tag = self
+                    .banks
+                    .iter()
+                    .position(|b| b.node() == s.from)
+                    .expect("MC request from a directory bank") as u64;
                 match s.msg {
                     CohMsg::NcRead { block } => {
-                        self.mc
-                            .push(now, block, MemRequestKind::Read, 0, tag)
-                            .expect("uncapped mc");
+                        self.mc.push(now, block, MemRequestKind::Read, 0, tag);
                     }
                     CohMsg::NcWrite { block, value } => {
-                        self.mc
-                            .push(now, block, MemRequestKind::Write, value, tag)
-                            .expect("uncapped mc");
+                        self.mc.push(now, block, MemRequestKind::Write, value, tag);
                     }
                     other => panic!("MC got {other:?}"),
                 }
@@ -119,14 +115,13 @@ impl World {
         }
         // Memory replies.
         while let Some(r) = self.mc.pop_ready(now) {
-            let (requester, orig) = self.mc_pending.remove(&r.tag).expect("tracked");
-            let reply = match orig {
-                CohMsg::NcRead { block } => CohMsg::NcData {
-                    block,
+            let requester = self.banks[r.tag as usize].node();
+            let reply = match r.kind {
+                MemRequestKind::Read => CohMsg::NcData {
+                    block: r.block,
                     value: r.value,
                 },
-                CohMsg::NcWrite { block, .. } => CohMsg::NcWAck { block },
-                _ => unreachable!(),
+                MemRequestKind::Write => CohMsg::NcWAck { block: r.block },
             };
             self.fabric.push_after(
                 now,

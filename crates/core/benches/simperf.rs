@@ -34,14 +34,11 @@
 //!
 //! `RACKNI_SCALE=full` adds long-horizon rack points (names ending in
 //! `_full`, among them the 512-node rack at 50k cycles) and leaves the
-//! quick points as they are. `RACKNI_SIMPERF_GATE=off` disables both gates
-//! (measurement-only runs on exotic hosts); the determinism guard always
-//! runs.
+//! quick points as they are.
 //!
 //! ```sh
 //! cargo bench --bench simperf
 //! RACKNI_SCALE=full cargo bench --bench simperf
-//! RACKNI_SIMPERF_GATE=off cargo bench --bench simperf
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -404,11 +401,6 @@ fn main() {
     let out = workspace_root().join("BENCH_simperf.json");
     bench.write(&out).expect("write BENCH_simperf.json");
     println!("\nsimperf trajectory written to {}", out.display());
-
-    if std::env::var("RACKNI_SIMPERF_GATE").as_deref() == Ok("off") {
-        println!("gates disabled (RACKNI_SIMPERF_GATE=off)");
-        return;
-    }
 
     let mut failed = false;
 

@@ -316,14 +316,6 @@ impl LinkLoad {
         freq.gbps_from_bytes_per_cycle(self.peak_window_bytes() as f64 / self.window as f64)
     }
 
-    /// Average bandwidth over `elapsed` cycles, in GB/s at `freq`.
-    pub fn avg_gbps(&self, freq: Frequency, elapsed: u64) -> f64 {
-        if elapsed == 0 {
-            return 0.0;
-        }
-        freq.gbps_from_bytes_per_cycle(self.total_bytes as f64 / elapsed as f64)
-    }
-
     /// Fraction of `elapsed` cycles the link was busy.
     pub fn utilization(&self, elapsed: u64) -> f64 {
         if elapsed == 0 {

@@ -330,12 +330,6 @@ impl TorusFabric {
         self.fault_stats
     }
 
-    /// True when `node` is currently alive (no [`FaultEvent::NodeDown`] in
-    /// effect for it).
-    pub fn is_node_up(&self, node: u32) -> bool {
-        self.node_up[node as usize]
-    }
-
     /// True when the directed link leaving `from` toward `d` can carry
     /// traffic right now: the link itself is up and the neighbor it leads
     /// to is not a dead node.
@@ -378,10 +372,9 @@ impl TorusFabric {
 
     /// The [`LinkView`] a packet at `node` would be routed with at `now`:
     /// the serialization backlogs and liveness of the node's six outgoing
-    /// links (a fresh packet's full escape budget). Public for congestion
-    /// monitors and policy tests; `forward` builds the same view on every
-    /// hop, substituting the routed packet's remaining budget.
-    pub fn link_view(&self, node: u32, now: Cycle) -> LinkView {
+    /// links (a fresh packet's full escape budget); `route` substitutes the
+    /// routed packet's remaining budget.
+    fn link_view(&self, node: u32, now: Cycle) -> LinkView {
         let base = node as usize * 6;
         let mut backlog = [0u64; 6];
         for (i, b) in backlog.iter_mut().enumerate() {

@@ -31,12 +31,6 @@ impl Addr {
         self.0 % BLOCK_BYTES
     }
 
-    /// Offset within the containing page.
-    #[inline]
-    pub fn page_offset(self) -> u64 {
-        self.0 % PAGE_BYTES
-    }
-
     /// Address advanced by `bytes`.
     #[inline]
     pub fn offset(self, bytes: u64) -> Addr {

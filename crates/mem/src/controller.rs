@@ -39,22 +39,18 @@ pub struct MemReply {
     pub tag: u64,
 }
 
-/// Controller timing configuration.
+/// Controller timing configuration. The controller accepts any number of
+/// requests in flight, modelling the paper's unthrottled high-bandwidth
+/// interface.
 #[derive(Clone, Copy, Debug)]
 pub struct MemConfig {
     /// Access latency in cycles (Table 2: 50ns = 100 cycles at 2 GHz).
     pub latency: u64,
-    /// Maximum in-flight requests; `None` models the paper's unthrottled
-    /// high-bandwidth interface.
-    pub max_inflight: Option<usize>,
 }
 
 impl Default for MemConfig {
     fn default() -> Self {
-        MemConfig {
-            latency: 100,
-            max_inflight: None,
-        }
+        MemConfig { latency: 100 }
     }
 }
 
@@ -65,8 +61,6 @@ pub struct MemStats {
     pub reads: Counter,
     /// Write requests accepted.
     pub writes: Counter,
-    /// Requests rejected by the concurrency cap.
-    pub rejects: Counter,
 }
 
 /// A single memory controller with its slice of the backing store.
@@ -75,9 +69,9 @@ pub struct MemStats {
 /// use ni_engine::Cycle;
 /// use ni_mem::{BlockAddr, MemConfig, MemRequestKind, MemoryController};
 ///
-/// let mut mc = MemoryController::new(MemConfig { latency: 10, max_inflight: None });
-/// mc.push(Cycle(0), BlockAddr(4), MemRequestKind::Write, 42, 1).unwrap();
-/// mc.push(Cycle(0), BlockAddr(4), MemRequestKind::Read, 0, 2).unwrap();
+/// let mut mc = MemoryController::new(MemConfig { latency: 10 });
+/// mc.push(Cycle(0), BlockAddr(4), MemRequestKind::Write, 42, 1);
+/// mc.push(Cycle(0), BlockAddr(4), MemRequestKind::Read, 0, 2);
 /// assert!(mc.pop_ready(Cycle(9)).is_none());
 /// let w = mc.pop_ready(Cycle(10)).unwrap();
 /// let r = mc.pop_ready(Cycle(10)).unwrap();
@@ -118,12 +112,6 @@ impl MemoryController {
     /// Reads return the stored token (0 for untouched blocks); writes install
     /// `value`. The request completes `latency` cycles later and is retrieved
     /// with [`MemoryController::pop_ready`].
-    ///
-    /// # Errors
-    /// Returns `Err(())` when the concurrency cap is reached; the caller
-    /// should retry next cycle. (The unit error is deliberate: rejection
-    /// carries no information beyond "retry".)
-    #[allow(clippy::result_unit_err)]
     pub fn push(
         &mut self,
         now: Cycle,
@@ -131,13 +119,7 @@ impl MemoryController {
         kind: MemRequestKind,
         value: u64,
         tag: u64,
-    ) -> Result<(), ()> {
-        if let Some(cap) = self.cfg.max_inflight {
-            if self.inflight.len() >= cap {
-                self.stats.rejects.incr();
-                return Err(());
-            }
-        }
+    ) {
         let value = match kind {
             MemRequestKind::Read => {
                 self.stats.reads.incr();
@@ -159,7 +141,6 @@ impl MemoryController {
                 tag,
             },
         );
-        Ok(())
     }
 
     /// Retrieve the next completed request at `now`, if any.
@@ -198,10 +179,8 @@ mod tests {
     #[test]
     fn read_after_write_sees_token() {
         let mut mc = MemoryController::new(MemConfig::default());
-        mc.push(Cycle(0), BlockAddr(1), MemRequestKind::Write, 99, 0)
-            .unwrap();
-        mc.push(Cycle(1), BlockAddr(1), MemRequestKind::Read, 0, 1)
-            .unwrap();
+        mc.push(Cycle(0), BlockAddr(1), MemRequestKind::Write, 99, 0);
+        mc.push(Cycle(1), BlockAddr(1), MemRequestKind::Read, 0, 1);
         assert_eq!(mc.pop_ready(Cycle(99)), None);
         let w = mc.pop_ready(Cycle(100)).unwrap();
         assert_eq!(w.kind, MemRequestKind::Write);
@@ -214,30 +193,10 @@ mod tests {
     #[test]
     fn untouched_blocks_read_zero() {
         let mut mc = MemoryController::new(MemConfig::default());
-        mc.push(Cycle(0), BlockAddr(77), MemRequestKind::Read, 0, 5)
-            .unwrap();
+        mc.push(Cycle(0), BlockAddr(77), MemRequestKind::Read, 0, 5);
         let r = mc.pop_ready(Cycle(100)).unwrap();
         assert_eq!(r.value, 0);
         assert_eq!(r.tag, 5);
-    }
-
-    #[test]
-    fn concurrency_cap_rejects() {
-        let mut mc = MemoryController::new(MemConfig {
-            latency: 10,
-            max_inflight: Some(1),
-        });
-        mc.push(Cycle(0), BlockAddr(0), MemRequestKind::Read, 0, 0)
-            .unwrap();
-        assert!(mc
-            .push(Cycle(0), BlockAddr(1), MemRequestKind::Read, 0, 1)
-            .is_err());
-        assert_eq!(mc.stats().rejects.get(), 1);
-        assert_eq!(mc.inflight(), 1);
-        mc.pop_ready(Cycle(10)).unwrap();
-        assert!(mc
-            .push(Cycle(10), BlockAddr(1), MemRequestKind::Read, 0, 1)
-            .is_ok());
     }
 
     #[test]

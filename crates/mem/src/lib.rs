@@ -4,8 +4,7 @@
 //! controllers of the simulated SoC. Following the paper's methodology (§5),
 //! off-chip memory bandwidth is intentionally *not* a bottleneck: every
 //! access completes in a fixed 50ns (100 cycles at 2 GHz), and controllers
-//! accept unlimited concurrent requests by default (a concurrency cap is
-//! available for ablations).
+//! accept unlimited concurrent requests.
 //!
 //! The backing store keeps a 64-bit token per block. Tokens let the
 //! coherence test-suite verify data correctness end to end (every write

@@ -58,11 +58,10 @@ proptest! {
         latency in 1u64..500,
         reqs in prop::collection::vec((0u64..1 << 30, any::<bool>(), 0u64..u64::MAX), 1..40),
     ) {
-        let mut mc = MemoryController::new(MemConfig { latency, max_inflight: None });
+        let mut mc = MemoryController::new(MemConfig { latency });
         for (i, &(block, is_read, value)) in reqs.iter().enumerate() {
             let kind = if is_read { MemRequestKind::Read } else { MemRequestKind::Write };
-            mc.push(Cycle(i as u64), BlockAddr(block), kind, value, i as u64)
-                .expect("uncapped");
+            mc.push(Cycle(i as u64), BlockAddr(block), kind, value, i as u64);
         }
         // Nothing is ready before its latency elapses.
         prop_assert!(mc.pop_ready(Cycle(latency - 1)).is_none());
@@ -88,33 +87,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn memory_controller_bounded_inflight_backpressures(cap in 1usize..8) {
-        let mut mc = MemoryController::new(MemConfig {
-            latency: 100,
-            max_inflight: Some(cap),
-        });
-        for i in 0..cap {
-            prop_assert!(mc
-                .push(Cycle(0), BlockAddr(i as u64), MemRequestKind::Read, 0, i as u64)
-                .is_ok());
-        }
-        prop_assert!(
-            mc.push(Cycle(0), BlockAddr(99), MemRequestKind::Read, 0, 99).is_err(),
-            "cap {cap} must reject request {cap}"
-        );
-        // Draining frees capacity again.
-        let mut drained = 0;
-        for t in 0..200u64 {
-            while mc.pop_ready(Cycle(t)).is_some() {
-                drained += 1;
-            }
-        }
-        prop_assert_eq!(drained, cap);
-        prop_assert!(mc
-            .push(Cycle(200), BlockAddr(1), MemRequestKind::Read, 0, 1)
-            .is_ok());
     }
 }

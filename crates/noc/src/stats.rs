@@ -94,11 +94,6 @@ impl NocStats {
         }
         all.mean()
     }
-
-    /// Difference of two snapshots (`self - earlier`) for windowed metrics.
-    pub fn delta_link_bytes(&self, earlier: &NocStats) -> u64 {
-        self.link_bytes() - earlier.link_bytes()
-    }
 }
 
 #[cfg(test)]

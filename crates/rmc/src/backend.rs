@@ -37,7 +37,7 @@ use ni_engine::{Counter, Cycle, DelayLine};
 use ni_fabric::{RemoteReq, RemoteResp, ReplicaMap};
 use ni_mem::BlockAddr;
 use ni_noc::NocNode;
-use ni_qp::{QpConfig, RemoteOp, WqEntry};
+use ni_qp::{RemoteOp, WqEntry};
 
 use crate::config::RmcConfig;
 use crate::trace::{Stage, TraceEvent};
@@ -56,11 +56,6 @@ struct IttEntry {
     total: u64,
     sent: u64,
     responses: u64,
-    /// Slot reuse generation stamped into this transfer's tids, so a
-    /// response that limps home after its entry timed out (and the slot
-    /// was recycled) is recognized as stale instead of corrupting the new
-    /// occupant.
-    gen: u16,
     /// Last cycle this transfer made progress (admitted, retried, or
     /// received a response); the ITT watchdog measures staleness from
     /// here, so long unrolls with a live remote end never spuriously time
@@ -98,6 +93,19 @@ struct IttEntry {
     /// network request this transfer unrolls into. Zero for one-sided
     /// remote-memory operations.
     service: u64,
+}
+
+/// One ITT slot: the transfer it holds, if any, and the slot's reuse
+/// generation, which outlives the transfer.
+#[derive(Debug, Default)]
+struct IttSlot {
+    /// Stamped into the tids of the slot's current transfer, so a response
+    /// that limps home after its entry timed out (and the slot was
+    /// recycled, or the transfer replayed) is recognized as stale instead
+    /// of corrupting the new occupant. Bumped at every admit and every WQ
+    /// replay.
+    gen: u16,
+    entry: Option<IttEntry>,
 }
 
 impl IttEntry {
@@ -236,18 +244,17 @@ pub struct NiBackend {
     /// Unique id used in the transfer-tag encoding.
     id: u16,
     cfg: RmcConfig,
-    qp_cfg: QpConfig,
     home: fn(BlockAddr, u32) -> NocNode,
     n_banks: u32,
     /// When the backend is not at the chip edge (NIper-tile), its network
     /// packets detour via this NI block (§6.2's indirection).
     edge_via: Option<NocNode>,
-    /// Live transfers by slot. A `BTreeMap` so the watchdog's slot scan
-    /// and the `retain` purges below can never depend on hash order.
-    itt: BTreeMap<u32, IttEntry>,
+    /// The ITT, indexed by the slot field of a transfer tag. It grows on
+    /// first use, up to the peak number of live transfers (at most
+    /// `cfg.itt_slots`).
+    itt: Vec<IttSlot>,
+    /// Vacated slots, reused last in, first out before the table grows.
     free_slots: Vec<u32>,
-    /// Per-slot reuse generation (see [`IttEntry::gen`]).
-    slot_gens: Vec<u16>,
     /// Earliest cycle any live ITT entry could time out — a conservative
     /// lower bound, so the deterministic slot scan only runs when a
     /// timeout may actually be due (and never when the watchdog is off).
@@ -276,7 +283,6 @@ impl NiBackend {
         node: NocNode,
         id: u16,
         cfg: RmcConfig,
-        qp_cfg: QpConfig,
         home: fn(BlockAddr, u32) -> NocNode,
         n_banks: u32,
         edge_via: Option<NocNode>,
@@ -289,13 +295,11 @@ impl NiBackend {
             node,
             id,
             cfg,
-            qp_cfg,
             home,
             n_banks,
             edge_via,
-            itt: BTreeMap::new(),
-            free_slots: (0..cfg.itt_slots as u32).rev().collect(),
-            slot_gens: vec![0; cfg.itt_slots],
+            itt: Vec::new(),
+            free_slots: Vec::new(),
             next_deadline: Cycle(u64::MAX),
             waiting: VecDeque::new(),
             active: VecDeque::new(),
@@ -332,7 +336,7 @@ impl NiBackend {
     /// local reads, and empty event/egress queues. Ticking a quiescent
     /// backend is a no-op.
     pub fn is_quiescent(&self) -> bool {
-        self.itt.is_empty()
+        self.inflight() == 0
             && self.waiting.is_empty()
             && self.active.is_empty()
             && self.pending_local_reads.is_empty()
@@ -354,12 +358,12 @@ impl NiBackend {
     pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         if !self.egress.is_empty()
             || !self.active.is_empty()
-            || (!self.waiting.is_empty() && !self.free_slots.is_empty())
+            || (!self.waiting.is_empty() && self.has_free_slot())
         {
             return Some(now);
         }
         let mut next = self.events.next_ready_at();
-        if self.cfg.itt_timeout > 0 && !self.itt.is_empty() {
+        if self.cfg.itt_timeout > 0 && self.inflight() > 0 {
             let at = self.next_deadline.max(now);
             next = Some(next.map_or(at, |n| n.min(at)));
         }
@@ -416,10 +420,11 @@ impl NiBackend {
         if slots.is_empty() {
             self.pending_local_reads.remove(&block);
         }
-        let e = self.itt.get(&slot).expect("slot live while reads pending");
+        let s = &self.itt[slot as usize];
+        let e = s.entry.as_ref().expect("slot live while reads pending");
         let idx = block.0 - e.local_base.0;
         let req = RemoteReq {
-            tid: self.tid(slot, e.gen),
+            tid: self.tid(slot, s.gen),
             is_read: false,
             src_node: 0, // stamped by the fabric at the network router
             target_node: e.remote_node,
@@ -447,7 +452,7 @@ impl NiBackend {
             }
         }
         // Admit waiting entries into free ITT slots.
-        while !self.waiting.is_empty() && !self.free_slots.is_empty() {
+        while !self.waiting.is_empty() && self.has_free_slot() {
             let p = self.waiting.pop_front().expect("checked non-empty");
             self.admit(now, p);
         }
@@ -467,10 +472,22 @@ impl NiBackend {
 
     /// In-flight transfer count.
     pub fn inflight(&self) -> usize {
-        self.itt.len()
+        // Every slot the table grew to is either live or vacated.
+        self.itt.len() - self.free_slots.len()
     }
 
     // ---- internals -------------------------------------------------------
+
+    /// A vacated slot, or room to grow the table.
+    fn has_free_slot(&self) -> bool {
+        !self.free_slots.is_empty() || self.itt.len() < self.cfg.itt_slots
+    }
+
+    /// Vacate `slot`; its generation stays for the next occupant.
+    fn free_slot(&mut self, slot: u32) {
+        self.itt[slot as usize].entry = None;
+        self.free_slots.push(slot);
+    }
 
     /// A validated WQ entry finished RGP backend processing. With a
     /// replica map and a multi-node replica set, a write expands here into
@@ -531,7 +548,7 @@ impl NiBackend {
     }
 
     fn enqueue_leg(&mut self, now: Cycle, p: Pending) {
-        if self.free_slots.is_empty() {
+        if !self.has_free_slot() {
             self.stats.itt_stalls.incr();
             self.waiting.push_back(p);
         } else {
@@ -539,11 +556,18 @@ impl NiBackend {
         }
     }
 
+    /// Put `p` in a slot: the last one vacated, else the lowest never used
+    /// (the table's length).
     fn admit(&mut self, now: Cycle, p: Pending) {
-        let slot = self.free_slots.pop().expect("caller checked free slot");
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            debug_assert!(
+                self.itt.len() < self.cfg.itt_slots,
+                "caller checked free slot"
+            );
+            self.itt.push(IttSlot::default());
+            (self.itt.len() - 1) as u32
+        });
         self.stats.transfers.incr();
-        let gen = self.slot_gens[slot as usize].wrapping_add(1);
-        self.slot_gens[slot as usize] = gen;
         let total = p.entry.blocks();
         // Per-block ack tracking only matters once retries can mint
         // duplicate responses; with the watchdog off the empty Vec keeps
@@ -567,31 +591,29 @@ impl NiBackend {
         } else {
             0
         };
-        self.itt.insert(
-            slot,
-            IttEntry {
-                qp: p.qp,
-                fe: p.fe,
-                wq_id: p.entry.id,
-                op: p.entry.op,
-                remote_node: p.entry.remote_node,
-                remote_base: p.entry.remote_addr.block(),
-                local_base: p.entry.local_addr.block(),
-                total,
-                sent: 0,
-                responses: 0,
-                gen,
-                last_progress: now,
-                retries_left: self.cfg.itt_retries,
-                acked,
-                primary: p.primary,
-                replica_rank: p.rank,
-                replays_left,
-                replayed: false,
-                quorum: p.quorum,
-                service: p.entry.service,
-            },
-        );
+        let s = &mut self.itt[slot as usize];
+        s.gen = s.gen.wrapping_add(1);
+        s.entry = Some(IttEntry {
+            qp: p.qp,
+            fe: p.fe,
+            wq_id: p.entry.id,
+            op: p.entry.op,
+            remote_node: p.entry.remote_node,
+            remote_base: p.entry.remote_addr.block(),
+            local_base: p.entry.local_addr.block(),
+            total,
+            sent: 0,
+            responses: 0,
+            last_progress: now,
+            retries_left: self.cfg.itt_retries,
+            acked,
+            primary: p.primary,
+            replica_rank: p.rank,
+            replays_left,
+            replayed: false,
+            quorum: p.quorum,
+            service: p.entry.service,
+        });
         if self.cfg.itt_timeout > 0 {
             self.next_deadline = self.next_deadline.min(now + self.cfg.itt_timeout);
         }
@@ -608,16 +630,17 @@ impl NiBackend {
     /// slot and complete the operation with an error CQ status (or, for a
     /// quorum leg, record the dead leg and let the quorum decide).
     fn check_timeouts(&mut self, now: Cycle) {
-        if self.cfg.itt_timeout == 0 || now < self.next_deadline || self.itt.is_empty() {
+        if self.cfg.itt_timeout == 0 || now < self.next_deadline || self.inflight() == 0 {
             return;
         }
         let timeout = self.cfg.itt_timeout;
         let mut next = Cycle(u64::MAX);
-        for slot in 0..self.cfg.itt_slots as u32 {
+        for slot in 0..self.itt.len() as u32 {
             let mut retried = false;
             let mut replayed = false;
             let mut failed: Option<(u32, u64, NocNode, bool, bool)> = None;
-            match self.itt.get_mut(&slot) {
+            let IttSlot { gen, entry } = &mut self.itt[slot as usize];
+            match entry {
                 None => continue,
                 Some(e) => {
                     let deadline = e.last_progress + timeout;
@@ -637,9 +660,9 @@ impl NiBackend {
                         // WQ replay: re-inject the whole transfer from its
                         // descriptor toward the next replica of the
                         // original destination. Bumping the slot
-                        // generation (mirrored in `slot_gens` so admits
-                        // keep monotonic) makes every response the
-                        // abandoned destination still owes — including
+                        // generation (which the slot keeps, so the next
+                        // admit counts on from it) makes every response
+                        // the abandoned destination still owes — including
                         // blocks already counted — stale on arrival, which
                         // is what lets the ack bitmap restart from zero
                         // without double-count hazards.
@@ -650,9 +673,7 @@ impl NiBackend {
                         e.replays_left -= 1;
                         e.replica_rank += 1;
                         e.remote_node = map.alternate(e.primary, e.replica_rank);
-                        let gen = self.slot_gens[slot as usize].wrapping_add(1);
-                        self.slot_gens[slot as usize] = gen;
-                        e.gen = gen;
+                        *gen = gen.wrapping_add(1);
                         e.sent = 0;
                         e.responses = 0;
                         for w in &mut e.acked {
@@ -690,8 +711,7 @@ impl NiBackend {
             }
             if let Some((qp, wq_id, fe, quorum, was_replayed)) = failed {
                 self.stats.itt_timeouts.incr();
-                self.itt.remove(&slot);
-                self.free_slots.push(slot);
+                self.free_slot(slot);
                 if let Some(pos) = self.active.iter().position(|&s| s == slot) {
                     self.active.remove(pos);
                 }
@@ -791,7 +811,9 @@ impl NiBackend {
     }
 
     fn unroll_one(&mut self, now: Cycle, slot: u32) {
-        let e = self.itt.get_mut(&slot).expect("active slot is live");
+        let IttSlot { gen, entry } = &mut self.itt[slot as usize];
+        let gen = *gen;
+        let e = entry.as_mut().expect("active slot is live");
         // Skip blocks the ack bitmap already saw answered (no-op before
         // the first retry: the bitmap is all zeroes — or empty — until
         // duplicates are possible). A rewound cursor can land past the
@@ -809,7 +831,7 @@ impl NiBackend {
             return;
         }
         let idx = e.sent;
-        let (qp, wq_id, op, gen, service) = (e.qp, e.wq_id, e.op, e.gen, e.service);
+        let (qp, wq_id, op, service) = (e.qp, e.wq_id, e.op, e.service);
         // Fan-out legs beyond the primary would otherwise mint duplicate
         // per-operation NetOut trace marks.
         let traces_net_out = !e.quorum || e.replica_rank == 0;
@@ -894,7 +916,11 @@ impl NiBackend {
         // the watchdog off nothing ever outlives its entry, so it can only
         // mean tid corruption or a routing bug: keep the old loud failure
         // in debug builds there.
-        let Some(e) = self.itt.get_mut(&slot) else {
+        let Some(IttSlot {
+            gen: live_gen,
+            entry: Some(e),
+        }) = self.itt.get_mut(slot as usize)
+        else {
             debug_assert!(
                 self.cfg.itt_timeout > 0,
                 "response tid {:#x} matches no live slot with the watchdog off",
@@ -903,7 +929,7 @@ impl NiBackend {
             self.stats.stale_responses.incr();
             return;
         };
-        if e.gen != gen {
+        if *live_gen != gen {
             debug_assert!(
                 self.cfg.itt_timeout > 0,
                 "response tid {:#x} generation mismatch with the watchdog off",
@@ -961,8 +987,7 @@ impl NiBackend {
             }));
         }
         if done {
-            self.itt.remove(&slot);
-            self.free_slots.push(slot);
+            self.free_slot(slot);
             // A transfer that retried (or replayed) can complete while its
             // rewound slot still sits in `active` (a parked original
             // response arriving after the watchdog re-queued it) or with
@@ -1007,6 +1032,5 @@ impl NiBackend {
                 });
             }
         }
-        let _ = self.qp_cfg;
     }
 }

@@ -4,14 +4,12 @@
 //! the events into a [`TraceTable`] from which the Table 1/3 breakdowns and
 //! the Fig. 5 projections are computed.
 
-use std::collections::BTreeMap;
-
 use ni_engine::{Cycle, RunningMean};
 
 /// Lifecycle stages of one remote operation (a WQ entry).
 ///
-/// `Ord` follows declaration order, which is lifecycle order — the
-/// [`TraceTable`] keys its per-request stamps by stage.
+/// Declaration order is lifecycle order, and a stage's discriminant is its
+/// index into a [`TraceTable`] row.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Stage {
     /// Core begins composing the WQ entry.
@@ -62,15 +60,23 @@ pub struct TraceEvent {
     pub at: Cycle,
 }
 
+/// A stage's stamp before the request reaches it.
+const UNSTAMPED: Cycle = Cycle(u64::MAX);
+
+/// One request's stage stamps, indexed by [`Stage`].
+type Row = [Cycle; Stage::ALL.len()];
+
 /// Collected request traces.
 ///
-/// Rows are ordered (`BTreeMap`): [`TraceTable::mean_between`] folds
-/// per-request durations into a float mean, and float summation is not
-/// associative — hash-order iteration here made the reported breakdowns
-/// differ between same-seed runs.
+/// Each queue pair owns one row per WQ entry at index `wq_id - 1` (a queue
+/// pair numbers its entries from 1, without gaps), allocated at the pair's
+/// first stamp. Rows are visited in index order, queue pair first:
+/// [`TraceTable::mean_between`] folds per-request durations into a float
+/// mean, and float summation is not associative — hash-order iteration
+/// here once made the reported breakdowns differ between same-seed runs.
 #[derive(Debug, Default)]
 pub struct TraceTable {
-    rows: BTreeMap<(u32, u64), BTreeMap<Stage, Cycle>>,
+    rows: Vec<Vec<Row>>,
 }
 
 impl TraceTable {
@@ -80,37 +86,57 @@ impl TraceTable {
     }
 
     /// Record one event (first stamp per stage wins; re-polls re-observe).
+    ///
+    /// # Panics
+    /// On WQ id 0, which no queue pair assigns.
     pub fn record(&mut self, e: TraceEvent) {
-        self.rows
-            .entry((e.qp, e.wq_id))
-            .or_default()
-            .entry(e.stage)
-            .or_insert(e.at);
+        let qp = e.qp as usize;
+        if self.rows.len() <= qp {
+            self.rows.resize_with(qp + 1, Vec::new);
+        }
+        let rows = &mut self.rows[qp];
+        let i = row_of(e.wq_id).expect("WQ ids start at 1");
+        if rows.len() <= i {
+            rows.resize(i + 1, [UNSTAMPED; Stage::ALL.len()]);
+        }
+        let stamp = &mut rows[i][e.stage as usize];
+        if *stamp == UNSTAMPED {
+            *stamp = e.at;
+        }
     }
 
     /// Timestamp of `stage` for request `(qp, wq_id)`.
     pub fn at(&self, qp: u32, wq_id: u64, stage: Stage) -> Option<Cycle> {
-        self.rows.get(&(qp, wq_id))?.get(&stage).copied()
+        let t = self.rows.get(qp as usize)?.get(row_of(wq_id)?)?[stage as usize];
+        (t != UNSTAMPED).then_some(t)
     }
 
     /// Number of traced requests.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.traced().count()
     }
 
     /// True when nothing was traced.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.traced().next().is_none()
+    }
+
+    /// Rows with at least one stamp (ids recorded out of order can leave
+    /// an unstamped row below them for a while).
+    fn traced(&self) -> impl Iterator<Item = &Row> {
+        self.rows
+            .iter()
+            .flatten()
+            .filter(|row| row.iter().any(|&t| t != UNSTAMPED))
     }
 
     /// Mean duration between two stages across all fully-stamped requests.
     pub fn mean_between(&self, a: Stage, b: Stage) -> Option<f64> {
         let mut m = RunningMean::new();
-        for stamps in self.rows.values() {
-            if let (Some(&ta), Some(&tb)) = (stamps.get(&a), stamps.get(&b)) {
-                if tb >= ta {
-                    m.record(tb - ta);
-                }
+        for row in self.rows.iter().flatten() {
+            let (ta, tb) = (row[a as usize], row[b as usize]);
+            if ta != UNSTAMPED && tb != UNSTAMPED && tb >= ta {
+                m.record(tb - ta);
             }
         }
         (m.count() > 0).then(|| m.mean())
@@ -120,6 +146,11 @@ impl TraceTable {
     pub fn mean_end_to_end(&self) -> Option<f64> {
         self.mean_between(Stage::WqWriteStart, Stage::CqReadDone)
     }
+}
+
+/// Row index of WQ id `wq_id`; `None` for id 0.
+fn row_of(wq_id: u64) -> Option<usize> {
+    usize::try_from(wq_id.checked_sub(1)?).ok()
 }
 
 #[cfg(test)]
@@ -172,20 +203,28 @@ mod tests {
     #[test]
     fn averages_across_requests() {
         let mut t = TraceTable::new();
+        let stamp = |t: &mut TraceTable, qp: u32, wq_id: u64, stage: Stage, at: u64| {
+            t.record(TraceEvent {
+                qp,
+                wq_id,
+                stage,
+                at: Cycle(at),
+            });
+        };
+        // QP 3's requests are stamped interleaved with QP 0's, its second
+        // request before its first.
+        stamp(&mut t, 3, 2, Stage::WqWriteStart, 10);
         for (id, dt) in [(1u64, 100u64), (2, 200)] {
-            t.record(TraceEvent {
-                qp: 0,
-                wq_id: id,
-                stage: Stage::WqWriteStart,
-                at: Cycle(0),
-            });
-            t.record(TraceEvent {
-                qp: 0,
-                wq_id: id,
-                stage: Stage::CqReadDone,
-                at: Cycle(dt),
-            });
+            stamp(&mut t, 0, id, Stage::WqWriteStart, 0);
+            stamp(&mut t, 0, id, Stage::CqReadDone, dt);
         }
-        assert_eq!(t.mean_end_to_end(), Some(150.0));
+        stamp(&mut t, 3, 1, Stage::WqWriteStart, 0);
+        stamp(&mut t, 3, 2, Stage::CqReadDone, 410);
+        stamp(&mut t, 3, 1, Stage::CqReadDone, 300);
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.at(3, 2, Stage::WqWriteStart), Some(Cycle(10)));
+        assert_eq!(t.at(1, 1, Stage::WqWriteStart), None);
+        // (100 + 200 + 300 + 400) / 4
+        assert_eq!(t.mean_end_to_end(), Some(250.0));
     }
 }

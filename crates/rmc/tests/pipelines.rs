@@ -2,10 +2,12 @@
 //! backend's unroll engine and ITT, and the RRPP service loop.
 
 use ni_engine::Cycle;
-use ni_fabric::{RemoteReq, RemoteResp};
+use std::sync::Arc;
+
+use ni_fabric::{RemoteReq, RemoteResp, ReplicaMap};
 use ni_mem::{Addr, BlockAddr};
 use ni_noc::NocNode;
-use ni_qp::{QpConfig, RemoteOp, WqEntry};
+use ni_qp::{RemoteOp, WqEntry};
 use ni_rmc::{NiBackend, NiMsg, RmcConfig, RmcEgress, Rrpp, Stage};
 
 fn home(b: BlockAddr, n_banks: u32) -> NocNode {
@@ -17,7 +19,6 @@ fn backend(edge_via: Option<NocNode>) -> NiBackend {
         NocNode::NiBlock(0),
         3,
         RmcConfig::default(),
-        QpConfig::default(),
         home,
         64,
         edge_via,
@@ -181,15 +182,7 @@ fn itt_exhaustion_queues_and_drains() {
         itt_slots: 2,
         ..RmcConfig::default()
     };
-    let mut be = NiBackend::new(
-        NocNode::NiBlock(0),
-        0,
-        cfg,
-        QpConfig::default(),
-        home,
-        64,
-        None,
-    );
+    let mut be = NiBackend::new(NocNode::NiBlock(0), 0, cfg, home, 64, None);
     for id in 1..=4u64 {
         be.on_wq_entry(
             Cycle(0),
@@ -318,7 +311,6 @@ fn watchdog_backend(timeout: u64, retries: u32) -> NiBackend {
             itt_retries: retries,
             ..RmcConfig::default()
         },
-        QpConfig::default(),
         home,
         64,
         None,
@@ -444,6 +436,67 @@ fn responses_outliving_their_transfer_are_dropped_as_stale() {
     be.on_response(Cycle(260), resp_for(&d2.net[0]));
     drain(&mut be, 260, 20);
     assert_eq!(be.inflight(), 0);
+}
+
+/// A WQ replay bumps its slot's generation mid-transfer. Once the slot is
+/// vacated, its next occupant must count on from the bumped generation, so
+/// late responses owed to either earlier destination cannot match it.
+#[test]
+fn slot_reused_after_a_replay_mints_a_fresh_generation() {
+    let mut be = NiBackend::new(
+        NocNode::NiBlock(0),
+        3,
+        RmcConfig {
+            itt_timeout: 50,
+            itt_retries: 0,
+            replay_budget: 1,
+            ..RmcConfig::default()
+        },
+        home,
+        64,
+        None,
+    );
+    be.set_replicas(Some(Arc::new(ReplicaMap::ring(4, 1, 2))));
+    let fe = NocNode::tile(0, 0);
+    be.on_wq_entry(Cycle(0), entry(1, RemoteOp::Read, 64), 0, fe);
+    // Nothing answers: the first deadline replays the read toward the
+    // other replica, the second gives up.
+    let d = drain(&mut be, 0, 200);
+    assert_eq!(d.net.len(), 2, "original send plus the replay");
+    assert_ne!(
+        d.net[0].target_node, d.net[1].target_node,
+        "the replay targets another replica"
+    );
+    assert_ne!(
+        d.net[0].tid, d.net[1].tid,
+        "the replay runs under a bumped generation"
+    );
+    assert_eq!(be.stats().replays.get(), 1);
+    assert_eq!(be.stats().failed_transfers.get(), 1);
+    assert_eq!(be.inflight(), 0);
+    // The vacated slot takes the next transfer.
+    be.on_wq_entry(Cycle(300), entry(2, RemoteOp::Read, 64), 0, fe);
+    let d2 = drain(&mut be, 300, 20);
+    assert_eq!(d2.net.len(), 1);
+    let fresh = d2.net[0].tid;
+    assert_eq!(fresh & 0xffff, d.net[1].tid & 0xffff, "the slot is reused");
+    for old in &d.net {
+        assert_ne!(
+            fresh, old.tid,
+            "slot reuse after a replay must mint a fresh generation"
+        );
+    }
+    // Both earlier generations' responses limp home: dropped, not matched.
+    be.on_response(Cycle(320), resp_for(&d.net[0]));
+    be.on_response(Cycle(321), resp_for(&d.net[1]));
+    drain(&mut be, 320, 10);
+    assert_eq!(be.stats().stale_responses.get(), 2);
+    assert_eq!(be.inflight(), 1, "the new occupant is untouched");
+    // Its own response lands before its deadline and completes it.
+    be.on_response(Cycle(330), resp_for(&d2.net[0]));
+    drain(&mut be, 330, 10);
+    assert_eq!(be.inflight(), 0);
+    assert!(be.is_quiescent());
 }
 
 #[test]

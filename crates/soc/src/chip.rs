@@ -165,38 +165,24 @@ fn tile_node(i: usize) -> NocNode {
     NocNode::Tile(Coord::new((i % 8) as u8, (i / 8) as u8))
 }
 
+/// Where the component at `node` sits in its class's vector: a tile's
+/// row-major index (the inverse of [`tile_node`]), or an NI block's, LLC's
+/// or MC's row or column. Directories, frontends, backends and memory
+/// controllers are stored by this position; complexes too, except that NI
+/// complexes follow the tiles (see [`Chip::complex_at`]).
+fn position(node: NocNode) -> usize {
+    match node {
+        NocNode::Tile(c) => usize::from(c.y) * 8 + usize::from(c.x),
+        NocNode::NiBlock(r) | NocNode::Llc(r) | NocNode::Mc(r) => usize::from(r),
+    }
+}
+
 /// The NI block a tile's traffic exits through: its mesh row, or its
 /// NOC-Out column.
 fn edge_of_tile(topology: Topology, i: usize) -> u8 {
     match topology {
         Topology::Mesh => (i / 8) as u8,
         Topology::NocOut => (i % 8) as u8,
-    }
-}
-
-enum NocImpl {
-    Mesh(MeshNoc<ChipMsg>),
-    NocOut(NocOutNoc<ChipMsg>),
-}
-
-impl NocImpl {
-    fn as_dyn(&mut self) -> &mut dyn Interconnect<ChipMsg> {
-        match self {
-            NocImpl::Mesh(m) => m,
-            NocImpl::NocOut(n) => n,
-        }
-    }
-    fn as_ref_dyn(&self) -> &dyn Interconnect<ChipMsg> {
-        match self {
-            NocImpl::Mesh(m) => m,
-            NocImpl::NocOut(n) => n,
-        }
-    }
-    fn stats(&self) -> &NocStats {
-        match self {
-            NocImpl::Mesh(m) => m.stats(),
-            NocImpl::NocOut(n) => n.stats(),
-        }
     }
 }
 
@@ -223,15 +209,15 @@ enum Latch {
 pub struct Chip {
     cfg: ChipConfig,
     now: Cycle,
-    noc: NocImpl,
+    noc: Box<dyn Interconnect<ChipMsg> + Send>,
     /// Tile complexes `[0..n_cores)`, then edge NI complexes (NIedge only).
     complexes: Vec<CacheComplex>,
-    complex_index: BTreeMap<NocNode, usize>,
+    /// Directory banks by [`position`]: one per tile on the mesh, one per
+    /// LLC on NOC-Out.
     dirs: Vec<DirectoryBank>,
-    dir_index: BTreeMap<NocNode, usize>,
+    /// Memory controllers by row (mesh) or column (NOC-Out). A request's
+    /// tag is the position of the directory bank that sent it.
     mcs: Vec<MemoryController>,
-    mc_pending: BTreeMap<u64, NocNode>,
-    mc_seq: u64,
     /// Queue pairs, one per core.
     pub qps: Vec<QueuePair>,
     /// Cores, one per tile. Read freely; mutate through
@@ -239,12 +225,10 @@ pub struct Chip {
     /// tick tracks every core by a wake slot that direct mutation does not
     /// move.
     pub cores: Vec<Core>,
+    /// Frontends by [`position`]: per tile, or per NI block (NIedge).
     frontends: Vec<NiFrontend>,
-    fe_index: BTreeMap<NocNode, usize>,
-    /// Frontend index serving each complex index (for NI completions).
-    fe_of_complex: BTreeMap<usize, usize>,
+    /// Backends by [`position`]: per tile (NIper-tile), or per NI block.
     backends: Vec<NiBackend>,
-    backend_index: BTreeMap<NocNode, usize>,
     rrpps: Vec<Rrpp>,
     /// This chip's node id in the rack.
     node_id: u16,
@@ -334,25 +318,22 @@ impl Chip {
         let n_edge = cfg.n_edge();
         let home = home_fn(cfg.topology);
 
-        let noc = match cfg.topology {
+        let noc: Box<dyn Interconnect<ChipMsg> + Send> = match cfg.topology {
             Topology::Mesh => {
                 let mut m = cfg.mesh;
                 m.policy = cfg.routing;
-                NocImpl::Mesh(MeshNoc::new(m))
+                Box::new(MeshNoc::new(m))
             }
-            Topology::NocOut => NocImpl::NocOut(NocOutNoc::new(cfg.nocout)),
+            Topology::NocOut => Box::new(NocOutNoc::new(cfg.nocout)),
         };
 
         // Tile complexes: NI cache present when frontends are per tile.
         let per_tile_fe = cfg.placement.frontend_per_tile();
         let mut complexes = Vec::new();
-        let mut complex_index = BTreeMap::new();
         for i in 0..n {
-            let node = tile_node(i);
-            complex_index.insert(node, complexes.len());
             complexes.push(CacheComplex::new(
                 cfg.coherence,
-                node,
+                tile_node(i),
                 per_tile_fe,
                 home,
                 n_banks,
@@ -363,14 +344,12 @@ impl Chip {
         if cfg.placement == NiPlacement::Edge {
             for r in 0..n_edge {
                 let node = NocNode::NiBlock(r as u8);
-                complex_index.insert(node, complexes.len());
                 complexes.push(CacheComplex::new(cfg.coherence, node, true, home, n_banks));
             }
         }
 
         // Directory banks.
         let mut dirs = Vec::new();
-        let mut dir_index = BTreeMap::new();
         for b in 0..n_banks {
             let (node, mc) = match cfg.topology {
                 Topology::Mesh => {
@@ -383,7 +362,6 @@ impl Chip {
                 }
                 Topology::NocOut => (NocNode::Llc(b as u8), NocNode::Mc(b as u8)),
             };
-            dir_index.insert(node, dirs.len());
             dirs.push(DirectoryBank::new(cfg.coherence, node, mc));
         }
 
@@ -419,16 +397,12 @@ impl Chip {
 
         // Backends.
         let mut backends = Vec::new();
-        let mut backend_index = BTreeMap::new();
         if cfg.placement.backend_per_tile() {
             for i in 0..n {
-                let node = tile_node(i);
-                backend_index.insert(node, backends.len());
                 backends.push(NiBackend::new(
-                    node,
+                    tile_node(i),
                     i as u16,
                     cfg.rmc,
-                    cfg.qp,
                     home,
                     n_banks,
                     Some(NocNode::NiBlock(edge_of_tile(cfg.topology, i))),
@@ -437,10 +411,7 @@ impl Chip {
         } else if cfg.placement != NiPlacement::Numa {
             for r in 0..n_edge {
                 let node = NocNode::NiBlock(r as u8);
-                backend_index.insert(node, backends.len());
-                backends.push(NiBackend::new(
-                    node, r as u16, cfg.rmc, cfg.qp, home, n_banks, None,
-                ));
+                backends.push(NiBackend::new(node, r as u16, cfg.rmc, home, n_banks, None));
             }
         }
 
@@ -462,8 +433,6 @@ impl Chip {
 
         // Frontends.
         let mut frontends = Vec::new();
-        let mut fe_index = BTreeMap::new();
-        let mut fe_of_complex = BTreeMap::new();
         match cfg.placement {
             NiPlacement::Numa => {}
             NiPlacement::Edge => {
@@ -472,8 +441,6 @@ impl Chip {
                     let row_qps: Vec<u32> = (0..n as u32)
                         .filter(|&i| edge_of_tile(cfg.topology, i as usize) == r as u8)
                         .collect();
-                    fe_index.insert(node, frontends.len());
-                    fe_of_complex.insert(complex_index[&node], frontends.len());
                     frontends.push(NiFrontend::new(node, node, row_qps, cfg.rmc));
                 }
             }
@@ -485,8 +452,6 @@ impl Chip {
                     } else {
                         NocNode::NiBlock(edge_of_tile(cfg.topology, i))
                     };
-                    fe_index.insert(node, frontends.len());
-                    fe_of_complex.insert(i, frontends.len());
                     frontends.push(NiFrontend::new(node, backend, vec![i as u32], cfg.rmc));
                 }
             }
@@ -511,19 +476,12 @@ impl Chip {
             now: Cycle::ZERO,
             noc,
             complexes,
-            complex_index,
             dirs,
-            dir_index,
             mcs,
-            mc_pending: BTreeMap::new(),
-            mc_seq: 0,
             qps,
             cores,
             frontends,
-            fe_index,
-            fe_of_complex,
             backends,
-            backend_index,
             rrpps,
             node_id: cfg.node_id,
             fabric,
@@ -564,10 +522,8 @@ impl Chip {
     /// backing store; private L1 copies are not touched.
     pub fn poke_block(&mut self, b: BlockAddr, value: u64) {
         let home = self.home_of(b);
-        if let Some(&d) = self.dir_index.get(&home) {
-            if self.dirs[d].poke_llc(b, value) {
-                return;
-            }
+        if self.dirs[position(home)].poke_llc(b, value) {
+            return;
         }
         let m = usize::from(self.edge_of_node(home));
         self.mcs[m].poke(b, value);
@@ -578,10 +534,8 @@ impl Chip {
     /// resident (NUCA writes land there first), else the backing store.
     pub fn peek_block(&self, b: BlockAddr) -> u64 {
         let home = self.home_of(b);
-        if let Some(&d) = self.dir_index.get(&home) {
-            if let Some(v) = self.dirs[d].peek_llc(b) {
-                return v;
-            }
+        if let Some(v) = self.dirs[position(home)].peek_llc(b) {
+            return v;
         }
         let m = usize::from(self.edge_of_node(home));
         self.mcs[m].peek(b)
@@ -756,7 +710,7 @@ impl Chip {
         self.tick_complexes(now, false);
         self.tick_dirs(now, false);
         self.tick_mcs(now, false);
-        self.noc.as_dyn().tick(now);
+        self.noc.tick(now);
         self.drain_noc(now);
         self.now += 1;
         self.full_ticks += 1;
@@ -791,7 +745,7 @@ impl Chip {
         // The NOC ticks and drains unconditionally in a full tick, exactly
         // like the poll loop (an idle NOC tick is a strict no-op; skipping
         // happens at whole-cycle granularity in the dormant path instead).
-        self.noc.as_dyn().tick(now);
+        self.noc.tick(now);
         self.drain_noc(now);
         self.now += 1;
         self.full_ticks += 1;
@@ -813,7 +767,7 @@ impl Chip {
     /// latch delivery. `self.now` itself when backlogged or mid-NOC-flight
     /// — those need the full per-cycle loop.
     fn compute_dormant_until(&self) -> Cycle {
-        if !self.backlog.is_empty() || !self.noc.as_ref_dyn().is_idle() {
+        if !self.backlog.is_empty() || !self.noc.is_idle() {
             return self.now;
         }
         [
@@ -923,7 +877,7 @@ impl Chip {
             q.push_back(pkt);
             return;
         }
-        if let Err(p) = self.noc.as_dyn().try_inject(self.now, pkt) {
+        if let Err(p) = self.noc.try_inject(self.now, pkt) {
             self.backlog.entry(p.src).or_default().push_back(p);
         }
     }
@@ -931,7 +885,7 @@ impl Chip {
     /// Retry every blocked source in node order, dropping the sources that
     /// drain.
     fn retry_backlog(&mut self, now: Cycle) {
-        let noc = self.noc.as_dyn();
+        let noc = &mut self.noc;
         self.backlog.retain(|_, q| {
             // Drain each source head-first; stop at the first rejection
             // (the injection port is serialized, so the rest cannot go
@@ -1072,7 +1026,7 @@ impl Chip {
                 continue;
             }
             let fe_node = self.frontends[f].node();
-            let cx = self.complex_index[&fe_node];
+            let cx = self.complex_at(fe_node);
             self.frontends[f].tick(now, &mut self.qps, &mut self.complexes[cx]);
             while let Some(e) = self.frontends[f].pop_egress() {
                 self.dispatch_rmc(now, fe_node, e);
@@ -1188,7 +1142,8 @@ impl Chip {
                             .lower(i, self.cores[i].next_activity(now).unwrap_or(NEVER));
                     }
                     ni_coherence::AccessOrigin::Ni => {
-                        let f = self.fe_of_complex[&c];
+                        // The frontend this NI cache serves.
+                        let f = position(self.complexes[c].node());
                         self.frontends[f].on_cache_completion(
                             done.at,
                             done.tag,
@@ -1244,7 +1199,7 @@ impl Chip {
                 continue;
             }
             while let Some(reply) = self.mcs[m].pop_ready(now) {
-                let to = self.mc_pending.remove(&reply.tag).expect("tracked request");
+                let to = self.dirs[reply.tag as usize].node();
                 let msg = match reply.kind {
                     MemRequestKind::Read => CohMsg::NcData {
                         block: reply.block,
@@ -1272,11 +1227,11 @@ impl Chip {
 
     /// Hand every delivered packet to its addressee, lowest endpoint index
     /// first. Runs stay reproducible as long as deliveries that share state
-    /// keep their relative order: MC deliveries share the `mc_seq` tag
-    /// counter (MCs drain in ascending order), and a tile's NI-data
-    /// delivery may reach its edge's RRPP (tiles drain before NI blocks).
+    /// keep their relative order, and only one pair does: a tile's NI-data
+    /// delivery may reach its edge's RRPP, and tiles drain before NI
+    /// blocks.
     fn drain_noc(&mut self, now: Cycle) {
-        while let Some(pkt) = self.noc.as_dyn().eject_next() {
+        while let Some(pkt) = self.noc.eject_next() {
             self.dispatch_packet(now, pkt);
         }
     }
@@ -1299,28 +1254,26 @@ impl Chip {
         match (dst, kind) {
             (NocNode::Mc(m), _) => {
                 // Memory controller: service NcRead/NcWrite from a bank.
-                let tag = self.mc_seq;
-                self.mc_seq += 1;
+                // Only directories address MCs; the tag names the sender.
+                let d = position(src);
+                debug_assert_eq!(self.dirs[d].node(), src, "MC request from a non-directory");
                 let (block, kind_req, value) = match msg {
                     CohMsg::NcRead { block } => (block, MemRequestKind::Read, 0),
                     CohMsg::NcWrite { block, value } => (block, MemRequestKind::Write, value),
                     other => panic!("MC received {other:?}"),
                 };
-                self.mc_pending.insert(tag, src);
                 let m = usize::from(m);
-                self.mcs[m]
-                    .push(now, block, kind_req, value, tag)
-                    .expect("uncapped memory controller");
+                self.mcs[m].push(now, block, kind_req, value, d as u64);
                 self.wake_mcs
                     .lower(m, self.mcs[m].next_ready_at().unwrap_or(NEVER));
             }
             (_, ClientKind::Directory) => {
-                let d = self.dir_index[&dst];
+                let d = position(dst);
                 self.dirs[d].deliver(now, src, msg);
                 self.wake_dirs.lower(d, now);
             }
             (_, ClientKind::Cache) => {
-                let c = self.complex_index[&dst];
+                let c = self.complex_at(dst);
                 self.complexes[c].deliver(now, msg);
                 self.wake_cxs.lower(c, now);
             }
@@ -1342,7 +1295,7 @@ impl Chip {
                         self.rrpps[r].on_nc_wack(now, block);
                     }
                     self.wake_rrpps.lower(r, now);
-                } else if let Some(&b) = self.backend_index.get(&dst) {
+                } else if let Some(b) = self.backend_at(dst) {
                     if is_data {
                         self.backends[b].on_nc_data(now, block, value);
                     } else {
@@ -1357,7 +1310,7 @@ impl Chip {
     fn deliver_ni(&mut self, now: Cycle, dst: NocNode, msg: NiMsg) {
         match msg {
             NiMsg::WqFwd { entry, qp, fe } => {
-                let b = self.backend_index[&dst];
+                let b = position(dst);
                 self.backends[b].on_wq_entry(now, entry, qp, fe);
                 self.wake_bes.lower(b, now);
             }
@@ -1367,7 +1320,7 @@ impl Chip {
                 ok,
                 degraded,
             } => {
-                let f = self.fe_index[&dst];
+                let f = position(dst);
                 self.frontends[f].on_notify(qp, wq_id, ok, degraded);
                 self.wake_fes.lower(f, now);
             }
@@ -1382,7 +1335,7 @@ impl Chip {
                     self.wake_cores
                         .lower(tile, self.cores[tile].next_activity(now).unwrap_or(NEVER));
                 } else {
-                    let b = self.backend_index[&dst];
+                    let b = position(dst);
                     self.backends[b].on_response(now, resp);
                     self.wake_bes.lower(b, now);
                 }
@@ -1396,12 +1349,76 @@ impl Chip {
         home_fn(self.cfg.topology)(b, self.cfg.n_banks())
     }
 
+    /// Index into `complexes` of the complex at `node`: a tile's position,
+    /// or for NI block `r`'s complex (NIedge) `r` past the tiles.
+    fn complex_at(&self, node: NocNode) -> usize {
+        match node {
+            NocNode::NiBlock(r) => self.cores.len() + usize::from(r),
+            _ => position(node),
+        }
+    }
+
+    /// Index of the backend at `node`, if one sits there.
+    fn backend_at(&self, node: NocNode) -> Option<usize> {
+        let b = position(node);
+        (self.backends.get(b)?.node() == node).then_some(b)
+    }
+
     /// NI-block row/column a node belongs to.
     fn edge_of_node(&self, node: NocNode) -> u8 {
         match (self.cfg.topology, node) {
             (Topology::Mesh, NocNode::Tile(c)) => c.y,
             (Topology::NocOut, NocNode::Tile(c)) => c.x,
             (_, NocNode::NiBlock(r)) | (_, NocNode::Mc(r)) | (_, NocNode::Llc(r)) => r,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The position rule that replaced the chip's lookup maps: every
+    /// complex, directory, frontend and backend sits at the index its node
+    /// gives, and each frontend's NI cache is the complex at its node.
+    #[test]
+    fn components_sit_at_their_node_positions() {
+        for topology in [Topology::Mesh, Topology::NocOut] {
+            for placement in [
+                NiPlacement::Numa,
+                NiPlacement::Edge,
+                NiPlacement::PerTile,
+                NiPlacement::Split,
+            ] {
+                let cfg = ChipConfig {
+                    topology,
+                    placement,
+                    ..ChipConfig::default()
+                };
+                let chip = Chip::new(cfg, Workload::Idle);
+                let at = format!("{topology:?}/{placement:?}");
+                for (i, c) in chip.complexes.iter().enumerate() {
+                    assert_eq!(chip.complex_at(c.node()), i, "{at}: complex {i}");
+                }
+                for (i, d) in chip.dirs.iter().enumerate() {
+                    assert_eq!(position(d.node()), i, "{at}: directory {i}");
+                }
+                for (i, f) in chip.frontends.iter().enumerate() {
+                    assert_eq!(position(f.node()), i, "{at}: frontend {i}");
+                    let cx = &chip.complexes[chip.complex_at(f.node())];
+                    assert_eq!(cx.node(), f.node(), "{at}: frontend {i}'s complex");
+                }
+                for (i, b) in chip.backends.iter().enumerate() {
+                    assert_eq!(chip.backend_at(b.node()), Some(i), "{at}: backend {i}");
+                }
+                // A node of the other kind holds no backend.
+                let elsewhere = if placement.backend_per_tile() {
+                    NocNode::NiBlock(0)
+                } else {
+                    tile_node(0)
+                };
+                assert_eq!(chip.backend_at(elsewhere), None, "{at}: {elsewhere:?}");
+            }
         }
     }
 }

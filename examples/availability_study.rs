@@ -17,10 +17,9 @@
 //!   once `w` acknowledge, so a dead replica costs a degraded flag, not an
 //!   error.
 //!
-//! The assertions below are the acceptance criteria CI enforces (set
-//! `RACKNI_AVAIL_GATE=off` to report without failing); the cell table
-//! lands in `BENCH_availability.json` (schema `rackni-bench-availability/1`)
-//! next to `BENCH_failure.json`.
+//! The assertions below are the acceptance criteria CI enforces; the cell
+//! table lands in `BENCH_availability.json` (schema
+//! `rackni-bench-availability/1`) next to `BENCH_failure.json`.
 //!
 //! ```sh
 //! cargo run --release --example availability_study            # quick (CI)
@@ -36,17 +35,10 @@ use rackni::report::BenchFile;
 fn main() {
     let scale = Scale::from_env();
     let params = FailureParams::at(scale);
-    let gate = !matches!(
-        std::env::var("RACKNI_AVAIL_GATE").as_deref(),
-        Ok("off") | Ok("0")
-    );
     println!(
         "availability_study: 4x4x4 rack, first fault at cycle {}, ITT watchdog {} cycles x{} \
-         retries, replay budget k-1 [scale: {scale:?}, gate: {}]\n",
-        params.kill_at,
-        params.itt_timeout,
-        params.itt_retries,
-        if gate { "on" } else { "off" }
+         retries, replay budget k-1 [scale: {scale:?}]\n",
+        params.kill_at, params.itt_timeout, params.itt_retries,
     );
 
     let pts = availability_sweep(scale);
@@ -59,31 +51,24 @@ fn main() {
             .find(|p| p.scenario == scenario && p.k == k && p.fault == fault)
             .expect("sweep covers the full grid")
     };
-    let check = |ok: bool, msg: String| {
-        if ok {
-            return;
-        }
-        if gate {
-            panic!("{msg}");
-        }
-        println!("GATE OFF, would have failed: {msg}");
-    };
 
     // Control group: healthy cells complete everything with no losses, no
     // degraded completions, no replays — at every replication degree.
     for p in pts.iter().filter(|p| p.fault == AvailFault::None) {
-        check(
+        assert!(
             p.completed_all && p.failed_ops == 0 && p.degraded_ops == 0 && p.replays == 0,
-            format!("healthy {}/k={} cell degraded: {p:?}", p.scenario, p.k),
+            "healthy {}/k={} cell degraded: {p:?}",
+            p.scenario,
+            p.k
         );
     }
 
     // Baseline: without replication a node kill must cost read losses —
     // this is the blast radius the recovery machinery is judged against.
     let base = find("reads", 1, AvailFault::NodeKill);
-    check(
+    assert!(
         base.lost_reads > 0,
-        format!("k=1 node kill must lose reads or the cell is not stressing anything: {base:?}"),
+        "k=1 node kill must lose reads or the cell is not stressing anything: {base:?}"
     );
 
     // Headline: at k >= 2 with replay, a node kill loses ZERO reads on
@@ -91,23 +76,22 @@ fn main() {
     for (k, _) in AVAIL_KW.iter().copied().filter(|&(k, _)| k >= 2) {
         for fault in [AvailFault::NodeKill, AvailFault::Storm] {
             let p = find("reads", k, fault);
-            check(
+            assert!(
                 p.completed_all,
-                format!("reads/k={k}/{}: job did not complete: {p:?}", fault.label()),
+                "reads/k={k}/{}: job did not complete: {p:?}",
+                fault.label()
             );
-            check(
+            assert!(
                 p.lost_reads == 0,
-                format!(
-                    "reads/k={k}/{}: {} reads lost on surviving nodes (expected 0): {p:?}",
-                    fault.label(),
-                    p.lost_reads
-                ),
+                "reads/k={k}/{}: {} reads lost on surviving nodes (expected 0): {p:?}",
+                fault.label(),
+                p.lost_reads
             );
         }
         let p = find("reads", k, AvailFault::NodeKill);
-        check(
+        assert!(
             p.degraded_ops > 0 && p.replays > 0,
-            format!("reads/k={k}/node-kill: recovery should be visible as replays: {p:?}"),
+            "reads/k={k}/node-kill: recovery should be visible as replays: {p:?}"
         );
     }
 
@@ -115,13 +99,13 @@ fn main() {
     // nodes, and the absorbed legs show up in the quorum counters.
     for (k, w) in AVAIL_KW.iter().copied().filter(|&(k, _)| k >= 2) {
         let p = find("writes", k, AvailFault::NodeKill);
-        check(
+        assert!(
             p.completed_all && p.lost_reads == 0,
-            format!("writes/k={k}/w={w}/node-kill: losses on surviving nodes: {p:?}"),
+            "writes/k={k}/w={w}/node-kill: losses on surviving nodes: {p:?}"
         );
-        check(
+        assert!(
             p.quorum_writes > 0,
-            format!("writes/k={k}: no write ever fanned out — replication not engaged: {p:?}"),
+            "writes/k={k}: no write ever fanned out — replication not engaged: {p:?}"
         );
     }
 

@@ -17,8 +17,7 @@
 //! time, no bulk) to the peak shared mix at half-time via
 //! `Rack::reset_scenario`.
 //!
-//! The assertions below are the SLO gate CI enforces (set
-//! `RACKNI_SLO_GATE=off` to report without failing); the cell table lands
+//! The assertions below are the SLO gate CI enforces; the cell table lands
 //! in `BENCH_serving.json` (schema `rackni-bench-serving/1`).
 //!
 //! ```sh
@@ -49,15 +48,10 @@ const KV_SHARED_GOODPUT_FLOOR: f64 = 1_000.0;
 
 fn main() {
     let scale = Scale::from_env();
-    let gate = !matches!(
-        std::env::var("RACKNI_SLO_GATE").as_deref(),
-        Ok("off") | Ok("0")
-    );
     println!(
         "serving_study: 4x4x4 rack, closed-loop kv (window {SERVING_WINDOW}, think \
          ~{SERVING_THINK}, service {SERVING_KV_SERVICE}) vs bulk graph tenant \
-         [scale: {scale:?}, gate: {}]\n",
-        if gate { "on" } else { "off" }
+         [scale: {scale:?}]\n"
     );
 
     let pts = serving_sweep(scale);
@@ -68,30 +62,24 @@ fn main() {
             .find(|p| p.case == case)
             .expect("sweep covers the full grid")
     };
-    let check = |ok: bool, msg: String| {
-        if ok {
-            return;
-        }
-        if gate {
-            panic!("{msg}");
-        }
-        println!("GATE OFF, would have failed: {msg}");
-    };
 
     // Every live tenant in every case made progress and lost nothing:
     // a serving tier that fails requests has no SLO to speak of.
     for p in &pts {
         for t in &p.tenants {
-            check(
+            assert!(
                 t.slo.samples > 0 && t.slo.achieved_per_kcycle > 0.0,
-                format!(
-                    "{}/{}: tenant made no progress: {:?}",
-                    p.case, t.label, t.slo
-                ),
+                "{}/{}: tenant made no progress: {:?}",
+                p.case,
+                t.label,
+                t.slo
             );
-            check(
+            assert!(
                 t.slo.failure_rate == 0.0,
-                format!("{}/{}: failed requests: {:?}", p.case, t.label, t.slo),
+                "{}/{}: failed requests: {:?}",
+                p.case,
+                t.label,
+                t.slo
             );
         }
     }
@@ -99,26 +87,20 @@ fn main() {
     // Tenant isolation bookkeeping: solo cases must report exactly the
     // tenants they run — tags are plumbed core -> chip -> rack, so a
     // stray tag means the striping or tagging broke.
-    check(
+    assert!(
         find("solo-kv").tenants.len() == 1 && find("solo-kv").tenant(TENANT_KV).is_some(),
-        format!(
-            "solo-kv must report only the kv tenant: {:?}",
-            find("solo-kv").tenants
-        ),
+        "solo-kv must report only the kv tenant: {:?}",
+        find("solo-kv").tenants
     );
-    check(
+    assert!(
         find("solo-bulk").tenants.len() == 1 && find("solo-bulk").tenant(TENANT_BULK).is_some(),
-        format!(
-            "solo-bulk must report only the bulk tenant: {:?}",
-            find("solo-bulk").tenants
-        ),
+        "solo-bulk must report only the bulk tenant: {:?}",
+        find("solo-bulk").tenants
     );
-    check(
+    assert!(
         find("shared").tenants.len() == 2,
-        format!(
-            "shared mix must report both tenants: {:?}",
-            find("shared").tenants
-        ),
+        "shared mix must report both tenants: {:?}",
+        find("shared").tenants
     );
 
     let solo = find("solo-kv").tenant(TENANT_KV).expect("solo kv ran");
@@ -129,40 +111,36 @@ fn main() {
     // solo p99. If these are equal the tenants are not actually
     // contending and the study measures nothing.
     let interference = serving_interference(&pts);
-    check(
+    assert!(
         shared.p99 > solo.p99,
-        format!(
-            "no cross-tenant interference: shared kv p99 {} <= solo p99 {}",
-            shared.p99, solo.p99
-        ),
+        "no cross-tenant interference: shared kv p99 {} <= solo p99 {}",
+        shared.p99,
+        solo.p99
     );
 
     // The SLO gate proper: the kv tenant's shared-mix tail and goodput
     // stay within the serving bounds. The numeric bounds are calibrated
     // for (and only checked at) quick scale — the scale CI runs.
     if scale == Scale::Quick {
-        check(
+        assert!(
             shared.p99 <= KV_SHARED_P99_CEILING,
-            format!(
-                "kv SLO violated: shared p99 {} cycles > ceiling {KV_SHARED_P99_CEILING}",
-                shared.p99
-            ),
+            "kv SLO violated: shared p99 {} cycles > ceiling {KV_SHARED_P99_CEILING}",
+            shared.p99
         );
-        check(
+        assert!(
             shared.goodput_bytes_per_kcycle >= KV_SHARED_GOODPUT_FLOOR,
-            format!(
-                "kv goodput {:.1} B/kcycle below floor {KV_SHARED_GOODPUT_FLOOR}",
-                shared.goodput_bytes_per_kcycle
-            ),
+            "kv goodput {:.1} B/kcycle below floor {KV_SHARED_GOODPUT_FLOOR}",
+            shared.goodput_bytes_per_kcycle
         );
     }
 
     // Diurnal sanity: the phase change takes — the peak half runs the
     // shared mix, so the bulk tenant must appear in the diurnal stats.
     let diurnal = find("diurnal");
-    check(
+    assert!(
         diurnal.tenant(TENANT_KV).is_some() && diurnal.tenant(TENANT_BULK).is_some(),
-        format!("diurnal peak phase never engaged: {:?}", diurnal.tenants),
+        "diurnal peak phase never engaged: {:?}",
+        diurnal.tenants
     );
     // The off-peak half throttles the kv tenant (8x think time) and the
     // peak half contends with bulk, so a diurnal run must offer less kv
@@ -170,12 +148,11 @@ fn main() {
     // the shared run: closed-loop offered load is endogenous, and full-
     // time contention suppresses it below even the throttled diurnal.)
     let dkv = diurnal.tenant(TENANT_KV).expect("diurnal kv ran");
-    check(
+    assert!(
         dkv.offered_per_kcycle < solo.offered_per_kcycle,
-        format!(
-            "diurnal off-peak phase had no effect: {:.2} >= {:.2} offered/kcycle",
-            dkv.offered_per_kcycle, solo.offered_per_kcycle
-        ),
+        "diurnal off-peak phase had no effect: {:.2} >= {:.2} offered/kcycle",
+        dkv.offered_per_kcycle,
+        solo.offered_per_kcycle
     );
 
     println!(
