@@ -24,6 +24,13 @@ use ni_noc::NocNode;
 use crate::config::CoherenceConfig;
 use crate::msg::{ClientKind, CohMsg, Egress};
 
+/// L1 hit latency in cycles, tag + data (Table 2: 3).
+pub const L1_LATENCY: u64 = 3;
+
+/// Latency of the internal L1 back-side <-> NI cache path, cycles (the
+/// paper's "WQ/CQ entry transfer": 5).
+pub const NI_TRANSFER_LATENCY: u64 = 5;
+
 /// Who issued an access into the complex.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AccessOrigin {
@@ -273,7 +280,7 @@ impl CacheComplex {
             "NI access submitted to a complex without an NI cache"
         );
         let lat = match access.origin {
-            AccessOrigin::Core => self.cfg.l1_latency,
+            AccessOrigin::Core => L1_LATENCY,
             // The NI cache is a small dedicated structure next to the
             // pipeline; its tag lookup is a single cycle.
             AccessOrigin::Ni => 1,
@@ -421,7 +428,7 @@ impl CacheComplex {
                 // Back-side snoop hit: the other structure has the block.
                 self.stats.internal_transfers.incr();
                 self.events
-                    .push_after(now, self.cfg.ni_transfer_latency, Ev::Transfer(a));
+                    .push_after(now, NI_TRANSFER_LATENCY, Ev::Transfer(a));
             }
             _ if own == LineState::S && a.kind == AccessKind::Store => {
                 // Upgrade: issue GetX (the directory excludes us from the
@@ -435,7 +442,7 @@ impl CacheComplex {
         }
     }
 
-    /// Finish an internal L1 <-> NI transfer decided `ni_transfer_latency`
+    /// Finish an internal L1 <-> NI transfer decided [`NI_TRANSFER_LATENCY`]
     /// cycles ago; re-evaluates state so racing invalidations are honored.
     fn finish_transfer(&mut self, now: Cycle, a: Access) {
         let Some(line) = self.lines.get(&a.block).copied() else {

@@ -3,70 +3,46 @@
 /// Timing and sizing of the cache hierarchy.
 #[derive(Clone, Copy, Debug)]
 pub struct CoherenceConfig {
-    /// L1 hit latency in cycles, tag + data (Table 2: 3).
-    pub l1_latency: u64,
     /// L1 capacity in blocks (Table 2: 32KB data / 64B = 512).
     pub l1_blocks: usize,
     /// L1 MSHR count (Table 2: 32).
     pub l1_mshrs: usize,
     /// NI cache capacity in blocks (holds QP entries; small).
     pub ni_cache_blocks: usize,
-    /// Latency of the internal L1 back-side <-> NI cache path, cycles
-    /// (the paper's "WQ/CQ entry transfer": 5).
-    pub ni_transfer_latency: u64,
     /// Enable the NI-cache Owned state (§3.4). When disabled, a dirty NI
     /// block polled read-only by the core is first written back to the LLC —
     /// the slow path the Owned state exists to avoid (ablation A2).
     pub ni_owned_state: bool,
-    /// LLC bank access latency in cycles (Table 2: 6).
-    pub llc_latency: u64,
-    /// LLC bank capacity in blocks (16MB / 64 banks / 64B = 4096).
-    pub llc_bank_blocks: usize,
-    /// LLC associativity (Table 2: 16).
-    pub llc_ways: usize,
-    /// Messages a directory bank can begin processing per cycle.
-    pub llc_bank_throughput: u32,
 }
 
 impl Default for CoherenceConfig {
     fn default() -> Self {
         CoherenceConfig {
-            l1_latency: 3,
             l1_blocks: 512,
             l1_mshrs: 32,
             ni_cache_blocks: 64,
-            ni_transfer_latency: 5,
             ni_owned_state: true,
-            llc_latency: 6,
-            llc_bank_blocks: 4096,
-            llc_ways: 16,
-            llc_bank_throughput: 1,
         }
-    }
-}
-
-impl CoherenceConfig {
-    /// Number of sets in one LLC bank.
-    pub fn llc_sets(&self) -> usize {
-        (self.llc_bank_blocks / self.llc_ways).max(1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::{L1_LATENCY, NI_TRANSFER_LATENCY};
+    use crate::directory::{LLC_BANK_BLOCKS, LLC_LATENCY, LLC_WAYS};
 
     #[test]
     fn defaults_match_table2() {
         let c = CoherenceConfig::default();
-        assert_eq!(c.l1_latency, 3);
+        assert_eq!(L1_LATENCY, 3);
         assert_eq!(c.l1_blocks, 512); // 32KB / 64B
         assert_eq!(c.l1_mshrs, 32);
-        assert_eq!(c.llc_latency, 6);
-        assert_eq!(c.llc_ways, 16);
-        assert_eq!(c.llc_bank_blocks, 4096); // 16MB / 64 banks / 64B
-        assert_eq!(c.llc_sets(), 256);
+        assert_eq!(LLC_LATENCY, 6);
+        assert_eq!(LLC_WAYS, 16);
+        assert_eq!(LLC_BANK_BLOCKS, 4096); // 16MB / 64 banks / 64B
+        assert_eq!(LLC_BANK_BLOCKS / LLC_WAYS, 256);
         assert!(c.ni_owned_state);
-        assert_eq!(c.ni_transfer_latency, 5);
+        assert_eq!(NI_TRANSFER_LATENCY, 5);
     }
 }

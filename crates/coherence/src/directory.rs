@@ -18,9 +18,20 @@ use ni_engine::{Counter, Cycle, DelayLine};
 use ni_mem::BlockAddr;
 use ni_noc::NocNode;
 
-use crate::config::CoherenceConfig;
 use crate::llc::LlcArray;
 use crate::msg::{ClientKind, CohMsg, Egress};
+
+/// LLC bank access latency in cycles (Table 2: 6).
+pub const LLC_LATENCY: u64 = 6;
+
+/// LLC bank capacity in blocks (16MB / 64 banks / 64B = 4096).
+pub const LLC_BANK_BLOCKS: usize = 4096;
+
+/// LLC associativity (Table 2: 16).
+pub const LLC_WAYS: usize = 16;
+
+/// Messages a directory bank can begin processing per cycle.
+pub const LLC_BANK_THROUGHPUT: u32 = 1;
 
 /// Stable directory state for one block.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -95,7 +106,6 @@ pub struct DirStats {
 /// One directory + LLC bank.
 #[derive(Debug)]
 pub struct DirectoryBank {
-    cfg: CoherenceConfig,
     /// Our interconnect identity.
     me: NocNode,
     /// Memory controller servicing this bank.
@@ -115,10 +125,9 @@ pub struct DirectoryBank {
 
 impl DirectoryBank {
     /// Create a bank identified as `me`, using memory controller `mc`.
-    pub fn new(cfg: CoherenceConfig, me: NocNode, mc: NocNode) -> DirectoryBank {
-        let llc = LlcArray::new(cfg.llc_sets().next_power_of_two(), cfg.llc_ways);
+    pub fn new(me: NocNode, mc: NocNode) -> DirectoryBank {
+        let llc = LlcArray::new(LLC_BANK_BLOCKS / LLC_WAYS, LLC_WAYS);
         DirectoryBank {
-            cfg,
             me,
             mc,
             dir: BTreeMap::new(),
@@ -160,10 +169,10 @@ impl DirectoryBank {
         self.inbox.push_back((from, msg));
     }
 
-    /// Advance one cycle: service up to `llc_bank_throughput` messages and
+    /// Advance one cycle: service up to [`LLC_BANK_THROUGHPUT`] messages and
     /// release due outputs.
     pub fn tick(&mut self, now: Cycle) {
-        for _ in 0..self.cfg.llc_bank_throughput {
+        for _ in 0..LLC_BANK_THROUGHPUT {
             let next = self.replay.pop_front().or_else(|| self.inbox.pop_front());
             let Some((from, msg)) = next else { break };
             self.process(now, from, msg);
@@ -204,7 +213,7 @@ impl DirectoryBank {
 
     fn send(&mut self, now: Cycle, dst: NocNode, kind: ClientKind, msg: CohMsg) {
         self.outbox
-            .push_after(now, self.cfg.llc_latency, Egress { dst, kind, msg });
+            .push_after(now, LLC_LATENCY, Egress { dst, kind, msg });
     }
 
     /// Install into the LLC, writing back any dirty victim to memory.

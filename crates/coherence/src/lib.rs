@@ -32,7 +32,9 @@ pub mod directory;
 pub mod llc;
 pub mod msg;
 
-pub use complex::{Access, AccessKind, AccessOrigin, CacheComplex, Completion};
+pub use complex::{
+    Access, AccessKind, AccessOrigin, CacheComplex, Completion, NI_TRANSFER_LATENCY,
+};
 pub use config::CoherenceConfig;
 pub use directory::DirectoryBank;
 pub use llc::LlcArray;

@@ -51,7 +51,7 @@ impl World {
             .map(|&n| CacheComplex::new(cfg, n, ni_cache, home, n_banks))
             .collect();
         let banks = (0..n_banks)
-            .map(|i| DirectoryBank::new(cfg, NocNode::tile(i as u8, 7), MC_NODE))
+            .map(|i| DirectoryBank::new(NocNode::tile(i as u8, 7), MC_NODE))
             .collect();
         World {
             complexes,

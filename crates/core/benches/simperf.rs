@@ -210,7 +210,6 @@ fn build_bursty_rack(dims: Dims, threads: usize, mode: TickMode) -> Rack {
     let cfg = RackSimConfig {
         torus: Torus3D::new(dims.0, dims.1, dims.2),
         chip,
-        traffic: TrafficPattern::Uniform,
         threads,
         ..RackSimConfig::default()
     };

@@ -9,7 +9,7 @@
 
 use ni_engine::parallel::par_map;
 use ni_engine::Frequency;
-use ni_fabric::{Dir, FaultPlan, ReplicaCfg, RoutingKind, Torus3D};
+use ni_fabric::{Dir, FaultPlan, ReplicaCfg, RoutingKind, Torus3D, HOP_CYCLES};
 use ni_metrics::{interference_index, SloSummary};
 use ni_noc::RoutingPolicy;
 use ni_rmc::NiPlacement;
@@ -239,7 +239,8 @@ pub struct HopPoint {
 }
 
 /// Fig. 5: project the measured 1-hop breakdowns across 0..=12 hops, the
-/// paper's §6.1.2 methodology (add 70 cycles per hop per direction).
+/// paper's §6.1.2 methodology (add [`HOP_CYCLES`] per hop per direction,
+/// the hop latency the measured runs paid).
 pub fn fig5(scale: Scale) -> Vec<HopPoint> {
     let ops = scale.latency_ops();
     let mut runs = par_map(
@@ -249,7 +250,7 @@ pub fn fig5(scale: Scale) -> Vec<HopPoint> {
     let numa = runs.pop().expect("three runs");
     let split = runs.pop().expect("three runs");
     let edge = runs.pop().expect("three runs");
-    let hop_cycles = 70.0;
+    let hop_cycles = HOP_CYCLES as f64;
     let base = 2.0 * hop_cycles; // measured runs used one hop each way
     let to_ns = 0.5;
     (0..=12)
@@ -550,17 +551,15 @@ pub fn build_rack_point(dims: (u16, u16, u16), traffic: TrafficPattern, threads:
             placement: NiPlacement::Edge,
             ..ChipConfig::default()
         },
-        traffic,
         threads,
         ..RackSimConfig::default()
     };
-    Rack::new(
-        cfg,
-        Workload::AsyncRead {
-            size: 512,
-            poll_every: 4,
-        },
-    )
+    let reads = Synthetic::from_workload(Workload::AsyncRead {
+        size: 512,
+        poll_every: 4,
+    })
+    .with_pattern(traffic);
+    Rack::with_scenario(cfg, &reads)
 }
 
 /// Build the *idle-heavy* variant of a rack point: NIedge chips where one
@@ -600,7 +599,6 @@ pub fn build_idle_rack_point(dims: (u16, u16, u16), threads: usize, tick_mode: T
     let cfg = RackSimConfig {
         torus: Torus3D::new(dims.0, dims.1, dims.2),
         chip,
-        traffic: TrafficPattern::Neighbor,
         threads,
         ..RackSimConfig::default()
     };

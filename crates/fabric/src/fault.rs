@@ -8,11 +8,8 @@
 //! incident links read as down to its neighbors. The plan is plain data — building one performs no
 //! I/O and draws no randomness — so a faulted run remains a pure function
 //! of its configuration, bit-identical at any thread count. For randomized
-//! studies, [`FaultPlan::random_link_kills`] and
-//! [`FaultPlan::random_node_kills`] derive schedules from an explicit seed,
-//! [`FaultPlan::region_kill`] takes out a whole X/Y/Z slab at once, and
-//! [`FaultPlan::fault_storm`] rolls seeded kill/repair waves — all keeping
-//! the determinism contract.
+//! studies, [`FaultPlan::fault_storm`] rolls seeded kill/repair waves from
+//! an explicit seed, keeping the determinism contract.
 //!
 //! What the layers above do about a fault is their business: routing
 //! policies see link health through
@@ -24,19 +21,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::torus::{Dir, Torus3D};
-
-/// A torus dimension, for slab-shaped region kills
-/// ([`FaultPlan::region_kill`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Axis {
-    /// The X dimension (fastest-varying in node ids).
-    X,
-    /// The Y dimension.
-    Y,
-    /// The Z dimension.
-    Z,
-}
+use crate::torus::Torus3D;
 
 /// One scheduled fault (or repair) event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -154,115 +139,6 @@ impl FaultPlan {
         self.with(FaultEvent::NodeUp { node, at_cycle })
     }
 
-    /// A seeded schedule of `count` distinct random link kills, all firing
-    /// at `at_cycle`: a pure function of `(torus, seed, count, at_cycle)`,
-    /// so randomized blast-radius studies stay reproducible.
-    ///
-    /// # Panics
-    /// Panics when `count` distinct links cannot be scheduled (more kills
-    /// requested than the torus plausibly has links) — a short plan
-    /// returned silently would make a study report fewer faults than it
-    /// configured.
-    pub fn random_link_kills(torus: Torus3D, seed: u64, count: usize, at_cycle: u64) -> FaultPlan {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut plan = FaultPlan::new();
-        let mut chosen: Vec<(u32, u32)> = Vec::with_capacity(count);
-        // Bounded rejection sampling: duplicates are rare for count <<
-        // links, and the loop bound keeps a tiny torus from spinning.
-        let mut attempts = 0usize;
-        while chosen.len() < count && attempts < count * 64 + 64 {
-            attempts += 1;
-            let a = rng.gen_range(0..torus.nodes());
-            let d = Dir::ALL[rng.gen_range(0..6u32) as usize];
-            let b = torus.neighbor(a, d);
-            if a == b {
-                continue; // degenerate 1-wide ring: a "link" back to itself
-            }
-            let key = (a.min(b), a.max(b));
-            if chosen.contains(&key) {
-                continue;
-            }
-            chosen.push(key);
-            plan = plan.link_down(key.0, key.1, at_cycle);
-        }
-        assert!(
-            chosen.len() == count,
-            "only {} of {count} distinct link kills fit the {:?} torus",
-            chosen.len(),
-            torus.dims()
-        );
-        plan
-    }
-
-    /// A seeded schedule of `count` distinct random node kills, all firing
-    /// at `at_cycle` — the node-granularity companion of
-    /// [`random_link_kills`](FaultPlan::random_link_kills), and a pure
-    /// function of `(torus, seed, count, at_cycle)`.
-    ///
-    /// # Panics
-    /// Panics when `count` exceeds the torus node count (a short plan
-    /// returned silently would make a study report fewer faults than it
-    /// configured).
-    pub fn random_node_kills(torus: Torus3D, seed: u64, count: usize, at_cycle: u64) -> FaultPlan {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut plan = FaultPlan::new();
-        let mut chosen: Vec<u32> = Vec::with_capacity(count);
-        let mut attempts = 0usize;
-        while chosen.len() < count && attempts < count * 64 + 64 {
-            attempts += 1;
-            let node = rng.gen_range(0..torus.nodes());
-            if chosen.contains(&node) {
-                continue;
-            }
-            chosen.push(node);
-            plan = plan.node_down(node, at_cycle);
-        }
-        assert!(
-            chosen.len() == count,
-            "only {} of {count} distinct node kills fit the {:?} torus",
-            chosen.len(),
-            torus.dims()
-        );
-        plan
-    }
-
-    /// Kill every node of one torus slab — all nodes whose `axis`
-    /// coordinate equals `index` — at `at_cycle`: the correlated regional
-    /// failure (a rack row losing power, a switch taking its column down)
-    /// that single-node kills cannot model. The slab of a 4×4×4 torus is 16
-    /// nodes; replica placements that pack copies next to their primary die
-    /// with it, which is exactly what the spread-first
-    /// [`ReplicaMap`](crate::replica::ReplicaMap) placement avoids.
-    ///
-    /// # Panics
-    /// Panics when `index` is outside the torus extent along `axis`.
-    pub fn region_kill(self, torus: Torus3D, axis: Axis, index: u16, at_cycle: u64) -> FaultPlan {
-        let (dx, dy, dz) = torus.dims();
-        let extent = match axis {
-            Axis::X => dx,
-            Axis::Y => dy,
-            Axis::Z => dz,
-        };
-        assert!(
-            index < extent,
-            "slab {axis:?}={index} is outside the {:?} torus",
-            torus.dims()
-        );
-        let mut plan = self;
-        for node in 0..torus.nodes() {
-            let (x, y, z) = torus.coords(node);
-            let c = match axis {
-                Axis::X => x,
-                Axis::Y => y,
-                Axis::Z => z,
-            };
-            if c == index {
-                plan = plan.node_down(node, at_cycle);
-            }
-        }
-        plan
-    }
-
     /// A rolling "fault storm": `waves` seeded waves of `kills_per_wave`
     /// node kills, one wave every `period` cycles starting at `first_at`,
     /// each killed node repairing `repair_after` cycles after its death.
@@ -357,84 +233,6 @@ mod tests {
             }
         );
         assert_eq!(sorted[2].at_cycle(), 20);
-    }
-
-    #[test]
-    fn random_link_kills_are_seed_deterministic_and_distinct() {
-        let t = Torus3D::new(4, 4, 4);
-        let a = FaultPlan::random_link_kills(t, 7, 5, 100);
-        let b = FaultPlan::random_link_kills(t, 7, 5, 100);
-        assert_eq!(a, b, "same seed must reproduce the same plan");
-        assert_eq!(a.events().len(), 5);
-        let mut pairs: Vec<(u32, u32)> = a
-            .events()
-            .iter()
-            .map(|e| match *e {
-                FaultEvent::LinkDown { a, b, .. } => (a, b),
-                ref other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        for &(x, y) in &pairs {
-            assert!(t.hops(x, y) == 1, "{x}<->{y} is not a torus link");
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        assert_eq!(pairs.len(), 5, "kills must hit distinct links");
-        let c = FaultPlan::random_link_kills(t, 8, 5, 100);
-        assert_ne!(a, c, "different seeds should differ");
-    }
-
-    #[test]
-    fn random_node_kills_are_seed_deterministic_and_distinct() {
-        let t = Torus3D::new(4, 4, 4);
-        let a = FaultPlan::random_node_kills(t, 7, 5, 100);
-        let b = FaultPlan::random_node_kills(t, 7, 5, 100);
-        assert_eq!(a, b, "same seed must reproduce the same plan");
-        assert_eq!(a.events().len(), 5);
-        let mut nodes: Vec<u32> = a
-            .events()
-            .iter()
-            .map(|e| match *e {
-                FaultEvent::NodeDown { node, at_cycle } => {
-                    assert_eq!(at_cycle, 100);
-                    node
-                }
-                ref other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        for &n in &nodes {
-            assert!(n < t.nodes(), "node {n} is outside the torus");
-        }
-        nodes.sort_unstable();
-        nodes.dedup();
-        assert_eq!(nodes.len(), 5, "kills must hit distinct nodes");
-        assert_eq!(a.killed_nodes(), nodes);
-        let c = FaultPlan::random_node_kills(t, 8, 5, 100);
-        assert_ne!(a, c, "different seeds should differ");
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct node kills")]
-    fn random_node_kills_panics_when_unsatisfiable() {
-        let _ = FaultPlan::random_node_kills(Torus3D::new(2, 1, 1), 7, 3, 100);
-    }
-
-    #[test]
-    fn region_kill_takes_exactly_one_slab() {
-        let t = Torus3D::new(4, 3, 2);
-        let p = FaultPlan::new().region_kill(t, Axis::Y, 1, 500);
-        // A y=1 slab of a 4x3x2 torus is 4*2 = 8 nodes.
-        assert_eq!(p.events().len(), 8);
-        for e in p.events() {
-            match *e {
-                FaultEvent::NodeDown { node, at_cycle } => {
-                    assert_eq!(at_cycle, 500);
-                    assert_eq!(t.coords(node).1, 1, "node {node} is outside the slab");
-                }
-                ref other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(p.killed_nodes().len(), 8);
     }
 
     #[test]

@@ -48,9 +48,11 @@ pub mod torus;
 pub mod torus_fabric;
 
 pub use fabric::{Fabric, FabricStats};
-pub use fault::{Axis, FaultEvent, FaultPlan};
+pub use fault::{FaultEvent, FaultPlan};
 pub use port::FabricPort;
-pub use rack::{RackConfig, RackEmulator, RemoteReq, RemoteResp};
+pub use rack::{
+    RackConfig, RackEmulator, RemoteReq, RemoteResp, HOP_CYCLES, INITIAL_RRPP_ESTIMATE,
+};
 pub use replica::{ReplicaCfg, ReplicaMap};
 pub use routing::{
     DimensionOrder, FaultAdaptive, LinkView, MinimalAdaptive, RandomMinimal, RoutingKind,

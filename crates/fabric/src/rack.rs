@@ -9,7 +9,7 @@
 //! thus providing the roundtrip latency of a request once it leaves the
 //! local node."
 
-use ni_engine::{Counter, Cycle, DelayLine, RunningMean};
+use ni_engine::{Counter, Cycle, DelayLine};
 use ni_mem::BlockAddr;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -52,22 +52,31 @@ pub struct RemoteResp {
     pub is_read: bool,
 }
 
+/// Cycles per network hop (35ns = 70 cycles at 2 GHz, §5).
+pub const HOP_CYCLES: u64 = 70;
+
+/// Seed latency assumed for remote RRPPs before local measurements
+/// accumulate (the paper's zero-load RRPP service time, ~208 cycles).
+pub const INITIAL_RRPP_ESTIMATE: u64 = 208;
+
+/// First block of the locally-exported region incoming requests hit.
+const INCOMING_BASE: u64 = 1 << 24;
+
+/// Size of that region in blocks (sized to exceed on-chip caches, §5):
+/// 64 MiB, far beyond the 16MB LLC.
+const INCOMING_REGION_BLOCKS: u64 = 1 << 20;
+
 /// Emulator configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct RackConfig {
     /// Network hops to the (emulated) remote node, each direction.
     pub hops: u32,
-    /// Cycles per hop (35ns = 70 cycles at 2 GHz, §5).
-    pub hop_cycles: u64,
-    /// Seed latency assumed for remote RRPPs before local measurements
-    /// accumulate (the paper's zero-load RRPP service time, ~208 cycles).
-    pub initial_rrpp_estimate: u64,
-    /// First block of the locally-exported region incoming requests hit.
-    pub incoming_base: BlockAddr,
-    /// Size of that region in blocks (sized to exceed on-chip caches, §5).
-    pub incoming_region_blocks: u64,
-    /// Generate mirrored incoming traffic (true for bandwidth experiments;
-    /// latency experiments run unloaded).
+    /// Generate one incoming request per outgoing one (the paper's rate
+    /// matching). The local RRPPs serve only these, so they alone feed
+    /// the measured RRPP service time: the estimate the emulated round
+    /// trip adds ([`RackEmulator::record_rrpp_latency`]) and the chip's
+    /// reported mean. Every chip experiment, latency runs included, keeps
+    /// it on; with it off the estimate stays at [`INITIAL_RRPP_ESTIMATE`].
     pub mirror_incoming: bool,
     /// RNG seed for incoming-address bursts.
     pub seed: u64,
@@ -77,10 +86,6 @@ impl Default for RackConfig {
     fn default() -> Self {
         RackConfig {
             hops: 1,
-            hop_cycles: 70,
-            initial_rrpp_estimate: 208,
-            incoming_base: BlockAddr(1 << 24),
-            incoming_region_blocks: 1 << 20, // 64 MiB: far beyond the 16MB LLC
             mirror_incoming: true,
             seed: 0x5eed,
         }
@@ -106,7 +111,6 @@ pub struct RackEmulator {
     incoming: DelayLine<RemoteReq>,
     /// EWMA of locally measured RRPP service latency.
     rrpp_estimate: f64,
-    rrpp_samples: RunningMean,
     cursor: u64,
     burst_left: u32,
     rng: SmallRng,
@@ -121,8 +125,7 @@ impl RackEmulator {
             cfg,
             responses: DelayLine::new(),
             incoming: DelayLine::new(),
-            rrpp_estimate: cfg.initial_rrpp_estimate as f64,
-            rrpp_samples: RunningMean::new(),
+            rrpp_estimate: INITIAL_RRPP_ESTIMATE as f64,
             cursor: 0,
             burst_left: 0,
             rng: SmallRng::seed_from_u64(cfg.seed),
@@ -143,7 +146,7 @@ impl RackEmulator {
 
     /// Current one-way network latency in cycles.
     pub fn network_latency(&self) -> u64 {
-        u64::from(self.cfg.hops) * self.cfg.hop_cycles
+        u64::from(self.cfg.hops) * HOP_CYCLES
     }
 
     /// Deterministic synthetic contents of remote memory.
@@ -191,11 +194,10 @@ impl RackEmulator {
         if self.burst_left == 0 {
             // Start a new burst at a random region offset: bulk transfers
             // arrive as runs of consecutive blocks, like local unrolls.
-            self.cursor = self.rng.gen_range(0..self.cfg.incoming_region_blocks);
+            self.cursor = self.rng.gen_range(0..INCOMING_REGION_BLOCKS);
             self.burst_left = 128;
         }
-        let block =
-            BlockAddr(self.cfg.incoming_base.0 + (self.cursor % self.cfg.incoming_region_blocks));
+        let block = BlockAddr(INCOMING_BASE + (self.cursor % INCOMING_REGION_BLOCKS));
         self.cursor += 1;
         self.burst_left -= 1;
         let tid = self.next_tid;
@@ -232,7 +234,6 @@ impl RackEmulator {
     /// Record a measured local RRPP service latency; refines the emulated
     /// remote service time (EWMA, symmetric-rack assumption).
     pub fn record_rrpp_latency(&mut self, cycles: u64) {
-        self.rrpp_samples.record(cycles);
         const ALPHA: f64 = 1.0 / 64.0;
         self.rrpp_estimate = self.rrpp_estimate * (1.0 - ALPHA) + cycles as f64 * ALPHA;
     }
@@ -240,11 +241,6 @@ impl RackEmulator {
     /// Current RRPP service-latency estimate in cycles.
     pub fn rrpp_estimate(&self) -> f64 {
         self.rrpp_estimate
-    }
-
-    /// All recorded local RRPP samples.
-    pub fn rrpp_samples(&self) -> &RunningMean {
-        &self.rrpp_samples
     }
 
     /// True when no responses or incoming requests are in flight.
@@ -339,8 +335,7 @@ mod tests {
 
     #[test]
     fn incoming_addresses_stay_in_region() {
-        let cfg = RackConfig::default();
-        let mut r = RackEmulator::new(cfg);
+        let mut r = RackEmulator::new(RackConfig::default());
         for i in 0..300 {
             r.send(Cycle(i), req(i));
         }
@@ -348,8 +343,8 @@ mod tests {
         for t in 0..2000u64 {
             if let Some(inc) = r.pop_incoming(Cycle(t)) {
                 n += 1;
-                assert!(inc.remote_block.0 >= cfg.incoming_base.0);
-                assert!(inc.remote_block.0 < cfg.incoming_base.0 + cfg.incoming_region_blocks);
+                assert!(inc.remote_block.0 >= INCOMING_BASE);
+                assert!(inc.remote_block.0 < INCOMING_BASE + INCOMING_REGION_BLOCKS);
             }
         }
         assert_eq!(n, 300);

@@ -48,7 +48,7 @@ use ni_engine::{Counter, Cycle, DelayLine, Frequency, LinkLoad};
 use crate::fabric::{Fabric, FabricStats};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::port::FabricPort;
-use crate::rack::{RemoteReq, RemoteResp};
+use crate::rack::{RemoteReq, RemoteResp, HOP_CYCLES};
 use crate::routing::{LinkView, RoutingKind, RoutingPolicy, ESCAPE_HOP_BUDGET};
 use crate::torus::{Dir, Torus3D};
 
@@ -78,7 +78,7 @@ impl Default for TorusFabricConfig {
     fn default() -> Self {
         TorusFabricConfig {
             torus: Torus3D::new(2, 2, 2),
-            hop_cycles: 70,
+            hop_cycles: HOP_CYCLES,
             link_bytes_per_cycle: 16,
             stats_window: 10_000,
             routing: RoutingKind::DimensionOrder,

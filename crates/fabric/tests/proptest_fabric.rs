@@ -89,13 +89,11 @@ proptest! {
         hops in 1u32..13,
         sends in prop::collection::vec(0u64..1000, 1..30),
     ) {
-        let mut cfg = RackConfig {
+        let mut r = RackEmulator::new(RackConfig {
             hops,
             mirror_incoming: false,
             ..RackConfig::default()
-        };
-        cfg.initial_rrpp_estimate = 208;
-        let mut r = RackEmulator::new(cfg);
+        });
         let mut sorted = sends.clone();
         sorted.sort_unstable();
         for (i, &t) in sorted.iter().enumerate() {

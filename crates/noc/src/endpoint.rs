@@ -9,6 +9,9 @@ use ni_engine::Cycle;
 use crate::bitset::BitSet;
 use crate::packet::Packet;
 
+/// Capacity of each endpoint delivery queue, in flits.
+const DELIVERY_CAPACITY_FLITS: u32 = 40;
+
 /// Delivery buffer plus injection serialization state of one endpoint.
 #[derive(Debug)]
 struct Port<P> {
@@ -54,9 +57,9 @@ impl<P> Endpoints<P> {
         self.ports[e].inject_ready_at = now + u64::from(flits);
     }
 
-    /// Free delivery capacity of endpoint `e` under `cap` flits.
-    pub(crate) fn free_flits(&self, e: usize, cap: u32) -> u32 {
-        cap.saturating_sub(self.ports[e].reserved_flits)
+    /// Free delivery capacity of endpoint `e`.
+    pub(crate) fn free_flits(&self, e: usize) -> u32 {
+        DELIVERY_CAPACITY_FLITS.saturating_sub(self.ports[e].reserved_flits)
     }
 
     /// Reserve delivery space at `e` for a packet granted toward it.

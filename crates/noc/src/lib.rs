@@ -32,13 +32,17 @@ pub mod routing;
 pub mod stats;
 
 pub use mesh::{MeshConfig, MeshNoc};
-pub use nocout::{NocOutConfig, NocOutNoc};
-pub use packet::{flits_for_payload, Coord, MessageClass, NocNode, Packet, FLIT_BYTES};
+pub use nocout::NocOutNoc;
+pub use packet::{flits_for_payload, Coord, MessageClass, NocNode, Packet, FLIT_BYTES, GRID};
 pub use router::RouterConfig;
 pub use routing::{RouteKind, RoutingPolicy};
 pub use stats::NocStats;
 
 use ni_engine::Cycle;
+
+/// Cycles without any progress (while packets are in flight) after which
+/// either NOC's `tick` panics with a deadlock diagnostic.
+pub(crate) const WATCHDOG_CYCLES: u64 = 200_000;
 
 /// Common interface implemented by both NOC organizations so the SoC layer
 /// can be topology-agnostic.

@@ -12,45 +12,24 @@ use ni_engine::Cycle;
 
 use crate::bitset::BitSet;
 use crate::endpoint::Endpoints;
-use crate::packet::{Coord, NocNode, Packet};
+use crate::packet::{Coord, NocNode, Packet, GRID};
 use crate::router::{vq_index, Flight, FlightSlab, OutPort, Router, RouterConfig};
 use crate::routing::{attach_of, Port, RoutingPolicy, SplitMix};
 use crate::stats::NocStats;
-use crate::Interconnect;
+use crate::{Interconnect, WATCHDOG_CYCLES};
 
-/// Mesh shape and policy configuration.
-#[derive(Clone, Copy, Debug)]
+/// Mesh router timing and routing policy. The grid is always
+/// [`GRID`]` x `[`GRID`] tiles.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct MeshConfig {
-    /// Columns of tiles.
-    pub width: u8,
-    /// Rows of tiles.
-    pub height: u8,
     /// Router buffering and timing.
     pub router: RouterConfig,
     /// Routing policy for all traffic.
     pub policy: RoutingPolicy,
-    /// Capacity of each endpoint delivery queue, in flits.
-    pub delivery_capacity_flits: u32,
-    /// Seed for the O1Turn coin.
-    pub seed: u64,
-    /// Cycles without any progress (while packets are in flight) after which
-    /// [`MeshNoc::tick`] panics with a deadlock diagnostic.
-    pub watchdog_cycles: u64,
 }
 
-impl Default for MeshConfig {
-    fn default() -> Self {
-        MeshConfig {
-            width: 8,
-            height: 8,
-            router: RouterConfig::default(),
-            policy: RoutingPolicy::default(),
-            delivery_capacity_flits: 40,
-            seed: 0x00DA_6115,
-            watchdog_cycles: 200_000,
-        }
-    }
-}
+/// Seed for the O1Turn coin.
+const O1TURN_SEED: u64 = 0x00DA_6115;
 
 /// Where a link event terminates.
 #[derive(Debug)]
@@ -146,13 +125,8 @@ impl<P> MeshNoc<P> {
     /// Build a mesh from `cfg`.
     ///
     /// # Panics
-    /// Panics if either dimension, the hop latency or the arbitration
-    /// window is zero.
+    /// Panics if the hop latency or the arbitration window is zero.
     pub fn new(cfg: MeshConfig) -> MeshNoc<P> {
-        assert!(
-            cfg.width > 0 && cfg.height > 0,
-            "mesh dimensions must be non-zero"
-        );
         assert!(
             cfg.router.hop_latency > 0,
             "router hop_latency must be at least 1 cycle (a hop lands on a later tick)"
@@ -161,11 +135,11 @@ impl<P> MeshNoc<P> {
             cfg.router.arbitration_window > 0,
             "router arbitration_window must be at least 1 (a zero window never grants)"
         );
-        let (w, h) = (usize::from(cfg.width), usize::from(cfg.height));
+        let g = usize::from(GRID);
         // An exact-size iterator: the vector is allocated once and each
         // router is built straight into it.
-        let routers: Vec<Router> = (0..w * h)
-            .map(|i| Router::new(Coord::new((i % w) as u8, (i / w) as u8)))
+        let routers: Vec<Router> = (0..g * g)
+            .map(|i| Router::new(Coord::new((i % g) as u8, (i / g) as u8)))
             .collect();
         MeshNoc {
             cfg,
@@ -173,14 +147,14 @@ impl<P> MeshNoc<P> {
             routers,
             slab: FlightSlab::default(),
             // Tiles, then an NI block and an MC per row.
-            endpoints: Endpoints::new(w * h + 2 * h),
+            endpoints: Endpoints::new(g * g + 2 * g),
             links: LinkRing {
                 slots: (0..=cfg.router.hop_latency)
                     .map(|_| VecDeque::new())
                     .collect(),
                 absorbed: Cycle::ZERO,
             },
-            rng: SplitMix::new(cfg.seed),
+            rng: SplitMix::new(O1TURN_SEED),
             stats: NocStats::default(),
             in_flight: 0,
             last_progress: Cycle::ZERO,
@@ -194,16 +168,16 @@ impl<P> MeshNoc<P> {
     }
 
     fn router_index(&self, c: Coord) -> usize {
-        usize::from(c.y) * usize::from(self.cfg.width) + usize::from(c.x)
+        usize::from(c.y) * usize::from(GRID) + usize::from(c.x)
     }
 
     /// Dense endpoint index: tiles, then NI blocks, then MCs.
     fn endpoint_index(&self, node: NocNode) -> usize {
-        let tiles = usize::from(self.cfg.width) * usize::from(self.cfg.height);
+        let tiles = usize::from(GRID) * usize::from(GRID);
         match node {
             NocNode::Tile(c) => self.router_index(c),
             NocNode::NiBlock(r) => tiles + usize::from(r),
-            NocNode::Mc(r) => tiles + usize::from(self.cfg.height) + usize::from(r),
+            NocNode::Mc(r) => tiles + usize::from(GRID) + usize::from(r),
             NocNode::Llc(_) => panic!("Llc nodes do not exist in a mesh"),
         }
     }
@@ -212,8 +186,8 @@ impl<P> MeshNoc<P> {
     fn neighbor(&self, c: Coord, port: Port) -> Option<Coord> {
         match port {
             Port::North if c.y > 0 => Some(Coord::new(c.x, c.y - 1)),
-            Port::South if c.y + 1 < self.cfg.height => Some(Coord::new(c.x, c.y + 1)),
-            Port::East if c.x + 1 < self.cfg.width => Some(Coord::new(c.x + 1, c.y)),
+            Port::South if c.y + 1 < GRID => Some(Coord::new(c.x, c.y + 1)),
+            Port::East if c.x + 1 < GRID => Some(Coord::new(c.x + 1, c.y)),
             Port::West if c.x > 0 => Some(Coord::new(c.x - 1, c.y)),
             _ => None,
         }
@@ -242,22 +216,12 @@ impl<P> MeshNoc<P> {
 
     /// True when a transfer from column `from_x` toward `port` crosses the
     /// central vertical bisection.
-    fn crosses_bisection(&self, from_x: u8, port: Port) -> bool {
-        let cut = self.cfg.width / 2;
+    fn crosses_bisection(from_x: u8, port: Port) -> bool {
+        let cut = GRID / 2;
         match port {
             Port::East => from_x + 1 == cut,
             Port::West => from_x == cut,
             _ => false,
-        }
-    }
-
-    /// Injection attach point for a source node: `(router, input port)`.
-    fn inject_port(&self, src: NocNode) -> (Coord, Port) {
-        match src {
-            NocNode::Tile(c) => (c, Port::Local),
-            NocNode::NiBlock(r) => (Coord::new(0, r), Port::NiAttach),
-            NocNode::Mc(r) => (Coord::new(self.cfg.width - 1, r), Port::McAttach),
-            NocNode::Llc(_) => panic!("Llc nodes do not exist in a mesh"),
         }
     }
 
@@ -357,9 +321,7 @@ impl<P> MeshNoc<P> {
                 }
                 Port::Local | Port::NiAttach | Port::McAttach => {
                     let e = self.endpoint_index(self.delivery_node(router.coord, port));
-                    self.endpoints
-                        .free_flits(e, self.cfg.delivery_capacity_flits)
-                        >= u32::from(flits)
+                    self.endpoints.free_flits(e) >= u32::from(flits)
                 }
             };
             if ok {
@@ -392,7 +354,7 @@ impl<P> MeshNoc<P> {
                 let n_idx = self.router_index(n);
                 self.routers[n_idx].reserve(Self::opposite(port).index(), usize::from(vq), flits);
                 self.stats
-                    .record_hop(flits, self.crosses_bisection(coord.x, port));
+                    .record_hop(flits, Self::crosses_bisection(coord.x, port));
                 self.links.push(
                     now + self.cfg.router.hop_latency,
                     LinkDest::RouterIn(n_idx, Self::opposite(port).index(), usize::from(vq), id),
@@ -413,8 +375,7 @@ impl<P> MeshNoc<P> {
     }
 
     fn check_watchdog(&self, now: Cycle) {
-        if self.in_flight > 0 && now.saturating_since(self.last_progress) > self.cfg.watchdog_cycles
-        {
+        if self.in_flight > 0 && now.saturating_since(self.last_progress) > WATCHDOG_CYCLES {
             panic!(
                 "mesh NOC watchdog: {} packets in flight with no progress since {:?} (now {:?})",
                 self.in_flight, self.last_progress, now
@@ -475,7 +436,8 @@ impl<P> MeshNoc<P> {
 
 impl<P> Interconnect<P> for MeshNoc<P> {
     fn try_inject(&mut self, now: Cycle, mut pkt: Packet<P>) -> Result<(), Packet<P>> {
-        let (coord, port) = self.inject_port(pkt.src);
+        // A node injects through the same router port it is delivered on.
+        let (coord, port) = attach_of(pkt.src);
         let src_idx = self.endpoint_index(pkt.src);
         if self.endpoints.inject_busy(src_idx, now) {
             self.stats.inject_rejects.incr();
@@ -491,7 +453,7 @@ impl<P> Interconnect<P> for MeshNoc<P> {
             return Err(pkt);
         }
         pkt.injected_at = now;
-        let (target, exit) = attach_of(pkt.dst, self.cfg.width);
+        let (target, exit) = attach_of(pkt.dst);
         let flits = pkt.flits;
         let id = self.slab.insert(Flight {
             pkt,

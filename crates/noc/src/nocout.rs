@@ -20,9 +20,9 @@ use std::collections::VecDeque;
 use ni_engine::{Cycle, DelayLine};
 
 use crate::endpoint::Endpoints;
-use crate::packet::{Coord, MessageClass, NocNode, Packet};
+use crate::packet::{Coord, MessageClass, NocNode, Packet, GRID};
 use crate::stats::NocStats;
-use crate::Interconnect;
+use crate::{Interconnect, WATCHDOG_CYCLES};
 
 /// Number of virtual-queue groups on NOC-Out links.
 const NUM_GROUPS: usize = 3;
@@ -36,35 +36,17 @@ fn group_of(class: MessageClass) -> usize {
     }
 }
 
-/// NOC-Out configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct NocOutConfig {
-    /// Columns (= LLC tiles = cores per row). The paper uses 8.
-    pub columns: u8,
-    /// Cores per column (half above, half below the LLC row). Paper: 8.
-    pub cores_per_column: u8,
-    /// Tiles traversed per cycle on the flattened butterfly (Table 2: 2).
-    pub butterfly_tiles_per_cycle: u8,
-    /// Per-queue capacity in flits.
-    pub queue_capacity_flits: u32,
-    /// Delivery queue capacity per endpoint, in flits.
-    pub delivery_capacity_flits: u32,
-    /// Watchdog horizon (cycles without progress while loaded).
-    pub watchdog_cycles: u64,
-}
+/// Tiles traversed per cycle on the flattened butterfly (Table 2: 2).
+const BUTTERFLY_TILES_PER_CYCLE: u64 = 2;
 
-impl Default for NocOutConfig {
-    fn default() -> Self {
-        NocOutConfig {
-            columns: 8,
-            cores_per_column: 8,
-            butterfly_tiles_per_cycle: 2,
-            queue_capacity_flits: 16,
-            delivery_capacity_flits: 40,
-            watchdog_cycles: 200_000,
-        }
-    }
-}
+/// Per-queue capacity in flits.
+const QUEUE_CAPACITY_FLITS: u32 = 16;
+
+/// Columns (LLC tiles), which is also the cores per column.
+const COLS: usize = GRID as usize;
+
+/// Core tiles.
+const CORES: usize = COLS * COLS;
 
 /// A packet in flight with its remaining source route.
 #[derive(Debug)]
@@ -127,10 +109,10 @@ enum WireEnd {
     Endpoint(usize),
 }
 
-/// The NOC-Out interconnect.
+/// The NOC-Out interconnect: [`GRID`] columns (LLC tiles) of [`GRID`]
+/// cores each, half above and half below the LLC row.
 #[derive(Debug)]
 pub struct NocOutNoc<P> {
-    cfg: NocOutConfig,
     stations: Vec<Station<P>>,
     endpoints: Endpoints<P>,
     /// In-flight wire traversals.
@@ -140,20 +122,10 @@ pub struct NocOutNoc<P> {
     last_progress: Cycle,
 }
 
-impl<P> NocOutNoc<P> {
-    /// Build the station graph for `cfg`.
-    ///
-    /// # Panics
-    /// Panics if `columns == 0` or `cores_per_column` is odd or zero.
-    pub fn new(cfg: NocOutConfig) -> NocOutNoc<P> {
-        assert!(cfg.columns > 0, "need at least one column");
-        assert!(
-            cfg.cores_per_column > 0 && cfg.cores_per_column.is_multiple_of(2),
-            "cores per column must be even (half above, half below the LLC row)"
-        );
-        let cols = usize::from(cfg.columns);
-        let cpc = usize::from(cfg.cores_per_column);
-        let n_cores = cols * cpc;
+impl<P> Default for NocOutNoc<P> {
+    /// Build the station graph.
+    fn default() -> NocOutNoc<P> {
+        let (cols, cpc, n_cores) = (COLS, COLS, CORES);
         let n_stations = n_cores + cols /* LLC */ + cols /* MC */;
         let mut stations: Vec<Station<P>> = (0..n_stations)
             .map(|_| Station {
@@ -194,9 +166,7 @@ impl<P> NocOutNoc<P> {
         // Flattened butterfly: all-to-all among LLC tiles and MCs.
         let fb_latency = |a: usize, b: usize| {
             let tiles = a.abs_diff(b).max(1) as u64;
-            tiles
-                .div_ceil(u64::from(cfg.butterfly_tiles_per_cycle))
-                .max(1)
+            tiles.div_ceil(BUTTERFLY_TILES_PER_CYCLE).max(1)
         };
         let fb_nodes: Vec<u16> = (0..cols).map(llc).chain((0..cols).map(mc)).collect();
         for (i, &a) in fb_nodes.iter().enumerate() {
@@ -210,7 +180,6 @@ impl<P> NocOutNoc<P> {
 
         let n_endpoints = n_cores + cols /* llc */ + cols /* niblock */ + cols /* mc */;
         NocOutNoc {
-            cfg,
             stations,
             endpoints: Endpoints::new(n_endpoints),
             links: DelayLine::new(),
@@ -219,57 +188,46 @@ impl<P> NocOutNoc<P> {
             last_progress: Cycle::ZERO,
         }
     }
+}
 
-    /// Configuration.
-    pub fn config(&self) -> &NocOutConfig {
-        &self.cfg
-    }
-
-    fn n_cores(&self) -> usize {
-        usize::from(self.cfg.columns) * usize::from(self.cfg.cores_per_column)
-    }
-
+impl<P> NocOutNoc<P> {
     /// Station hosting `node`.
     fn station_of(&self, node: NocNode) -> u16 {
-        let cols = usize::from(self.cfg.columns);
         match node {
-            NocNode::Tile(c) => (usize::from(c.y) * cols + usize::from(c.x)) as u16,
-            NocNode::Llc(c) | NocNode::NiBlock(c) => (self.n_cores() + usize::from(c)) as u16,
-            NocNode::Mc(r) => (self.n_cores() + cols + usize::from(r)) as u16,
+            NocNode::Tile(c) => (usize::from(c.y) * COLS + usize::from(c.x)) as u16,
+            NocNode::Llc(c) | NocNode::NiBlock(c) => (CORES + usize::from(c)) as u16,
+            NocNode::Mc(r) => (CORES + COLS + usize::from(r)) as u16,
         }
     }
 
     /// Dense endpoint index for delivery queues.
     fn endpoint_index(&self, node: NocNode) -> usize {
-        let cols = usize::from(self.cfg.columns);
-        let cores = self.n_cores();
         match node {
-            NocNode::Tile(c) => usize::from(c.y) * cols + usize::from(c.x),
-            NocNode::Llc(c) => cores + usize::from(c),
-            NocNode::NiBlock(c) => cores + cols + usize::from(c),
-            NocNode::Mc(r) => cores + 2 * cols + usize::from(r),
+            NocNode::Tile(c) => usize::from(c.y) * COLS + usize::from(c.x),
+            NocNode::Llc(c) => CORES + usize::from(c),
+            NocNode::NiBlock(c) => CORES + COLS + usize::from(c),
+            NocNode::Mc(r) => CORES + 2 * COLS + usize::from(r),
         }
     }
 
     /// LLC tile station of a core's column.
     fn column_llc(&self, c: Coord) -> u16 {
-        (self.n_cores() + usize::from(c.x)) as u16
+        (CORES + usize::from(c.x)) as u16
     }
 
     /// Stations between a core and its LLC tile, in the up direction
     /// (excluding the core itself, including the LLC station).
     fn chain_up(&self, c: Coord) -> Vec<u16> {
-        let cols = usize::from(self.cfg.columns);
-        let half = usize::from(self.cfg.cores_per_column) / 2;
+        let half = COLS / 2;
         let mut path = Vec::new();
         let y = usize::from(c.y);
         if y < half {
             for yy in (y + 1)..half {
-                path.push((yy * cols + usize::from(c.x)) as u16);
+                path.push((yy * COLS + usize::from(c.x)) as u16);
             }
         } else {
             for yy in (half..y).rev() {
-                path.push((yy * cols + usize::from(c.x)) as u16);
+                path.push((yy * COLS + usize::from(c.x)) as u16);
             }
         }
         path.push(self.column_llc(c));
@@ -282,8 +240,7 @@ impl<P> NocOutNoc<P> {
         let mut p = self.chain_up(c);
         p.pop(); // drop the LLC
         p.reverse();
-        let cols = usize::from(self.cfg.columns);
-        p.push((usize::from(c.y) * cols + usize::from(c.x)) as u16);
+        p.push((usize::from(c.y) * COLS + usize::from(c.x)) as u16);
         p
     }
 
@@ -374,12 +331,7 @@ impl<P> NocOutNoc<P> {
             }
             None => panic!("no wire from station {s} to {key}"),
         };
-        if self
-            .cfg
-            .queue_capacity_flits
-            .saturating_sub(st.wires[w].reserved[g])
-            < u32::from(flits)
-        {
+        if QUEUE_CAPACITY_FLITS.saturating_sub(st.wires[w].reserved[g]) < u32::from(flits) {
             return false;
         }
         st.wires[w].reserved[g] += u32::from(flits);
@@ -424,11 +376,7 @@ impl<P> NocOutNoc<P> {
                     .expect("non-empty group");
                 (f.pkt.flits, f.endpoint)
             };
-            if self
-                .endpoints
-                .free_flits(endpoint, self.cfg.delivery_capacity_flits)
-                < u32::from(flits)
-            {
+            if self.endpoints.free_flits(endpoint) < u32::from(flits) {
                 return;
             }
             let wq = &mut self.stations[s as usize].wires[w];
@@ -511,8 +459,7 @@ impl<P> Interconnect<P> for NocOutNoc<P> {
     fn tick(&mut self, now: Cycle) {
         self.absorb_arrivals(now);
         self.forward_all(now);
-        if self.in_flight > 0 && now.saturating_since(self.last_progress) > self.cfg.watchdog_cycles
-        {
+        if self.in_flight > 0 && now.saturating_since(self.last_progress) > WATCHDOG_CYCLES {
             panic!(
                 "NOC-Out watchdog: {} packets stalled since {:?} (now {:?})",
                 self.in_flight, self.last_progress, now
@@ -562,7 +509,7 @@ mod tests {
 
     #[test]
     fn core_reaches_own_llc_quickly() {
-        let mut noc: NocOutNoc<u32> = NocOutNoc::new(NocOutConfig::default());
+        let mut noc: NocOutNoc<u32> = NocOutNoc::default();
         // Row 3 is depth 1 north: one hop to the LLC.
         send(&mut noc, NocNode::tile(2, 3), NocNode::Llc(2), 1, 5);
         let (p, when) = deliver(&mut noc, NocNode::Llc(2), Cycle(0), 100);
@@ -572,10 +519,10 @@ mod tests {
 
     #[test]
     fn deeper_cores_take_longer() {
-        let mut noc: NocOutNoc<u32> = NocOutNoc::new(NocOutConfig::default());
+        let mut noc: NocOutNoc<u32> = NocOutNoc::default();
         send(&mut noc, NocNode::tile(2, 0), NocNode::Llc(2), 1, 1);
         let (_, t_deep) = deliver(&mut noc, NocNode::Llc(2), Cycle(0), 100);
-        let mut noc2: NocOutNoc<u32> = NocOutNoc::new(NocOutConfig::default());
+        let mut noc2: NocOutNoc<u32> = NocOutNoc::default();
         send(&mut noc2, NocNode::tile(2, 3), NocNode::Llc(2), 1, 1);
         let (_, t_shallow) = deliver(&mut noc2, NocNode::Llc(2), Cycle(0), 100);
         assert!(
@@ -588,7 +535,7 @@ mod tests {
 
     #[test]
     fn south_side_chains_work_symmetrically() {
-        let mut noc: NocOutNoc<u32> = NocOutNoc::new(NocOutConfig::default());
+        let mut noc: NocOutNoc<u32> = NocOutNoc::default();
         send(&mut noc, NocNode::tile(3, 7), NocNode::Llc(3), 1, 8);
         let (p, _) = deliver(&mut noc, NocNode::Llc(3), Cycle(0), 100);
         assert_eq!(p.payload, 8);
@@ -596,7 +543,7 @@ mod tests {
 
     #[test]
     fn cross_column_core_to_core() {
-        let mut noc: NocOutNoc<u32> = NocOutNoc::new(NocOutConfig::default());
+        let mut noc: NocOutNoc<u32> = NocOutNoc::default();
         send(&mut noc, NocNode::tile(0, 0), NocNode::tile(7, 7), 5, 42);
         let (p, _) = deliver(&mut noc, NocNode::tile(7, 7), Cycle(0), 500);
         assert_eq!(p.payload, 42);
@@ -605,7 +552,7 @@ mod tests {
 
     #[test]
     fn butterfly_connects_llc_and_mc() {
-        let mut noc: NocOutNoc<u32> = NocOutNoc::new(NocOutConfig::default());
+        let mut noc: NocOutNoc<u32> = NocOutNoc::default();
         send(&mut noc, NocNode::Llc(0), NocNode::Mc(7), 5, 9);
         let (p, when) = deliver(&mut noc, NocNode::Mc(7), Cycle(0), 100);
         assert_eq!(p.payload, 9);
@@ -615,7 +562,7 @@ mod tests {
 
     #[test]
     fn ni_block_aliases_llc_tile_with_separate_queue() {
-        let mut noc: NocOutNoc<u32> = NocOutNoc::new(NocOutConfig::default());
+        let mut noc: NocOutNoc<u32> = NocOutNoc::default();
         send(&mut noc, NocNode::tile(4, 4), NocNode::NiBlock(4), 2, 77);
         let (p, _) = deliver(&mut noc, NocNode::NiBlock(4), Cycle(0), 100);
         assert_eq!(p.payload, 77);
@@ -626,7 +573,7 @@ mod tests {
     fn chain_sharing_serializes_column_traffic() {
         // Two deep cores of the same column both send 5-flit packets; the
         // shared chain serializes them at the inner station.
-        let mut same: NocOutNoc<u32> = NocOutNoc::new(NocOutConfig::default());
+        let mut same: NocOutNoc<u32> = NocOutNoc::default();
         send(&mut same, NocNode::tile(1, 0), NocNode::Llc(1), 5, 1);
         send(&mut same, NocNode::tile(1, 1), NocNode::Llc(1), 5, 2);
         let (_, t1) = deliver(&mut same, NocNode::Llc(1), Cycle(0), 300);

@@ -6,6 +6,13 @@ use std::fmt;
 /// Link width in bytes (Table 2: 16-byte links).
 pub const FLIT_BYTES: u32 = 16;
 
+/// Side of the chip's square tile grid (Table 2: 64 cores on 8x8 tiles).
+/// The mesh has `GRID` columns and `GRID` rows, with an NI block and a
+/// memory controller per row; NOC-Out has `GRID` columns, each an LLC tile
+/// with `GRID` cores, an NI block and a memory controller. Both number
+/// tile `(x, y)` row-major, as `y * GRID + x`.
+pub const GRID: u8 = 8;
+
 /// Number of flits needed to carry `payload_bytes` of payload plus
 /// `header_bytes` of header, minimum one flit.
 ///

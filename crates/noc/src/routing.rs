@@ -6,7 +6,7 @@
 //! XY-routed and YX-routed packets travel in separate virtual channels, which
 //! keeps every policy (including the mixed ones) deadlock-free.
 
-use crate::packet::{Coord, MessageClass, NocNode, Packet};
+use crate::packet::{Coord, MessageClass, NocNode, Packet, GRID};
 
 /// Dimension order a packet follows through the mesh.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -151,13 +151,13 @@ impl Port {
     }
 }
 
-/// Attach point and exit port of a destination node in a mesh of width
-/// `width` (NI blocks hang off column 0, MCs off column `width - 1`).
-pub fn attach_of(node: NocNode, width: u8) -> (Coord, Port) {
+/// Router and port a node attaches to in the mesh: NI blocks hang off
+/// column 0, MCs off column [`GRID`]` - 1`.
+pub fn attach_of(node: NocNode) -> (Coord, Port) {
     match node {
         NocNode::Tile(c) => (c, Port::Local),
         NocNode::NiBlock(r) => (Coord::new(0, r), Port::NiAttach),
-        NocNode::Mc(r) => (Coord::new(width - 1, r), Port::McAttach),
+        NocNode::Mc(r) => (Coord::new(GRID - 1, r), Port::McAttach),
         NocNode::Llc(_) => panic!("Llc nodes do not exist in a mesh"),
     }
 }
@@ -314,15 +314,15 @@ mod tests {
     #[test]
     fn attach_points_hang_off_edges() {
         assert_eq!(
-            attach_of(NocNode::NiBlock(3), 8),
+            attach_of(NocNode::NiBlock(3)),
             (Coord::new(0, 3), Port::NiAttach)
         );
         assert_eq!(
-            attach_of(NocNode::Mc(5), 8),
+            attach_of(NocNode::Mc(5)),
             (Coord::new(7, 5), Port::McAttach)
         );
         assert_eq!(
-            attach_of(NocNode::tile(4, 4), 8),
+            attach_of(NocNode::tile(4, 4)),
             (Coord::new(4, 4), Port::Local)
         );
     }

@@ -15,8 +15,8 @@ use std::collections::{BTreeMap, VecDeque};
 
 use ni_engine::{Cycle, RunningMean};
 use ni_noc::{
-    Interconnect, MeshConfig, MeshNoc, MessageClass, NocNode, NocOutConfig, NocOutNoc, NocStats,
-    Packet, RouterConfig, RoutingPolicy,
+    Interconnect, MeshConfig, MeshNoc, MessageClass, NocNode, NocOutNoc, NocStats, Packet,
+    RouterConfig, RoutingPolicy, GRID,
 };
 
 /// Cycles during which new traffic is offered.
@@ -187,10 +187,9 @@ fn mesh_golden(policy: RoutingPolicy, hop_latency: u64, seed: u64) -> u64 {
             hop_latency,
             ..RouterConfig::default()
         },
-        ..MeshConfig::default()
     };
     let mut noc: MeshNoc<u64> = MeshNoc::new(cfg);
-    drive(&mut noc, &mesh_nodes(cfg.width, cfg.height), seed)
+    drive(&mut noc, &mesh_nodes(GRID, GRID), seed)
 }
 
 #[test]
@@ -222,12 +221,7 @@ fn mesh_golden_traces_at_other_hop_latencies() {
 
 #[test]
 fn nocout_golden_trace() {
-    let cfg = NocOutConfig::default();
-    let mut noc: NocOutNoc<u64> = NocOutNoc::new(cfg);
-    let got = drive(
-        &mut noc,
-        &nocout_nodes(cfg.columns, cfg.cores_per_column),
-        0x0c07,
-    );
+    let mut noc: NocOutNoc<u64> = NocOutNoc::default();
+    let got = drive(&mut noc, &nocout_nodes(GRID, GRID), 0x0c07);
     assert_eq!(got, 0x81f5_6a34_3963_7747);
 }

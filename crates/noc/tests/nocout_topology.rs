@@ -2,11 +2,11 @@
 //! flattened-butterfly station graph (§6.3, Fig. 8).
 
 use ni_engine::Cycle;
-use ni_noc::{Interconnect, MessageClass, NocNode, NocOutConfig, NocOutNoc, Packet};
+use ni_noc::{Interconnect, MessageClass, NocNode, NocOutNoc, Packet};
 
 /// Inject one packet into a fresh NOC and return its delivery cycle.
 fn deliver(pkt: Packet<u64>, limit: u64) -> u64 {
-    let mut noc: NocOutNoc<u64> = NocOutNoc::new(NocOutConfig::default());
+    let mut noc: NocOutNoc<u64> = NocOutNoc::default();
     let dst = pkt.dst;
     let start = Cycle(0);
     noc.try_inject(start, pkt).expect("empty NOC accepts");
@@ -75,7 +75,7 @@ fn llc_access_is_faster_than_mesh_average() {
 
 #[test]
 fn response_and_request_groups_do_not_block_each_other() {
-    let mut noc: NocOutNoc<u64> = NocOutNoc::new(NocOutConfig::default());
+    let mut noc: NocOutNoc<u64> = NocOutNoc::default();
     // Saturate the request group toward one LLC tile, then send a response:
     // it must not be stuck behind the request queue (separate VQ group).
     let mut now = Cycle(0);

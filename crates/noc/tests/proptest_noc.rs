@@ -4,8 +4,8 @@
 
 use ni_engine::Cycle;
 use ni_noc::{
-    Interconnect, MeshConfig, MeshNoc, MessageClass, NocNode, NocOutConfig, NocOutNoc, Packet,
-    RouterConfig, RoutingPolicy,
+    Interconnect, MeshConfig, MeshNoc, MessageClass, NocNode, NocOutNoc, Packet, RouterConfig,
+    RoutingPolicy,
 };
 use proptest::prelude::*;
 
@@ -86,7 +86,6 @@ proptest! {
                 hop_latency,
                 ..RouterConfig::default()
             },
-            ..MeshConfig::default()
         };
         let mut noc: MeshNoc<usize> = MeshNoc::new(cfg);
         // Fed identically, but drained through `eject_next`.
@@ -171,7 +170,7 @@ proptest! {
             1..30,
         ),
     ) {
-        let mut noc: NocOutNoc<usize> = NocOutNoc::new(NocOutConfig::default());
+        let mut noc: NocOutNoc<usize> = NocOutNoc::default();
         let mut now = Cycle(0);
         let mut backlog: Vec<Packet<usize>> = Vec::new();
         let mut expect: Vec<Option<NocNode>> = Vec::new();

@@ -15,4 +15,6 @@
 
 pub mod queue;
 
-pub use queue::{CqEntry, QpConfig, QueuePair, RemoteOp, WqEntry};
+pub use queue::{
+    CqEntry, QueuePair, RemoteOp, WqEntry, CQ_ENTRY_BYTES, WQ_ENTRIES, WQ_ENTRY_BYTES,
+};

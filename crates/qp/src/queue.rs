@@ -60,43 +60,23 @@ pub struct CqEntry {
     pub degraded: bool,
 }
 
-/// Queue-pair geometry and software cost model.
-#[derive(Clone, Copy, Debug)]
-pub struct QpConfig {
-    /// WQ capacity in entries (§5: 128-entry WQ).
-    pub wq_entries: usize,
-    /// WQ entry size in bytes (32: two stores to one block per entry).
-    pub wq_entry_bytes: u64,
-    /// CQ entry size in bytes (8: one polling load per entry).
-    pub cq_entry_bytes: u64,
-    /// Arithmetic cycles the core spends composing a WQ entry before its two
-    /// stores ("roughly a dozen arithmetic instructions", §3.1).
-    pub wq_write_compute: u64,
-    /// Arithmetic cycles around the CQ polling load ("four instructions
-    /// including a load").
-    pub cq_read_compute: u64,
-}
+/// WQ capacity in entries (§5: 128-entry WQ). The CQ has as many.
+pub const WQ_ENTRIES: usize = 128;
 
-impl Default for QpConfig {
-    fn default() -> Self {
-        QpConfig {
-            wq_entries: 128,
-            wq_entry_bytes: 32,
-            cq_entry_bytes: 8,
-            wq_write_compute: 7,
-            cq_read_compute: 3,
-        }
-    }
-}
+/// WQ entry size in bytes (32: two stores to one block per entry).
+pub const WQ_ENTRY_BYTES: u64 = 32;
+
+/// CQ entry size in bytes (8: one polling load per entry).
+pub const CQ_ENTRY_BYTES: u64 = 8;
 
 /// A queue pair: the logical contents of one WQ/CQ plus their address
 /// layout in (simulated) memory.
 ///
 /// ```
 /// use ni_mem::Addr;
-/// use ni_qp::{QpConfig, QueuePair, RemoteOp};
+/// use ni_qp::{QueuePair, RemoteOp};
 ///
-/// let mut qp = QueuePair::new(0, QpConfig::default(), Addr(0x10000), Addr(0x20000));
+/// let mut qp = QueuePair::new(0, Addr(0x10000), Addr(0x20000));
 /// let id = qp.enqueue(RemoteOp::Read, 3, Addr(0x9000), Addr(0x5000), 128).unwrap();
 /// assert_eq!(id, 1);
 /// let e = qp.ni_take().unwrap();
@@ -108,7 +88,6 @@ impl Default for QpConfig {
 pub struct QueuePair {
     /// Identifier (index within the registered QP table).
     pub qp_id: u32,
-    cfg: QpConfig,
     wq_base: Addr,
     cq_base: Addr,
     next_id: u64,
@@ -130,10 +109,9 @@ pub struct QueuePair {
 
 impl QueuePair {
     /// Create a queue pair with WQ at `wq_base` and CQ at `cq_base`.
-    pub fn new(qp_id: u32, cfg: QpConfig, wq_base: Addr, cq_base: Addr) -> QueuePair {
+    pub fn new(qp_id: u32, wq_base: Addr, cq_base: Addr) -> QueuePair {
         QueuePair {
             qp_id,
-            cfg,
             wq_base,
             cq_base,
             next_id: 0,
@@ -147,14 +125,9 @@ impl QueuePair {
         }
     }
 
-    /// Configuration.
-    pub fn config(&self) -> &QpConfig {
-        &self.cfg
-    }
-
     /// Free WQ slots from the application's point of view.
     pub fn wq_free(&self) -> usize {
-        self.cfg.wq_entries - (self.pending.len() + self.inflight)
+        WQ_ENTRIES - (self.pending.len() + self.inflight)
     }
 
     /// True when the application cannot enqueue (must spin on the CQ, §5).
@@ -215,26 +188,26 @@ impl QueuePair {
 
     /// Block the application's next WQ store lands in (wraparound layout).
     pub fn wq_tail_block(&self) -> BlockAddr {
-        let slot = self.wq_tail % self.cfg.wq_entries as u64;
-        self.wq_base.offset(slot * self.cfg.wq_entry_bytes).block()
+        let slot = self.wq_tail % WQ_ENTRIES as u64;
+        self.wq_base.offset(slot * WQ_ENTRY_BYTES).block()
     }
 
     /// Block the NI polls for new WQ entries.
     pub fn wq_head_block(&self) -> BlockAddr {
-        let slot = self.wq_head % self.cfg.wq_entries as u64;
-        self.wq_base.offset(slot * self.cfg.wq_entry_bytes).block()
+        let slot = self.wq_head % WQ_ENTRIES as u64;
+        self.wq_base.offset(slot * WQ_ENTRY_BYTES).block()
     }
 
     /// Block the NI's next CQ entry lands in.
     pub fn cq_tail_block(&self) -> BlockAddr {
-        let slot = self.cq_tail % self.cfg.wq_entries as u64;
-        self.cq_base.offset(slot * self.cfg.cq_entry_bytes).block()
+        let slot = self.cq_tail % WQ_ENTRIES as u64;
+        self.cq_base.offset(slot * CQ_ENTRY_BYTES).block()
     }
 
     /// Block the application polls for completions.
     pub fn cq_head_block(&self) -> BlockAddr {
-        let slot = self.cq_head % self.cfg.wq_entries as u64;
-        self.cq_base.offset(slot * self.cfg.cq_entry_bytes).block()
+        let slot = self.cq_head % WQ_ENTRIES as u64;
+        self.cq_base.offset(slot * CQ_ENTRY_BYTES).block()
     }
 
     /// Id of the newest entry written so far (the token the polling NI will
@@ -260,8 +233,8 @@ impl QueuePair {
 
     /// Block holding the WQ slot of entry `id` (ids start at 1).
     pub fn slot_block_of(&self, id: u64) -> BlockAddr {
-        let slot = (id - 1) % self.cfg.wq_entries as u64;
-        self.wq_base.offset(slot * self.cfg.wq_entry_bytes).block()
+        let slot = (id - 1) % WQ_ENTRIES as u64;
+        self.wq_base.offset(slot * WQ_ENTRY_BYTES).block()
     }
 
     /// NI consumes the next pending entry (after its poll observed it).
@@ -318,7 +291,7 @@ mod tests {
     use super::*;
 
     fn qp() -> QueuePair {
-        QueuePair::new(0, QpConfig::default(), Addr(0x1000), Addr(0x8000))
+        QueuePair::new(0, Addr(0x1000), Addr(0x8000))
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! reap) and checked against a flat reference model.
 
 use ni_mem::Addr;
-use ni_qp::{QpConfig, QueuePair, RemoteOp};
+use ni_qp::{QueuePair, RemoteOp, CQ_ENTRY_BYTES, WQ_ENTRIES, WQ_ENTRY_BYTES};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -40,8 +40,7 @@ proptest! {
 
     #[test]
     fn qp_matches_reference_model(actions in prop::collection::vec(action_strategy(), 1..200)) {
-        let cfg = QpConfig::default();
-        let mut qp = QueuePair::new(0, cfg, Addr(0x1000), Addr(0x20000));
+        let mut qp = QueuePair::new(0, Addr(0x1000), Addr(0x20000));
         let mut m = Model::default();
 
         for a in actions {
@@ -51,7 +50,7 @@ proptest! {
                     // A WQ slot is held from enqueue until the NI records
                     // the completion; unreaped CQ entries do not occupy WQ
                     // space.
-                    let full = m.pending.len() + m.taken.len() >= cfg.wq_entries;
+                    let full = m.pending.len() + m.taken.len() >= WQ_ENTRIES;
                     let r = qp.enqueue(op, 1, Addr(0x9000), Addr(0x5000), len);
                     prop_assert_eq!(r.is_err(), full, "fullness mismatch");
                     if let Ok(id) = r {
@@ -94,7 +93,7 @@ proptest! {
             prop_assert_eq!(qp.completions_ready(), m.completed.len());
             prop_assert_eq!(
                 qp.wq_free(),
-                cfg.wq_entries - m.pending.len() - m.taken.len()
+                WQ_ENTRIES - m.pending.len() - m.taken.len()
             );
             prop_assert_eq!(qp.newest_written_id(), m.next_id);
             prop_assert_eq!(
@@ -106,9 +105,8 @@ proptest! {
 
     #[test]
     fn wq_slots_wrap_within_the_ring(count in 1u64..600) {
-        let cfg = QpConfig::default();
-        let mut qp = QueuePair::new(0, cfg, Addr(0x4000), Addr(0x8000));
-        let ring_bytes = cfg.wq_entries as u64 * cfg.wq_entry_bytes;
+        let mut qp = QueuePair::new(0, Addr(0x4000), Addr(0x8000));
+        let ring_bytes = WQ_ENTRIES as u64 * WQ_ENTRY_BYTES;
         for _ in 0..count {
             // Keep the queue from filling: take+complete+reap immediately.
             let id = qp
@@ -126,7 +124,7 @@ proptest! {
 
     #[test]
     fn blocks_calculation_never_zero(len in 0u64..1_000_000) {
-        let mut qp = QueuePair::new(0, QpConfig::default(), Addr(0), Addr(0x10000));
+        let mut qp = QueuePair::new(0, Addr(0), Addr(0x10000));
         qp.enqueue(RemoteOp::Read, 0, Addr(0), Addr(0), len).expect("empty queue");
         let e = qp.ni_take().expect("present");
         prop_assert!(e.blocks() >= 1);
@@ -136,9 +134,8 @@ proptest! {
 
     #[test]
     fn cq_blocks_advance_every_eight_completions(batches in 1usize..40) {
-        let cfg = QpConfig::default();
-        let mut qp = QueuePair::new(0, cfg, Addr(0), Addr(0x10000));
-        let per_block = 64 / cfg.cq_entry_bytes;
+        let mut qp = QueuePair::new(0, Addr(0), Addr(0x10000));
+        let per_block = 64 / CQ_ENTRY_BYTES;
         let mut seen = vec![qp.cq_tail_block()];
         for _ in 0..batches {
             for _ in 0..per_block {

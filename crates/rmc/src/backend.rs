@@ -43,6 +43,16 @@ use crate::config::RmcConfig;
 use crate::trace::{Stage, TraceEvent};
 use crate::{NiMsg, RmcEgress};
 
+/// RGP backend processing per request (init, verification; 4 cycles).
+pub const RGP_BE_PROC: u64 = 4;
+
+/// RCP backend processing per response (status update; 4 cycles).
+pub const RCP_BE_PROC: u64 = 4;
+
+/// Unrolled block requests a backend can inject per cycle (§6.1.3:
+/// "unrolls happen at a rate of one request per cycle").
+pub const UNROLL_PER_CYCLE: u32 = 1;
+
 /// One in-flight transfer.
 #[derive(Debug, Clone)]
 struct IttEntry {
@@ -402,13 +412,13 @@ impl NiBackend {
             at: now,
         }));
         self.events
-            .push_after(now, self.cfg.rgp_be_proc, BeEv::Activate { entry, qp, fe });
+            .push_after(now, RGP_BE_PROC, BeEv::Activate { entry, qp, fe });
     }
 
     /// Accept a response from the network (direct or via NOC `NetIn`).
     pub fn on_response(&mut self, now: Cycle, resp: RemoteResp) {
         self.events
-            .push_after(now, self.cfg.rcp_be_proc, BeEv::RespDone(resp));
+            .push_after(now, RCP_BE_PROC, BeEv::RespDone(resp));
     }
 
     /// Accept a non-caching read reply (local data for a remote write).
@@ -457,7 +467,7 @@ impl NiBackend {
             self.admit(now, p);
         }
         // Unroll active transfers.
-        for _ in 0..self.cfg.unroll_per_cycle {
+        for _ in 0..UNROLL_PER_CYCLE {
             let Some(&slot) = self.active.front() else {
                 break;
             };

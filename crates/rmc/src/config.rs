@@ -46,27 +46,16 @@ impl NiPlacement {
     }
 }
 
-/// Pipeline timing and capacity parameters.
+/// Pipeline capacity and recovery parameters. The fixed stage delays sit
+/// next to the stages: [`RGP_FE_PROC`](crate::RGP_FE_PROC) and
+/// [`RCP_FE_PROC`](crate::RCP_FE_PROC) in the frontend,
+/// [`RGP_BE_PROC`](crate::RGP_BE_PROC), [`RCP_BE_PROC`](crate::RCP_BE_PROC)
+/// and [`UNROLL_PER_CYCLE`](crate::UNROLL_PER_CYCLE) in the backend,
+/// [`RRPP_PROC`](crate::RRPP_PROC) in the RRPP.
 #[derive(Clone, Copy, Debug)]
 pub struct RmcConfig {
-    /// RGP frontend processing per WQ entry (QP selection, address
-    /// computation; Table 3: 4 cycles).
-    pub rgp_fe_proc: u64,
-    /// RGP backend processing per request (init, verification; 4 cycles).
-    pub rgp_be_proc: u64,
-    /// RCP backend processing per response (status update; 4 cycles).
-    pub rcp_be_proc: u64,
-    /// RCP frontend processing per completion before the CQ store (Table 3
-    /// charges 8 cycles of RCP frontend processing; the store itself is
-    /// simulated).
-    pub rcp_fe_proc: u64,
-    /// RRPP processing on request arrival (translation etc.).
-    pub rrpp_proc: u64,
     /// Inflight Transfer Table slots per backend.
     pub itt_slots: usize,
-    /// Unrolled block requests a backend can inject per cycle (§6.1.3:
-    /// "unrolls happen at a rate of one request per cycle").
-    pub unroll_per_cycle: u32,
     /// Concurrent requests one RRPP keeps in flight.
     pub rrpp_max_outstanding: usize,
     /// Cycles between WQ polls when the previous poll found nothing.
@@ -113,13 +102,7 @@ pub struct RmcConfig {
 impl Default for RmcConfig {
     fn default() -> Self {
         RmcConfig {
-            rgp_fe_proc: 4,
-            rgp_be_proc: 4,
-            rcp_be_proc: 4,
-            rcp_fe_proc: 4,
-            rrpp_proc: 4,
             itt_slots: 64,
-            unroll_per_cycle: 1,
             rrpp_max_outstanding: 64,
             poll_backoff: 0,
             fe_poll_concurrency: 1,
@@ -156,6 +139,6 @@ mod tests {
 
     #[test]
     fn default_unroll_rate_is_one_per_cycle() {
-        assert_eq!(RmcConfig::default().unroll_per_cycle, 1);
+        assert_eq!(crate::UNROLL_PER_CYCLE, 1);
     }
 }

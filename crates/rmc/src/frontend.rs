@@ -22,6 +22,15 @@ use crate::config::RmcConfig;
 use crate::trace::{Stage, TraceEvent};
 use crate::{NiMsg, RmcEgress};
 
+/// RGP frontend processing per WQ entry (QP selection, address
+/// computation; Table 3: 4 cycles).
+pub const RGP_FE_PROC: u64 = 4;
+
+/// RCP frontend processing per completion before the CQ store (Table 3
+/// charges 8 cycles of RCP frontend processing; the store itself is
+/// simulated).
+pub const RCP_FE_PROC: u64 = 4;
+
 /// Tag-space discriminators for the frontend's cache accesses.
 const TAG_POLL: u64 = 1 << 62;
 const TAG_CQ: u64 = 2 << 62;
@@ -202,7 +211,7 @@ impl NiFrontend {
                 self.cq_busy = true;
                 self.events.push_after(
                     now,
-                    self.cfg.rcp_fe_proc,
+                    RCP_FE_PROC,
                     FeEv::CqStore {
                         qp,
                         wq_id,
@@ -273,7 +282,6 @@ impl NiFrontend {
         let q = &mut qps[qp as usize];
         // The block token is the newest entry id written into that block;
         // take every pending entry the poll made visible.
-        let delay = self.cfg.rgp_fe_proc;
         let already = self.dispatched.get(&qp).copied().unwrap_or(0);
         let ids: Vec<u64> = q
             .pending_entries()
@@ -295,7 +303,7 @@ impl NiFrontend {
                 at: now,
             }));
             self.events
-                .push_after(now, delay + i as u64, FeEv::SendWq { qp, wq_id: *id });
+                .push_after(now, RGP_FE_PROC + i as u64, FeEv::SendWq { qp, wq_id: *id });
         }
         if !found {
             self.poll_ready_at = now + self.cfg.poll_backoff;

@@ -18,6 +18,9 @@ use ni_noc::NocNode;
 use crate::config::RmcConfig;
 use crate::RmcEgress;
 
+/// RRPP processing on request arrival (translation etc.).
+pub const RRPP_PROC: u64 = 4;
+
 /// RRPP statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RrppStats {
@@ -131,7 +134,7 @@ impl Rrpp {
                 // node spends before touching memory; it extends the fixed
                 // pipeline delay, so the recorded service latency (arrival
                 // to response injection) includes it.
-                let proc = self.cfg.rrpp_proc + entry.0.service;
+                let proc = RRPP_PROC + entry.0.service;
                 self.started.push_after(now, proc, entry);
             }
         }

@@ -6,8 +6,11 @@ use std::collections::{BTreeMap, VecDeque};
 use ni_coherence::{wire_of, CacheComplex, ClientKind, CohMsg, DirectoryBank, Egress};
 use ni_engine::{Cycle, DelayLine};
 use ni_fabric::{Fabric, FabricStats, RackConfig, RackEmulator, RemoteResp, ReplicaMap, Torus3D};
-use ni_mem::{Addr, BlockAddr, MemRequestKind, MemoryController};
-use ni_noc::{Coord, Interconnect, MeshNoc, MessageClass, NocNode, NocOutNoc, NocStats, Packet};
+use ni_mem::{Addr, BlockAddr, MemConfig, MemRequestKind, MemoryController};
+use ni_noc::{
+    Coord, Interconnect, MeshConfig, MeshNoc, MessageClass, NocNode, NocOutNoc, NocStats, Packet,
+    GRID,
+};
 use ni_qp::QueuePair;
 use ni_rmc::{NiBackend, NiFrontend, NiMsg, NiPlacement, RmcEgress, Rrpp, TraceTable};
 
@@ -144,7 +147,7 @@ pub enum ChipMsg {
 /// Home directory node under static block interleaving (mesh: bank per tile).
 fn home_mesh(b: BlockAddr, n_banks: u32) -> NocNode {
     let t = (b.0 % u64::from(n_banks)) as u8;
-    NocNode::tile(t % 8, t / 8)
+    NocNode::tile(t % GRID, t / GRID)
 }
 
 /// Home directory node on NOC-Out (bank per LLC tile).
@@ -160,9 +163,10 @@ fn home_fn(topology: Topology) -> fn(BlockAddr, u32) -> NocNode {
     }
 }
 
-/// NOC node of tile `i`: both topologies lay tiles out eight to a row.
+/// NOC node of tile `i`: both topologies lay tiles out [`GRID`] to a row.
 fn tile_node(i: usize) -> NocNode {
-    NocNode::Tile(Coord::new((i % 8) as u8, (i / 8) as u8))
+    let g = usize::from(GRID);
+    NocNode::Tile(Coord::new((i % g) as u8, (i / g) as u8))
 }
 
 /// Where the component at `node` sits in its class's vector: a tile's
@@ -172,7 +176,7 @@ fn tile_node(i: usize) -> NocNode {
 /// complexes follow the tiles (see [`Chip::complex_at`]).
 fn position(node: NocNode) -> usize {
     match node {
-        NocNode::Tile(c) => usize::from(c.y) * 8 + usize::from(c.x),
+        NocNode::Tile(c) => usize::from(c.y) * usize::from(GRID) + usize::from(c.x),
         NocNode::NiBlock(r) | NocNode::Llc(r) | NocNode::Mc(r) => usize::from(r),
     }
 }
@@ -181,8 +185,8 @@ fn position(node: NocNode) -> usize {
 /// NOC-Out column.
 fn edge_of_tile(topology: Topology, i: usize) -> u8 {
     match topology {
-        Topology::Mesh => (i / 8) as u8,
-        Topology::NocOut => (i % 8) as u8,
+        Topology::Mesh => (i / usize::from(GRID)) as u8,
+        Topology::NocOut => (i % usize::from(GRID)) as u8,
     }
 }
 
@@ -319,12 +323,11 @@ impl Chip {
         let home = home_fn(cfg.topology);
 
         let noc: Box<dyn Interconnect<ChipMsg> + Send> = match cfg.topology {
-            Topology::Mesh => {
-                let mut m = cfg.mesh;
-                m.policy = cfg.routing;
-                Box::new(MeshNoc::new(m))
-            }
-            Topology::NocOut => Box::new(NocOutNoc::new(cfg.nocout)),
+            Topology::Mesh => Box::new(MeshNoc::new(MeshConfig {
+                policy: cfg.routing,
+                ..MeshConfig::default()
+            })),
+            Topology::NocOut => Box::new(NocOutNoc::default()),
         };
 
         // Tile complexes: NI cache present when frontends are per tile.
@@ -362,11 +365,11 @@ impl Chip {
                 }
                 Topology::NocOut => (NocNode::Llc(b as u8), NocNode::Mc(b as u8)),
             };
-            dirs.push(DirectoryBank::new(cfg.coherence, node, mc));
+            dirs.push(DirectoryBank::new(node, mc));
         }
 
         let mcs: Vec<MemoryController> = (0..n_edge)
-            .map(|_| MemoryController::new(cfg.mem))
+            .map(|_| MemoryController::new(MemConfig::default()))
             .collect();
 
         // Queue pairs and cores: one per-core generator each, bound to the
@@ -376,7 +379,7 @@ impl Chip {
         for i in 0..n {
             let wq = Addr(QP_BASE + i as u64 * QP_STRIDE);
             let cq = Addr(QP_BASE + i as u64 * QP_STRIDE + QP_STRIDE / 2);
-            qps.push(QueuePair::new(i as u32, cfg.qp, wq, cq));
+            qps.push(QueuePair::new(i as u32, wq, cq));
             let mut ctx = OpCtx::bind(cfg.node_id, i, nodes, torus, core_seed(cfg.seed, i));
             ctx.replication = cfg.rmc.replication;
             let gen: Box<dyn Scenario> = if i < cfg.active_cores {
@@ -389,7 +392,6 @@ impl Chip {
                 i as u32,
                 gen,
                 ctx,
-                cfg.qp,
                 LBUF_BASE + i as u64 * LBUF_BYTES,
                 LBUF_BYTES,
             ));

@@ -1,10 +1,14 @@
 //! Node configuration (Table 2 defaults).
+//!
+//! A [`ChipConfig`] holds what a study varies: NI placement, NOC topology
+//! and routing, the cache and RMC knobs the ablations turn, and the rack
+//! emulation. What Table 2 and Table 3 fix is a constant next to the code
+//! that reads it: the [`GRID`]` x `[`GRID`] tile layout, router and memory
+//! timing, cache latencies, RMC stage delays and the QP geometry.
 
 use ni_coherence::CoherenceConfig;
 use ni_fabric::RackConfig;
-use ni_mem::MemConfig;
-use ni_noc::{MeshConfig, NocOutConfig, RoutingPolicy};
-use ni_qp::QpConfig;
+use ni_noc::{RoutingPolicy, GRID};
 use ni_rmc::{NiPlacement, RmcConfig};
 
 /// On-chip interconnect organization.
@@ -46,10 +50,6 @@ pub struct ChipConfig {
     pub routing: RoutingPolicy,
     /// Cache hierarchy parameters.
     pub coherence: CoherenceConfig,
-    /// Memory controller parameters.
-    pub mem: MemConfig,
-    /// Queue-pair geometry and software costs.
-    pub qp: QpConfig,
     /// RMC pipeline parameters.
     pub rmc: RmcConfig,
     /// Rack emulation parameters (hops, 35ns links, mirroring).
@@ -61,10 +61,6 @@ pub struct ChipConfig {
     /// emulator's traffic generator (overriding `rack.seed`) so every run —
     /// emulated or multi-node — is reproducible from its config alone.
     pub seed: u64,
-    /// Mesh parameters.
-    pub mesh: MeshConfig,
-    /// NOC-Out parameters.
-    pub nocout: NocOutConfig,
     /// Cores running the workload (the rest idle), from core 0 upward.
     pub active_cores: usize,
     /// Tick discipline: event-driven active sets (default) or the
@@ -79,14 +75,10 @@ impl Default for ChipConfig {
             placement: NiPlacement::Split,
             routing: RoutingPolicy::CdrNi,
             coherence: CoherenceConfig::default(),
-            mem: MemConfig::default(),
-            qp: QpConfig::default(),
             rmc: RmcConfig::default(),
             rack: RackConfig::default(),
             node_id: 0,
             seed: RackConfig::default().seed,
-            mesh: MeshConfig::default(),
-            nocout: NocOutConfig::default(),
             active_cores: 64,
             tick_mode: TickMode::default(),
         }
@@ -94,14 +86,9 @@ impl Default for ChipConfig {
 }
 
 impl ChipConfig {
-    /// Total core count.
+    /// Total core count: one per tile on both topologies.
     pub fn n_cores(&self) -> usize {
-        match self.topology {
-            Topology::Mesh => usize::from(self.mesh.width) * usize::from(self.mesh.height),
-            Topology::NocOut => {
-                usize::from(self.nocout.columns) * usize::from(self.nocout.cores_per_column)
-            }
-        }
+        usize::from(GRID) * usize::from(GRID)
     }
 
     /// Number of LLC/directory banks (one per tile on the mesh, one per LLC
@@ -109,23 +96,23 @@ impl ChipConfig {
     pub fn n_banks(&self) -> u32 {
         match self.topology {
             Topology::Mesh => self.n_cores() as u32,
-            Topology::NocOut => u32::from(self.nocout.columns),
+            Topology::NocOut => u32::from(GRID),
         }
     }
 
     /// Number of NI blocks / RRPPs / memory controllers (one per mesh row or
     /// butterfly column).
     pub fn n_edge(&self) -> usize {
-        match self.topology {
-            Topology::Mesh => usize::from(self.mesh.height),
-            Topology::NocOut => usize::from(self.nocout.columns),
-        }
+        usize::from(GRID)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ni_fabric::HOP_CYCLES;
+    use ni_mem::MemConfig;
+    use ni_qp::WQ_ENTRIES;
 
     #[test]
     fn defaults_describe_the_paper_chip() {
@@ -137,9 +124,9 @@ mod tests {
         assert_eq!(c.routing, RoutingPolicy::CdrNi);
         // Table 2: 50 ns memory, 35 ns per rack hop at 2 GHz, and the §5
         // bandwidth microbenchmark's 128-entry WQs.
-        assert_eq!(c.mem.latency, 100);
-        assert_eq!(c.rack.hop_cycles, 70);
-        assert_eq!(c.qp.wq_entries, 128);
+        assert_eq!(MemConfig::default().latency, 100);
+        assert_eq!(HOP_CYCLES, 70);
+        assert_eq!(WQ_ENTRIES, 128);
     }
 
     #[test]

@@ -5,23 +5,23 @@
 //! instruction-issue costs: composing a WQ entry is "roughly a dozen
 //! arithmetic instructions plus two stores to the same cache block"; a CQ
 //! poll is "four instructions including a load". The core model issues
-//! exactly those memory operations through its cache complex with the
-//! configured compute gaps, which is the granularity at which software
-//! appears in every latency breakdown of the paper.
+//! exactly those memory operations through its cache complex with fixed
+//! compute gaps ([`WQ_WRITE_COMPUTE`], [`CQ_READ_COMPUTE`]), which is the
+//! granularity at which software appears in every latency breakdown of the
+//! paper.
 //!
 //! *What* the core issues — read or write, destination node, remote address
 //! and size, synchronous or asynchronous — comes from its [`Scenario`]
 //! generator, consulted whenever the core is ready for the next operation.
 //! The closed [`Workload`] enum survives as the parameter vocabulary of the
 //! built-in [`Synthetic`](crate::Synthetic) scenario and of the thin
-//! compatibility constructors ([`Chip::new`](crate::Chip::new),
-//! [`Rack::new`](crate::Rack::new)).
+//! compatibility constructor [`Chip::new`](crate::Chip::new).
 
 use ni_coherence::{Access, AccessKind, AccessOrigin, CacheComplex};
 use ni_engine::{Cycle, DelayLine, Histogram};
 use ni_fabric::RemoteReq;
 use ni_mem::{Addr, BlockAddr};
-use ni_qp::{QpConfig, QueuePair, RemoteOp};
+use ni_qp::{QueuePair, RemoteOp};
 use ni_rmc::{Stage, TraceEvent};
 
 use crate::scenario::{Op, OpCtx, Scenario};
@@ -32,6 +32,14 @@ pub const NUMA_TID_BASE: u64 = 256 << 32;
 
 /// Remote region targeted by the microbenchmarks (bytes).
 pub const REMOTE_BASE: u64 = 1 << 40;
+
+/// Arithmetic cycles the core spends composing a WQ entry before its two
+/// stores ("roughly a dozen arithmetic instructions", §3.1).
+pub const WQ_WRITE_COMPUTE: u64 = 7;
+
+/// Arithmetic cycles around the CQ polling load ("four instructions
+/// including a load").
+pub const CQ_READ_COMPUTE: u64 = 3;
 
 /// What a core runs: the parameter vocabulary of the built-in
 /// [`Synthetic`](crate::Synthetic) scenario (the paper's microbenchmarks).
@@ -151,7 +159,6 @@ pub struct Core {
     /// Context template refreshed (issue count, time) before every
     /// [`Scenario::next_op`] call.
     ctx: OpCtx,
-    qp_cfg: QpConfig,
     local_buf_base: u64,
     local_buf_bytes: u64,
     phase: Phase,
@@ -210,7 +217,6 @@ impl Core {
         qp_id: u32,
         scenario: Box<dyn Scenario>,
         ctx: OpCtx,
-        qp_cfg: QpConfig,
         local_buf_base: u64,
         local_buf_bytes: u64,
     ) -> Core {
@@ -221,7 +227,6 @@ impl Core {
             target_node,
             scenario,
             ctx,
-            qp_cfg,
             local_buf_base,
             local_buf_bytes,
             phase: Phase::Idle,
@@ -486,8 +491,7 @@ impl Core {
             // Poll: blocking when full, opportunistic otherwise.
             self.last_poll_at_issue = self.issued;
             self.phase = Phase::WaitPoll;
-            self.events
-                .push_after(now, self.qp_cfg.cq_read_compute, Ev::Poll);
+            self.events.push_after(now, CQ_READ_COMPUTE, Ev::Poll);
             return;
         }
         // Ready for the next application operation: ask the scenario.
@@ -504,8 +508,7 @@ impl Core {
                 // at issue-count multiples of `poll_every`.
                 if self.inflight > 0 {
                     self.phase = Phase::WaitPoll;
-                    self.events
-                        .push_after(now, self.qp_cfg.cq_read_compute, Ev::Poll);
+                    self.events.push_after(now, CQ_READ_COMPUTE, Ev::Poll);
                 }
             }
             Op::IdleFor { cycles } => {
@@ -514,8 +517,7 @@ impl Core {
                 // async completions before going (and while staying) quiet.
                 if self.inflight > 0 {
                     self.phase = Phase::WaitPoll;
-                    self.events
-                        .push_after(now, self.qp_cfg.cq_read_compute, Ev::Poll);
+                    self.events.push_after(now, CQ_READ_COMPUTE, Ev::Poll);
                 }
             }
             Op::Remote {
@@ -589,8 +591,7 @@ impl Core {
             at: now,
         });
         self.phase = Phase::WaitStore1;
-        self.events
-            .push_after(now, self.qp_cfg.wq_write_compute, Ev::Store1);
+        self.events.push_after(now, WQ_WRITE_COMPUTE, Ev::Store1);
     }
 
     fn pending_store_block(&self, qp: &QueuePair) -> ni_mem::BlockAddr {
@@ -647,8 +648,7 @@ impl Core {
                 });
                 if self.awaiting_sync.is_some() {
                     self.phase = Phase::WaitPoll;
-                    self.events
-                        .push_after(now, self.qp_cfg.cq_read_compute, Ev::Poll);
+                    self.events.push_after(now, CQ_READ_COMPUTE, Ev::Poll);
                 } else {
                     self.phase = Phase::Idle;
                 }
@@ -714,16 +714,14 @@ impl Core {
                     if self.awaiting_sync.is_some() {
                         // The awaited synchronous op is still in flight
                         // (earlier async completions drained): keep spinning.
-                        self.events
-                            .push_after(now, self.qp_cfg.cq_read_compute, Ev::Poll);
+                        self.events.push_after(now, CQ_READ_COMPUTE, Ev::Poll);
                     } else {
                         self.phase = Phase::Idle;
                     }
                 } else {
                     // Sync (and full-WQ async): keep spinning.
                     if self.awaiting_sync.is_some() || qp.wq_full() {
-                        self.events
-                            .push_after(now, self.qp_cfg.cq_read_compute, Ev::Poll);
+                        self.events.push_after(now, CQ_READ_COMPUTE, Ev::Poll);
                     } else {
                         self.phase = Phase::Idle;
                     }

@@ -53,9 +53,9 @@
 //! environment variable, else [`std::thread::available_parallelism`]).
 //!
 //! Workloads come from a [`Scenario`]: [`Rack::with_scenario`] hands every
-//! active core of every node its own seeded generator. The pre-scenario
-//! [`Rack::new`]`(cfg, workload)` constructor survives as a thin wrapper
-//! over [`Synthetic`] with the config's [`TrafficPattern`].
+//! active core of every node its own seeded generator. The paper's
+//! microbenchmarks are a [`Synthetic`](crate::Synthetic) scenario, whose
+//! [`TrafficPattern`] picks each core's destination node.
 
 use std::io::{self, Write};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -69,11 +69,10 @@ use ni_fabric::{
 
 use crate::chip::Chip;
 use crate::config::ChipConfig;
-use crate::core_model::Workload;
-use crate::scenario::{Scenario, Synthetic};
+use crate::scenario::Scenario;
 
 /// How active cores choose their remote destination node (the destination
-/// vocabulary of the built-in [`Synthetic`] scenario).
+/// vocabulary of the built-in [`Synthetic`](crate::Synthetic) scenario).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrafficPattern {
     /// Every core on node `n` targets node `n+1` (mod N): a directed ring,
@@ -134,9 +133,6 @@ pub struct RackSimConfig {
     /// `chip.rmc`, or operations whose traffic a dead node erases will
     /// wait forever instead of error-completing.
     pub faults: FaultPlan,
-    /// Destination assignment used by the [`Workload`]-based [`Rack::new`]
-    /// constructor; scenario-driven racks pick destinations per op instead.
-    pub traffic: TrafficPattern,
     /// Worker threads for the compute step of [`Rack::run`] (and for chip
     /// construction). `0` resolves at run time via
     /// [`default_threads`] (the `RACKNI_THREADS` environment variable,
@@ -156,7 +152,6 @@ impl Default for RackSimConfig {
             stats_window: fabric.stats_window,
             routing: fabric.routing,
             faults: fabric.faults,
-            traffic: TrafficPattern::Uniform,
             threads: 0,
         }
     }
@@ -190,14 +185,6 @@ pub struct Rack {
 }
 
 impl Rack {
-    /// Build a rack of `cfg.torus.nodes()` chips, every active core running
-    /// `workload` against the destination chosen by `cfg.traffic` — the
-    /// pre-scenario constructor, now a wrapper over [`Rack::with_scenario`].
-    pub fn new(cfg: RackSimConfig, workload: Workload) -> Rack {
-        let scenario = Synthetic::from_workload(workload).with_pattern(cfg.traffic);
-        Rack::with_scenario(cfg, &scenario)
-    }
-
     /// Build a rack of `cfg.torus.nodes()` chips, every active core of every
     /// node driven by its own generator from `scenario` (see
     /// [`Scenario::for_core`]). Chip construction is farmed across the
@@ -574,6 +561,8 @@ impl Rack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core_model::Workload;
+    use crate::scenario::Synthetic;
 
     #[test]
     fn traffic_patterns_stay_in_range_and_avoid_self() {
@@ -632,11 +621,12 @@ mod tests {
                     active_cores: 1,
                     ..ChipConfig::default()
                 },
-                traffic: TrafficPattern::Neighbor,
                 threads,
                 ..RackSimConfig::default()
             };
-            Rack::new(cfg, Workload::SyncRead { size: 64 })
+            let read = Synthetic::from_workload(Workload::SyncRead { size: 64 })
+                .with_pattern(TrafficPattern::Neighbor);
+            Rack::with_scenario(cfg, &read)
         };
         let mut serial = build(1);
         serial.run(1_200);
@@ -718,11 +708,12 @@ mod tests {
                 active_cores: 1,
                 ..ChipConfig::default()
             },
-            traffic: TrafficPattern::Neighbor,
             threads: 2,
             ..RackSimConfig::default()
         };
-        let mut rack = Rack::new(cfg, Workload::SyncRead { size: 64 });
+        let read = Synthetic::from_workload(Workload::SyncRead { size: 64 })
+            .with_pattern(TrafficPattern::Neighbor);
+        let mut rack = Rack::with_scenario(cfg, &read);
         // Arm node 3 with a generator that panics on first issue, so the
         // explosion happens inside a worker's compute phase.
         #[derive(Debug)]
@@ -753,7 +744,8 @@ mod tests {
             },
             ..RackSimConfig::default()
         };
-        let mut rack = Rack::new(cfg, Workload::SyncRead { size: 64 });
+        let read = Synthetic::from_workload(Workload::SyncRead { size: 64 });
+        let mut rack = Rack::with_scenario(cfg, &read);
         rack.run(3_000);
         let mut csv = Vec::new();
         rack.write_link_report(&mut csv).expect("in-memory write");

@@ -697,8 +697,7 @@ impl Scenario for TenantMix {
 /// pointed at the emulated remote end (single-node).
 ///
 /// This subsumes the pre-scenario `Workload`/`TrafficPattern` surface;
-/// [`Chip::new`](crate::Chip::new) and [`Rack::new`](crate::Rack::new) are
-/// thin wrappers over it.
+/// [`Chip::new`](crate::Chip::new) is a thin wrapper over it.
 #[derive(Clone, Debug)]
 pub struct Synthetic {
     workload: Workload,
@@ -943,32 +942,6 @@ impl Default for ZipfHotspot {
     }
 }
 
-impl ZipfHotspot {
-    /// Set the skew exponent (0 = uniform; ~1 = classical KV skew).
-    pub fn with_theta(mut self, theta: f64) -> ZipfHotspot {
-        self.theta = theta.max(0.0);
-        self
-    }
-
-    /// Set the transfer size in bytes.
-    pub fn with_size(mut self, size: u64) -> ZipfHotspot {
-        self.size = size.max(1);
-        self
-    }
-
-    /// Set which node receives the Zipf head of the rack's traffic.
-    pub fn with_hot_node(mut self, node: u32) -> ZipfHotspot {
-        self.hot_node = node;
-        self
-    }
-
-    /// Set the fraction of ops issued as remote writes.
-    pub fn with_write_fraction(mut self, f: f64) -> ZipfHotspot {
-        self.write_fraction = f.clamp(0.0, 1.0);
-        self
-    }
-}
-
 impl Scenario for ZipfHotspot {
     fn name(&self) -> &str {
         "zipf-hotspot"
@@ -1077,12 +1050,6 @@ impl KvStore {
     /// Set the GET fraction (the rest are PUTs).
     pub fn with_get_fraction(mut self, f: f64) -> KvStore {
         self.get_fraction = f.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Set the per-shard key-space size.
-    pub fn with_keys(mut self, keys: u64) -> KvStore {
-        self.keys = keys.max(1);
         self
     }
 

@@ -19,8 +19,10 @@ use rackni::experiments::{
     BANDWIDTH_SIZES, LATENCY_SIZES,
 };
 use rackni::ni_engine::parallel::par_map;
-use rackni::ni_fabric::Torus3D;
-use rackni::ni_noc::RoutingPolicy;
+use rackni::ni_fabric::{Torus3D, HOP_CYCLES};
+use rackni::ni_mem::MemConfig;
+use rackni::ni_noc::{RouterConfig, RoutingPolicy};
+use rackni::ni_qp::WQ_ENTRIES;
 use rackni::ni_rmc::NiPlacement;
 use rackni::ni_soc::{run_sync_latency, ChipConfig, Topology};
 use rackni::paper;
@@ -166,12 +168,16 @@ fn table2() {
     ]);
     t.row_owned(vec![
         "memory latency".into(),
-        format!("{} cycles", c.mem.latency),
+        format!("{} cycles", MemConfig::default().latency),
         "50ns (100 cycles @ 2GHz)".into(),
     ]);
     t.row_owned(vec![
         "mesh link / hop".into(),
-        format!("{}B links, {} cycles/hop", 16, c.mesh.router.hop_latency),
+        format!(
+            "{}B links, {} cycles/hop",
+            16,
+            RouterConfig::default().hop_latency
+        ),
         "16B links, 3 cycles/hop".into(),
     ]);
     t.row_owned(vec![
@@ -181,12 +187,12 @@ fn table2() {
     ]);
     t.row_owned(vec![
         "network hop".into(),
-        format!("{} cycles", c.rack.hop_cycles),
+        format!("{HOP_CYCLES} cycles"),
         "fixed 35ns per hop (70 cycles)".into(),
     ]);
     t.row_owned(vec![
         "WQ entries".into(),
-        c.qp.wq_entries.to_string(),
+        WQ_ENTRIES.to_string(),
         "128 (bandwidth microbenchmark, §5)".into(),
     ]);
     println!("{}", t.render());

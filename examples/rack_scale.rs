@@ -10,7 +10,9 @@
 use rackni::experiments::Scale;
 use rackni::ni_engine::Frequency;
 use rackni::ni_fabric::Torus3D;
-use rackni::ni_soc::{ChipConfig, Rack, RackSimConfig, TrafficPattern, Workload, ZipfHotspot};
+use rackni::ni_soc::{
+    ChipConfig, Rack, RackSimConfig, Synthetic, TrafficPattern, Workload, ZipfHotspot,
+};
 use rackni::report::{f1, Table};
 
 fn main() {
@@ -45,16 +47,14 @@ fn main() {
                 active_cores: 4,
                 ..ChipConfig::default()
             },
-            traffic,
             ..RackSimConfig::default()
         };
-        let mut rack = Rack::new(
-            cfg,
-            Workload::AsyncRead {
-                size: 512,
-                poll_every: 4,
-            },
-        );
+        let reads = Synthetic::from_workload(Workload::AsyncRead {
+            size: 512,
+            poll_every: 4,
+        })
+        .with_pattern(traffic);
+        let mut rack = Rack::with_scenario(cfg, &reads);
         rack.run(cycles);
         let agg = Frequency::GHZ2
             .gbps_from_bytes_per_cycle(rack.app_payload_bytes() as f64 / cycles as f64);

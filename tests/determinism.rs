@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use rackni::ni_fabric::{FaultPlan, ReplicaCfg, RoutingKind, Torus3D};
 use rackni::ni_soc::{
     Chip, ChipConfig, ClosedLoop, GraphShard, KvStore, Op, OpCtx, Rack, RackSimConfig, Scenario,
-    Synthetic, TenantMix, Topology, TrafficPattern, Workload,
+    Synthetic, TenantMix, Topology, Workload,
 };
 
 mod common;
@@ -34,16 +34,15 @@ fn healthy_run(cycles: u64) -> Rack {
             active_cores: 2,
             ..ChipConfig::default()
         },
-        traffic: TrafficPattern::Uniform,
         ..RackSimConfig::default()
     };
     cfg.chip.seed = 0xd51e;
-    let mut rack = Rack::new(
+    let mut rack = Rack::with_scenario(
         cfg,
-        Workload::AsyncRead {
+        &Synthetic::from_workload(Workload::AsyncRead {
             size: 256,
             poll_every: 4,
-        },
+        }),
     );
     rack.run(cycles);
     rack
@@ -62,7 +61,6 @@ fn faulty_run(cycles: u64) -> Rack {
             active_cores: 2,
             ..ChipConfig::default()
         },
-        traffic: TrafficPattern::Uniform,
         routing: RoutingKind::DimensionOrder,
         faults: FaultPlan::new().link_down(0, 1, 300),
         ..RackSimConfig::default()
@@ -70,12 +68,12 @@ fn faulty_run(cycles: u64) -> Rack {
     cfg.chip.seed = 0xfa11;
     cfg.chip.rmc.itt_timeout = 1_500;
     cfg.chip.rmc.itt_retries = 2;
-    let mut rack = Rack::new(
+    let mut rack = Rack::with_scenario(
         cfg,
-        Workload::AsyncRead {
+        &Synthetic::from_workload(Workload::AsyncRead {
             size: 256,
             poll_every: 4,
-        },
+        }),
     );
     rack.run(cycles);
     rack
@@ -94,7 +92,6 @@ fn recovery_run(cycles: u64) -> Rack {
             active_cores: 2,
             ..ChipConfig::default()
         },
-        traffic: TrafficPattern::Uniform,
         routing: RoutingKind::FaultAdaptive,
         faults: FaultPlan::new().node_down(4, 300),
         ..RackSimConfig::default()

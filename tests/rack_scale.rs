@@ -4,23 +4,31 @@
 
 use rackni::ni_fabric::Torus3D;
 use rackni::ni_mem::Addr;
-use rackni::ni_soc::{Chip, ChipConfig, Rack, RackSimConfig, TrafficPattern, Workload};
+use rackni::ni_soc::{Chip, ChipConfig, Rack, RackSimConfig, Synthetic, TrafficPattern, Workload};
 
 mod common;
 use common::fingerprint;
 
 const REMOTE_BASE: u64 = 1 << 40;
 
-fn rack_cfg(torus: Torus3D, active_cores: usize, traffic: TrafficPattern) -> RackSimConfig {
+fn rack_cfg(torus: Torus3D, active_cores: usize) -> RackSimConfig {
     RackSimConfig {
         torus,
         chip: ChipConfig {
             active_cores,
             ..ChipConfig::default()
         },
-        traffic,
         ..RackSimConfig::default()
     }
+}
+
+/// A rack whose active cores all run `workload` against the destinations
+/// `traffic` assigns.
+fn synthetic_rack(cfg: RackSimConfig, traffic: TrafficPattern, workload: Workload) -> Rack {
+    Rack::with_scenario(
+        cfg,
+        &Synthetic::from_workload(workload).with_pattern(traffic),
+    )
 }
 
 fn run_until(rack: &mut Rack, limit: u64, mut done: impl FnMut(&Rack) -> bool) {
@@ -40,8 +48,9 @@ fn run_until(rack: &mut Rack, limit: u64, mut done: impl FnMut(&Rack) -> bool) {
 fn cross_node_write_then_read_round_trips_through_remote_memory() {
     let torus = Torus3D::new(2, 2, 2);
     // Opposite pattern: node 0 targets its antipode, node 7, 3 hops away.
-    let mut rack = Rack::new(
-        rack_cfg(torus, 1, TrafficPattern::Opposite),
+    let mut rack = synthetic_rack(
+        rack_cfg(torus, 1),
+        TrafficPattern::Opposite,
         Workload::SyncWrite { size: 64 },
     );
     let target = rack.chips()[0].cores[0].target();
@@ -90,8 +99,9 @@ fn cross_node_write_then_read_round_trips_through_remote_memory() {
 /// per-directed-link counters account every hop traversed.
 #[test]
 fn eight_node_rack_completes_ops_on_every_node() {
-    let mut rack = Rack::new(
-        rack_cfg(Torus3D::new(2, 2, 2), 2, TrafficPattern::Uniform),
+    let mut rack = synthetic_rack(
+        rack_cfg(Torus3D::new(2, 2, 2), 2),
+        TrafficPattern::Uniform,
         Workload::SyncRead { size: 64 },
     );
     rack.run(15_000);
@@ -118,8 +128,9 @@ fn eight_node_rack_completes_ops_on_every_node() {
 /// their way back to the issuing core.
 #[test]
 fn numa_workload_crosses_the_torus() {
-    let mut rack = Rack::new(
-        rack_cfg(Torus3D::new(2, 1, 1), 1, TrafficPattern::Neighbor),
+    let mut rack = synthetic_rack(
+        rack_cfg(Torus3D::new(2, 1, 1), 1),
+        TrafficPattern::Neighbor,
         Workload::NumaRead,
     );
     run_until(&mut rack, 100_000, |r| {
@@ -138,11 +149,12 @@ fn numa_workload_crosses_the_torus() {
 fn parallel_rack_is_bit_identical_to_serial_at_any_thread_count() {
     let cycles = 1_500u64;
     let build = |threads: usize| {
-        let mut cfg = rack_cfg(Torus3D::new(3, 3, 3), 2, TrafficPattern::Uniform);
+        let mut cfg = rack_cfg(Torus3D::new(3, 3, 3), 2);
         cfg.chip.seed = 0xd15c0;
         cfg.threads = threads;
-        Rack::new(
+        synthetic_rack(
             cfg,
+            TrafficPattern::Uniform,
             Workload::AsyncRead {
                 size: 256,
                 poll_every: 4,
@@ -180,7 +192,7 @@ fn faulted_rack_runs_are_bit_identical_across_thread_counts() {
     use rackni::ni_fabric::FaultPlan;
 
     let build = |threads: usize| {
-        let mut cfg = rack_cfg(Torus3D::new(3, 3, 1), 2, TrafficPattern::Uniform);
+        let mut cfg = rack_cfg(Torus3D::new(3, 3, 1), 2);
         cfg.chip.seed = 0xfa117;
         cfg.chip.rmc.itt_timeout = 1_200;
         cfg.chip.rmc.itt_retries = 1;
@@ -190,8 +202,9 @@ fn faulted_rack_runs_are_bit_identical_across_thread_counts() {
             .link_down(0, 1, 400)
             .node_down(4, 900)
             .link_up(0, 1, 2_200);
-        Rack::new(
+        synthetic_rack(
             cfg,
+            TrafficPattern::Uniform,
             Workload::AsyncRead {
                 size: 256,
                 poll_every: 4,
@@ -259,9 +272,9 @@ fn assert_windows_match_per_cycle_ticks(cycles: u64, build: impl Fn(usize) -> Ra
 /// cycle after injection, deep inside a lookahead window.
 fn quorum_write_rack(torus: Torus3D, hop_cycles: u64, link_bytes: u64, threads: usize) -> Rack {
     use rackni::ni_fabric::ReplicaCfg;
-    use rackni::ni_soc::{Capped, Synthetic};
+    use rackni::ni_soc::Capped;
 
-    let mut cfg = rack_cfg(torus, 2, TrafficPattern::Uniform);
+    let mut cfg = rack_cfg(torus, 2);
     cfg.hop_cycles = hop_cycles;
     cfg.link_bytes_per_cycle = link_bytes;
     cfg.chip.rmc.replication = ReplicaCfg {
@@ -352,10 +365,11 @@ fn split_runs_match_one_run() {
 #[test]
 fn rack_runs_are_reproducible_from_the_config_seed() {
     let run = |seed: u64| {
-        let mut cfg = rack_cfg(Torus3D::new(2, 2, 1), 2, TrafficPattern::Uniform);
+        let mut cfg = rack_cfg(Torus3D::new(2, 2, 1), 2);
         cfg.chip.seed = seed;
-        let mut rack = Rack::new(
+        let mut rack = synthetic_rack(
             cfg,
+            TrafficPattern::Uniform,
             Workload::AsyncRead {
                 size: 256,
                 poll_every: 4,
@@ -442,12 +456,13 @@ fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
     use rackni::ni_soc::{TickMode, Topology};
 
     let build = |mode: TickMode, threads: usize| {
-        let mut cfg = rack_cfg(Torus3D::new(3, 3, 3), 2, TrafficPattern::Uniform);
+        let mut cfg = rack_cfg(Torus3D::new(3, 3, 3), 2);
         cfg.chip.seed = 0x71c5;
         cfg.chip.tick_mode = mode;
         cfg.threads = threads;
-        Rack::new(
+        synthetic_rack(
             cfg,
+            TrafficPattern::Uniform,
             Workload::AsyncRead {
                 size: 256,
                 poll_every: 4,
@@ -493,13 +508,13 @@ fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
     ];
     for (placement, topology, workload, full_ticks) in cases {
         let run = |mode: TickMode| {
-            let mut cfg = rack_cfg(Torus3D::new(2, 2, 1), 3, TrafficPattern::Uniform);
+            let mut cfg = rack_cfg(Torus3D::new(2, 2, 1), 3);
             cfg.chip.seed = 0x71c5;
             cfg.chip.placement = placement;
             cfg.chip.topology = topology;
             cfg.chip.tick_mode = mode;
             cfg.threads = 1;
-            let mut rack = Rack::new(cfg, workload);
+            let mut rack = synthetic_rack(cfg, TrafficPattern::Uniform, workload);
             rack.run(5_000);
             rack
         };
@@ -532,7 +547,7 @@ fn event_tick_is_bit_identical_to_poll_on_a_faulted_rack() {
     use rackni::ni_soc::TickMode;
 
     let build = |mode: TickMode, threads: usize| {
-        let mut cfg = rack_cfg(Torus3D::new(3, 3, 1), 2, TrafficPattern::Uniform);
+        let mut cfg = rack_cfg(Torus3D::new(3, 3, 1), 2);
         cfg.chip.seed = 0xfa117;
         cfg.chip.tick_mode = mode;
         cfg.chip.rmc.itt_timeout = 1_200;
@@ -543,8 +558,9 @@ fn event_tick_is_bit_identical_to_poll_on_a_faulted_rack() {
             .link_down(0, 1, 400)
             .node_down(4, 900)
             .link_up(0, 1, 2_200);
-        Rack::new(
+        synthetic_rack(
             cfg,
+            TrafficPattern::Uniform,
             Workload::AsyncRead {
                 size: 256,
                 poll_every: 4,
@@ -585,10 +601,10 @@ fn event_tick_is_bit_identical_to_poll_on_a_faulted_rack() {
 #[test]
 fn event_tick_matches_poll_after_a_finite_job_drains() {
     use rackni::ni_rmc::NiPlacement;
-    use rackni::ni_soc::{Capped, Synthetic, TickMode};
+    use rackni::ni_soc::{Capped, TickMode};
 
     let run = |mode: TickMode| {
-        let mut cfg = rack_cfg(Torus3D::new(2, 1, 1), 2, TrafficPattern::Uniform);
+        let mut cfg = rack_cfg(Torus3D::new(2, 1, 1), 2);
         cfg.chip.seed = 7;
         cfg.chip.placement = NiPlacement::Edge;
         cfg.chip.rmc.poll_backoff = 512;
@@ -614,7 +630,7 @@ mod tick_equivalence_props {
     use super::*;
     use proptest::prelude::*;
     use rackni::ni_fabric::RoutingKind;
-    use rackni::ni_soc::{builtin_scenarios, Bursty, Scenario, Synthetic, TickMode};
+    use rackni::ni_soc::{builtin_scenarios, Bursty, Scenario, TickMode};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
@@ -638,7 +654,7 @@ mod tick_equivalence_props {
                 RoutingKind::FaultAdaptive,
             ][routing_idx];
             let run = |mode: TickMode| {
-                let mut cfg = rack_cfg(Torus3D::new(2, 2, 2), 2, TrafficPattern::Uniform);
+                let mut cfg = rack_cfg(Torus3D::new(2, 2, 2), 2);
                 cfg.chip.seed = seed;
                 cfg.chip.tick_mode = mode;
                 cfg.routing = routing;
@@ -677,8 +693,9 @@ mod tick_equivalence_props {
 /// and still makes progress against its own RRPPs.
 #[test]
 fn degenerate_single_node_rack_services_itself() {
-    let mut rack = Rack::new(
-        rack_cfg(Torus3D::new(1, 1, 1), 1, TrafficPattern::Neighbor),
+    let mut rack = synthetic_rack(
+        rack_cfg(Torus3D::new(1, 1, 1), 1),
+        TrafficPattern::Neighbor,
         Workload::SyncRead { size: 64 },
     );
     run_until(&mut rack, 100_000, |r| r.chips()[0].completed_ops() >= 2);

@@ -7,7 +7,7 @@
 use rackni::experiments::run_routing_point;
 use rackni::ni_fabric::{RoutingKind, Torus3D};
 use rackni::ni_soc::{
-    Capped, ChipConfig, Rack, RackSimConfig, TrafficPattern, Workload, ZipfHotspot,
+    Capped, ChipConfig, Rack, RackSimConfig, Synthetic, TrafficPattern, Workload, ZipfHotspot,
 };
 
 fn canonical_rack(routing: RoutingKind) -> Rack {
@@ -19,16 +19,15 @@ fn canonical_rack(routing: RoutingKind) -> Rack {
             ..ChipConfig::default()
         },
         routing,
-        traffic: TrafficPattern::Uniform,
         threads: 1,
         ..RackSimConfig::default()
     };
-    Rack::new(
+    Rack::with_scenario(
         cfg,
-        Workload::AsyncRead {
+        &Synthetic::from_workload(Workload::AsyncRead {
             size: 256,
             poll_every: 4,
-        },
+        }),
     )
 }
 
@@ -76,7 +75,7 @@ fn adaptive_routing_changes_paths_but_not_outcomes() {
             threads: 1,
             ..RackSimConfig::default()
         };
-        let inner = rackni::ni_soc::Synthetic::from_workload(Workload::AsyncRead {
+        let inner = Synthetic::from_workload(Workload::AsyncRead {
             size: 256,
             poll_every: 4,
         })
@@ -184,7 +183,7 @@ fn capped_jobs_complete_exactly_and_record_async_read_tails() {
         threads: 1,
         ..RackSimConfig::default()
     };
-    let inner = rackni::ni_soc::Synthetic::from_workload(Workload::AsyncRead {
+    let inner = Synthetic::from_workload(Workload::AsyncRead {
         size: 256,
         poll_every: 4,
     });

@@ -306,15 +306,15 @@ fn set_target_steers_workload_rack_traffic() {
             active_cores: 1,
             ..ChipConfig::default()
         },
-        traffic: TrafficPattern::Neighbor,
         ..RackSimConfig::default()
     };
-    let mut rack = Rack::new(
+    let mut rack = Rack::with_scenario(
         cfg,
-        Workload::AsyncRead {
+        &Synthetic::from_workload(Workload::AsyncRead {
             size: 256,
             poll_every: 4,
-        },
+        })
+        .with_pattern(TrafficPattern::Neighbor),
     );
     // On the neighbor ring only node 0 targets node 1; move that stream to
     // node 4 before anything runs.
@@ -332,9 +332,9 @@ fn set_target_steers_workload_rack_traffic() {
     );
 }
 
-/// Compatibility: the `Workload`/`TrafficPattern` constructors are thin
-/// wrappers over `Synthetic` and still produce the pre-scenario behavior
-/// (fixed per-core targets, pattern-derived destinations).
+/// Compatibility: a `Synthetic` scenario with a `TrafficPattern` still
+/// produces the pre-scenario `Workload` behavior (fixed per-core targets,
+/// pattern-derived destinations).
 #[test]
 fn workload_constructors_remain_thin_synthetic_wrappers() {
     let torus = Torus3D::new(2, 2, 2);
@@ -344,15 +344,15 @@ fn workload_constructors_remain_thin_synthetic_wrappers() {
             active_cores: 2,
             ..ChipConfig::default()
         },
-        traffic: TrafficPattern::Neighbor,
         ..RackSimConfig::default()
     };
-    let rack = Rack::new(
+    let rack = Rack::with_scenario(
         cfg,
-        Workload::AsyncRead {
+        &Synthetic::from_workload(Workload::AsyncRead {
             size: 128,
             poll_every: 4,
-        },
+        })
+        .with_pattern(TrafficPattern::Neighbor),
     );
     assert_eq!(rack.scenario_name(), "synthetic");
     for (node, chip) in rack.chips().iter().enumerate() {
