@@ -10,17 +10,20 @@
 //! machine-readable trajectory. Four jobs:
 //!
 //! 1. **Trajectory** — writes `BENCH_simperf.json` (schema
-//!    `rackni-bench-simperf/2`) at the workspace root, one row per point.
-//!    Rack rows add `build_ms`, `hops` and `sync_rounds` (one per lookahead
-//!    window). Every event-mode rack point runs at one worker
-//!    (`serial_cps`) and at the default worker count (`cps`; `speedup` is
-//!    their ratio); on a one-thread host the serial run fills both. Poll
-//!    twins run once, at the default worker count.
+//!    `rackni-bench-simperf/3`) at the workspace root, one row per point.
+//!    Rack rows add `build_ms`, `hops`, `sync_rounds` (one per lookahead
+//!    window) and the rack's work: full chip ticks (`full_ticks`) and
+//!    component visits per class (`visits_*`, see `ni_soc::Visits`), summed
+//!    over its chips and printed in a second table. Every event-mode rack
+//!    point runs at one worker (`serial_cps`) and at the default worker
+//!    count (`cps`; `speedup` is their ratio); on a one-thread host the
+//!    serial run fills both. Poll twins run once, at the default worker
+//!    count.
 //! 2. **Determinism guard** — a point's two runs must agree on fabric
-//!    counters, completed ops, hops and sync rounds, and every rack point
-//!    but the quick, pre-discovery 16x16x16 one must complete operations
-//!    (a guard over zero completions compares nothing); either failure
-//!    aborts the run.
+//!    counters, completed ops, hops, sync rounds, full ticks and visits,
+//!    and every rack point but the quick, pre-discovery 16x16x16 one must
+//!    complete operations (a guard over zero completions compares
+//!    nothing); either failure aborts the run.
 //! 3. **Speedup gate** (machine-independent) — the event-driven tick must
 //!    clear `MIN_SPEEDUP` (3.0) over the poll tick on the idle-heavy 8x8x8
 //!    rack. Both runs happen on the same host in the same process, so this
@@ -48,7 +51,8 @@ use rackni::experiments::{build_idle_rack_point, build_rack_point, Scale};
 use rackni::ni_engine::parallel::default_threads;
 use rackni::ni_rmc::NiPlacement;
 use rackni::ni_soc::{
-    Bursty, Chip, ChipConfig, Rack, RackSimConfig, Synthetic, TickMode, TrafficPattern, Workload,
+    Bursty, Chip, ChipConfig, Rack, RackSimConfig, Synthetic, TickMode, TrafficPattern, Visits,
+    Workload,
 };
 use rackni::report::{f1, read_points, BenchFile, Table};
 
@@ -77,15 +81,26 @@ struct RackRun {
     fabric: [u64; 3],
     hops: u64,
     sync_rounds: u64,
+    /// Full chip ticks, summed over the rack's chips.
+    full_ticks: u64,
+    /// Component visits per class, summed over the rack's chips.
+    visits: Visits,
     /// One-worker cycles/sec, for event-mode points.
     serial_cps: Option<f64>,
 }
 
 impl Measured {
     /// The columns a rerun of the same point must reproduce exactly.
-    fn work(&self) -> (u64, [u64; 3], u64, u64) {
+    fn work(&self) -> (u64, [u64; 3], u64, u64, u64, Visits) {
         let r = self.rack.as_ref().expect("rack point");
-        (self.completed_ops, r.fabric, r.hops, r.sync_rounds)
+        (
+            self.completed_ops,
+            r.fabric,
+            r.hops,
+            r.sync_rounds,
+            r.full_ticks,
+            r.visits,
+        )
     }
 }
 
@@ -137,6 +152,10 @@ fn time_rack(
     rack.run(cycles);
     let wall = t1.elapsed().as_secs_f64();
     let fs = rack.fabric_stats();
+    let mut visits = Visits::default();
+    for chip in rack.chips() {
+        visits.merge(chip.visits());
+    }
     Measured {
         name: name.to_string(),
         cycles,
@@ -152,6 +171,8 @@ fn time_rack(
             ],
             hops: rack.hops_traversed(),
             sync_rounds: rack.sync_rounds(),
+            full_ticks: rack.chips().iter().map(Chip::full_ticks).sum(),
+            visits,
             serial_cps: None,
         }),
     }
@@ -181,7 +202,7 @@ fn measure_rack(
                 parallel.work(),
                 m.work(),
                 "{name}: the default-worker run diverged from the one-worker run \
-                 (ops, fabric sent/incoming/responded, hops, sync rounds)"
+                 (ops, fabric sent/incoming/responded, hops, sync rounds, full ticks, visits)"
             );
             m = parallel;
         }
@@ -335,7 +356,10 @@ fn main() {
         "hops",
         "sync rounds",
     ]);
-    let mut bench = BenchFile::new("rackni-bench-simperf/2", scale);
+    let mut work_headers = vec!["point", "full ticks"];
+    work_headers.extend(Visits::default().by_class().map(|(class, _)| class));
+    let mut work = Table::new(&work_headers);
+    let mut bench = BenchFile::new("rackni-bench-simperf/3", scale);
     bench.header().num("host_threads", host_threads);
     for m in &results {
         let dash = || "-".to_string();
@@ -363,17 +387,27 @@ fn main() {
         if let Some(r) = &m.rack {
             row.float("build_ms", r.build_ms, 1)
                 .num("hops", r.hops)
-                .num("sync_rounds", r.sync_rounds);
+                .num("sync_rounds", r.sync_rounds)
+                .num("full_ticks", r.full_ticks);
+            let mut cells = vec![m.name.clone(), r.full_ticks.to_string()];
+            for (class, visits) in r.visits.by_class() {
+                row.num(&format!("visits_{class}"), visits);
+                cells.push(visits.to_string());
+            }
+            work.row_owned(cells);
             if let Some(s) = r.serial_cps {
                 row.float("serial_cps", s, 1).float("speedup", m.cps / s, 4);
             }
         }
     }
     println!("{}", table.render());
+    println!("work per rack point (summed over chips): full ticks and component visits\n");
+    println!("{}", work.render());
     if host_threads > 1 {
         println!(
-            "one-worker and default-worker runs agreed on ops, fabric counters, \
-             hops and sync rounds at every event-mode rack point (determinism guard passed)"
+            "one-worker and default-worker runs agreed on ops, fabric counters, hops, \
+             sync rounds, full ticks and visits at every event-mode rack point \
+             (determinism guard passed)"
         );
     } else {
         println!(

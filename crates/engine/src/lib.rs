@@ -1,10 +1,10 @@
 //! # ni-engine — simulation kernel for the rackni simulator
 //!
 //! Cycle-level simulation primitives shared by every subsystem of the
-//! manycore-NI simulator: the [`Cycle`] clock domain, bounded FIFO queues with
-//! backpressure ([`BoundedQueue`]), ready-at delay heaps ([`DelayLine`]),
-//! online statistics ([`stats`]), and windowed convergence monitoring
-//! ([`stats::ConvergenceMonitor`]) used by the bandwidth experiments.
+//! manycore-NI simulator: the [`Cycle`] clock domain, ready-at delay heaps
+//! ([`DelayLine`]), online statistics ([`stats`]), and windowed convergence
+//! monitoring ([`stats::ConvergenceMonitor`]) used by the bandwidth
+//! experiments.
 //!
 //! The simulator is *synchronous*: a top-level driver advances a shared clock
 //! and ticks each component once per cycle, moving messages between explicitly
@@ -28,5 +28,5 @@ pub mod queue;
 pub mod stats;
 
 pub use clock::{Cycle, Frequency, NANOS_PER_CYCLE_2GHZ};
-pub use queue::{BoundedQueue, DelayLine, PushError};
+pub use queue::DelayLine;
 pub use stats::{ConvergenceMonitor, Counter, Histogram, LinkLoad, RunningMean, WindowStatus};

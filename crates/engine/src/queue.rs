@@ -1,128 +1,13 @@
-//! Bounded FIFO queues with backpressure and fixed-latency delay lines.
-//!
-//! [`BoundedQueue`] models the finite buffering of routers, cache controllers
-//! and NI pipelines: a producer that cannot push must stall, which is how
-//! congestion propagates through the simulated chip (§6.2 of the paper shows
-//! this backpressure destroying NIper-tile bandwidth on large unrolls).
+//! Fixed-latency delay lines.
 //!
 //! [`DelayLine`] models fixed-latency resources that complete out-of-band of
 //! the NOC — DRAM accesses (50ns) and intra-rack hops (35ns) — as a min-heap
 //! of (ready-at, item) pairs popped once the clock reaches them.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::fmt;
+use std::collections::BinaryHeap;
 
 use crate::clock::Cycle;
-
-/// Error returned by [`BoundedQueue::push`] when the queue is full.
-///
-/// Hands the rejected item back so the caller can retry next cycle without
-/// cloning (`C-CALLER-CONTROL`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PushError<T>(pub T);
-
-impl<T> fmt::Display for PushError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "queue full")
-    }
-}
-
-impl<T: fmt::Debug> std::error::Error for PushError<T> {}
-
-/// A bounded FIFO with explicit backpressure.
-///
-/// ```
-/// use ni_engine::BoundedQueue;
-/// let mut q = BoundedQueue::new(2);
-/// q.push(1).unwrap();
-/// q.push(2).unwrap();
-/// assert!(q.push(3).is_err());
-/// assert_eq!(q.pop(), Some(1));
-/// ```
-#[derive(Clone, Debug)]
-pub struct BoundedQueue<T> {
-    items: VecDeque<T>,
-    capacity: usize,
-    /// High-water mark, for occupancy diagnostics.
-    peak: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Create a queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero: a zero-capacity queue can never accept
-    /// an item and always indicates a mis-configured pipeline.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be non-zero");
-        BoundedQueue {
-            items: VecDeque::with_capacity(capacity),
-            capacity,
-            peak: 0,
-        }
-    }
-
-    /// Append an item, or return it in `Err` if the queue is full.
-    pub fn push(&mut self, item: T) -> Result<(), PushError<T>> {
-        if self.items.len() >= self.capacity {
-            return Err(PushError(item));
-        }
-        self.items.push_back(item);
-        self.peak = self.peak.max(self.items.len());
-        Ok(())
-    }
-
-    /// Remove and return the oldest item.
-    pub fn pop(&mut self) -> Option<T> {
-        self.items.pop_front()
-    }
-
-    /// Peek at the oldest item without removing it.
-    pub fn front(&self) -> Option<&T> {
-        self.items.front()
-    }
-
-    /// Mutable peek, used by controllers that annotate a head entry in place.
-    pub fn front_mut(&mut self) -> Option<&mut T> {
-        self.items.front_mut()
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// True when another `push` would fail.
-    pub fn is_full(&self) -> bool {
-        self.items.len() >= self.capacity
-    }
-
-    /// Remaining free slots.
-    pub fn free(&self) -> usize {
-        self.capacity - self.items.len()
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Highest occupancy observed since construction.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Iterate over queued items from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-}
 
 /// Heap entry ordering ready-at timestamps for [`DelayLine`].
 ///
@@ -229,39 +114,6 @@ impl<T> Default for DelayLine<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bounded_queue_respects_capacity_and_order() {
-        let mut q = BoundedQueue::new(3);
-        for i in 0..3 {
-            q.push(i).unwrap();
-        }
-        assert!(q.is_full());
-        assert_eq!(q.push(99), Err(PushError(99)));
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.free(), 1);
-        q.push(3).unwrap();
-        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(drained, vec![1, 2, 3]);
-        assert_eq!(q.peak(), 3);
-    }
-
-    #[test]
-    fn bounded_queue_front_access() {
-        let mut q = BoundedQueue::new(2);
-        assert!(q.front().is_none());
-        q.push(5).unwrap();
-        assert_eq!(q.front(), Some(&5));
-        *q.front_mut().unwrap() = 6;
-        assert_eq!(q.pop(), Some(6));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_capacity_queue_rejected() {
-        let _: BoundedQueue<u8> = BoundedQueue::new(0);
-    }
 
     #[test]
     fn delay_line_orders_by_time_then_fifo() {

@@ -1,41 +1,11 @@
-//! Property tests for the simulation kernel: queue semantics, delay-line
-//! ordering, and statistics against naive references.
+//! Property tests for the simulation kernel: delay-line ordering and
+//! statistics against naive references.
 
-use ni_engine::{BoundedQueue, ConvergenceMonitor, Cycle, DelayLine, RunningMean, WindowStatus};
+use ni_engine::{ConvergenceMonitor, Cycle, DelayLine, RunningMean, WindowStatus};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn bounded_queue_matches_vecdeque(
-        cap in 1usize..32,
-        ops in prop::collection::vec(prop_oneof![Just(None), (0u32..1000).prop_map(Some)], 1..200),
-    ) {
-        let mut q = BoundedQueue::new(cap);
-        let mut model = std::collections::VecDeque::new();
-        for op in ops {
-            match op {
-                Some(v) => {
-                    let r = q.push(v);
-                    if model.len() < cap {
-                        prop_assert!(r.is_ok());
-                        model.push_back(v);
-                    } else {
-                        prop_assert_eq!(r.unwrap_err().0, v);
-                    }
-                }
-                None => {
-                    prop_assert_eq!(q.pop(), model.pop_front());
-                }
-            }
-            prop_assert_eq!(q.len(), model.len());
-            prop_assert_eq!(q.is_empty(), model.is_empty());
-            prop_assert_eq!(q.is_full(), model.len() >= cap);
-            prop_assert_eq!(q.free(), cap - model.len());
-            prop_assert_eq!(q.front(), model.front());
-        }
-    }
 
     #[test]
     fn delay_line_pops_in_time_then_fifo_order(

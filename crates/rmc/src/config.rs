@@ -64,8 +64,9 @@ pub struct RmcConfig {
     /// frontends serve one QP, so this only matters for NIedge, where each
     /// edge frontend services a whole row of cores. The default of 1 models
     /// the paper's serialized RGP poll loop (and reproduces Table 3's
-    /// NIedge numbers); higher values are an extension studied by the
-    /// `ablation_fe_concurrency` bench.
+    /// NIedge numbers); higher values are an extension studied by ablation
+    /// A3 of the `paper` example. Must be at least 1:
+    /// [`NiFrontend::new`](crate::NiFrontend::new) rejects 0.
     pub fe_poll_concurrency: usize,
     /// Cycles an ITT entry may sit without progress (no response arriving)
     /// before the backend declares it timed out and re-sends its missing

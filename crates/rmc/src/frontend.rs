@@ -6,16 +6,21 @@
 //! completion notifications from its backend.
 //!
 //! Per-tile frontends (NIper-tile, NIsplit) serve exactly one QP. Edge
-//! frontends (NIedge) serve a whole mesh row of QPs; they overlap polls of
-//! *distinct* QPs up to [`RmcConfig::fe_poll_concurrency`], since every such
-//! poll is an independent multi-hop coherence transaction — a single
-//! outstanding miss would serialize eight cores behind one round trip.
+//! frontends (NIedge) serve a whole mesh row (NOC-Out: column) of QPs; they
+//! overlap polls of *distinct* QPs up to [`RmcConfig::fe_poll_concurrency`],
+//! since every such poll is an independent multi-hop coherence transaction
+//! — a single outstanding miss would serialize eight cores behind one round
+//! trip.
+//!
+//! A frontend keeps its per-QP state at the QP's position in the list it
+//! serves, inline: at most [`GRID`] QPs, so a poll costs no ordered-map
+//! operation and no allocation.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use ni_coherence::{Access, AccessKind, AccessOrigin, CacheComplex};
 use ni_engine::{Cycle, DelayLine};
-use ni_noc::NocNode;
+use ni_noc::{NocNode, GRID};
 use ni_qp::QueuePair;
 
 use crate::config::RmcConfig;
@@ -34,6 +39,9 @@ pub const RCP_FE_PROC: u64 = 4;
 /// Tag-space discriminators for the frontend's cache accesses.
 const TAG_POLL: u64 = 1 << 62;
 const TAG_CQ: u64 = 2 << 62;
+
+/// Most QPs one frontend serves: an NIedge frontend's row or column.
+const MAX_QPS: usize = GRID as usize;
 
 #[derive(Debug)]
 enum FeEv {
@@ -57,18 +65,24 @@ enum FeEv {
 pub struct NiFrontend {
     node: NocNode,
     cfg: RmcConfig,
-    /// QPs serviced by this frontend.
-    qp_ids: Vec<u32>,
+    /// QPs serviced by this frontend, `[..n_qps]`. A QP's position here
+    /// indexes its state below.
+    qp_ids: [u32; MAX_QPS],
+    n_qps: u8,
     /// Backend this frontend's entries go to.
     backend: NocNode,
-    rr: usize,
+    /// Position of the next QP the round robin considers.
+    rr: u8,
     /// Pending completion notifications to turn into CQ entries:
     /// `(qp, wq_id, ok, degraded)`.
     cq_queue: VecDeque<(u32, u64, bool, bool)>,
-    /// Outstanding WQ polls: access tag -> polled QP.
-    polls: BTreeMap<u64, u32>,
-    /// QPs with a poll in flight (never poll the same QP twice at once).
-    in_poll: BTreeSet<u32>,
+    /// Outstanding WQ polls, `[..n_polls]` in no particular order: poll
+    /// `k` carries access tag `poll_tags[k]` and polls the QP at position
+    /// `poll_pos[k]`. At most one per QP (never poll the same QP twice at
+    /// once).
+    poll_tags: [u64; MAX_QPS],
+    poll_pos: [u8; MAX_QPS],
+    n_polls: u8,
     /// Outstanding CQ store, if any: (tag, qp, wq_id). CQ stores are
     /// serialized — same-block stores must retire in order.
     storing_cq: Option<(u64, u32, u64)>,
@@ -80,26 +94,46 @@ pub struct NiFrontend {
     poll_ready_at: Cycle,
     /// A submit was rejected (MSHR full); retry it.
     retry: Option<Access>,
-    /// Highest WQ entry id already scheduled for forwarding, per QP.
+    /// Highest WQ entry id already scheduled for forwarding, per QP
+    /// position.
     ///
     /// A poll returning the newest-written id may race with the delayed
     /// `SendWq` events of the previous poll (the entries stay pending until
     /// the forward fires); this watermark keeps each entry forwarded once.
-    dispatched: BTreeMap<u32, u64>,
+    dispatched: [u64; MAX_QPS],
 }
 
 impl NiFrontend {
-    /// Create a frontend at `node`, forwarding to `backend`.
-    pub fn new(node: NocNode, backend: NocNode, qp_ids: Vec<u32>, cfg: RmcConfig) -> NiFrontend {
+    /// Create a frontend at `node`, forwarding to `backend`, that serves
+    /// the QPs `qp_ids` of the chip's QP table.
+    ///
+    /// # Panics
+    /// If `qp_ids` lists more than [`GRID`] QPs (a frontend serves one
+    /// tile's QP, or one row or column of them), or if
+    /// [`RmcConfig::fe_poll_concurrency`] is 0.
+    pub fn new(node: NocNode, backend: NocNode, qp_ids: &[u32], cfg: RmcConfig) -> NiFrontend {
+        assert!(
+            qp_ids.len() <= MAX_QPS,
+            "qp_ids: a frontend serves at most {MAX_QPS} QPs, got {}",
+            qp_ids.len()
+        );
+        assert!(
+            cfg.fe_poll_concurrency >= 1,
+            "fe_poll_concurrency must be at least 1, got 0"
+        );
+        let mut ids = [0; MAX_QPS];
+        ids[..qp_ids.len()].copy_from_slice(qp_ids);
         NiFrontend {
             node,
             cfg,
-            qp_ids,
+            qp_ids: ids,
+            n_qps: qp_ids.len() as u8,
             backend,
             rr: 0,
             cq_queue: VecDeque::new(),
-            polls: BTreeMap::new(),
-            in_poll: BTreeSet::new(),
+            poll_tags: [0; MAX_QPS],
+            poll_pos: [0; MAX_QPS],
+            n_polls: 0,
             storing_cq: None,
             cq_busy: false,
             events: DelayLine::new(),
@@ -107,7 +141,7 @@ impl NiFrontend {
             next_tag: 0,
             poll_ready_at: Cycle::ZERO,
             retry: None,
-            dispatched: BTreeMap::new(),
+            dispatched: [0; MAX_QPS],
         }
     }
 
@@ -148,7 +182,7 @@ impl NiFrontend {
             return Some(now);
         }
         let mut next = self.events.next_ready_at();
-        if !self.qp_ids.is_empty() && self.polls.len() < self.cfg.fe_poll_concurrency.max(1) {
+        if self.n_qps > 0 && usize::from(self.n_polls) < self.cfg.fe_poll_concurrency {
             let at = self.poll_ready_at.max(now);
             next = Some(next.map_or(at, |n| n.min(at)));
         }
@@ -222,20 +256,22 @@ impl NiFrontend {
                 return;
             }
         }
-        if self.qp_ids.is_empty() || now < self.poll_ready_at || self.retry.is_some() {
+        if self.n_qps == 0 || now < self.poll_ready_at || self.retry.is_some() {
             return;
         }
-        if self.polls.len() >= self.cfg.fe_poll_concurrency.max(1) {
+        if usize::from(self.n_polls) >= self.cfg.fe_poll_concurrency {
             return;
         }
         // Poll the next registered QP without a poll already in flight.
-        let Some(qp) = self.next_pollable_qp() else {
+        let Some(pos) = self.next_pollable() else {
             return;
         };
-        let block = qps[qp as usize].wq_head_block();
+        let block = qps[self.qp_ids[usize::from(pos)] as usize].wq_head_block();
         let tag = TAG_POLL | self.bump_tag();
-        self.polls.insert(tag, qp);
-        self.in_poll.insert(qp);
+        let k = usize::from(self.n_polls);
+        self.poll_tags[k] = tag;
+        self.poll_pos[k] = pos;
+        self.n_polls += 1;
         let a = Access {
             origin: AccessOrigin::Ni,
             kind: AccessKind::Load,
@@ -248,14 +284,13 @@ impl NiFrontend {
         }
     }
 
-    /// Round-robin choice among QPs with no outstanding poll.
-    fn next_pollable_qp(&mut self) -> Option<u32> {
-        let n = self.qp_ids.len();
-        for _ in 0..n {
-            let qp = self.qp_ids[self.rr % n];
-            self.rr = self.rr.wrapping_add(1);
-            if !self.in_poll.contains(&qp) {
-                return Some(qp);
+    /// Round-robin choice among QP positions with no outstanding poll.
+    fn next_pollable(&mut self) -> Option<u8> {
+        for _ in 0..self.n_qps {
+            let pos = self.rr;
+            self.rr = (pos + 1) % self.n_qps;
+            if !self.poll_pos[..usize::from(self.n_polls)].contains(&pos) {
+                return Some(pos);
             }
         }
         None
@@ -263,7 +298,7 @@ impl NiFrontend {
 
     /// Handle a completed NI-cache access (routed here by the SoC for
     /// completions with `AccessOrigin::Ni`).
-    pub fn on_cache_completion(&mut self, now: Cycle, tag: u64, value: u64, qps: &mut [QueuePair]) {
+    pub fn on_cache_completion(&mut self, now: Cycle, tag: u64, value: u64, qps: &[QueuePair]) {
         if tag & TAG_CQ != 0 {
             let (stag, qp, wq_id) = self.storing_cq.take().expect("CQ store outstanding");
             debug_assert_eq!(stag, tag);
@@ -277,35 +312,38 @@ impl NiFrontend {
             return;
         }
         debug_assert!(tag & TAG_POLL != 0, "unexpected frontend tag {tag:#x}");
-        let qp = self.polls.remove(&tag).expect("poll outstanding");
-        self.in_poll.remove(&qp);
-        let q = &mut qps[qp as usize];
+        let live = usize::from(self.n_polls);
+        let k = self.poll_tags[..live]
+            .iter()
+            .position(|&t| t == tag)
+            .expect("poll outstanding");
+        let pos = usize::from(self.poll_pos[k]);
+        // Move the last record into the freed one.
+        self.n_polls -= 1;
+        let last = usize::from(self.n_polls);
+        self.poll_tags[k] = self.poll_tags[last];
+        self.poll_pos[k] = self.poll_pos[last];
+        let qp = self.qp_ids[pos];
         // The block token is the newest entry id written into that block;
-        // take every pending entry the poll made visible.
-        let already = self.dispatched.get(&qp).copied().unwrap_or(0);
-        let ids: Vec<u64> = q
+        // take every pending entry the poll made visible. Only peeked so
+        // far: record traces and schedule the takes in order.
+        let already = self.dispatched[pos];
+        let visible = qps[qp as usize]
             .pending_entries()
             .skip_while(|e| e.id <= already)
-            .take_while(|e| e.id <= value)
-            .map(|e| e.id)
-            .collect();
-        let found = !ids.is_empty();
-        if let Some(&max) = ids.last() {
-            self.dispatched.insert(qp, max);
-        }
-        // Only peeked so far: record traces and schedule the takes in order.
-        for (i, id) in ids.iter().enumerate() {
-            // Re-peek via index: entries are taken inside SendWq in order.
+            .take_while(|e| e.id <= value);
+        for (i, e) in visible.enumerate() {
             self.egress.push_back(RmcEgress::Trace(TraceEvent {
                 qp,
-                wq_id: *id,
+                wq_id: e.id,
                 stage: Stage::FeObserved,
                 at: now,
             }));
-            self.events
-                .push_after(now, RGP_FE_PROC + i as u64, FeEv::SendWq { qp, wq_id: *id });
+            let send = FeEv::SendWq { qp, wq_id: e.id };
+            self.events.push_after(now, RGP_FE_PROC + i as u64, send);
+            self.dispatched[pos] = e.id;
         }
-        if !found {
+        if self.dispatched[pos] == already {
             self.poll_ready_at = now + self.cfg.poll_backoff;
         }
     }

@@ -121,6 +121,56 @@ impl WakeSlots {
     }
 }
 
+/// How many times a tick gave each class's components their turn: every
+/// component every cycle under [`TickMode::Poll`], only the due ones under
+/// [`TickMode::Event`]. A deterministic work counter, independent of the
+/// host, so a change to the wake bookkeeping shows as a count and not only
+/// as wall-clock time. Deliveries between subphases (a completion handed
+/// to a core or frontend, a packet to a directory) are not visits.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Visits {
+    /// Cores.
+    pub cores: u64,
+    /// RGP/RCP frontends.
+    pub frontends: u64,
+    /// RGP/RCP backends.
+    pub backends: u64,
+    /// Remote request processing pipelines.
+    pub rrpps: u64,
+    /// Cache complexes: the tiles', then the NIedge caches.
+    pub complexes: u64,
+    /// Directory banks.
+    pub dirs: u64,
+    /// Memory controllers.
+    pub mcs: u64,
+}
+
+impl Visits {
+    /// Each class's count under its field name, in subphase order.
+    pub fn by_class(&self) -> [(&'static str, u64); 7] {
+        [
+            ("cores", self.cores),
+            ("frontends", self.frontends),
+            ("backends", self.backends),
+            ("rrpps", self.rrpps),
+            ("complexes", self.complexes),
+            ("dirs", self.dirs),
+            ("mcs", self.mcs),
+        ]
+    }
+
+    /// Add `other`'s counts (rack-wide sums).
+    pub fn merge(&mut self, other: Visits) {
+        self.cores += other.cores;
+        self.frontends += other.frontends;
+        self.backends += other.backends;
+        self.rrpps += other.rrpps;
+        self.complexes += other.complexes;
+        self.dirs += other.dirs;
+        self.mcs += other.mcs;
+    }
+}
+
 /// QP region base (bytes).
 const QP_BASE: u64 = 0x0100_0000;
 /// Per-core QP region stride (bytes).
@@ -276,6 +326,8 @@ pub struct Chip {
     dormant_until: Cycle,
     /// Full (non-skipped) ticks executed; see [`Chip::full_ticks`].
     full_ticks: u64,
+    /// Component visits per class; see [`Chip::visits`].
+    visits: Visits,
 }
 
 // The whole node must stay `Send`: the rack driver farms chips out across
@@ -440,10 +492,15 @@ impl Chip {
             NiPlacement::Edge => {
                 for r in 0..n_edge {
                     let node = NocNode::NiBlock(r as u8);
-                    let row_qps: Vec<u32> = (0..n as u32)
-                        .filter(|&i| edge_of_tile(cfg.topology, i as usize) == r as u8)
-                        .collect();
-                    frontends.push(NiFrontend::new(node, node, row_qps, cfg.rmc));
+                    let mut row_qps = [0; GRID as usize];
+                    let mut len = 0;
+                    for i in 0..n {
+                        if edge_of_tile(cfg.topology, i) == r as u8 {
+                            row_qps[len] = i as u32;
+                            len += 1;
+                        }
+                    }
+                    frontends.push(NiFrontend::new(node, node, &row_qps[..len], cfg.rmc));
                 }
             }
             NiPlacement::PerTile | NiPlacement::Split => {
@@ -454,7 +511,7 @@ impl Chip {
                     } else {
                         NocNode::NiBlock(edge_of_tile(cfg.topology, i))
                     };
-                    frontends.push(NiFrontend::new(node, backend, vec![i as u32], cfg.rmc));
+                    frontends.push(NiFrontend::new(node, backend, &[i as u32], cfg.rmc));
                 }
             }
         }
@@ -492,6 +549,7 @@ impl Chip {
             backlog: BTreeMap::new(),
             dormant_until: Cycle::ZERO,
             full_ticks: 0,
+            visits: Visits::default(),
         }
     }
 
@@ -764,6 +822,11 @@ impl Chip {
         self.full_ticks
     }
 
+    /// Component visits per class so far, in either tick mode.
+    pub fn visits(&self) -> Visits {
+        self.visits
+    }
+
     /// Earliest future cycle any component acts on its own, seen from
     /// `self.now` (the next cycle to simulate): the least class minimum or
     /// latch delivery. `self.now` itself when backlogged or mid-NOC-flight
@@ -987,6 +1050,7 @@ impl Chip {
             if gated && !self.wake_cores.is_due(i, now) {
                 continue;
             }
+            self.visits.cores += 1;
             // Event mode skips cores that provably do nothing this cycle
             // (the predicate is exact, never late — see
             // [`Core::next_activity`]). A due slot is exact too, except
@@ -1005,9 +1069,9 @@ impl Chip {
 
     fn tick_core(&mut self, now: Cycle, i: usize) {
         self.cores[i].tick(now, &mut self.qps[i], &mut self.complexes[i]);
-        // The core may have submitted into its tile complex, so that
-        // complex must be visited too.
-        self.wake_cxs.lower(i, now);
+        // The core may have submitted into its tile complex: wake the
+        // complex when that lookup is due.
+        self.lower_complex(i, now);
         if let Some(req) = self.cores[i].take_numa_request() {
             // NUMA issue: request packet core tile -> edge -> rack.
             let row = edge_of_tile(self.cfg.topology, i);
@@ -1027,6 +1091,7 @@ impl Chip {
             if gated && !self.wake_fes.is_due(f, now) {
                 continue;
             }
+            self.visits.frontends += 1;
             let fe_node = self.frontends[f].node();
             let cx = self.complex_at(fe_node);
             self.frontends[f].tick(now, &mut self.qps, &mut self.complexes[cx]);
@@ -1034,13 +1099,23 @@ impl Chip {
                 self.dispatch_rmc(now, fe_node, e);
             }
             if gated {
-                // The frontend may have submitted into its complex; the
-                // complex subphase runs later this same cycle.
-                self.wake_cxs.lower(cx, now);
+                // The frontend may have submitted into its complex: wake
+                // the complex when that lookup is due.
+                self.lower_complex(cx, now);
                 self.wake_fes
                     .set(f, self.frontends[f].next_activity(now + 1).unwrap_or(NEVER));
             }
         }
+    }
+
+    /// Lower complex `c`'s slot to its next activity after a submit: the
+    /// submitted lookup's cycle (`now + 1` for the NI cache, `now + 3` for
+    /// the L1) unless the complex has earlier work. Lowering to `now`
+    /// instead would visit the complex in this cycle's subphase for
+    /// nothing.
+    fn lower_complex(&mut self, c: usize, now: Cycle) {
+        let at = self.complexes[c].next_activity(now).unwrap_or(NEVER);
+        self.wake_cxs.lower(c, at);
     }
 
     fn tick_rmc_backends(&mut self, now: Cycle, gated: bool) {
@@ -1051,6 +1126,7 @@ impl Chip {
             if gated && !self.wake_bes.is_due(b, now) {
                 continue;
             }
+            self.visits.backends += 1;
             self.backends[b].tick(now);
             let node = self.backends[b].node();
             while let Some(e) = self.backends[b].pop_egress() {
@@ -1071,6 +1147,7 @@ impl Chip {
             if gated && !self.wake_rrpps.is_due(r, now) {
                 continue;
             }
+            self.visits.rrpps += 1;
             self.rrpps[r].tick(now);
             let node = self.rrpps[r].node();
             while let Some(e) = self.rrpps[r].pop_egress() {
@@ -1121,6 +1198,7 @@ impl Chip {
             if gated && !self.wake_cxs.is_due(c, now) {
                 continue;
             }
+            self.visits.complexes += 1;
             self.complexes[c].tick(now);
             let node = self.complexes[c].node();
             while let Some(e) = self.complexes[c].pop_egress() {
@@ -1146,12 +1224,8 @@ impl Chip {
                     ni_coherence::AccessOrigin::Ni => {
                         // The frontend this NI cache serves.
                         let f = position(self.complexes[c].node());
-                        self.frontends[f].on_cache_completion(
-                            done.at,
-                            done.tag,
-                            done.value,
-                            &mut self.qps,
-                        );
+                        self.frontends[f]
+                            .on_cache_completion(done.at, done.tag, done.value, &self.qps);
                         let fe_node = self.frontends[f].node();
                         while let Some(e) = self.frontends[f].pop_egress() {
                             self.dispatch_rmc(now, fe_node, e);
@@ -1179,6 +1253,7 @@ impl Chip {
             if gated && !self.wake_dirs.is_due(d, now) {
                 continue;
             }
+            self.visits.dirs += 1;
             self.dirs[d].tick(now);
             let node = self.dirs[d].node();
             while let Some(e) = self.dirs[d].pop_egress() {
@@ -1200,6 +1275,7 @@ impl Chip {
             if gated && !self.wake_mcs.is_due(m, now) {
                 continue;
             }
+            self.visits.mcs += 1;
             while let Some(reply) = self.mcs[m].pop_ready(now) {
                 let to = self.dirs[reply.tag as usize].node();
                 let msg = match reply.kind {
@@ -1379,6 +1455,54 @@ impl Chip {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Visits over cycles 1 000-2 000 of an all-idle default (NIsplit)
+    /// chip. Each of the 64 frontends polls its empty WQ every other cycle:
+    /// it issues the poll, and the NI cache completes the one-cycle lookup
+    /// the next cycle. So each frontend and each complex is visited 500
+    /// times, the complex only at the cycle its lookup is due. The poll
+    /// tick visits every component every cycle.
+    #[test]
+    fn an_idle_split_chip_visits_each_complex_when_its_lookup_is_due() {
+        let visits_over_second_kcycle = |tick_mode: TickMode| {
+            let cfg = ChipConfig {
+                tick_mode,
+                ..ChipConfig::default()
+            };
+            let mut chip = Chip::new(cfg, Workload::Idle);
+            chip.run(1_000);
+            let (v0, t0) = (chip.visits(), chip.full_ticks());
+            chip.run(1_000);
+            let (v1, t1) = (chip.visits(), chip.full_ticks());
+            let delta = Visits {
+                cores: v1.cores - v0.cores,
+                frontends: v1.frontends - v0.frontends,
+                backends: v1.backends - v0.backends,
+                rrpps: v1.rrpps - v0.rrpps,
+                complexes: v1.complexes - v0.complexes,
+                dirs: v1.dirs - v0.dirs,
+                mcs: v1.mcs - v0.mcs,
+            };
+            (delta, t1 - t0)
+        };
+        let (event, full) = visits_over_second_kcycle(TickMode::Event);
+        assert_eq!(event.frontends, 32_000, "{event:?}");
+        assert_eq!(event.complexes, 32_000, "{event:?}");
+        // The polls keep the chip from ever sleeping.
+        assert_eq!(full, 1_000);
+        let (poll, full) = visits_over_second_kcycle(TickMode::Poll);
+        assert_eq!(full, 1_000);
+        let every_cycle = Visits {
+            cores: 64_000,
+            frontends: 64_000,
+            backends: 8_000,
+            rrpps: 8_000,
+            complexes: 64_000,
+            dirs: 64_000,
+            mcs: 8_000,
+        };
+        assert_eq!(poll, every_cycle);
+    }
 
     /// The position rule that replaced the chip's lookup maps: every
     /// complex, directory, frontend and backend sits at the index its node

@@ -39,7 +39,7 @@ pub use bench::{
     run_write_bandwidth, stage_breakdown, BandwidthResult, LatencyResult, ScenarioRunResult,
     StageBreakdown,
 };
-pub use chip::{Chip, ChipMsg};
+pub use chip::{Chip, ChipMsg, Visits};
 pub use config::{ChipConfig, TickMode, Topology};
 pub use core_model::{Core, CoreStats, Workload, REMOTE_BASE};
 pub use ni_fabric::RoutingKind;

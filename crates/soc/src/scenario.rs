@@ -375,13 +375,17 @@ pub struct Bursty {
 }
 
 impl Bursty {
-    /// Duty-cycle `inner`: `burst_ops` operations per burst (min 1), then
-    /// `idle_cycles` of declared idleness.
+    /// Duty-cycle `inner`: `burst_ops` operations per burst (at least 1),
+    /// then `idle_cycles` of declared idleness.
+    ///
+    /// # Panics
+    /// If `burst_ops` is 0.
     pub fn new(inner: Box<dyn Scenario>, burst_ops: u64, idle_cycles: u64) -> Bursty {
+        assert!(burst_ops >= 1, "burst_ops must be at least 1, got 0");
         let name = format!("{}-bursty", inner.name());
         Bursty {
             inner,
-            burst_ops: burst_ops.max(1),
+            burst_ops,
             idle_cycles,
             in_burst: 0,
             name,
@@ -468,12 +472,17 @@ pub struct ClosedLoop {
 
 impl ClosedLoop {
     /// Close the loop over `inner`: at most `window` outstanding ops per
-    /// core (min 1), `think` mean cycles between issues (0 = back to back).
+    /// core (at least 1), `think` mean cycles between issues (0 = back to
+    /// back).
+    ///
+    /// # Panics
+    /// If `window` is 0.
     pub fn new(inner: Box<dyn Scenario>, window: u64, think: u64) -> ClosedLoop {
+        assert!(window >= 1, "window must be at least 1, got 0");
         let name = format!("{}-closed", inner.name());
         ClosedLoop {
             inner,
-            window: window.max(1),
+            window,
             think,
             owe_think: false,
             rng: None,
@@ -586,12 +595,17 @@ impl TenantMix {
         }
     }
 
-    /// Add a tenant running `scenario` on `share` of every `Σshares` cores.
+    /// Add a tenant running `scenario` on `share` (at least 1) of every
+    /// `Σshares` cores.
+    ///
+    /// # Panics
+    /// If `share` is 0.
     pub fn with_tenant(mut self, tag: u8, scenario: Box<dyn Scenario>, share: u32) -> TenantMix {
+        assert!(share >= 1, "share must be at least 1, got 0");
         self.tenants.push(TenantSpec {
             tag,
             scenario,
-            share: share.max(1),
+            share,
         });
         self
     }
@@ -1047,9 +1061,16 @@ impl KvStore {
         self
     }
 
-    /// Set the GET fraction (the rest are PUTs).
+    /// Set the GET fraction `f` (the rest are PUTs), in `0.0..=1.0`.
+    ///
+    /// # Panics
+    /// If `f` lies outside `0.0..=1.0` or is NaN.
     pub fn with_get_fraction(mut self, f: f64) -> KvStore {
-        self.get_fraction = f.clamp(0.0, 1.0);
+        assert!(
+            (0.0..=1.0).contains(&f),
+            "get fraction f must lie in 0..=1, got {f}"
+        );
+        self.get_fraction = f;
         self
     }
 
@@ -1422,6 +1443,30 @@ mod tests {
             }
         }
         assert_eq!(counts, [0, 12, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "burst_ops must be at least 1")]
+    fn bursty_rejects_an_empty_burst() {
+        Bursty::new(Box::new(KvStore::default()), 0, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be at least 1")]
+    fn closed_loop_rejects_a_zero_window() {
+        ClosedLoop::new(Box::new(KvStore::default()), 0, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "share must be at least 1")]
+    fn tenant_mix_rejects_a_zero_share() {
+        let _ = TenantMix::new().with_tenant(1, Box::new(KvStore::default()), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "get fraction f must lie in 0..=1, got NaN")]
+    fn kv_store_rejects_a_get_fraction_outside_zero_to_one() {
+        let _ = KvStore::default().with_get_fraction(f64::NAN);
     }
 
     #[test]
