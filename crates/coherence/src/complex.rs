@@ -167,23 +167,25 @@ enum Ev {
     Transfer(Access),
 }
 
-/// Statistics exposed by a complex.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ComplexStats {
-    /// L1/NI hits completed locally.
-    pub hits: Counter,
-    /// Misses sent to the directory.
-    pub misses: Counter,
-    /// Internal L1 <-> NI cache transfers (no directory traffic).
-    pub internal_transfers: Counter,
-    /// Times the Owned-state fast path served a core poll of a dirty NI block.
-    pub owned_fast_paths: Counter,
-    /// Writebacks issued.
-    pub writebacks: Counter,
-    /// Forwards answered with data.
-    pub forwards_served: Counter,
-    /// Forwards answered with `FwdMiss`.
-    pub forward_misses: Counter,
+ni_engine::stats! {
+    /// Statistics exposed by a complex.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct ComplexStats {
+        /// L1/NI hits completed locally.
+        pub hits: Counter,
+        /// Misses sent to the directory.
+        pub misses: Counter,
+        /// Internal L1 <-> NI cache transfers (no directory traffic).
+        pub internal_transfers: Counter,
+        /// Times the Owned-state fast path served a core poll of a dirty NI block.
+        pub owned_fast_paths: Counter,
+        /// Writebacks issued.
+        pub writebacks: Counter,
+        /// Forwards answered with data.
+        pub forwards_served: Counter,
+        /// Forwards answered with `FwdMiss`.
+        pub forward_misses: Counter,
+    }
 }
 
 /// The L1 + NI cache pair (or a bare NI-edge cache when `has_core == false`).

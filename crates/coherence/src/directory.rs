@@ -86,21 +86,23 @@ struct Busy {
     queued: VecDeque<(NocNode, CohMsg)>,
 }
 
-/// Counters exposed by a bank.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DirStats {
-    /// Requests processed.
-    pub requests: Counter,
-    /// Requests that had to queue behind an open transaction.
-    pub blocked: Counter,
-    /// Fills requested from memory.
-    pub mem_fills: Counter,
-    /// Dirty LLC victims written back to memory.
-    pub llc_writebacks: Counter,
-    /// 3-hop forwards issued.
-    pub forwards: Counter,
-    /// Invalidations issued.
-    pub invalidations: Counter,
+ni_engine::stats! {
+    /// Counters exposed by a bank.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct DirStats {
+        /// Requests processed.
+        pub requests: Counter,
+        /// Requests that had to queue behind an open transaction.
+        pub blocked: Counter,
+        /// Fills requested from memory.
+        pub mem_fills: Counter,
+        /// Dirty LLC victims written back to memory.
+        pub llc_writebacks: Counter,
+        /// 3-hop forwards issued.
+        pub forwards: Counter,
+        /// Invalidations issued.
+        pub invalidations: Counter,
+    }
 }
 
 /// One directory + LLC bank.

@@ -33,9 +33,9 @@ pub mod llc;
 pub mod msg;
 
 pub use complex::{
-    Access, AccessKind, AccessOrigin, CacheComplex, Completion, NI_TRANSFER_LATENCY,
+    Access, AccessKind, AccessOrigin, CacheComplex, Completion, ComplexStats, NI_TRANSFER_LATENCY,
 };
 pub use config::CoherenceConfig;
-pub use directory::DirectoryBank;
+pub use directory::{DirStats, DirectoryBank};
 pub use llc::LlcArray;
 pub use msg::{wire_of, ClientKind, CohMsg, Egress, WireMeta};

@@ -12,18 +12,18 @@
 //! 1. **Trajectory** — writes `BENCH_simperf.json` (schema
 //!    `rackni-bench-simperf/3`) at the workspace root, one row per point.
 //!    Rack rows add `build_ms`, `hops`, `sync_rounds` (one per lookahead
-//!    window) and the rack's work: full chip ticks (`full_ticks`) and
-//!    component visits per class (`visits_*`, see `ni_soc::Visits`), summed
-//!    over its chips and printed in a second table. Every event-mode rack
-//!    point runs at one worker (`serial_cps`) and at the default worker
-//!    count (`cps`; `speedup` is their ratio); on a one-thread host the
-//!    serial run fills both. Poll twins run once, at the default worker
-//!    count.
-//! 2. **Determinism guard** — a point's two runs must agree on fabric
-//!    counters, completed ops, hops, sync rounds, full ticks and visits,
-//!    and every rack point but the quick, pre-discovery 16x16x16 one must
-//!    complete operations (a guard over zero completions compares
-//!    nothing); either failure aborts the run.
+//!    window) and the rack's work from its snapshot (`ni_soc::Work`): full
+//!    chip ticks (`full_ticks`) and component visits per class
+//!    (`visits_*`), summed over its chips and printed in a second table.
+//!    Every event-mode rack point runs at one worker (`serial_cps`) and at
+//!    the default worker count (`cps`; `speedup` is their ratio); on a
+//!    one-thread host the serial run fills both. Poll twins run once, at
+//!    the default worker count.
+//! 2. **Determinism guard** — a point's two runs must agree on the sync
+//!    rounds, the rack's `Snapshot` and every chip's, so the worker count
+//!    may move no counter on any chip; and every rack point but the quick,
+//!    pre-discovery 16x16x16 one must complete operations (a guard over
+//!    zero completions compares nothing). Either failure aborts the run.
 //! 3. **Speedup gate** (machine-independent) — the event-driven tick must
 //!    clear `MIN_SPEEDUP` (3.0) over the poll tick on the idle-heavy 8x8x8
 //!    rack. Both runs happen on the same host in the same process, so this
@@ -49,10 +49,11 @@ use std::time::Instant;
 
 use rackni::experiments::{build_idle_rack_point, build_rack_point, Scale};
 use rackni::ni_engine::parallel::default_threads;
+use rackni::ni_engine::Stat;
 use rackni::ni_rmc::NiPlacement;
 use rackni::ni_soc::{
-    Bursty, Chip, ChipConfig, Rack, RackSimConfig, Synthetic, TickMode, TrafficPattern, Visits,
-    Workload,
+    Bursty, Chip, ChipConfig, Rack, RackSimConfig, Snapshot, Synthetic, TickMode, TrafficPattern,
+    Work, Workload,
 };
 use rackni::report::{f1, read_points, BenchFile, Table};
 
@@ -77,30 +78,29 @@ struct Measured {
 /// What a rack point adds to its row.
 struct RackRun {
     build_ms: f64,
-    /// Fabric requests sent, incoming requests and responses delivered.
-    fabric: [u64; 3],
-    hops: u64,
     sync_rounds: u64,
-    /// Full chip ticks, summed over the rack's chips.
-    full_ticks: u64,
-    /// Component visits per class, summed over the rack's chips.
-    visits: Visits,
+    /// The rack's snapshot, then each chip's in node order.
+    snapshots: Vec<Snapshot>,
     /// One-worker cycles/sec, for event-mode points.
     serial_cps: Option<f64>,
 }
 
-impl Measured {
-    /// The columns a rerun of the same point must reproduce exactly.
-    fn work(&self) -> (u64, [u64; 3], u64, u64, u64, Visits) {
-        let r = self.rack.as_ref().expect("rack point");
-        (
-            self.completed_ops,
-            r.fabric,
-            r.hops,
-            r.sync_rounds,
-            r.full_ticks,
-            r.visits,
-        )
+impl RackRun {
+    /// The first difference from `other` a rerun must not show.
+    fn diff(&self, other: &RackRun) -> Option<String> {
+        if self.sync_rounds != other.sync_rounds {
+            let (a, b) = (self.sync_rounds, other.sync_rounds);
+            return Some(format!("sync rounds: {a} vs {b}"));
+        }
+        let pairs = self.snapshots.iter().zip(&other.snapshots);
+        pairs.enumerate().find_map(|(i, (a, b))| {
+            let d = a.diff(b)?;
+            Some(if i == 0 {
+                format!("rack {d}")
+            } else {
+                format!("node {} {d}", i - 1)
+            })
+        })
     }
 }
 
@@ -151,28 +151,18 @@ fn time_rack(
     let t1 = Instant::now();
     rack.run(cycles);
     let wall = t1.elapsed().as_secs_f64();
-    let fs = rack.fabric_stats();
-    let mut visits = Visits::default();
-    for chip in rack.chips() {
-        visits.merge(chip.visits());
-    }
+    let mut snapshots = vec![rack.snapshot()];
+    snapshots.extend(rack.chips().iter().map(Chip::snapshot));
     Measured {
         name: name.to_string(),
         cycles,
         wall_ms: wall * 1e3,
         cps: cycles as f64 / wall.max(1e-9),
-        completed_ops: rack.completed_ops(),
+        completed_ops: snapshots[0].cores.completed,
         rack: Some(RackRun {
             build_ms,
-            fabric: [
-                fs.sent.get(),
-                fs.incoming_generated.get(),
-                fs.responded.get(),
-            ],
-            hops: rack.hops_traversed(),
             sync_rounds: rack.sync_rounds(),
-            full_ticks: rack.chips().iter().map(Chip::full_ticks).sum(),
-            visits,
+            snapshots,
             serial_cps: None,
         }),
     }
@@ -198,12 +188,10 @@ fn measure_rack(
         let serial_cps = m.cps;
         if default_threads() > 1 {
             let parallel = time_rack(&name, build, dims, mode, cycles, 0);
-            assert_eq!(
-                parallel.work(),
-                m.work(),
-                "{name}: the default-worker run diverged from the one-worker run \
-                 (ops, fabric sent/incoming/responded, hops, sync rounds, full ticks, visits)"
-            );
+            let (a, b) = (parallel.rack.as_ref(), m.rack.as_ref());
+            if let Some(d) = a.expect("rack point").diff(b.expect("rack point")) {
+                panic!("{name}: the default-worker run diverged from the one-worker run: {d}");
+            }
             m = parallel;
         }
         m.rack.as_mut().expect("rack point").serial_cps = Some(serial_cps);
@@ -356,9 +344,9 @@ fn main() {
         "hops",
         "sync rounds",
     ]);
-    let mut work_headers = vec!["point", "full ticks"];
-    work_headers.extend(Visits::default().by_class().map(|(class, _)| class));
-    let mut work = Table::new(&work_headers);
+    let mut work_headers = vec!["point".to_string()];
+    Work::default().walk("", &mut |name, _| work_headers.push(name.to_string()));
+    let mut work = Table::new(&work_headers.iter().map(String::as_str).collect::<Vec<_>>());
     let mut bench = BenchFile::new("rackni-bench-simperf/3", scale);
     bench.header().num("host_threads", host_threads);
     for m in &results {
@@ -373,7 +361,9 @@ fn main() {
             f1(m.cps),
             serial_cps.map_or_else(dash, |s| format!("{:.2}x", m.cps / s)),
             m.completed_ops.to_string(),
-            m.rack.as_ref().map_or_else(dash, |r| r.hops.to_string()),
+            m.rack
+                .as_ref()
+                .map_or_else(dash, |r| r.snapshots[0].hops.to_string()),
             m.rack
                 .as_ref()
                 .map_or_else(dash, |r| r.sync_rounds.to_string()),
@@ -386,14 +376,14 @@ fn main() {
             .num("completed_ops", m.completed_ops);
         if let Some(r) = &m.rack {
             row.float("build_ms", r.build_ms, 1)
-                .num("hops", r.hops)
-                .num("sync_rounds", r.sync_rounds)
-                .num("full_ticks", r.full_ticks);
-            let mut cells = vec![m.name.clone(), r.full_ticks.to_string()];
-            for (class, visits) in r.visits.by_class() {
-                row.num(&format!("visits_{class}"), visits);
-                cells.push(visits.to_string());
-            }
+                .num("hops", r.snapshots[0].hops)
+                .num("sync_rounds", r.sync_rounds);
+            // `full_ticks`, then `visits_cores` and the other classes.
+            let mut cells = vec![m.name.clone()];
+            r.snapshots[0].work.walk("", &mut |name, n| {
+                row.num(&name.replace('.', "_"), n);
+                cells.push(n.to_string());
+            });
             work.row_owned(cells);
             if let Some(s) = r.serial_cps {
                 row.float("serial_cps", s, 1).float("speedup", m.cps / s, 4);
@@ -405,8 +395,8 @@ fn main() {
     println!("{}", work.render());
     if host_threads > 1 {
         println!(
-            "one-worker and default-worker runs agreed on ops, fabric counters, hops, \
-             sync rounds, full ticks and visits at every event-mode rack point \
+            "one-worker and default-worker runs agreed on sync rounds and on the rack's \
+             and every chip's snapshot at every event-mode rack point \
              (determinism guard passed)"
         );
     } else {

@@ -15,7 +15,7 @@ use ni_noc::RoutingPolicy;
 use ni_rmc::NiPlacement;
 use ni_soc::bench::{run_bandwidth, run_sync_latency, stage_breakdown, StageBreakdown};
 use ni_soc::{
-    builtin_scenarios, Bursty, Capped, ChipConfig, ClosedLoop, GraphShard, KvStore, Rack,
+    builtin_scenarios, Bursty, Capped, Chip, ChipConfig, ClosedLoop, GraphShard, KvStore, Rack,
     RackSimConfig, Scenario, Synthetic, TenantMix, TickMode, Topology, TrafficPattern, Workload,
     ZipfHotspot,
 };
@@ -629,23 +629,22 @@ fn measure_rack_point(
 ) -> RackScalePoint {
     let torus = Torus3D::new(dims.0, dims.1, dims.2);
     let rack = run_rack_point(dims, traffic, cycles);
-    let freq = Frequency::GHZ2;
-    let fs = rack.fabric_stats();
+    let s = rack.snapshot();
     // Packets that finished their journey (in-flight ones still hold
     // un-attributed hops; negligible over a full run).
-    let packets = fs.incoming_generated.get() + fs.responded.get();
+    let packets = s.fabric.incoming_generated.get() + s.fabric.responded.get();
     RackScalePoint {
         dims,
         nodes: torus.nodes(),
-        completed_ops: rack.completed_ops(),
-        agg_ni_gbps: freq
-            .gbps_from_bytes_per_cycle(rack.app_payload_bytes() as f64 / cycles as f64),
+        completed_ops: s.cores.completed,
+        agg_ni_gbps: Frequency::GHZ2
+            .gbps_from_bytes_per_cycle(s.app_payload_bytes() as f64 / cycles as f64),
         peak_link_gbps: rack.peak_link_gbps(),
-        hops: rack.hops_traversed(),
+        hops: s.hops,
         mean_hops: if packets == 0 {
             0.0
         } else {
-            rack.hops_traversed() as f64 / packets as f64
+            s.hops as f64 / packets as f64
         },
         cycles,
     }
@@ -748,8 +747,9 @@ pub struct ScenarioPoint {
 
 fn rrpp_latency_skew(rack: &Rack) -> f64 {
     let lats: Vec<f64> = rack
-        .rrpp_mean_latencies()
-        .into_iter()
+        .chips()
+        .iter()
+        .map(Chip::rrpp_mean_latency)
         .filter(|&l| l > 0.0)
         .collect();
     if lats.is_empty() {
@@ -776,15 +776,16 @@ pub fn run_scenario_point(scenario: &dyn Scenario, cycles: u64) -> ScenarioPoint
     };
     let mut rack = Rack::with_scenario(cfg, scenario);
     rack.run(cycles);
+    let s = rack.snapshot();
     ScenarioPoint {
         name: rack.scenario_name().to_string(),
-        completed_ops: rack.completed_ops(),
+        completed_ops: s.cores.completed,
         agg_ni_gbps: Frequency::GHZ2
-            .gbps_from_bytes_per_cycle(rack.app_payload_bytes() as f64 / cycles.max(1) as f64),
+            .gbps_from_bytes_per_cycle(s.app_payload_bytes() as f64 / cycles.max(1) as f64),
         peak_link_gbps: rack.peak_link_gbps(),
         link_skew: rack.link_byte_skew(),
         rrpp_skew: rrpp_latency_skew(&rack),
-        hops: rack.hops_traversed(),
+        hops: s.hops,
         cycles,
     }
 }
@@ -906,7 +907,8 @@ fn run_capped_job(
     let capped = Capped::new(scenario, ops_per_core);
     let mut rack = Rack::with_scenario(cfg, &capped);
     const SLICE: u64 = 200;
-    while rack.completed_ops() < expected_ops && rack.now().0 < horizon {
+    let completed = |rack: &Rack| rack.chips().iter().map(Chip::completed_ops).sum::<u64>();
+    while completed(&rack) < expected_ops && rack.now().0 < horizon {
         rack.run(SLICE.min(horizon - rack.now().0));
         observe(&rack);
     }
@@ -934,18 +936,18 @@ pub fn run_routing_point(
         ..RackSimConfig::default()
     };
     let (rack, expected_ops) = run_capped_job(cfg, scenario, ops_per_core, horizon, |_| {});
-    let hist = rack.read_latency_histogram();
+    let s = rack.snapshot();
     RoutingPoint {
         scenario: scenario_label,
         routing,
         dims,
         expected_ops,
-        completed_ops: rack.completed_ops(),
+        completed_ops: s.cores.completed,
         completion_cycles: rack.now().0,
-        p50_read_cycles: hist.percentile(0.50),
-        p99_read_cycles: hist.percentile(0.99),
+        p50_read_cycles: s.reads.percentile(0.50),
+        p99_read_cycles: s.reads.percentile(0.99),
         link_skew: rack.link_byte_skew(),
-        hops: rack.hops_traversed(),
+        hops: s.hops,
     }
 }
 
@@ -1205,9 +1207,7 @@ pub fn run_failure_point(
     };
     let (rack, expected_ops) =
         run_capped_job(cfg, scenario, params.ops_per_core, params.horizon, |_| {});
-    let hist = rack.read_latency_histogram();
-    let be = rack.backend_stats();
-    let fs = rack.fault_stats();
+    let s = rack.snapshot();
     FailurePoint {
         scenario: scenario_label,
         fault,
@@ -1215,18 +1215,18 @@ pub fn run_failure_point(
         dims,
         kill_at: params.kill_at,
         expected_ops,
-        completed_ops: rack.completed_ops(),
-        failed_ops: rack.failed_ops(),
+        completed_ops: s.cores.completed,
+        failed_ops: s.cores.failed,
         completion_cycles: rack.now().0,
-        completed_all: rack.completed_ops() >= expected_ops,
-        p50_read_cycles: hist.percentile(0.50),
-        p99_read_cycles: hist.percentile(0.99),
+        completed_all: s.cores.completed >= expected_ops,
+        p50_read_cycles: s.reads.percentile(0.50),
+        p99_read_cycles: s.reads.percentile(0.99),
         link_skew: rack.link_byte_skew(),
-        itt_timeouts: be.itt_timeouts.get(),
-        itt_retries: be.itt_retries.get(),
-        packets_dropped: fs.packets_dropped.get(),
-        dead_link_stalls: fs.dead_link_stalls.get(),
-        escape_hops: fs.escape_hops.get(),
+        itt_timeouts: s.backends.itt_timeouts.get(),
+        itt_retries: s.backends.itt_retries.get(),
+        packets_dropped: s.faults.packets_dropped.get(),
+        dead_link_stalls: s.faults.dead_link_stalls.get(),
+        escape_hops: s.faults.escape_hops.get(),
     }
 }
 
@@ -1487,7 +1487,10 @@ pub fn run_availability_point(
     let mut seen = (0u64, 0u64);
     let (rack, expected_ops) =
         run_capped_job(cfg, scenario, params.ops_per_core, params.horizon, |rack| {
-            let cur = (rack.failed_ops(), rack.degraded_ops());
+            let chips = rack.chips().iter();
+            let cur = chips.fold((0, 0), |(f, d), c| {
+                (f + c.failed_ops(), d + c.degraded_ops())
+            });
             if cur != seen {
                 seen = cur;
                 last_degraded_activity = rack.now().0;
@@ -1496,14 +1499,12 @@ pub fn run_availability_point(
     let (mut lost_reads, mut corpse_failed_reads) = (0u64, 0u64);
     for (node, c) in rack.chips().iter().enumerate() {
         if killed.contains(&(node as u32)) {
-            corpse_failed_reads += c.failed_reads();
+            corpse_failed_reads += c.snapshot().cores.failed_reads;
         } else {
-            lost_reads += c.failed_reads();
+            lost_reads += c.snapshot().cores.failed_reads;
         }
     }
-    let hist = rack.read_latency_histogram();
-    let dhist = rack.degraded_read_latency_histogram();
-    let be = rack.backend_stats();
+    let s = rack.snapshot();
     let completion_cycles = rack.now().0;
     AvailabilityPoint {
         scenario: scenario_label,
@@ -1513,25 +1514,25 @@ pub fn run_availability_point(
         dims,
         kill_at: params.kill_at,
         expected_ops,
-        completed_ops: rack.completed_ops(),
-        failed_ops: rack.failed_ops(),
+        completed_ops: s.cores.completed,
+        failed_ops: s.cores.failed,
         lost_reads,
         corpse_failed_reads,
-        degraded_ops: rack.degraded_ops(),
-        replays: be.replays.get(),
-        quorum_writes: be.quorum_writes.get(),
-        quorum_leg_failures: be.quorum_leg_failures.get(),
+        degraded_ops: s.cores.degraded,
+        replays: s.backends.replays.get(),
+        quorum_writes: s.backends.quorum_writes.get(),
+        quorum_leg_failures: s.backends.quorum_leg_failures.get(),
         completion_cycles,
-        completed_all: rack.completed_ops() >= expected_ops,
+        completed_all: s.cores.completed >= expected_ops,
         recovery_cycles: last_degraded_activity.saturating_sub(params.kill_at),
         ops_per_kcycle: if completion_cycles == 0 {
             0.0
         } else {
-            rack.completed_ops() as f64 * 1000.0 / completion_cycles as f64
+            s.cores.completed as f64 * 1000.0 / completion_cycles as f64
         },
-        p50_read_cycles: hist.percentile(0.50),
-        p99_read_cycles: hist.percentile(0.99),
-        p99_degraded_read_cycles: dhist.percentile(0.99),
+        p50_read_cycles: s.reads.percentile(0.50),
+        p99_read_cycles: s.reads.percentile(0.99),
+        p99_degraded_read_cycles: s.degraded_reads.percentile(0.99),
     }
 }
 
@@ -1747,7 +1748,8 @@ pub fn run_serving_point(
         None => rack.run(cycles),
     }
     let tenants = rack
-        .tenant_stats()
+        .snapshot()
+        .tenants
         .iter()
         // Idle filler cores report tag 0 with nothing issued; drop them.
         .filter(|(_, a)| a.issued > 0)

@@ -2,7 +2,8 @@
 //!
 //! Cycle-level simulation primitives shared by every subsystem of the
 //! manycore-NI simulator: the [`Cycle`] clock domain, ready-at delay heaps
-//! ([`DelayLine`]), online statistics ([`stats`]), and windowed convergence
+//! ([`DelayLine`]), online statistics ([`mod@stats`], declared once with
+//! [`stats!`] and folded through [`Stat`]), and windowed convergence
 //! monitoring ([`stats::ConvergenceMonitor`]) used by the bandwidth
 //! experiments.
 //!
@@ -29,4 +30,6 @@ pub mod stats;
 
 pub use clock::{Cycle, Frequency, NANOS_PER_CYCLE_2GHZ};
 pub use queue::DelayLine;
-pub use stats::{ConvergenceMonitor, Counter, Histogram, LinkLoad, RunningMean, WindowStatus};
+pub use stats::{
+    ConvergenceMonitor, Counter, Histogram, LinkLoad, RunningMean, Stat, WindowStatus,
+};

@@ -47,6 +47,122 @@ impl fmt::Display for Counter {
     }
 }
 
+/// A statistic a [`stats!`](crate::stats!) struct can hold.
+pub trait Stat {
+    /// Fold `other` into `self` (components into a chip, chips into a rack).
+    fn merge(&mut self, other: &Self);
+
+    /// Call `f` with each reading under `name`, in a fixed order; nested
+    /// readings get dotted names (`noc.delivered_by_class.2`, `reads.p99`).
+    fn walk(&self, name: &str, f: &mut dyn FnMut(&str, u64));
+}
+
+/// `items` merged in order into an empty `T`.
+pub fn sum<'a, T: Stat + Default + 'a>(items: impl IntoIterator<Item = &'a T>) -> T {
+    let mut total = T::default();
+    for item in items {
+        total.merge(item);
+    }
+    total
+}
+
+/// `name.field`, or `field` at the root.
+#[doc(hidden)]
+pub fn path(name: &str, field: impl fmt::Display) -> String {
+    if name.is_empty() {
+        field.to_string()
+    } else {
+        format!("{name}.{field}")
+    }
+}
+
+impl Stat for u64 {
+    fn merge(&mut self, other: &Self) {
+        *self += other;
+    }
+
+    fn walk(&self, name: &str, f: &mut dyn FnMut(&str, u64)) {
+        f(name, *self);
+    }
+}
+
+impl Stat for Counter {
+    fn merge(&mut self, other: &Self) {
+        self.0 += other.0;
+    }
+
+    fn walk(&self, name: &str, f: &mut dyn FnMut(&str, u64)) {
+        f(name, self.0);
+    }
+}
+
+/// Element-wise, readings named by index.
+impl<T: Stat, const N: usize> Stat for [T; N] {
+    fn merge(&mut self, other: &Self) {
+        for (a, b) in self.iter_mut().zip(other) {
+            a.merge(b);
+        }
+    }
+
+    fn walk(&self, name: &str, f: &mut dyn FnMut(&str, u64)) {
+        for (i, s) in self.iter().enumerate() {
+            s.walk(&path(name, i), f);
+        }
+    }
+}
+
+/// Key-wise (a key missing on one side counts as empty), readings named
+/// by key in key order.
+impl<K: Ord + Copy + fmt::Display, V: Stat + Default> Stat for std::collections::BTreeMap<K, V> {
+    fn merge(&mut self, other: &Self) {
+        for (k, v) in other {
+            self.entry(*k).or_default().merge(v);
+        }
+    }
+
+    fn walk(&self, name: &str, f: &mut dyn FnMut(&str, u64)) {
+        for (k, v) in self {
+            v.walk(&path(name, k), f);
+        }
+    }
+}
+
+/// Declare statistics structs once, each as it would be written by hand:
+/// the macro adds an inherent field-by-field `merge(&mut self, &Self)` and
+/// a [`Stat`] impl walking the fields in declaration order. Every field
+/// must be a [`Stat`].
+#[macro_export]
+macro_rules! stats {
+    ($(
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),* $(,)?
+        }
+    )*) => {$(
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty),*
+        }
+
+        impl $name {
+            /// Add `other`'s statistics to these, field by field.
+            pub fn merge(&mut self, other: &Self) {
+                $($crate::Stat::merge(&mut self.$field, &other.$field);)*
+            }
+        }
+
+        impl $crate::Stat for $name {
+            fn merge(&mut self, other: &Self) {
+                Self::merge(self, other);
+            }
+
+            fn walk(&self, name: &str, f: &mut dyn FnMut(&str, u64)) {
+                $($crate::Stat::walk(&self.$field, &$crate::stats::path(name, stringify!($field)), f);)*
+            }
+        }
+    )*};
+}
+
 /// Streaming mean/min/max over `u64` samples (latencies in cycles).
 ///
 /// ```
@@ -58,7 +174,7 @@ impl fmt::Display for Counter {
 /// assert_eq!(m.min(), Some(10));
 /// assert_eq!(m.max(), Some(20));
 /// ```
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RunningMean {
     count: u64,
     sum: u128,
@@ -122,6 +238,22 @@ impl RunningMean {
     }
 }
 
+/// Readings `count`, `sum` (saturated to `u64`), `min` and `max` (0 while
+/// empty).
+impl Stat for RunningMean {
+    fn merge(&mut self, other: &Self) {
+        RunningMean::merge(self, other);
+    }
+
+    fn walk(&self, name: &str, f: &mut dyn FnMut(&str, u64)) {
+        let sum = u64::try_from(self.sum).unwrap_or(u64::MAX);
+        f(&path(name, "count"), self.count);
+        f(&path(name, "sum"), sum);
+        f(&path(name, "min"), self.min.unwrap_or(0));
+        f(&path(name, "max"), self.max.unwrap_or(0));
+    }
+}
+
 /// Power-of-two-bucketed histogram for latency distributions.
 ///
 /// Bucket `i` covers `[2^i, 2^(i+1))`; bucket 0 covers `[0, 2)`. The
@@ -135,7 +267,7 @@ impl RunningMean {
 /// h.record(700);
 /// assert_eq!(h.percentile(0.5), 700);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Histogram {
     /// `BUCKETS` counts once a sample arrived, empty before.
     buckets: Vec<u64>,
@@ -224,6 +356,19 @@ impl Histogram {
             }
         }
         self.stats.max().unwrap_or(0)
+    }
+}
+
+/// The [`RunningMean`] readings, then `p50` and `p99`.
+impl Stat for Histogram {
+    fn merge(&mut self, other: &Self) {
+        Histogram::merge(self, other);
+    }
+
+    fn walk(&self, name: &str, f: &mut dyn FnMut(&str, u64)) {
+        self.stats.walk(name, f);
+        f(&path(name, "p50"), self.percentile(0.5));
+        f(&path(name, "p99"), self.percentile(0.99));
     }
 }
 
@@ -451,6 +596,64 @@ mod tests {
         c.add(9);
         assert_eq!(c.get(), 10);
         assert_eq!(c.to_string(), "10");
+    }
+
+    crate::stats! {
+        /// One field of every [`Stat`] kind.
+        #[derive(Clone, Debug, Default, PartialEq)]
+        struct Probe {
+            ops: u64,
+            hits: Counter,
+            lat: RunningMean,
+            tail: Histogram,
+            lanes: [Counter; 2],
+            tenants: std::collections::BTreeMap<u8, u64>,
+        }
+    }
+
+    #[test]
+    fn declared_stats_merge_field_by_field_and_walk_in_declaration_order() {
+        let mut a = Probe {
+            ops: 2,
+            ..Probe::default()
+        };
+        a.hits.add(3);
+        a.lat.record(10);
+        a.tail.record(100);
+        a.lanes[0].incr();
+        a.tenants.insert(1, 5);
+        let mut b = a.clone();
+        b.lat.record(30);
+        b.tail.record(300);
+        b.lanes[1].add(7);
+        b.tenants.insert(2, 1);
+        a.merge(&b);
+        assert_eq!((a.ops, a.hits.get()), (4, 6));
+        assert_eq!((a.lat.count(), a.lat.sum(), a.lat.max()), (3, 50, Some(30)));
+        assert_eq!(a.tail.stats().count(), 3);
+        assert_eq!(a.lanes.map(|c| c.get()), [2, 7]);
+        assert_eq!(a.tenants, [(1, 10), (2, 1)].into());
+        let mut seen = Vec::new();
+        Stat::walk(&a, "p", &mut |n, v| seen.push(format!("{n}={v}")));
+        let want = [
+            "p.ops=4",
+            "p.hits=6",
+            "p.lat.count=3",
+            "p.lat.sum=50",
+            "p.lat.min=10",
+            "p.lat.max=30",
+            "p.tail.count=3",
+            "p.tail.sum=500",
+            "p.tail.min=100",
+            "p.tail.max=300",
+            "p.tail.p50=100",
+            "p.tail.p99=300",
+            "p.lanes.0=2",
+            "p.lanes.1=7",
+            "p.tenants.1=10",
+            "p.tenants.2=1",
+        ];
+        assert_eq!(seen, want);
     }
 
     #[test]

@@ -24,16 +24,18 @@ use ni_engine::{Counter, Cycle};
 
 use crate::rack::{RackEmulator, RemoteReq, RemoteResp};
 
-/// Backend-independent traffic counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FabricStats {
-    /// Requests injected into the rack by local nodes.
-    pub sent: Counter,
-    /// Responses delivered back to requesting nodes.
-    pub responded: Counter,
-    /// Incoming requests delivered to servicing nodes (for the emulator:
-    /// mirrored traffic generated).
-    pub incoming_generated: Counter,
+ni_engine::stats! {
+    /// Backend-independent traffic counters.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct FabricStats {
+        /// Requests injected into the rack by local nodes.
+        pub sent: Counter,
+        /// Responses delivered back to requesting nodes.
+        pub responded: Counter,
+        /// Incoming requests delivered to servicing nodes (for the emulator:
+        /// mirrored traffic generated).
+        pub incoming_generated: Counter,
+    }
 }
 
 /// The chip ↔ rack boundary.
@@ -121,12 +123,7 @@ impl Fabric for RackEmulator {
     }
 
     fn stats(&self) -> FabricStats {
-        let s = RackEmulator::stats(self);
-        FabricStats {
-            sent: s.sent,
-            responded: s.responded,
-            incoming_generated: s.incoming_generated,
-        }
+        self.stats
     }
 
     fn is_idle(&self) -> bool {

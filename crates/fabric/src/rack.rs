@@ -9,10 +9,12 @@
 //! thus providing the roundtrip latency of a request once it leaves the
 //! local node."
 
-use ni_engine::{Counter, Cycle, DelayLine};
+use ni_engine::{Cycle, DelayLine};
 use ni_mem::BlockAddr;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::fabric::FabricStats;
 
 /// One cache-block-sized remote request leaving (or entering) the node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,17 +94,6 @@ impl Default for RackConfig {
     }
 }
 
-/// Emulator statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RackStats {
-    /// Requests sent into the rack.
-    pub sent: Counter,
-    /// Responses returned to the node.
-    pub responded: Counter,
-    /// Incoming requests generated.
-    pub incoming_generated: Counter,
-}
-
 /// The rate-matching remote-end emulator.
 #[derive(Debug)]
 pub struct RackEmulator {
@@ -115,7 +106,8 @@ pub struct RackEmulator {
     burst_left: u32,
     rng: SmallRng,
     next_tid: u64,
-    stats: RackStats,
+    /// Read through [`Fabric::stats`](crate::Fabric::stats).
+    pub(crate) stats: FabricStats,
 }
 
 impl RackEmulator {
@@ -130,18 +122,13 @@ impl RackEmulator {
             burst_left: 0,
             rng: SmallRng::seed_from_u64(cfg.seed),
             next_tid: 1 << 62, // distinct from local ITT tags
-            stats: RackStats::default(),
+            stats: FabricStats::default(),
         }
     }
 
     /// Configuration.
     pub fn config(&self) -> &RackConfig {
         &self.cfg
-    }
-
-    /// Statistics.
-    pub fn stats(&self) -> &RackStats {
-        &self.stats
     }
 
     /// Current one-way network latency in cycles.
@@ -252,6 +239,7 @@ impl RackEmulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fabric;
 
     fn req(tid: u64) -> RemoteReq {
         RemoteReq {

@@ -40,7 +40,7 @@ pub struct ReplicaCfg {
     /// recovery path below is dead code.
     pub k: u8,
     /// Write quorum W: a replicated write completes once `W` of the `K`
-    /// fan-out legs acknowledged (clamped to `1..=K` where used).
+    /// fan-out legs acknowledged. A chip rejects a `W` outside `1..=K`.
     pub w: u8,
     /// Placement seed: the tie-break entropy of the [`ReplicaMap`]. Must be
     /// identical on every node of a rack (it is carried by the shared
@@ -90,9 +90,12 @@ fn mix64(mut x: u64) -> u64 {
 }
 
 impl ReplicaMap {
-    /// Build the map for `torus` with replication factor `k` (clamped to
-    /// the node count) and tie-break `seed`. Pure: equal arguments yield an
-    /// equal map, on every node, every run.
+    /// Build the map for `torus` with replication factor `k` and tie-break
+    /// `seed`. Pure: equal arguments yield an equal map, on every node,
+    /// every run.
+    ///
+    /// # Panics
+    /// If `k` is 0 or exceeds the node count, as [`ReplicaMap::ring`] does.
     pub fn new(torus: Torus3D, seed: u64, k: u8) -> ReplicaMap {
         let n = torus.nodes();
         Self::build(n, seed, k, |a, b| torus.hops(u32::from(a), u32::from(b)))
@@ -109,7 +112,11 @@ impl ReplicaMap {
 
     fn build(nodes: u32, seed: u64, k: u8, dist: impl Fn(u16, u16) -> u32) -> ReplicaMap {
         assert!(nodes <= 1 << 16, "replica map indexes nodes as u16");
-        let k = usize::from(k.max(1)).min(nodes.max(1) as usize);
+        assert!(
+            (1..=nodes).contains(&u32::from(k)),
+            "replication k = {k} must lie in 1..={nodes}, the node count"
+        );
+        let k = usize::from(k);
         let mut sets = Vec::with_capacity(nodes as usize);
         for node in 0..nodes as u16 {
             let mut set = Vec::with_capacity(k);
@@ -127,7 +134,7 @@ impl ReplicaMap {
                             std::cmp::Reverse(m),
                         )
                     })
-                    .expect("k clamped to the node count");
+                    .expect("k is at most the node count");
                 set.push(best);
             }
             sets.push(set);
@@ -195,14 +202,20 @@ mod tests {
     }
 
     #[test]
-    fn ring_fallback_and_k_clamping() {
-        let m = ReplicaMap::ring(2, 0, 4);
-        assert_eq!(m.k(), 2, "k clamps to the node count");
+    fn ring_fallback_sets_and_wrapping_alternates() {
+        let m = ReplicaMap::ring(2, 0, 2);
+        assert_eq!(m.k(), 2);
         assert_eq!(m.replicas(0), &[0, 1]);
         assert_eq!(m.alternate(0, 0), 0);
         assert_eq!(m.alternate(0, 1), 1);
         assert_eq!(m.alternate(0, 2), 0, "ranks wrap");
-        let one = ReplicaMap::ring(1, 0, 3);
+        let one = ReplicaMap::ring(1, 0, 1);
         assert_eq!(one.replicas(0), &[0], "a 1-node rack has no alternates");
+    }
+
+    #[test]
+    #[should_panic(expected = "replication k = 4 must lie in 1..=2")]
+    fn k_beyond_the_node_count_is_rejected() {
+        ReplicaMap::ring(2, 0, 4);
     }
 }

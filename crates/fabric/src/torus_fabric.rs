@@ -147,18 +147,20 @@ struct Link {
     load: LinkLoad,
 }
 
-/// Fault-path counters of one [`TorusFabric`] (all zero on a healthy run).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FaultStats {
-    /// Packets dropped because their source, current, or destination node
-    /// was dead — the traffic a [`FaultEvent::NodeDown`] erases.
-    pub packets_dropped: Counter,
-    /// Forward attempts parked because the chosen link was dead (one per
-    /// packet per cycle spent waiting — a measure of stall pressure, not
-    /// of distinct packets).
-    pub dead_link_stalls: Counter,
-    /// Non-minimal escape hops actually taken (see [`ESCAPE_HOP_BUDGET`]).
-    pub escape_hops: Counter,
+ni_engine::stats! {
+    /// Fault-path counters of one [`TorusFabric`] (all zero on a healthy run).
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct FaultStats {
+        /// Packets dropped because their source, current, or destination node
+        /// was dead — the traffic a [`FaultEvent::NodeDown`] erases.
+        pub packets_dropped: Counter,
+        /// Forward attempts parked because the chosen link was dead (one per
+        /// packet per cycle spent waiting — a measure of stall pressure, not
+        /// of distinct packets).
+        pub dead_link_stalls: Counter,
+        /// Non-minimal escape hops actually taken (see [`ESCAPE_HOP_BUDGET`]).
+        pub escape_hops: Counter,
+    }
 }
 
 /// Report row for one directed link.

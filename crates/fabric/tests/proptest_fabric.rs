@@ -2,8 +2,8 @@
 
 use ni_engine::Cycle;
 use ni_fabric::{
-    FaultAdaptive, LinkView, MinimalAdaptive, RackConfig, RackEmulator, RemoteReq, RoutingPolicy,
-    Torus3D,
+    Fabric, FaultAdaptive, LinkView, MinimalAdaptive, RackConfig, RackEmulator, RemoteReq,
+    RoutingPolicy, Torus3D,
 };
 use ni_mem::BlockAddr;
 use proptest::prelude::*;
@@ -167,7 +167,7 @@ proptest! {
 
 // ---- TorusFabric: hop-by-hop transport properties --------------------------
 
-use ni_fabric::{Fabric, RoutingKind, TorusFabric, TorusFabricConfig};
+use ni_fabric::{RoutingKind, TorusFabric, TorusFabricConfig};
 
 fn torus_fabric(t: Torus3D) -> TorusFabric {
     TorusFabric::new(TorusFabricConfig {

@@ -54,13 +54,15 @@ impl Default for MemConfig {
     }
 }
 
-/// Counters exposed by each controller.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MemStats {
-    /// Read requests accepted.
-    pub reads: Counter,
-    /// Write requests accepted.
-    pub writes: Counter,
+ni_engine::stats! {
+    /// Counters exposed by each controller.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct MemStats {
+        /// Read requests accepted.
+        pub reads: Counter,
+        /// Write requests accepted.
+        pub writes: Counter,
+    }
 }
 
 /// A single memory controller with its slice of the backing store.

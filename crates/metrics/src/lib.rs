@@ -28,44 +28,35 @@ use std::collections::BTreeMap;
 
 use ni_engine::Histogram;
 
-/// Mergeable per-tenant accumulator of SLO observables.
-///
-/// One accumulator aggregates every core a tenant owns; chip- and
-/// rack-level views are built with [`merge`](TenantAccum::merge). All
-/// counts are application-level (operations and payload bytes as the
-/// tenant sees them), not transport-level (block requests, retries).
-#[derive(Clone, Debug, Default)]
-pub struct TenantAccum {
-    /// Operations issued into the NI (offered load side).
-    pub issued: u64,
-    /// Operations completed — reaped from a CQ, successful or not.
-    pub completed: u64,
-    /// Operations that completed with an error status.
-    pub failed: u64,
-    /// Operations that completed ok but through a recovery path.
-    pub degraded: u64,
-    /// Payload bytes of successful completions (goodput numerator).
-    pub bytes: u64,
-    /// End-to-end request latency distribution (read/response ops),
-    /// successful first-try completions.
-    pub latency: Histogram,
+ni_engine::stats! {
+    /// Mergeable per-tenant accumulator of SLO observables.
+    ///
+    /// One accumulator aggregates every core a tenant owns; chip- and
+    /// rack-level views are built with [`merge`](TenantAccum::merge). All
+    /// counts are application-level (operations and payload bytes as the
+    /// tenant sees them), not transport-level (block requests, retries).
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct TenantAccum {
+        /// Operations issued into the NI (offered load side).
+        pub issued: u64,
+        /// Operations completed — reaped from a CQ, successful or not.
+        pub completed: u64,
+        /// Operations that completed with an error status.
+        pub failed: u64,
+        /// Operations that completed ok but through a recovery path.
+        pub degraded: u64,
+        /// Payload bytes of successful completions (goodput numerator).
+        pub bytes: u64,
+        /// End-to-end request latency distribution (read/response ops),
+        /// successful first-try completions.
+        pub latency: Histogram,
+    }
 }
 
 impl TenantAccum {
     /// A fresh, empty accumulator.
     pub fn new() -> TenantAccum {
         TenantAccum::default()
-    }
-
-    /// Accumulate another view of the same tenant (other cores, other
-    /// chips) into this one.
-    pub fn merge(&mut self, other: &TenantAccum) {
-        self.issued += other.issued;
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.degraded += other.degraded;
-        self.bytes += other.bytes;
-        self.latency.merge(&other.latency);
     }
 }
 
@@ -74,9 +65,7 @@ pub type TenantStats = BTreeMap<u8, TenantAccum>;
 
 /// Merge a chip's (or node's) per-tenant stats into a rack-level map.
 pub fn merge_tenant_stats(into: &mut TenantStats, from: &TenantStats) {
-    for (tag, accum) in from {
-        into.entry(*tag).or_default().merge(accum);
-    }
+    ni_engine::Stat::merge(into, from);
 }
 
 /// The derived per-tenant SLO report over a measured window.

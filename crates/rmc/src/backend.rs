@@ -177,7 +177,7 @@ struct Pending {
 struct QuorumState {
     /// Legs that must acknowledge for the write to complete ok (W).
     need: u32,
-    /// Legs fanned out (K, clamped to the replica set size).
+    /// Legs fanned out (K, the replica set size).
     total: u32,
     acked: u32,
     failed: u32,
@@ -188,62 +188,44 @@ struct QuorumState {
     notified: bool,
 }
 
-/// Backend statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BackendStats {
-    /// Transfers accepted.
-    pub transfers: Counter,
-    /// Block requests sent.
-    pub requests_sent: Counter,
-    /// Block responses handled.
-    pub responses: Counter,
-    /// Bytes of remote-read payload written into local memory.
-    pub payload_bytes: Counter,
-    /// Entries stalled on a full ITT.
-    pub itt_stalls: Counter,
-    /// ITT entries that hit the [`RmcConfig::itt_timeout`] watchdog
-    /// (counted once per expiry, whether it led to a retry or a failure).
-    pub itt_timeouts: Counter,
-    /// Timed-out entries re-sent (missing blocks re-injected into the
-    /// fabric; bounded by [`RmcConfig::itt_retries`]).
-    pub itt_retries: Counter,
-    /// Transfers abandoned after the retry budget: completed back to the
-    /// core with an error CQ status instead of data.
-    pub failed_transfers: Counter,
-    /// Responses dropped as stale: their transfer had already timed out
-    /// (slot freed or recycled under a newer generation), or the block was
-    /// already answered (a duplicate minted by a retry).
-    pub stale_responses: Counter,
-    /// WQ replays: transfers re-injected from their descriptor toward an
-    /// alternate replica after the retry budget toward one destination ran
-    /// out (bounded by [`RmcConfig::replay_budget`]).
-    pub replays: Counter,
-    /// Writes fanned out to a replica quorum (counted once per operation,
-    /// not per leg).
-    pub quorum_writes: Counter,
-    /// Fan-out legs of quorum writes abandoned by the watchdog. The
-    /// operation itself still completes ok while `w` live legs remain;
-    /// only `failed_transfers` counts operations lost outright.
-    pub quorum_leg_failures: Counter,
-}
-
-impl BackendStats {
-    /// Accumulate another backend's counters into this one (chip- and
-    /// rack-level aggregation).
-    pub fn merge(&mut self, other: &BackendStats) {
-        self.transfers.add(other.transfers.get());
-        self.requests_sent.add(other.requests_sent.get());
-        self.responses.add(other.responses.get());
-        self.payload_bytes.add(other.payload_bytes.get());
-        self.itt_stalls.add(other.itt_stalls.get());
-        self.itt_timeouts.add(other.itt_timeouts.get());
-        self.itt_retries.add(other.itt_retries.get());
-        self.failed_transfers.add(other.failed_transfers.get());
-        self.stale_responses.add(other.stale_responses.get());
-        self.replays.add(other.replays.get());
-        self.quorum_writes.add(other.quorum_writes.get());
-        self.quorum_leg_failures
-            .add(other.quorum_leg_failures.get());
+ni_engine::stats! {
+    /// Backend statistics.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct BackendStats {
+        /// Transfers accepted.
+        pub transfers: Counter,
+        /// Block requests sent.
+        pub requests_sent: Counter,
+        /// Block responses handled.
+        pub responses: Counter,
+        /// Bytes of remote-read payload written into local memory.
+        pub payload_bytes: Counter,
+        /// Entries stalled on a full ITT.
+        pub itt_stalls: Counter,
+        /// ITT entries that hit the [`RmcConfig::itt_timeout`] watchdog
+        /// (counted once per expiry, whether it led to a retry or a failure).
+        pub itt_timeouts: Counter,
+        /// Timed-out entries re-sent (missing blocks re-injected into the
+        /// fabric; bounded by [`RmcConfig::itt_retries`]).
+        pub itt_retries: Counter,
+        /// Transfers abandoned after the retry budget: completed back to the
+        /// core with an error CQ status instead of data.
+        pub failed_transfers: Counter,
+        /// Responses dropped as stale: their transfer had already timed out
+        /// (slot freed or recycled under a newer generation), or the block was
+        /// already answered (a duplicate minted by a retry).
+        pub stale_responses: Counter,
+        /// WQ replays: transfers re-injected from their descriptor toward an
+        /// alternate replica after the retry budget toward one destination ran
+        /// out (bounded by [`RmcConfig::replay_budget`]).
+        pub replays: Counter,
+        /// Writes fanned out to a replica quorum (counted once per operation,
+        /// not per leg).
+        pub quorum_writes: Counter,
+        /// Fan-out legs of quorum writes abandoned by the watchdog. The
+        /// operation itself still completes ok while `w` live legs remain;
+        /// only `failed_transfers` counts operations lost outright.
+        pub quorum_leg_failures: Counter,
     }
 }
 
@@ -514,7 +496,7 @@ impl NiBackend {
         if fan_out {
             let map = self.replicas.clone().expect("fan_out implies a map");
             let set = map.replicas(primary);
-            let need = u32::from(self.cfg.replication.w.max(1)).min(set.len() as u32);
+            let need = u32::from(self.cfg.replication.w);
             self.stats.quorum_writes.incr();
             self.quorum.insert(
                 (qp, entry.id),

@@ -94,9 +94,9 @@ pub struct RmcConfig {
     /// `itt_retries` re-sends toward one destination, the backend may
     /// re-inject the whole transfer from its WQ descriptor toward the next
     /// replica this many times before error-completing. `0` (the default)
-    /// disables replay; only meaningful with an armed watchdog, replication
-    /// `k > 1`, and read transfers (replicated writes recover through the
-    /// quorum instead).
+    /// disables replay. Only read transfers replay (replicated writes
+    /// recover through the quorum instead), and a chip rejects a non-zero
+    /// budget without an armed watchdog and replication `k > 1`.
     pub replay_budget: u32,
 }
 

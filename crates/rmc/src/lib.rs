@@ -32,7 +32,7 @@ pub mod trace;
 pub use backend::{BackendStats, NiBackend, RCP_BE_PROC, RGP_BE_PROC, UNROLL_PER_CYCLE};
 pub use config::{NiPlacement, RmcConfig};
 pub use frontend::{NiFrontend, RCP_FE_PROC, RGP_FE_PROC};
-pub use rrpp::{Rrpp, RRPP_PROC};
+pub use rrpp::{Rrpp, RrppStats, RRPP_PROC};
 pub use trace::{Stage, TraceEvent, TraceTable};
 
 use ni_coherence::Egress;

@@ -21,21 +21,25 @@ use crate::RmcEgress;
 /// RRPP processing on request arrival (translation etc.).
 pub const RRPP_PROC: u64 = 4;
 
-/// RRPP statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RrppStats {
-    /// Requests serviced to completion.
-    pub serviced: Counter,
-    /// Bytes of payload sent back in read responses.
-    pub payload_bytes: Counter,
-    /// Requests that arrived while the pipeline was already at
-    /// [`RmcConfig::rrpp_max_outstanding`] and had to wait in the arrival
-    /// queue. Nothing is ever *rejected*: the queue is unbounded, every
-    /// admitted request is eventually serviced and answered, and a request
-    /// the fabric lost (dead link or node en route) is recovered by the
-    /// *requester's* ITT timeout/retry — never by the RRPP, which cannot
-    /// know the request existed.
-    pub stalls: Counter,
+ni_engine::stats! {
+    /// RRPP statistics.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct RrppStats {
+        /// Requests serviced to completion.
+        pub serviced: Counter,
+        /// Bytes of payload sent back in read responses.
+        pub payload_bytes: Counter,
+        /// Requests that arrived while the pipeline was already at
+        /// [`RmcConfig::rrpp_max_outstanding`] and had to wait in the arrival
+        /// queue. Nothing is ever *rejected*: the queue is unbounded, every
+        /// admitted request is eventually serviced and answered, and a request
+        /// the fabric lost (dead link or node en route) is recovered by the
+        /// *requester's* ITT timeout/retry — never by the RRPP, which cannot
+        /// know the request existed.
+        pub stalls: Counter,
+        /// Service latency (arrival to response injection), cycles.
+        pub latency: RunningMean,
+    }
 }
 
 /// One RRPP instance.
@@ -57,7 +61,6 @@ pub struct Rrpp {
     outstanding: usize,
     started: DelayLine<(RemoteReq, Cycle)>,
     egress: VecDeque<RmcEgress>,
-    latency: RunningMean,
     samples: VecDeque<u64>,
     stats: RrppStats,
 }
@@ -80,7 +83,6 @@ impl Rrpp {
             outstanding: 0,
             started: DelayLine::new(),
             egress: VecDeque::new(),
-            latency: RunningMean::new(),
             samples: VecDeque::new(),
             stats: RrppStats::default(),
         }
@@ -98,7 +100,7 @@ impl Rrpp {
 
     /// Mean service latency (arrival to response injection), cycles.
     pub fn mean_latency(&self) -> f64 {
-        self.latency.mean()
+        self.stats.latency.mean()
     }
 
     /// Pop one recorded service-latency sample (fed to the rack emulator).
@@ -210,7 +212,7 @@ impl Rrpp {
         // back (read) or a block absorbed into local memory (write).
         self.stats.payload_bytes.add(ni_mem::BLOCK_BYTES);
         let lat = now.saturating_since(arrived);
-        self.latency.record(lat);
+        self.stats.latency.record(lat);
         self.samples.push_back(lat);
         self.egress.push_back(RmcEgress::NetResp(RemoteResp {
             tid: req.tid,

@@ -4,6 +4,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ni_coherence::{wire_of, CacheComplex, ClientKind, CohMsg, DirectoryBank, Egress};
+use ni_engine::stats::sum;
 use ni_engine::{Cycle, DelayLine};
 use ni_fabric::{Fabric, FabricStats, RackConfig, RackEmulator, RemoteResp, ReplicaMap, Torus3D};
 use ni_mem::{Addr, BlockAddr, MemConfig, MemRequestKind, MemoryController};
@@ -17,6 +18,7 @@ use ni_rmc::{NiBackend, NiFrontend, NiMsg, NiPlacement, RmcEgress, Rrpp, TraceTa
 use crate::config::{ChipConfig, TickMode, Topology};
 use crate::core_model::{Core, Workload, NUMA_TID_BASE};
 use crate::scenario::{core_seed, OpCtx, Scenario, Synthetic};
+use crate::snapshot::{QpStats, Snapshot, Work};
 
 /// Wake timestamp meaning "only an external delivery re-activates this
 /// component" (no self-driven event pending).
@@ -121,53 +123,29 @@ impl WakeSlots {
     }
 }
 
-/// How many times a tick gave each class's components their turn: every
-/// component every cycle under [`TickMode::Poll`], only the due ones under
-/// [`TickMode::Event`]. A deterministic work counter, independent of the
-/// host, so a change to the wake bookkeeping shows as a count and not only
-/// as wall-clock time. Deliveries between subphases (a completion handed
-/// to a core or frontend, a packet to a directory) are not visits.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Visits {
-    /// Cores.
-    pub cores: u64,
-    /// RGP/RCP frontends.
-    pub frontends: u64,
-    /// RGP/RCP backends.
-    pub backends: u64,
-    /// Remote request processing pipelines.
-    pub rrpps: u64,
-    /// Cache complexes: the tiles', then the NIedge caches.
-    pub complexes: u64,
-    /// Directory banks.
-    pub dirs: u64,
-    /// Memory controllers.
-    pub mcs: u64,
-}
-
-impl Visits {
-    /// Each class's count under its field name, in subphase order.
-    pub fn by_class(&self) -> [(&'static str, u64); 7] {
-        [
-            ("cores", self.cores),
-            ("frontends", self.frontends),
-            ("backends", self.backends),
-            ("rrpps", self.rrpps),
-            ("complexes", self.complexes),
-            ("dirs", self.dirs),
-            ("mcs", self.mcs),
-        ]
-    }
-
-    /// Add `other`'s counts (rack-wide sums).
-    pub fn merge(&mut self, other: Visits) {
-        self.cores += other.cores;
-        self.frontends += other.frontends;
-        self.backends += other.backends;
-        self.rrpps += other.rrpps;
-        self.complexes += other.complexes;
-        self.dirs += other.dirs;
-        self.mcs += other.mcs;
+ni_engine::stats! {
+    /// How many times a tick gave each class's components their turn: every
+    /// component every cycle under [`TickMode::Poll`], only the due ones under
+    /// [`TickMode::Event`]. A deterministic work counter, independent of the
+    /// host, so a change to the wake bookkeeping shows as a count and not only
+    /// as wall-clock time. Deliveries between subphases (a completion handed
+    /// to a core or frontend, a packet to a directory) are not visits.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct Visits {
+        /// Cores.
+        pub cores: u64,
+        /// RGP/RCP frontends.
+        pub frontends: u64,
+        /// RGP/RCP backends.
+        pub backends: u64,
+        /// Remote request processing pipelines.
+        pub rrpps: u64,
+        /// Cache complexes: the tiles', then the NIedge caches.
+        pub complexes: u64,
+        /// Directory banks.
+        pub dirs: u64,
+        /// Memory controllers.
+        pub mcs: u64,
     }
 }
 
@@ -324,10 +302,9 @@ pub struct Chip {
     /// recomputed at the end of every full event tick. `<= now` disables
     /// the skip.
     dormant_until: Cycle,
-    /// Full (non-skipped) ticks executed; see [`Chip::full_ticks`].
-    full_ticks: u64,
-    /// Component visits per class; see [`Chip::visits`].
-    visits: Visits,
+    /// Full (non-skipped) ticks and component visits per class so far, in
+    /// either tick mode; see [`Chip::full_ticks`] and [`Chip::snapshot`].
+    work: Work,
 }
 
 // The whole node must stay `Send`: the rack driver farms chips out across
@@ -362,6 +339,11 @@ impl Chip {
     /// active core driven by its own generator from `scenario` bound with
     /// the rack geometry (`nodes` peers, `torus` when the fabric is a real
     /// [`ni_fabric::TorusFabric`]). [`crate::Rack`] is the usual caller.
+    ///
+    /// # Panics
+    /// On a replication setting that could not take effect, naming the
+    /// field: `k` outside `1..=nodes`, `w` outside `1..=k`, or a non-zero
+    /// `replay_budget` without an armed watchdog and `k > 1`.
     pub fn with_scenario_on(
         cfg: ChipConfig,
         scenario: &dyn Scenario,
@@ -369,6 +351,23 @@ impl Chip {
         nodes: u32,
         torus: Option<Torus3D>,
     ) -> Chip {
+        let (rep, rmc) = (cfg.rmc.replication, cfg.rmc);
+        assert!(
+            (1..=nodes).contains(&u32::from(rep.k)),
+            "rmc.replication.k = {} must lie in 1..={nodes}, the node count",
+            rep.k
+        );
+        assert!(
+            (1..=rep.k).contains(&rep.w),
+            "rmc.replication.w = {} must lie in 1..=k ({})",
+            rep.w,
+            rep.k
+        );
+        assert!(
+            rmc.replay_budget == 0 || (rmc.itt_timeout > 0 && rep.k > 1),
+            "rmc.replay_budget = {} needs itt_timeout > 0 and replication.k > 1",
+            rmc.replay_budget
+        );
         let n = cfg.n_cores();
         let n_banks = cfg.n_banks();
         let n_edge = cfg.n_edge();
@@ -548,8 +547,7 @@ impl Chip {
             latch: DelayLine::new(),
             backlog: BTreeMap::new(),
             dormant_until: Cycle::ZERO,
-            full_ticks: 0,
-            visits: Visits::default(),
+            work: Work::default(),
         }
     }
 
@@ -635,13 +633,6 @@ impl Chip {
         self.cores.iter().map(|c| c.stats.failed).sum()
     }
 
-    /// Remote *reads* that completed with an error CQ status — the
-    /// user-visible request losses an availability study counts (writes
-    /// are reported separately through the quorum counters).
-    pub fn failed_reads(&self) -> u64 {
-        self.cores.iter().map(|c| c.stats.failed_reads).sum()
-    }
-
     /// Operations that completed ok but through a recovery path: a WQ
     /// replay to an alternate replica, or a write quorum that absorbed a
     /// dead fan-out leg.
@@ -652,22 +643,14 @@ impl Chip {
     /// Aggregate RGP/RCP backend statistics over every backend of this
     /// chip — the per-node view of ITT pressure, timeouts, and retries.
     pub fn backend_stats(&self) -> ni_rmc::BackendStats {
-        let mut total = ni_rmc::BackendStats::default();
-        for b in &self.backends {
-            total.merge(b.stats());
-        }
-        total
+        sum(self.backends.iter().map(NiBackend::stats))
     }
 
     /// Chip-wide distribution of end-to-end remote-read latencies, merged
     /// over all cores (see [`Core::read_latency_histogram`] — covers sync,
     /// async, and NUMA reads alike).
     pub fn read_latency_histogram(&self) -> ni_engine::Histogram {
-        let mut h = ni_engine::Histogram::new();
-        for c in &self.cores {
-            h.merge(c.read_latency_histogram());
-        }
-        h
+        sum(self.cores.iter().map(Core::read_latency_histogram))
     }
 
     /// Chip-wide latency distribution of *degraded* remote reads — those
@@ -675,11 +658,7 @@ impl Chip {
     /// [`Chip::read_latency_histogram`] so failover cost is measurable
     /// instead of smearing the healthy tail.
     pub fn degraded_read_latency_histogram(&self) -> ni_engine::Histogram {
-        let mut h = ni_engine::Histogram::new();
-        for c in &self.cores {
-            h.merge(c.degraded_read_latency_histogram());
-        }
-        h
+        sum(self.cores.iter().map(Core::degraded_read_latency_histogram))
     }
 
     /// Per-tenant SLO accumulators: every core's application-level counts
@@ -700,6 +679,31 @@ impl Chip {
             acc.latency.merge(c.read_latency_histogram());
         }
         map
+    }
+
+    /// Every counter of this chip, each component class summed in index
+    /// order. `faults` and `hops` stay zero: the torus keeps them (see
+    /// [`Rack::snapshot`](crate::Rack::snapshot)).
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            cores: sum(self.cores.iter().map(|c| &c.stats)),
+            backends: self.backend_stats(),
+            rrpps: sum(self.rrpps.iter().map(Rrpp::stats)),
+            complexes: sum(self.complexes.iter().map(CacheComplex::stats)),
+            dirs: sum(self.dirs.iter().map(DirectoryBank::stats)),
+            mcs: sum(self.mcs.iter().map(MemoryController::stats)),
+            noc: self.noc_stats().clone(),
+            fabric: self.fabric_stats(),
+            qps: QpStats {
+                completions_written: self.qps.iter().map(QueuePair::completions_written).sum(),
+                inflight: self.qps.iter().map(|q| q.inflight() as u64).sum(),
+            },
+            reads: self.read_latency_histogram(),
+            degraded_reads: self.degraded_read_latency_histogram(),
+            tenants: self.tenant_stats(),
+            work: self.work,
+            ..Snapshot::default()
+        }
     }
 
     /// Rebind every active core to a fresh generator from the prototype
@@ -773,7 +777,7 @@ impl Chip {
         self.noc.tick(now);
         self.drain_noc(now);
         self.now += 1;
-        self.full_ticks += 1;
+        self.work.full_ticks += 1;
     }
 
     /// The event-driven tick: identical subphase order to
@@ -808,7 +812,7 @@ impl Chip {
         self.noc.tick(now);
         self.drain_noc(now);
         self.now += 1;
-        self.full_ticks += 1;
+        self.work.full_ticks += 1;
         self.dormant_until = self.compute_dormant_until();
         debug_assert_eq!(self.audit_wake(), Ok(()), "wake slots after {now:?}");
     }
@@ -819,12 +823,7 @@ impl Chip {
     /// benches and the tick-cost table in ARCHITECTURE.md use the ratio to
     /// verify dormancy actually engages.
     pub fn full_ticks(&self) -> u64 {
-        self.full_ticks
-    }
-
-    /// Component visits per class so far, in either tick mode.
-    pub fn visits(&self) -> Visits {
-        self.visits
+        self.work.full_ticks
     }
 
     /// Earliest future cycle any component acts on its own, seen from
@@ -1050,7 +1049,7 @@ impl Chip {
             if gated && !self.wake_cores.is_due(i, now) {
                 continue;
             }
-            self.visits.cores += 1;
+            self.work.visits.cores += 1;
             // Event mode skips cores that provably do nothing this cycle
             // (the predicate is exact, never late — see
             // [`Core::next_activity`]). A due slot is exact too, except
@@ -1091,7 +1090,7 @@ impl Chip {
             if gated && !self.wake_fes.is_due(f, now) {
                 continue;
             }
-            self.visits.frontends += 1;
+            self.work.visits.frontends += 1;
             let fe_node = self.frontends[f].node();
             let cx = self.complex_at(fe_node);
             self.frontends[f].tick(now, &mut self.qps, &mut self.complexes[cx]);
@@ -1126,7 +1125,7 @@ impl Chip {
             if gated && !self.wake_bes.is_due(b, now) {
                 continue;
             }
-            self.visits.backends += 1;
+            self.work.visits.backends += 1;
             self.backends[b].tick(now);
             let node = self.backends[b].node();
             while let Some(e) = self.backends[b].pop_egress() {
@@ -1147,7 +1146,7 @@ impl Chip {
             if gated && !self.wake_rrpps.is_due(r, now) {
                 continue;
             }
-            self.visits.rrpps += 1;
+            self.work.visits.rrpps += 1;
             self.rrpps[r].tick(now);
             let node = self.rrpps[r].node();
             while let Some(e) = self.rrpps[r].pop_egress() {
@@ -1198,7 +1197,7 @@ impl Chip {
             if gated && !self.wake_cxs.is_due(c, now) {
                 continue;
             }
-            self.visits.complexes += 1;
+            self.work.visits.complexes += 1;
             self.complexes[c].tick(now);
             let node = self.complexes[c].node();
             while let Some(e) = self.complexes[c].pop_egress() {
@@ -1253,7 +1252,7 @@ impl Chip {
             if gated && !self.wake_dirs.is_due(d, now) {
                 continue;
             }
-            self.visits.dirs += 1;
+            self.work.visits.dirs += 1;
             self.dirs[d].tick(now);
             let node = self.dirs[d].node();
             while let Some(e) = self.dirs[d].pop_egress() {
@@ -1275,7 +1274,7 @@ impl Chip {
             if gated && !self.wake_mcs.is_due(m, now) {
                 continue;
             }
-            self.visits.mcs += 1;
+            self.work.visits.mcs += 1;
             while let Some(reply) = self.mcs[m].pop_ready(now) {
                 let to = self.dirs[reply.tag as usize].node();
                 let msg = match reply.kind {
@@ -1471,9 +1470,9 @@ mod tests {
             };
             let mut chip = Chip::new(cfg, Workload::Idle);
             chip.run(1_000);
-            let (v0, t0) = (chip.visits(), chip.full_ticks());
+            let (v0, t0) = (chip.work.visits, chip.full_ticks());
             chip.run(1_000);
-            let (v1, t1) = (chip.visits(), chip.full_ticks());
+            let (v1, t1) = (chip.work.visits, chip.full_ticks());
             let delta = Visits {
                 cores: v1.cores - v0.cores,
                 frontends: v1.frontends - v0.frontends,
@@ -1502,6 +1501,34 @@ mod tests {
             mcs: 8_000,
         };
         assert_eq!(poll, every_cycle);
+    }
+
+    /// A chip with replication `(k, w)`, watchdog and replay budget; single
+    /// chips see two nodes.
+    fn replicated(k: u8, w: u8, itt_timeout: u64, replay_budget: u32) -> Chip {
+        let mut cfg = ChipConfig::default();
+        cfg.rmc.replication = ni_fabric::ReplicaCfg { k, w, seed: 1 };
+        cfg.rmc.itt_timeout = itt_timeout;
+        cfg.rmc.replay_budget = replay_budget;
+        Chip::new(cfg, Workload::Idle)
+    }
+
+    #[test]
+    #[should_panic(expected = "rmc.replication.k = 3 must lie in 1..=2")]
+    fn replication_beyond_the_node_count_is_rejected() {
+        replicated(3, 1, 1_500, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rmc.replication.w = 3 must lie in 1..=k (2)")]
+    fn a_write_quorum_above_k_is_rejected() {
+        replicated(2, 3, 1_500, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rmc.replay_budget = 1 needs itt_timeout > 0")]
+    fn a_replay_budget_without_a_watchdog_is_rejected() {
+        replicated(2, 1, 0, 1);
     }
 
     /// The position rule that replaced the chip's lookup maps: every

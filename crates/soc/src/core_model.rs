@@ -97,32 +97,34 @@ impl Workload {
     }
 }
 
-/// Per-core workload statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CoreStats {
-    /// Completed operations — successful *and* failed: every reaped CQ
-    /// entry counts, so capped jobs terminate even on a degraded rack.
-    pub completed: u64,
-    /// Operations that completed with an error CQ status
-    /// ([`ni_qp::CqEntry::ok`]` == false`): the NI's ITT watchdog gave up
-    /// on the transfer after a link or node death. Always `<= completed`.
-    pub failed: u64,
-    /// Failed operations that were remote *reads* — the request losses an
-    /// availability study reports (replicated writes are covered by the
-    /// quorum counters instead). Always `<= failed`.
-    pub failed_reads: u64,
-    /// Operations that completed ok but only through a recovery path
-    /// ([`ni_qp::CqEntry::degraded`]): a WQ replay to an alternate replica
-    /// or a write quorum that absorbed a dead leg. Always `<= completed`.
-    pub degraded: u64,
-    /// Operations issued into the NI (QP enqueues and NUMA loads): the
-    /// *offered* side of an offered-vs-achieved load comparison, counted at
-    /// issue rather than reap.
-    pub issued: u64,
-    /// Payload bytes of successfully completed operations — goodput, as
-    /// distinct from the transport-level payload counters which also see
-    /// retried and failed traffic.
-    pub bytes_completed: u64,
+ni_engine::stats! {
+    /// Per-core workload statistics.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct CoreStats {
+        /// Completed operations — successful *and* failed: every reaped CQ
+        /// entry counts, so capped jobs terminate even on a degraded rack.
+        pub completed: u64,
+        /// Operations that completed with an error CQ status
+        /// ([`ni_qp::CqEntry::ok`]` == false`): the NI's ITT watchdog gave up
+        /// on the transfer after a link or node death. Always `<= completed`.
+        pub failed: u64,
+        /// Failed operations that were remote *reads* — the request losses an
+        /// availability study reports (replicated writes are covered by the
+        /// quorum counters instead). Always `<= failed`.
+        pub failed_reads: u64,
+        /// Operations that completed ok but only through a recovery path
+        /// ([`ni_qp::CqEntry::degraded`]): a WQ replay to an alternate replica
+        /// or a write quorum that absorbed a dead leg. Always `<= completed`.
+        pub degraded: u64,
+        /// Operations issued into the NI (QP enqueues and NUMA loads): the
+        /// *offered* side of an offered-vs-achieved load comparison, counted at
+        /// issue rather than reap.
+        pub issued: u64,
+        /// Payload bytes of successfully completed operations — goodput, as
+        /// distinct from the transport-level payload counters which also see
+        /// retried and failed traffic.
+        pub bytes_completed: u64,
+    }
 }
 
 #[derive(Debug, Clone, Copy)]

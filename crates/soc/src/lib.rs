@@ -33,6 +33,7 @@ pub mod config;
 pub mod core_model;
 pub mod rack;
 pub mod scenario;
+pub mod snapshot;
 
 pub use bench::{
     run_bandwidth, run_chip_scenario, run_sync_latency, run_sync_write_latency,
@@ -48,3 +49,4 @@ pub use scenario::{
     builtin_scenarios, core_seed, Bursty, Capped, ClosedLoop, GraphShard, KvStore, Op, OpCtx,
     Scenario, Synthetic, TenantMix, TenantSpec, Zipf, ZipfHotspot,
 };
+pub use snapshot::{QpStats, Snapshot, Work};

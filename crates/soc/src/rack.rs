@@ -41,9 +41,8 @@
 //! ports, tick every chip, flush every outbox. Chips share no state while
 //! they compute and the replay order is fixed, so a run is
 //! **bit-identical at any window and thread count** — per-cycle ticking,
-//! one worker, and N workers produce the same
-//! [`FabricStats`](ni_fabric::FabricStats), completed-op counts, latency
-//! distributions and per-chip full-tick counts for the same seed. Under
+//! one worker, and N workers produce the same [`Rack::snapshot`] and
+//! per-chip [`Chip::snapshot`]s for the same seed. Under
 //! the default [`TickMode::Event`](crate::TickMode::Event) a chip whose
 //! every component sleeps past the current cycle, with nothing due at its
 //! port, skips the cycle, and [`Chip::run`] jumps whole idle stretches, so
@@ -70,6 +69,7 @@ use ni_fabric::{
 use crate::chip::Chip;
 use crate::config::ChipConfig;
 use crate::scenario::Scenario;
+use crate::snapshot::Snapshot;
 
 /// How active cores choose their remote destination node (the destination
 /// vocabulary of the built-in [`Synthetic`](crate::Synthetic) scenario).
@@ -430,55 +430,24 @@ impl Rack {
         });
     }
 
-    /// Total operations completed across all nodes (successful and failed
-    /// — see [`Rack::failed_ops`]).
-    pub fn completed_ops(&self) -> u64 {
-        self.chips.iter().map(Chip::completed_ops).sum()
-    }
-
-    /// Operations rack-wide that completed with an error CQ status (the
-    /// NI gave up after a link or node death) — the blast radius the
-    /// failure sweep reports.
-    pub fn failed_ops(&self) -> u64 {
-        self.chips.iter().map(Chip::failed_ops).sum()
-    }
-
-    /// Remote reads rack-wide that completed with an error CQ status —
-    /// the user-visible losses the availability sweep reports. At `k >= 2`
-    /// with replay enabled this should stay zero for reads issued by
-    /// surviving nodes (a dead node's own in-flight work is not counted as
-    /// lost user traffic by the sweep; see `Chip::failed_reads` per node).
-    pub fn failed_reads(&self) -> u64 {
-        self.chips.iter().map(Chip::failed_reads).sum()
-    }
-
-    /// Operations rack-wide that completed ok but through a recovery path
-    /// (WQ replay or a quorum that absorbed a dead leg) — the degraded-mode
-    /// work an availability study weighs against outright losses.
-    pub fn degraded_ops(&self) -> u64 {
-        self.chips.iter().map(Chip::degraded_ops).sum()
-    }
-
-    /// Aggregate RGP/RCP backend statistics over every backend of every
-    /// node — rack-wide ITT timeout/retry pressure.
-    pub fn backend_stats(&self) -> ni_rmc::BackendStats {
-        let mut total = ni_rmc::BackendStats::default();
+    /// Every counter of the rack: the chips' [snapshots](Chip::snapshot)
+    /// merged in node order, with `fabric`, `faults` and `hops` from the
+    /// shared torus rather than summed over the chips' ports.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut s = Snapshot::default();
         for chip in &self.chips {
-            total.merge(&chip.backend_stats());
+            s.merge(&chip.snapshot());
         }
-        total
+        s.fabric = self.fabric.stats();
+        s.faults = self.fabric.fault_stats();
+        s.hops = self.fabric.hops_traversed();
+        s
     }
 
     /// Fault-path counters of the shared fabric (packets dropped by dead
     /// nodes, forward attempts stalled at dead links, escape hops taken).
     pub fn fault_stats(&self) -> FaultStats {
         self.fabric.fault_stats()
-    }
-
-    /// Application payload bytes moved rack-wide (RCP deliveries plus RRPP
-    /// services, summed over nodes — §6.2's definition per node).
-    pub fn app_payload_bytes(&self) -> u64 {
-        self.chips.iter().map(Chip::app_payload_bytes).sum()
     }
 
     /// Fabric-wide traffic counters.
@@ -502,49 +471,6 @@ impl Rack {
     /// hotspot and congestion studies.
     pub fn write_link_report(&self, w: &mut dyn Write) -> io::Result<()> {
         w.write_all(link_report_csv(&self.link_report()).as_bytes())
-    }
-
-    /// Mean RRPP service latency of each node, in node-id order — skewed
-    /// scenarios show queueing on the hot node here.
-    pub fn rrpp_mean_latencies(&self) -> Vec<f64> {
-        self.chips.iter().map(Chip::rrpp_mean_latency).collect()
-    }
-
-    /// Rack-wide distribution of end-to-end remote-read latencies (sync,
-    /// async, and NUMA reads), merged over every core of every node in
-    /// node-id order — `p99` of this is the tail metric the routing and
-    /// congestion sweeps report.
-    pub fn read_latency_histogram(&self) -> ni_engine::Histogram {
-        let mut h = ni_engine::Histogram::new();
-        for chip in &self.chips {
-            h.merge(&chip.read_latency_histogram());
-        }
-        h
-    }
-
-    /// Rack-wide latency distribution of *degraded* remote reads — those
-    /// completed through a WQ replay to an alternate replica — merged over
-    /// every node. Reported next to [`Rack::read_latency_histogram`] so
-    /// failover cost is a distribution of its own, not a fattening of the
-    /// healthy tail.
-    pub fn degraded_read_latency_histogram(&self) -> ni_engine::Histogram {
-        let mut h = ni_engine::Histogram::new();
-        for chip in &self.chips {
-            h.merge(&chip.degraded_read_latency_histogram());
-        }
-        h
-    }
-
-    /// Rack-wide per-tenant SLO accumulators: every chip's
-    /// [`Chip::tenant_stats`] merged by tenant tag in node-id order. The
-    /// input `experiments::serving_sweep` summarizes into per-tenant
-    /// offered/achieved load, goodput, and latency percentiles.
-    pub fn tenant_stats(&self) -> ni_metrics::TenantStats {
-        let mut map = ni_metrics::TenantStats::new();
-        for chip in &self.chips {
-            ni_metrics::merge_tenant_stats(&mut map, &chip.tenant_stats());
-        }
-        map
     }
 
     /// Largest per-link peak bandwidth seen so far, GB/s.
@@ -632,13 +558,19 @@ mod tests {
         serial.run(1_200);
         let mut uneven = build(4);
         uneven.run(1_200);
-        assert!(serial.completed_ops() > 0, "reference run must do work");
-        assert_eq!(uneven.completed_ops(), serial.completed_ops());
-        assert_eq!(uneven.hops_traversed(), serial.hops_traversed());
-        assert_eq!(
-            uneven.fabric_stats().sent.get(),
-            serial.fabric_stats().sent.get()
+        assert!(
+            serial.snapshot().cores.completed > 0,
+            "reference run must do work"
         );
+        assert_eq!(uneven.snapshot().diff(&serial.snapshot()), None);
+        for (a, b) in uneven.chips().iter().zip(serial.chips()) {
+            assert_eq!(
+                a.snapshot().diff(&b.snapshot()),
+                None,
+                "node {}",
+                a.node_id()
+            );
+        }
     }
 
     /// A panic on the *driver* thread during the exchange (here: the

@@ -56,13 +56,14 @@ fn main() {
         .with_pattern(traffic);
         let mut rack = Rack::with_scenario(cfg, &reads);
         rack.run(cycles);
-        let agg = Frequency::GHZ2
-            .gbps_from_bytes_per_cycle(rack.app_payload_bytes() as f64 / cycles as f64);
+        let s = rack.snapshot();
+        let agg =
+            Frequency::GHZ2.gbps_from_bytes_per_cycle(s.app_payload_bytes() as f64 / cycles as f64);
         summary.row_owned(vec![
             format!("{traffic:?}"),
-            rack.completed_ops().to_string(),
+            s.cores.completed.to_string(),
             f1(agg),
-            rack.hops_traversed().to_string(),
+            s.hops.to_string(),
             f1(rack.peak_link_gbps()),
         ]);
         if traffic == TrafficPattern::Uniform {
@@ -144,11 +145,12 @@ fn main() {
         "link load skew (busiest link bytes / mean loaded link): uniform {uniform_skew:.2}x, \
          zipf-hotspot {hot_skew:.2}x"
     );
-    let rrpp = hot.rrpp_mean_latencies();
-    println!(
-        "zipf-hotspot RRPP mean service latency per node: {:?} cycles",
-        rrpp.iter().map(|l| l.round()).collect::<Vec<_>>()
-    );
+    let rrpp: Vec<f64> = hot
+        .chips()
+        .iter()
+        .map(|c| c.rrpp_mean_latency().round())
+        .collect();
+    println!("zipf-hotspot RRPP mean service latency per node: {rrpp:?} cycles");
     assert!(
         hot_skew > uniform_skew,
         "zipf hotspot must load links more unevenly than uniform traffic"

@@ -1,71 +1,68 @@
-//! The rack fingerprint every bit-identity test compares.
+//! The snapshot comparisons every bit-identity test makes, and the
+//! conservation laws a drained run must satisfy.
 
-use rackni::ni_soc::Rack;
+#![allow(dead_code, reason = "each test crate uses its own subset")]
 
-/// Everything a reordered, duplicated or dropped delivery, retry or victim
-/// choice could perturb: aggregate and per-node completion counts, the
-/// traffic, fault, watchdog and recovery counters, each chip's NOC traffic
-/// (which moves if any on-chip message is added or lost), and the RRPP
-/// latency means (bit-compared — floats diverge if any sample's *order or
-/// timing* moves).
-#[derive(Debug, PartialEq)]
-pub struct Fingerprint {
-    pub sent: u64,
-    pub responded: u64,
-    pub incoming: u64,
-    pub completed_ops: u64,
-    pub failed_ops: u64,
-    pub payload_bytes: u64,
-    pub hops: u64,
-    pub dropped: u64,
-    pub stalls: u64,
-    pub escapes: u64,
-    pub timeouts: u64,
-    pub retries: u64,
-    pub replays: u64,
-    pub quorum_writes: u64,
-    pub degraded: u64,
-    pub rrpp_means: Vec<f64>,
-    pub per_node_ops: Vec<u64>,
-    /// Per chip: NOC packets injected, delivered, flit-hops, and
-    /// injection rejects.
-    pub per_node_noc: Vec<[u64; 4]>,
+use rackni::ni_soc::{Chip, Rack, Snapshot, Work};
+
+/// The rack's snapshot, then each chip's in node order.
+pub fn snapshots(rack: &Rack) -> Vec<Snapshot> {
+    let mut all = vec![rack.snapshot()];
+    all.extend(rack.chips().iter().map(Chip::snapshot));
+    all
 }
 
-pub fn fingerprint(rack: &Rack) -> Fingerprint {
-    let fs = rack.fabric_stats();
-    let faults = rack.fault_stats();
-    let be = rack.backend_stats();
-    Fingerprint {
-        sent: fs.sent.get(),
-        responded: fs.responded.get(),
-        incoming: fs.incoming_generated.get(),
-        completed_ops: rack.completed_ops(),
-        failed_ops: rack.failed_ops(),
-        payload_bytes: rack.app_payload_bytes(),
-        hops: rack.hops_traversed(),
-        dropped: faults.packets_dropped.get(),
-        stalls: faults.dead_link_stalls.get(),
-        escapes: faults.escape_hops.get(),
-        timeouts: be.itt_timeouts.get(),
-        retries: be.itt_retries.get(),
-        replays: be.replays.get(),
-        quorum_writes: be.quorum_writes.get(),
-        degraded: rack.degraded_ops(),
-        rrpp_means: rack.rrpp_mean_latencies(),
-        per_node_ops: rack.chips().iter().map(|c| c.completed_ops()).collect(),
-        per_node_noc: rack
-            .chips()
-            .iter()
-            .map(|c| {
-                let n = c.noc_stats();
-                [
-                    n.injected_packets.get(),
-                    n.delivered_packets.get(),
-                    n.flit_hops.get(),
-                    n.inject_rejects.get(),
-                ]
-            })
-            .collect(),
+/// [`snapshots`] without `work`: the poll and event ticks must agree on
+/// everything they simulate, but not on how many visits and full ticks it
+/// took.
+pub fn outputs(rack: &Rack) -> Vec<Snapshot> {
+    let mut all = snapshots(rack);
+    for s in &mut all {
+        s.work = Work::default();
     }
+    all
+}
+
+/// Panic naming the first counter that differs, and whether it is the
+/// rack's or which node's.
+pub fn assert_same(got: &[Snapshot], want: &[Snapshot], context: &str) {
+    assert_eq!(got.len(), want.len(), "{context}: node counts differ");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        if let Some(d) = g.diff(w) {
+            let at = i
+                .checked_sub(1)
+                .map_or("rack".into(), |n| format!("node {n}"));
+            panic!("{context}: {at} {d}");
+        }
+    }
+}
+
+/// The laws a drained run obeys on every node and rack-wide, `what` naming
+/// the snapshot: every issued op completed, every completion was written
+/// to a CQ and none is left in flight, every failed op is a transfer its
+/// backend abandoned, and every block request and response the backends
+/// counted crossed the fabric endpoint.
+pub fn assert_conserved(s: &Snapshot, what: &str) {
+    let (cores, be, fabric) = (&s.cores, &s.backends, &s.fabric);
+    assert_eq!(cores.issued, cores.completed, "{what}: issued vs completed");
+    assert_eq!(
+        cores.completed, s.qps.completions_written,
+        "{what}: completed vs CQ entries written"
+    );
+    assert_eq!(s.qps.inflight, 0, "{what}: ops left in flight");
+    assert_eq!(
+        cores.failed,
+        be.failed_transfers.get(),
+        "{what}: failed ops vs abandoned transfers"
+    );
+    assert_eq!(
+        be.requests_sent.get(),
+        fabric.sent.get(),
+        "{what}: block requests vs fabric sends"
+    );
+    assert_eq!(
+        be.responses.get(),
+        fabric.responded.get(),
+        "{what}: block responses vs fabric responses"
+    );
 }

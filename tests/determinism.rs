@@ -1,6 +1,6 @@
 //! Same-seed bit-identity regression for the determinism cleanup ni_lint
 //! forced: build the same seeded rack twice *in the same process* and
-//! require identical fingerprints.
+//! require identical snapshots, rack-wide and per chip.
 //!
 //! This catches exactly the hazard class the linter's `hash-order` rule
 //! polices: `HashMap`'s per-instance `RandomState` draws fresh OS entropy
@@ -22,7 +22,7 @@ use rackni::ni_soc::{
 };
 
 mod common;
-use common::{fingerprint, Fingerprint};
+use common::{assert_same, snapshots};
 
 /// A healthy seeded rack: 2x2x2 torus, every node issuing async remote
 /// reads. Exercises the frontend poll/dispatch maps, the RRPP pending
@@ -143,84 +143,60 @@ fn serving_run(cycles: u64) -> Rack {
     rack
 }
 
-/// One tenant's observable row: (tag, issued, completed, bytes, p99).
-type TenantRow = (u8, u64, u64, u64, u64);
-
-/// The serving fingerprint: the transport fingerprint plus the per-tenant
-/// SLO observables (counts, goodput bytes, tail percentiles) the metrics
-/// crate aggregates — a reordering that only moved *which tenant* an op
-/// was accounted to would slip past the transport-level fields.
-fn serving_fingerprint(rack: &Rack) -> (Fingerprint, Vec<TenantRow>) {
-    let tenants = rack
-        .tenant_stats()
-        .iter()
-        .map(|(tag, a)| {
-            (
-                *tag,
-                a.issued,
-                a.completed,
-                a.bytes,
-                a.latency.percentile(0.99),
-            )
-        })
-        .collect();
-    (fingerprint(rack), tenants)
-}
-
 #[test]
 fn same_seed_twice_in_one_process_is_bit_identical() {
     let cycles = 4_000;
-    let a = fingerprint(&healthy_run(cycles));
-    assert!(a.completed_ops > 0, "run must do real work: {a:?}");
-    assert!(a.hops > 0, "run must cross the fabric: {a:?}");
-    let b = fingerprint(&healthy_run(cycles));
-    assert_eq!(a, b, "same seed, same process, different fingerprint");
+    let a = snapshots(&healthy_run(cycles));
+    assert!(a[0].cores.completed > 0, "run must do real work");
+    assert!(a[0].hops > 0, "run must cross the fabric");
+    let b = snapshots(&healthy_run(cycles));
+    assert_same(&b, &a, "same seed, same process");
 }
 
 #[test]
 fn same_seed_watchdog_run_is_bit_identical() {
     let cycles = 12_000;
-    let a = fingerprint(&faulty_run(cycles));
+    let a = snapshots(&faulty_run(cycles));
     assert!(
-        a.timeouts > 0,
-        "the dead link must trip the ITT watchdog: {a:?}"
+        a[0].backends.itt_timeouts.get() > 0,
+        "the dead link must trip the ITT watchdog"
     );
-    let b = fingerprint(&faulty_run(cycles));
-    assert_eq!(a, b, "same seed, same faults, different fingerprint");
+    let b = snapshots(&faulty_run(cycles));
+    assert_same(&b, &a, "same seed, same faults");
 }
 
 #[test]
 fn same_seed_recovery_run_is_bit_identical() {
     let cycles = 20_000;
-    let a = fingerprint(&recovery_run(cycles));
+    let a = snapshots(&recovery_run(cycles));
+    let (be, cores) = (&a[0].backends, &a[0].cores);
     assert!(
-        a.replays > 0,
-        "the node kill must force WQ replays through the replica map: {a:?}"
+        be.replays.get() > 0,
+        "the node kill must force WQ replays through the replica map"
     );
     assert!(
-        a.quorum_writes > 0,
-        "the PUT slice must fan out through the quorum table: {a:?}"
+        be.quorum_writes.get() > 0,
+        "the PUT slice must fan out through the quorum table"
     );
     assert!(
-        a.degraded > 0,
-        "replayed reads must complete with the degraded flag: {a:?}"
+        cores.degraded > 0,
+        "replayed reads must complete with the degraded flag"
     );
-    let b = fingerprint(&recovery_run(cycles));
-    assert_eq!(a, b, "same seed, same recovery, different fingerprint");
+    let b = snapshots(&recovery_run(cycles));
+    assert_same(&b, &a, "same seed, same recovery");
 }
 
+/// The per-tenant rows ride in the snapshot: a reordering that only moved
+/// *which tenant* an op was accounted to changes them.
 #[test]
 fn same_seed_serving_run_is_bit_identical_per_tenant() {
     let cycles = 10_000;
-    let (a, ta) = serving_fingerprint(&serving_run(cycles));
-    assert!(a.completed_ops > 0, "run must do real work: {a:?}");
-    let kv = ta.iter().find(|t| t.0 == 1).expect("kv tenant reported");
-    let bulk = ta.iter().find(|t| t.0 == 2).expect("bulk tenant reported");
-    assert!(kv.2 > 0, "kv tenant must complete ops: {ta:?}");
-    assert!(bulk.2 > 0, "bulk tenant must complete ops: {ta:?}");
-    let (b, tb) = serving_fingerprint(&serving_run(cycles));
-    assert_eq!(a, b, "same seed, same mix, different fingerprint");
-    assert_eq!(ta, tb, "same seed, different per-tenant accounting");
+    let a = snapshots(&serving_run(cycles));
+    let completed = |tag: u8| a[0].tenants.get(&tag).map_or(0, |t| t.completed);
+    assert!(completed(1) > 0, "kv tenant must complete ops");
+    assert!(completed(2) > 0, "bulk tenant must complete ops");
+    let b = snapshots(&serving_run(cycles));
+    assert_same(&b, &a, "same seed, same mix");
 }
 
 /// One chip behind the rack emulator on `topology`: half its cores stream
@@ -254,114 +230,68 @@ fn chip_run(topology: Topology, cycles: u64) -> Chip {
     chip
 }
 
-/// A lone chip's fingerprint — the rack fields from its own counters, with
-/// `hops` counting NOC flit-hops (a chip's only network) and no torus to
-/// drop, stall or escape on — plus its NOC's summed packet latency.
-fn chip_fingerprint(chip: &Chip) -> (Fingerprint, u64) {
-    let fs = chip.fabric_stats();
-    let be = chip.backend_stats();
-    let noc = chip.noc_stats();
-    let latency: u128 = noc.latency_by_class.iter().map(|m| m.sum()).sum();
-    let fp = Fingerprint {
-        sent: fs.sent.get(),
-        responded: fs.responded.get(),
-        incoming: fs.incoming_generated.get(),
-        completed_ops: chip.completed_ops(),
-        failed_ops: chip.failed_ops(),
-        payload_bytes: chip.app_payload_bytes(),
-        hops: noc.flit_hops.get(),
-        dropped: 0,
-        stalls: 0,
-        escapes: 0,
-        timeouts: be.itt_timeouts.get(),
-        retries: be.itt_retries.get(),
-        replays: be.replays.get(),
-        quorum_writes: be.quorum_writes.get(),
-        degraded: chip.degraded_ops(),
-        rrpp_means: vec![chip.rrpp_mean_latency()],
-        per_node_ops: vec![chip.completed_ops()],
-        per_node_noc: vec![[
+/// Pins one mesh chip and one NOC-Out chip to values recorded before the
+/// NOC's ring-slot links and ready-endpoint drain: the chip now drains
+/// deliveries in endpoint-index order rather than its own node list, and
+/// this shows the reordering is unobservable. A same-seed rerun must then
+/// reproduce the whole snapshot.
+#[test]
+fn chip_runs_match_recorded_fingerprints() {
+    // Per topology: fabric sent, responded and incoming; ops completed;
+    // application payload bytes; NOC packets injected and delivered,
+    // flit-hops, inject rejects and summed packet latency; then the RRPP
+    // mean latency.
+    let cases = [
+        (
+            Topology::Mesh,
+            [
+                5143, 4595, 5143, 396, 612_096, 36_975, 36_643, 501_576, 82_076, 1_226_564,
+            ],
+            310.3558374543109,
+        ),
+        (
+            Topology::NocOut,
+            [
+                2536, 1754, 2536, 22, 226_176, 15_676, 15_609, 39_299, 76_377, 400_117,
+            ],
+            1764.4885057471265,
+        ),
+    ];
+    for (topology, want, rrpp_mean) in cases {
+        let chip = chip_run(topology, 6_000);
+        let s = chip.snapshot();
+        let (fabric, noc, be) = (&s.fabric, &s.noc, &s.backends);
+        let latency: u128 = noc.latency_by_class.iter().map(|m| m.sum()).sum();
+        let got = [
+            fabric.sent.get(),
+            fabric.responded.get(),
+            fabric.incoming_generated.get(),
+            s.cores.completed,
+            s.app_payload_bytes(),
             noc.injected_packets.get(),
             noc.delivered_packets.get(),
             noc.flit_hops.get(),
             noc.inject_rejects.get(),
-        ]],
-    };
-    (fp, latency as u64)
-}
-
-/// The recorded fingerprint of a lone chip from its transport counts and
-/// its NOC's `[injected, delivered, inject_rejects, latency sum]`: every
-/// node-level field but the counts that are zero on these healthy,
-/// unreplicated runs.
-fn recorded(
-    sent: u64,
-    responded: u64,
-    completed_ops: u64,
-    payload_bytes: u64,
-    hops: u64,
-    rrpp_mean: f64,
-    noc: [u64; 4],
-) -> (Fingerprint, u64) {
-    let [injected, delivered, rejects, latency] = noc;
-    let fp = Fingerprint {
-        sent,
-        responded,
-        incoming: sent,
-        completed_ops,
-        failed_ops: 0,
-        payload_bytes,
-        hops,
-        dropped: 0,
-        stalls: 0,
-        escapes: 0,
-        timeouts: 0,
-        retries: 0,
-        replays: 0,
-        quorum_writes: 0,
-        degraded: 0,
-        rrpp_means: vec![rrpp_mean],
-        per_node_ops: vec![completed_ops],
-        per_node_noc: vec![[injected, delivered, hops, rejects]],
-    };
-    (fp, latency)
-}
-
-/// Pins one mesh chip and one NOC-Out chip to values recorded before the
-/// NOC's ring-slot links and ready-endpoint drain: the chip now drains
-/// deliveries in endpoint-index order rather than its own node list, and
-/// this shows the reordering is unobservable.
-#[test]
-fn chip_runs_match_recorded_fingerprints() {
-    let cases = [
-        (
-            Topology::Mesh,
-            recorded(
-                5143,
-                4595,
-                396,
-                612_096,
-                501_576,
-                310.3558374543109,
-                [36_975, 36_643, 82_076, 1_226_564],
-            ),
-        ),
-        (
-            Topology::NocOut,
-            recorded(
-                2536,
-                1754,
-                22,
-                226_176,
-                39_299,
-                1764.4885057471265,
-                [15_676, 15_609, 76_377, 400_117],
-            ),
-        ),
-    ];
-    for (topology, want) in cases {
-        let got = chip_fingerprint(&chip_run(topology, 6_000));
+            latency as u64,
+        ];
         assert_eq!(got, want, "{topology:?} chip moved");
+        assert_eq!(
+            chip.rrpp_mean_latency(),
+            rrpp_mean,
+            "{topology:?} RRPP mean"
+        );
+        // Healthy and unreplicated: no failure, watchdog or recovery path.
+        let recovery = [
+            s.cores.failed,
+            s.cores.degraded,
+            be.itt_timeouts.get(),
+            be.itt_retries.get(),
+            be.replays.get(),
+            be.quorum_writes.get(),
+        ];
+        assert_eq!(recovery, [0; 6], "{topology:?} chip ran a recovery path");
+        let rerun = chip_run(topology, 6_000).snapshot();
+        assert_same(&[rerun], &[s], &format!("{topology:?} chip rerun"));
     }
 }
 
@@ -417,7 +347,7 @@ proptest! {
         cfg.chip.seed = 0xc105;
         let mut rack = Rack::with_scenario(cfg, &closed);
         rack.run(4_000);
-        prop_assert!(rack.completed_ops() > 0, "run must do real work");
+        prop_assert!(rack.snapshot().cores.completed > 0, "run must do real work");
         let seen = max_inflight.load(Ordering::Relaxed);
         prop_assert!(
             seen < window,

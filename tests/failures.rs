@@ -6,8 +6,11 @@
 //! `fault-adaptive` and `minimal-adaptive` through the whole rack stack.
 
 use rackni::experiments::{run_failure_point, FailureParams, FaultCase};
-use rackni::ni_fabric::{FaultPlan, ReplicaCfg, RoutingKind, Torus3D};
+use rackni::ni_fabric::{FabricStats, FaultPlan, ReplicaCfg, RoutingKind, Torus3D};
 use rackni::ni_soc::{Capped, ChipConfig, Rack, RackSimConfig, Synthetic, Workload, ZipfHotspot};
+
+mod common;
+use common::{assert_conserved, assert_same, snapshots};
 
 /// Small-rack sweep parameters: tight enough for debug-profile tier-1
 /// runs, loose enough that healthy transfers never trip the watchdog.
@@ -136,21 +139,18 @@ fn fault_adaptive_is_bit_identical_to_minimal_adaptive_when_healthy() {
         );
         let mut rack = Rack::with_scenario(cfg, &capped);
         rack.run(20_000);
-        (
-            rack.completed_ops(),
-            rack.failed_ops(),
-            rack.app_payload_bytes(),
-            rack.hops_traversed(),
-            rack.link_report()
-                .iter()
-                .map(|l| (l.packets, l.bytes))
-                .collect::<Vec<_>>(),
-        )
+        let links: Vec<(u64, u64)> = rack
+            .link_report()
+            .iter()
+            .map(|l| (l.packets, l.bytes))
+            .collect();
+        (snapshots(&rack), links)
     };
-    let ada = run(RoutingKind::MinimalAdaptive);
-    let fa = run(RoutingKind::FaultAdaptive);
-    assert!(ada.0 > 0, "reference run must do work");
-    assert_eq!(fa, ada, "healthy fault-adaptive diverged from adaptive");
+    let (ada, ada_links) = run(RoutingKind::MinimalAdaptive);
+    let (fa, fa_links) = run(RoutingKind::FaultAdaptive);
+    assert!(ada[0].cores.completed > 0, "reference run must do work");
+    assert_same(&fa, &ada, "healthy fault-adaptive vs adaptive");
+    assert_eq!(fa_links, ada_links, "healthy fault-adaptive per-link load");
 }
 
 /// A repaired link comes back for real: a run whose plan kills a link and
@@ -184,12 +184,16 @@ fn link_repair_restores_the_job_without_casualties() {
     let mut rack = Rack::with_scenario(cfg, &capped);
     let expected = 3 * 4;
     let mut guard = 0;
-    while rack.completed_ops() < expected {
+    while rack.snapshot().cores.completed < expected {
         rack.run(500);
         guard += 1;
         assert!(guard < 200, "repaired job never completed");
     }
-    assert_eq!(rack.failed_ops(), 0, "repair must beat the watchdog");
+    assert_eq!(
+        rack.snapshot().cores.failed,
+        0,
+        "repair must beat the watchdog"
+    );
     assert!(
         rack.fault_stats().dead_link_stalls.get() > 0,
         "the kill window must have actually stalled traffic"
@@ -269,18 +273,18 @@ fn node_kill_at_k2_loses_zero_reads_on_survivors() {
             continue;
         }
         assert_eq!(
-            chip.failed_reads(),
+            chip.snapshot().cores.failed_reads,
             0,
             "survivor {n} lost reads despite K=2 + replay"
         );
     }
-    let be = rack.backend_stats();
+    let s = rack.snapshot();
     assert!(
-        be.replays.get() > 0,
+        s.backends.replays.get() > 0,
         "recovery must actually run through the replay path"
     );
     assert!(
-        rack.degraded_ops() > 0,
+        s.cores.degraded > 0,
         "replayed reads must surface the degraded completion flag"
     );
 }
@@ -305,7 +309,7 @@ fn quorum_writes_survive_one_dead_replica() {
         }
         assert_eq!(chip.failed_ops(), 0, "survivor {n} saw an error CQ entry");
     }
-    let be = rack.backend_stats();
+    let be = rack.snapshot().backends;
     assert!(
         be.quorum_writes.get() > 0,
         "K=2 writes must fan out through the quorum table"
@@ -314,4 +318,88 @@ fn quorum_writes_survive_one_dead_replica() {
         be.quorum_leg_failures.get() > 0,
         "the dead replica's legs must be absorbed by the quorum"
     );
+}
+
+/// The conservation audit: five capped jobs of 512 B async ops (2 cores
+/// per node, 6 ops each, 108 in all) on a 3x3x1 rack, run in 200-cycle
+/// slices until every op completed and then 5 000 cycles more. The
+/// node-kill jobs kill node 4 at cycle 300 under fault-adaptive routing
+/// with the watchdog armed; the k=2 ones replicate with w=1 and one replay.
+/// Every node and the rack obey [`assert_conserved`]. Rack-wide only, the
+/// fabric's requests are its responses plus its drops (a chip's port sees
+/// no drops), and the chips' port counters sum to the torus's.
+#[test]
+fn drained_jobs_conserve_ops_and_packets() {
+    let read = Workload::AsyncRead {
+        size: 512,
+        poll_every: 4,
+    };
+    let write = Workload::AsyncWrite {
+        size: 512,
+        poll_every: 4,
+    };
+    // (job, workload, node kill, k, failed ops, sent, responded, dropped)
+    let jobs = [
+        ("healthy reads", read, false, 1, 0, 864, 864, 0),
+        ("healthy writes", write, false, 1, 0, 864, 864, 0),
+        ("kill reads", read, true, 1, 24, 1_056, 672, 384),
+        ("kill reads k=2", read, true, 2, 12, 1_344, 768, 576),
+        ("kill writes k=2", write, true, 2, 12, 2_016, 1_440, 576),
+    ];
+    for (job, workload, kill, k, failed, sent, responded, dropped) in jobs {
+        let mut cfg = RackSimConfig {
+            torus: Torus3D::new(3, 3, 1),
+            chip: ChipConfig {
+                active_cores: 2,
+                ..ChipConfig::default()
+            },
+            threads: 1,
+            ..RackSimConfig::default()
+        };
+        if kill {
+            cfg.routing = RoutingKind::FaultAdaptive;
+            cfg.faults = FaultPlan::new().node_down(4, 300);
+            cfg.chip.rmc.itt_timeout = 1_500;
+            cfg.chip.rmc.itt_retries = 1;
+        }
+        if k > 1 {
+            cfg.chip.rmc.replication = ReplicaCfg {
+                k,
+                w: 1,
+                ..ReplicaCfg::default()
+            };
+            cfg.chip.rmc.replay_budget = 1;
+        }
+        let capped = Capped::new(Box::new(Synthetic::from_workload(workload)), 6);
+        let mut rack = Rack::with_scenario(cfg, &capped);
+        while rack.snapshot().cores.completed < 108 {
+            assert!(rack.now().0 < 100_000, "{job}: the job never completed");
+            rack.run(200);
+        }
+        rack.run(5_000);
+        let all = snapshots(&rack);
+        let s = &all[0];
+        assert_conserved(s, job);
+        for (node, chip) in all[1..].iter().enumerate() {
+            assert_conserved(chip, &format!("{job}, node {node}"));
+        }
+        let got = (
+            s.fabric.sent.get(),
+            s.fabric.responded.get(),
+            s.faults.packets_dropped.get(),
+        );
+        assert_eq!(got.0, got.1 + got.2, "{job}: sent vs responded + dropped");
+        assert_eq!(
+            got,
+            (sent, responded, dropped),
+            "{job}: sent, responded, dropped"
+        );
+        assert_eq!(s.cores.completed, 108, "{job}: completed ops");
+        assert_eq!(s.cores.failed, failed, "{job}: failed ops");
+        let mut ports = FabricStats::default();
+        for chip in &all[1..] {
+            ports.merge(&chip.fabric);
+        }
+        assert_eq!(ports, s.fabric, "{job}: the ports' counters vs the torus's");
+    }
 }

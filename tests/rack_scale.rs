@@ -7,7 +7,7 @@ use rackni::ni_mem::Addr;
 use rackni::ni_soc::{Chip, ChipConfig, Rack, RackSimConfig, Synthetic, TrafficPattern, Workload};
 
 mod common;
-use common::fingerprint;
+use common::{assert_same, outputs, snapshots};
 
 const REMOTE_BASE: u64 = 1 << 40;
 
@@ -144,7 +144,7 @@ fn numa_workload_crosses_the_torus() {
 /// The windowed parallel run is bit-identical to the serial path: the
 /// same seeded 3x3x3 scenario run (a) serially via `Rack::tick`, (b) through
 /// `Rack::run` pinned to one worker, and (c) through `Rack::run` with four
-/// workers must produce equal [`common::Fingerprint`]s.
+/// workers must produce equal snapshots, rack-wide and per chip.
 #[test]
 fn parallel_rack_is_bit_identical_to_serial_at_any_thread_count() {
     let cycles = 1_500u64;
@@ -166,26 +166,25 @@ fn parallel_rack_is_bit_identical_to_serial_at_any_thread_count() {
     for _ in 0..cycles {
         serial.tick();
     }
-    let want = fingerprint(&serial);
-    assert!(want.completed_ops > 0, "reference run must do real work");
-    assert!(want.hops > 0, "reference run must cross the fabric");
+    let want = snapshots(&serial);
+    assert!(
+        want[0].cores.completed > 0,
+        "reference run must do real work"
+    );
+    assert!(want[0].hops > 0, "reference run must cross the fabric");
 
     for threads in [1usize, 4] {
         let mut rack = build(threads);
         rack.run(cycles);
-        assert_eq!(
-            fingerprint(&rack),
-            want,
-            "{threads}-thread run diverged from the serial reference"
-        );
+        let context = format!("{threads}-thread run vs the serial reference");
+        assert_same(&snapshots(&rack), &want, &context);
     }
 }
 
 /// A run with a `FaultPlan` — link kill, node kill, and a repair, with the
 /// ITT watchdog armed — is still a pure function of its config: serial
-/// ticking, one worker, and four workers must produce equal
-/// [`common::Fingerprint`]s, fault-path counters and watchdog statistics
-/// included. All fault state lives in the driver-side fabric and the
+/// ticking, one worker, and four workers must produce equal snapshots,
+/// fault-path counters and watchdog statistics included. All fault state lives in the driver-side fabric and the
 /// per-chip backends, so thread count can never observe it mid-change.
 #[test]
 fn faulted_rack_runs_are_bit_identical_across_thread_counts() {
@@ -216,50 +215,39 @@ fn faulted_rack_runs_are_bit_identical_across_thread_counts() {
     for _ in 0..cycles {
         serial.tick();
     }
-    let want = fingerprint(&serial);
-    assert!(want.completed_ops > 0, "reference run must do work");
+    let want = snapshots(&serial);
+    assert!(want[0].cores.completed > 0, "reference run must do work");
     assert!(
-        want.dropped > 0 && want.timeouts > 0,
-        "the fault plan must actually bite: {want:?}"
+        want[0].faults.packets_dropped.get() > 0 && want[0].backends.itt_timeouts.get() > 0,
+        "the fault plan must actually bite"
     );
     for threads in [1usize, 4] {
         let mut rack = build(threads);
         rack.run(cycles);
-        assert_eq!(
-            fingerprint(&rack),
-            want,
-            "{threads}-thread faulted run diverged from the serial reference"
-        );
+        let context = format!("{threads}-thread faulted run vs the serial reference");
+        assert_same(&snapshots(&rack), &want, &context);
     }
 }
 
 // ---- Lookahead windows --------------------------------------------------
 
-/// Per-chip full-tick counts: a dormant skip taken or missed in the wrong
-/// cycle moves them without touching any fingerprinted counter.
-fn full_ticks(rack: &Rack) -> Vec<u64> {
-    rack.chips().iter().map(Chip::full_ticks).collect()
-}
-
 /// Run `build(threads)` for `cycles` through a `Rack::tick` loop (one
 /// thread) and through the windowed `Rack::run` at one, two and four
-/// workers: every run must produce the reference's [`common::Fingerprint`] and
-/// per-chip full-tick counts. Returns the one-worker windowed rack.
+/// workers: every run must produce the reference's snapshots, `work`
+/// included, so a dormant skip taken or missed in the wrong cycle fails
+/// too. Returns the one-worker windowed rack.
 fn assert_windows_match_per_cycle_ticks(cycles: u64, build: impl Fn(usize) -> Rack) -> Rack {
     let mut reference = build(1);
     for _ in 0..cycles {
         reference.tick();
     }
     assert_eq!(reference.sync_rounds(), cycles, "one round per tick");
-    let want = (fingerprint(&reference), full_ticks(&reference));
+    let want = snapshots(&reference);
     let runs = [1usize, 2, 4].map(|threads| {
         let mut rack = build(threads);
         rack.run(cycles);
-        assert_eq!(
-            (fingerprint(&rack), full_ticks(&rack)),
-            want,
-            "windowed run at {threads} threads diverged from per-cycle ticking"
-        );
+        let context = format!("windowed run at {threads} threads vs per-cycle ticking");
+        assert_same(&snapshots(&rack), &want, &context);
         rack
     });
     let [one_worker, ..] = runs;
@@ -303,17 +291,16 @@ fn windowed_run_loops_self_addressed_quorum_legs_back_in_the_port() {
     let rack = assert_windows_match_per_cycle_ticks(12_000, |threads| {
         quorum_write_rack(Torus3D::new(2, 1, 1), 70, 16, threads)
     });
-    let fp = fingerprint(&rack);
-    assert_eq!(
-        fp.per_node_ops,
-        [16, 16],
-        "every capped write must complete"
-    );
+    let ops: Vec<u64> = rack.chips().iter().map(Chip::completed_ops).collect();
+    assert_eq!(ops, [16, 16], "every capped write must complete");
     // On two nodes every packet that leaves its node crosses one link:
     // the deliveries beyond the hop count are the self-addressed legs.
+    let s = rack.snapshot();
+    let delivered = s.fabric.incoming_generated.get() + s.fabric.responded.get();
     assert!(
-        fp.incoming + fp.responded > fp.hops,
-        "no self-addressed leg was sent: {fp:?}"
+        delivered > s.hops,
+        "no self-addressed leg was sent: {delivered} deliveries, {} hops",
+        s.hops
     );
 }
 
@@ -328,7 +315,8 @@ fn windowed_run_matches_per_cycle_ticks_at_every_derived_window() {
         let rack = assert_windows_match_per_cycle_ticks(cycles, |threads| {
             quorum_write_rack(Torus3D::new(2, 2, 1), hop, link_bytes, threads)
         });
-        assert!(rack.completed_ops() > 0, "hop {hop}: no op completed");
+        let completed = rack.snapshot().cores.completed;
+        assert!(completed > 0, "hop {hop}: no op completed");
         assert_eq!(
             rack.sync_rounds(),
             cycles.div_ceil(window),
@@ -351,11 +339,8 @@ fn split_runs_match_one_run() {
         split.run(37);
         split.run(cycles - 137);
         assert_eq!(split.now(), whole.now());
-        assert_eq!(
-            (fingerprint(&split), full_ticks(&split)),
-            (fingerprint(&whole), full_ticks(&whole)),
-            "split run diverged at {threads} threads"
-        );
+        let context = format!("split run vs one run at {threads} threads");
+        assert_same(&snapshots(&split), &snapshots(&whole), &context);
     }
 }
 
@@ -376,14 +361,11 @@ fn rack_runs_are_reproducible_from_the_config_seed() {
             },
         );
         rack.run(8_000);
-        (
-            rack.completed_ops(),
-            rack.app_payload_bytes(),
-            rack.hops_traversed(),
-            rack.fabric_stats().responded.get(),
-        )
+        snapshots(&rack)
     };
-    assert_eq!(run(42), run(42), "same seed must reproduce bit-identically");
+    let first = run(42);
+    assert!(first[0].cores.completed > 0, "the rack must do work");
+    assert_same(&run(42), &first, "same seed");
 
     let emulated = |seed: u64| {
         let cfg = ChipConfig {
@@ -399,13 +381,9 @@ fn rack_runs_are_reproducible_from_the_config_seed() {
             },
         );
         chip.run(8_000);
-        (
-            chip.completed_ops(),
-            chip.app_payload_bytes(),
-            chip.fabric_stats().incoming_generated.get(),
-        )
+        vec![chip.snapshot()]
     };
-    assert_eq!(emulated(7), emulated(7));
+    assert_same(&emulated(7), &emulated(7), "same seed, emulated chip");
 }
 
 /// The rack-scale experiment sweep produces structurally sound rows.
@@ -449,7 +427,7 @@ fn rack_scale_experiment_reports_scaling_rows() {
 /// the comparison on a 2x2x1 rack for every NI design on the mesh and on
 /// NOC-Out, NUMA loads included, and pins each case's event-mode full-tick
 /// count: a wake slot that fires early changes that count without moving
-/// any fingerprinted statistic.
+/// any simulated statistic.
 #[test]
 fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
     use rackni::ni_rmc::NiPlacement;
@@ -474,21 +452,22 @@ fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
     for _ in 0..cycles {
         reference.tick();
     }
-    let want = fingerprint(&reference);
-    assert!(want.completed_ops > 0, "reference run must do real work");
-    assert!(want.hops > 0, "reference run must cross the fabric");
+    let (want, want_outputs) = (snapshots(&reference), outputs(&reference));
+    assert!(
+        want[0].cores.completed > 0,
+        "reference run must do real work"
+    );
+    assert!(want[0].hops > 0, "reference run must cross the fabric");
 
-    for mode in [TickMode::Poll, TickMode::Event] {
-        for threads in [1usize, 4] {
-            let mut rack = build(mode, threads);
-            rack.run(cycles);
-            assert_eq!(
-                fingerprint(&rack),
-                want,
-                "{mode:?} tick at {threads} threads diverged from the \
-                 serial poll reference"
-            );
-        }
+    for threads in [1usize, 4] {
+        let mut poll = build(TickMode::Poll, threads);
+        poll.run(cycles);
+        let context = format!("windowed poll tick at {threads} threads vs serial poll");
+        assert_same(&snapshots(&poll), &want, &context);
+        let mut event = build(TickMode::Event, threads);
+        event.run(cycles);
+        let context = format!("event tick at {threads} threads vs serial poll");
+        assert_same(&outputs(&event), &want_outputs, &context);
     }
 
     // (placement, topology, workload, event-mode full ticks summed over
@@ -518,18 +497,15 @@ fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
             rack.run(5_000);
             rack
         };
-        let want = fingerprint(&run(TickMode::Poll));
+        let want = outputs(&run(TickMode::Poll));
         assert!(
-            want.completed_ops > 0 && want.hops > 0,
+            want[0].cores.completed > 0 && want[0].hops > 0,
             "{placement:?} on {topology:?} must complete ops across the fabric"
         );
         let event = run(TickMode::Event);
-        assert_eq!(
-            fingerprint(&event),
-            want,
-            "{placement:?} on {topology:?}: event tick diverged from poll"
-        );
-        let ticks: u64 = event.chips().iter().map(Chip::full_ticks).sum();
+        let context = format!("{placement:?} on {topology:?}: event tick vs poll");
+        assert_same(&outputs(&event), &want, &context);
+        let ticks = event.snapshot().work.full_ticks;
         assert_eq!(
             ticks, full_ticks,
             "{placement:?} on {topology:?}: the dormant skip engaged differently"
@@ -572,24 +548,22 @@ fn event_tick_is_bit_identical_to_poll_on_a_faulted_rack() {
     for _ in 0..cycles {
         reference.tick();
     }
-    let want = fingerprint(&reference);
-    assert!(want.completed_ops > 0, "reference run must do work");
+    let (want, want_outputs) = (snapshots(&reference), outputs(&reference));
+    assert!(want[0].cores.completed > 0, "reference run must do work");
     assert!(
-        want.dropped > 0 && want.timeouts > 0,
-        "the fault plan must actually bite: {want:?}"
+        want[0].faults.packets_dropped.get() > 0 && want[0].backends.itt_timeouts.get() > 0,
+        "the fault plan must actually bite"
     );
 
-    for mode in [TickMode::Poll, TickMode::Event] {
-        for threads in [1usize, 4] {
-            let mut rack = build(mode, threads);
-            rack.run(cycles);
-            assert_eq!(
-                fingerprint(&rack),
-                want,
-                "{mode:?} tick at {threads} threads diverged from the \
-                 serial poll reference on the faulted fabric"
-            );
-        }
+    for threads in [1usize, 4] {
+        let mut poll = build(TickMode::Poll, threads);
+        poll.run(cycles);
+        let context = format!("faulted windowed poll tick at {threads} threads vs serial poll");
+        assert_same(&snapshots(&poll), &want, &context);
+        let mut event = build(TickMode::Event, threads);
+        event.run(cycles);
+        let context = format!("faulted event tick at {threads} threads vs serial poll");
+        assert_same(&outputs(&event), &want_outputs, &context);
     }
 }
 
@@ -619,11 +593,16 @@ fn event_tick_matches_poll_after_a_finite_job_drains() {
         );
         let mut rack = Rack::with_scenario(cfg, &job);
         rack.run(30_000);
-        fingerprint(&rack)
+        outputs(&rack)
     };
     let poll = run(TickMode::Poll);
-    assert_eq!(poll.per_node_ops, [8, 8], "every capped op must complete");
-    assert_eq!(run(TickMode::Event), poll);
+    let ops: Vec<u64> = poll[1..].iter().map(|s| s.cores.completed).collect();
+    assert_eq!(ops, [8, 8], "every capped op must complete");
+    assert_same(
+        &run(TickMode::Event),
+        &poll,
+        "event tick vs poll after the drain",
+    );
 }
 
 mod tick_equivalence_props {
@@ -639,9 +618,8 @@ mod tick_equivalence_props {
         /// every builtin scenario — plus a `Bursty` duty-cycled one, whose
         /// `IdleFor` windows are exactly what the dormant fast path and
         /// idle-until-X jumps elide — and every routing policy, a seeded
-        /// 2x2x2 rack produces identical fingerprints (traffic counters,
-        /// per-node completions, RRPP latency means) under the poll and
-        /// event ticks.
+        /// 2x2x2 rack produces identical snapshots, rack-wide and per chip,
+        /// `work` aside, under the poll and event ticks.
         #[test]
         fn event_tick_preserves_deliveries_across_scenarios_and_policies(
             scenario_idx in 0usize..5,
@@ -673,18 +651,10 @@ mod tick_equivalence_props {
                 };
                 let mut rack = Rack::with_scenario(cfg, &*scenario);
                 rack.run(4_000);
-                fingerprint(&rack)
+                outputs(&rack)
             };
-            let poll = run(TickMode::Poll);
-            let event = run(TickMode::Event);
-            prop_assert_eq!(
-                &poll,
-                &event,
-                "scenario {} under {:?} (seed {}) diverged between tick modes",
-                scenario_idx,
-                routing,
-                seed
-            );
+            let context = format!("scenario {scenario_idx} under {routing:?} (seed {seed})");
+            assert_same(&run(TickMode::Event), &run(TickMode::Poll), &context);
         }
     }
 }

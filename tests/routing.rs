@@ -10,6 +10,9 @@ use rackni::ni_soc::{
     Capped, ChipConfig, Rack, RackSimConfig, Synthetic, TrafficPattern, Workload, ZipfHotspot,
 };
 
+mod common;
+use common::{assert_same, snapshots};
+
 fn canonical_rack(routing: RoutingKind) -> Rack {
     let cfg = RackSimConfig {
         torus: Torus3D::new(3, 3, 3),
@@ -41,13 +44,17 @@ fn canonical_rack(routing: RoutingKind) -> Rack {
 fn dimension_order_matches_the_pre_refactor_fingerprint() {
     let mut rack = canonical_rack(RoutingKind::DimensionOrder);
     rack.run(2_000);
-    let fs = rack.fabric_stats();
-    assert_eq!(fs.sent.get(), 3_888, "requests injected");
-    assert_eq!(fs.responded.get(), 2_916, "responses delivered");
-    assert_eq!(fs.incoming_generated.get(), 3_558, "requests delivered");
-    assert_eq!(rack.hops_traversed(), 11_541, "link traversals");
-    assert_eq!(rack.completed_ops(), 504, "completed ops");
-    assert_eq!(rack.app_payload_bytes(), 393_792, "payload bytes");
+    let s = rack.snapshot();
+    assert_eq!(s.fabric.sent.get(), 3_888, "requests injected");
+    assert_eq!(s.fabric.responded.get(), 2_916, "responses delivered");
+    assert_eq!(
+        s.fabric.incoming_generated.get(),
+        3_558,
+        "requests delivered"
+    );
+    assert_eq!(s.hops, 11_541, "link traversals");
+    assert_eq!(s.cores.completed, 504, "completed ops");
+    assert_eq!(s.app_payload_bytes(), 393_792, "payload bytes");
     let links = rack.link_report();
     assert_eq!(links.iter().map(|l| l.bytes).sum::<u64>(), 702_048);
     assert_eq!(links.iter().map(|l| l.busy_cycles).sum::<u64>(), 43_878);
@@ -84,28 +91,26 @@ fn adaptive_routing_changes_paths_but_not_outcomes() {
         let mut rack = Rack::with_scenario(cfg, &capped);
         let expected = 9 * 2 * 6;
         let mut guard = 0;
-        while rack.completed_ops() < expected {
+        while rack.snapshot().cores.completed < expected {
             rack.run(200);
             guard += 1;
             assert!(guard < 500, "{routing:?} job never completed");
         }
         rack.run(1_000); // drain every response off the wires
-        rack
+        let links: Vec<u64> = rack.link_report().iter().map(|l| l.bytes).collect();
+        (rack.snapshot(), links)
     };
-    let dor = run(RoutingKind::DimensionOrder);
-    let ada = run(RoutingKind::MinimalAdaptive);
-    assert_eq!(ada.completed_ops(), dor.completed_ops());
+    let (dor, dor_links) = run(RoutingKind::DimensionOrder);
+    let (ada, ada_links) = run(RoutingKind::MinimalAdaptive);
+    assert_eq!(ada.cores.completed, dor.cores.completed);
     assert_eq!(ada.app_payload_bytes(), dor.app_payload_bytes());
-    assert_eq!(ada.fabric_stats().sent.get(), dor.fabric_stats().sent.get());
+    assert_eq!(ada.fabric.sent, dor.fabric.sent);
     assert_eq!(
-        ada.hops_traversed(),
-        dor.hops_traversed(),
+        ada.hops, dor.hops,
         "minimal policies must spend identical total hops on identical jobs"
     );
-    let bytes = |r: &Rack| r.link_report().iter().map(|l| l.bytes).collect::<Vec<_>>();
     assert_ne!(
-        bytes(&ada),
-        bytes(&dor),
+        ada_links, dor_links,
         "adaptive routing under load must actually deviate from DOR"
     );
 }
@@ -156,16 +161,17 @@ fn random_minimal_rack_reproduces_from_its_seed() {
     let run = |seed: u64| {
         let mut rack = canonical_rack(RoutingKind::RandomMinimal { seed });
         rack.run(1_200);
-        (
-            rack.completed_ops(),
-            rack.hops_traversed(),
-            rack.link_report()
-                .iter()
-                .map(|l| (l.packets, l.bytes))
-                .collect::<Vec<_>>(),
-        )
+        let links: Vec<(u64, u64)> = rack
+            .link_report()
+            .iter()
+            .map(|l| (l.packets, l.bytes))
+            .collect();
+        (snapshots(&rack), links)
     };
-    assert_eq!(run(11), run(11), "same routing seed must reproduce");
+    let (snaps, links) = run(11);
+    let (again, again_links) = run(11);
+    assert_same(&again, &snaps, "same routing seed");
+    assert_eq!(again_links, links, "same routing seed, per-link load");
 }
 
 /// `Capped` turns any scenario into a finite job: the rack completes
@@ -192,15 +198,16 @@ fn capped_jobs_complete_exactly_and_record_async_read_tails() {
     let mut rack = Rack::with_scenario(cfg, &capped);
     let expected = 4 * 2 * 5;
     let mut guard = 0;
-    while rack.completed_ops() < expected {
+    while rack.snapshot().cores.completed < expected {
         rack.run(200);
         guard += 1;
         assert!(guard < 500, "capped job never completed");
     }
     // Run on: no further ops may appear past the cap.
     rack.run(2_000);
-    assert_eq!(rack.completed_ops(), expected, "cap must be exact");
-    let hist = rack.read_latency_histogram();
+    let s = rack.snapshot();
+    assert_eq!(s.cores.completed, expected, "cap must be exact");
+    let hist = s.reads;
     assert_eq!(
         hist.stats().count(),
         expected,

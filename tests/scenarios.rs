@@ -5,9 +5,12 @@
 
 use rackni::ni_fabric::Torus3D;
 use rackni::ni_soc::{
-    builtin_scenarios, run_chip_scenario, ChipConfig, Op, OpCtx, Rack, RackSimConfig, Scenario,
-    Synthetic, TrafficPattern, Workload, ZipfHotspot,
+    builtin_scenarios, run_chip_scenario, Chip, ChipConfig, Op, OpCtx, Rack, RackSimConfig,
+    Scenario, Synthetic, TrafficPattern, Workload, ZipfHotspot,
 };
+
+mod common;
+use common::{assert_same, snapshots};
 
 fn rack_cfg(seed: u64, active_cores: usize) -> RackSimConfig {
     RackSimConfig {
@@ -49,11 +52,11 @@ fn every_builtin_scenario_completes_on_an_eight_node_rack() {
     for s in builtin_scenarios() {
         let mut rack = Rack::with_scenario(rack_cfg(7, 2), s.as_ref());
         rack.run(20_000);
+        let completed = rack.snapshot().cores.completed;
         assert!(
-            rack.completed_ops() > 10,
-            "{}: only {} ops rack-wide",
-            rack.scenario_name(),
-            rack.completed_ops()
+            completed > 10,
+            "{}: only {completed} ops rack-wide",
+            rack.scenario_name()
         );
         assert!(
             rack.hops_traversed() > 0,
@@ -95,27 +98,19 @@ fn generators_replay_identical_op_streams_from_one_seed() {
 }
 
 /// Determinism at the rack level: the same `RackSimConfig` seed must
-/// reproduce identical `FabricStats` (and every other counter) across two
-/// runs, for every built-in scenario.
+/// reproduce identical `FabricStats` and every other counter, rack-wide
+/// and per chip, across two runs, for every built-in scenario.
 #[test]
 fn rack_runs_reproduce_identical_fabric_stats_per_scenario() {
     for s in builtin_scenarios() {
         let run = || {
             let mut rack = Rack::with_scenario(rack_cfg(1234, 2), s.as_ref());
             rack.run(10_000);
-            let fs = rack.fabric_stats();
-            (
-                fs.sent.get(),
-                fs.responded.get(),
-                fs.incoming_generated.get(),
-                rack.hops_traversed(),
-                rack.completed_ops(),
-                rack.app_payload_bytes(),
-            )
+            snapshots(&rack)
         };
-        let (a, b) = (run(), run());
-        assert_eq!(a, b, "{}: two same-seed runs diverged", s.name());
-        assert!(a.0 > 0, "{}: no requests sent", s.name());
+        let a = run();
+        assert!(a[0].fabric.sent.get() > 0, "{}: no requests sent", s.name());
+        assert_same(&run(), &a, &format!("{}: two same-seed runs", s.name()));
     }
 }
 
@@ -172,7 +167,7 @@ fn zipf_hotspot_skews_per_link_load_beyond_uniform() {
 fn zipf_hotspot_queues_the_hot_nodes_rrpps() {
     let mut hot = Rack::with_scenario(rack_cfg(5, 4), &ZipfHotspot::default());
     hot.run(20_000);
-    let lats = hot.rrpp_mean_latencies();
+    let lats: Vec<f64> = hot.chips().iter().map(Chip::rrpp_mean_latency).collect();
     assert!(lats[0] > 0.0, "hot node serviced nothing: {lats:?}");
     let others: Vec<f64> = lats[1..].iter().copied().filter(|&l| l > 0.0).collect();
     assert!(!others.is_empty());
