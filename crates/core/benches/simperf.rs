@@ -55,13 +55,28 @@ use rackni::ni_soc::{
     Bursty, Chip, ChipConfig, Rack, RackSimConfig, Snapshot, Synthetic, TickMode, TrafficPattern,
     Work, Workload,
 };
-use rackni::report::{f1, read_points, BenchFile, Table};
+use rackni::report::{project, read_points, BenchFile, JsonRow};
 
 /// Least event-over-poll speedup on the idle-heavy 8x8x8 rack.
 const MIN_SPEEDUP: f64 = 3.0;
 
 /// Least fraction of its baseline cycles/sec a point may reach.
 const TOLERANCE: f64 = 0.25;
+
+/// The BENCH keys the first printed table shows; the second shows each
+/// rack point's work ([`work_readings`]).
+const TABLE: [&str; 10] = [
+    "name",
+    "cycles",
+    "build_ms",
+    "wall_ms",
+    "serial_cps",
+    "cps",
+    "speedup",
+    "completed_ops",
+    "hops",
+    "sync_rounds",
+];
 
 type Dims = (u16, u16, u16);
 
@@ -236,6 +251,38 @@ fn build_bursty_rack(dims: Dims, threads: usize, mode: TickMode) -> Rack {
     Rack::with_scenario(cfg, &scenario)
 }
 
+/// A rack's work under its BENCH keys: `full_ticks`, then `visits_cores`
+/// and the other classes.
+fn work_readings(work: &Work) -> Vec<(String, u64)> {
+    let mut readings = Vec::new();
+    work.walk("", &mut |name, n| {
+        readings.push((name.replace('.', "_"), n))
+    });
+    readings
+}
+
+/// One point's `BENCH_simperf.json` row, which the printed tables project.
+fn row(m: &Measured) -> JsonRow {
+    let mut row = JsonRow::default();
+    row.str("name", &m.name)
+        .num("cycles", m.cycles)
+        .float("wall_ms", m.wall_ms, 2)
+        .float("cps", m.cps, 1)
+        .num("completed_ops", m.completed_ops);
+    if let Some(r) = &m.rack {
+        row.float("build_ms", r.build_ms, 1)
+            .num("hops", r.snapshots[0].hops)
+            .num("sync_rounds", r.sync_rounds);
+        for (key, n) in work_readings(&r.snapshots[0].work) {
+            row.num(&key, n);
+        }
+        if let Some(s) = r.serial_cps {
+            row.float("serial_cps", s, 1).float("speedup", m.cps / s, 4);
+        }
+    }
+    row
+}
+
 fn workspace_root() -> PathBuf {
     // crates/core -> workspace root; independent of the invoker's cwd
     // (cargo bench runs the binary from the package directory).
@@ -332,67 +379,20 @@ fn main() {
         }
     }
 
-    let mut table = Table::new(&[
-        "point",
-        "cycles",
-        "build (ms)",
-        "wall (ms)",
-        "serial cyc/s",
-        "cycles/sec",
-        "speedup",
-        "ops",
-        "hops",
-        "sync rounds",
-    ]);
-    let mut work_headers = vec!["point".to_string()];
-    Work::default().walk("", &mut |name, _| work_headers.push(name.to_string()));
-    let mut work = Table::new(&work_headers.iter().map(String::as_str).collect::<Vec<_>>());
-    let mut bench = BenchFile::new("rackni-bench-simperf/3", scale);
-    bench.header().num("host_threads", host_threads);
-    for m in &results {
-        let dash = || "-".to_string();
-        let serial_cps = m.rack.as_ref().and_then(|r| r.serial_cps);
-        table.row_owned(vec![
-            m.name.clone(),
-            m.cycles.to_string(),
-            m.rack.as_ref().map_or_else(dash, |r| f1(r.build_ms)),
-            f1(m.wall_ms),
-            serial_cps.map_or_else(dash, f1),
-            f1(m.cps),
-            serial_cps.map_or_else(dash, |s| format!("{:.2}x", m.cps / s)),
-            m.completed_ops.to_string(),
-            m.rack
-                .as_ref()
-                .map_or_else(dash, |r| r.snapshots[0].hops.to_string()),
-            m.rack
-                .as_ref()
-                .map_or_else(dash, |r| r.sync_rounds.to_string()),
-        ]);
-        let row = bench.point();
-        row.str("name", &m.name)
-            .num("cycles", m.cycles)
-            .float("wall_ms", m.wall_ms, 2)
-            .float("cps", m.cps, 1)
-            .num("completed_ops", m.completed_ops);
-        if let Some(r) = &m.rack {
-            row.float("build_ms", r.build_ms, 1)
-                .num("hops", r.snapshots[0].hops)
-                .num("sync_rounds", r.sync_rounds);
-            // `full_ticks`, then `visits_cores` and the other classes.
-            let mut cells = vec![m.name.clone()];
-            r.snapshots[0].work.walk("", &mut |name, n| {
-                row.num(&name.replace('.', "_"), n);
-                cells.push(n.to_string());
-            });
-            work.row_owned(cells);
-            if let Some(s) = r.serial_cps {
-                row.float("serial_cps", s, 1).float("speedup", m.cps / s, 4);
-            }
-        }
-    }
-    println!("{}", table.render());
+    let rows: Vec<JsonRow> = results.iter().map(row).collect();
+    let rack_rows: Vec<JsonRow> = rows
+        .iter()
+        .filter(|r| r.get("full_ticks").is_some())
+        .cloned()
+        .collect();
+    let readings = work_readings(&Work::default());
+    let work_table: Vec<&str> = ["name"]
+        .into_iter()
+        .chain(readings.iter().map(|(key, _)| key.as_str()))
+        .collect();
+    println!("{}", project(&rows, &TABLE));
     println!("work per rack point (summed over chips): full ticks and component visits\n");
-    println!("{}", work.render());
+    println!("{}", project(&rack_rows, &work_table));
     if host_threads > 1 {
         println!(
             "one-worker and default-worker runs agreed on sync rounds and on the rack's \
@@ -422,6 +422,8 @@ fn main() {
     println!("bursty 8x8x8: event tick {bursty_speedup:.2}x over poll");
 
     let out = workspace_root().join("BENCH_simperf.json");
+    let mut bench = BenchFile::new("rackni-bench-simperf/3", scale, rows);
+    bench.header().num("host_threads", host_threads);
     bench.write(&out).expect("write BENCH_simperf.json");
     println!("\nsimperf trajectory written to {}", out.display());
 

@@ -8,7 +8,6 @@
 //! methodology.
 
 use ni_engine::parallel::par_map;
-use ni_engine::Frequency;
 use ni_fabric::{Dir, FaultPlan, ReplicaCfg, RoutingKind, Torus3D, HOP_CYCLES};
 use ni_metrics::{interference_index, SloSummary};
 use ni_noc::RoutingPolicy;
@@ -16,12 +15,12 @@ use ni_rmc::NiPlacement;
 use ni_soc::bench::{run_bandwidth, run_sync_latency, stage_breakdown, StageBreakdown};
 use ni_soc::{
     builtin_scenarios, Bursty, Capped, Chip, ChipConfig, ClosedLoop, GraphShard, KvStore, Rack,
-    RackSimConfig, Scenario, Synthetic, TenantMix, TickMode, Topology, TrafficPattern, Workload,
-    ZipfHotspot,
+    RackSimConfig, Scenario, Snapshot, Synthetic, TenantMix, TickMode, Topology, TrafficPattern,
+    Workload, ZipfHotspot,
 };
 
 use crate::paper;
-use crate::report::{f1, pct, Table};
+use crate::report::{f1, pct, JsonRow, Table};
 
 /// Experiment scale: trade fidelity for wall-clock time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,10 +33,20 @@ pub enum Scale {
 
 impl Scale {
     /// Read `RACKNI_SCALE=full|quick` from the environment (default quick).
+    ///
+    /// # Panics
+    /// Panics when `RACKNI_SCALE` is set to anything else.
     pub fn from_env() -> Scale {
-        match std::env::var("RACKNI_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            _ => Scale::Quick,
+        let value = std::env::var_os("RACKNI_SCALE").map(|v| v.to_string_lossy().into_owned());
+        Scale::parse(value.as_deref())
+    }
+
+    /// The scale a `RACKNI_SCALE` value names; unset means quick.
+    fn parse(value: Option<&str>) -> Scale {
+        match value {
+            None | Some("quick") => Scale::Quick,
+            Some("full") => Scale::Full,
+            Some(v) => panic!("RACKNI_SCALE={v:?}: expected quick or full"),
         }
     }
 
@@ -69,6 +78,11 @@ impl Scale {
             Scale::Full => 60_000,
         }
     }
+}
+
+/// A torus's dimensions as written in tables and BENCH rows (`4x4x4`).
+fn dims_label((x, y, z): (u16, u16, u16)) -> String {
+    format!("{x}x{y}x{z}")
 }
 
 fn cfg_for(placement: NiPlacement, topology: Topology) -> ChipConfig {
@@ -479,29 +493,20 @@ pub fn nicache_ablation(scale: Scale) -> (f64, f64) {
 }
 
 /// One point of the multi-node rack-scale sweep.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct RackScalePoint {
     /// Torus dimensions.
     pub dims: (u16, u16, u16),
     /// Node count.
     pub nodes: u32,
-    /// Operations completed rack-wide.
-    pub completed_ops: u64,
-    /// Aggregate NI bandwidth rack-wide, GB/s: each node's RCP deliveries
-    /// plus RRPP services (§6.2's per-node definition), summed over nodes.
-    /// Note a cross-node transfer is counted at *both* endpoints (the
-    /// requester's RCP and the servicer's RRPP), so this reads ~2x a
-    /// wire-level payload rate — the per-NI view, comparable across rack
-    /// sizes but not directly to a single link's bandwidth.
-    pub agg_ni_gbps: f64,
     /// Busiest directed link's peak bandwidth, GB/s.
     pub peak_link_gbps: f64,
-    /// Total torus link traversals.
-    pub hops: u64,
     /// Mean hops per fabric packet (requests + responses).
     pub mean_hops: f64,
     /// Cycles simulated.
     pub cycles: u64,
+    /// The rack's counters at the end of the run.
+    pub snapshot: Snapshot,
 }
 
 fn rack_dims(scale: Scale) -> Vec<(u16, u16, u16)> {
@@ -636,17 +641,14 @@ fn measure_rack_point(
     RackScalePoint {
         dims,
         nodes: torus.nodes(),
-        completed_ops: s.cores.completed,
-        agg_ni_gbps: Frequency::GHZ2
-            .gbps_from_bytes_per_cycle(s.app_payload_bytes() as f64 / cycles as f64),
         peak_link_gbps: rack.peak_link_gbps(),
-        hops: s.hops,
         mean_hops: if packets == 0 {
             0.0
         } else {
             s.hops as f64 / packets as f64
         },
         cycles,
+        snapshot: s,
     }
 }
 
@@ -681,12 +683,12 @@ pub fn rack_scale_render(scale: Scale) -> String {
     ]);
     for p in &pts {
         t.row_owned(vec![
-            format!("{}x{}x{}", p.dims.0, p.dims.1, p.dims.2),
+            dims_label(p.dims),
             p.nodes.to_string(),
-            p.completed_ops.to_string(),
-            f1(p.agg_ni_gbps),
+            p.snapshot.cores.completed.to_string(),
+            f1(p.snapshot.app_gbps(p.cycles)),
             f1(p.peak_link_gbps),
-            p.hops.to_string(),
+            p.snapshot.hops.to_string(),
             f1(p.mean_hops),
         ]);
     }
@@ -726,10 +728,6 @@ pub fn rack_scale_render(scale: Scale) -> String {
 pub struct ScenarioPoint {
     /// Scenario name.
     pub name: String,
-    /// Operations completed rack-wide.
-    pub completed_ops: u64,
-    /// Aggregate NI bandwidth rack-wide, GB/s (per-node sum, §6.2).
-    pub agg_ni_gbps: f64,
     /// Busiest directed link's peak bandwidth, GB/s.
     pub peak_link_gbps: f64,
     /// Per-link load imbalance: busiest link's total bytes over the mean of
@@ -739,10 +737,10 @@ pub struct ScenarioPoint {
     /// RRPP queueing imbalance: hottest node's mean RRPP service latency
     /// over the rack-wide mean (1.0 = balanced).
     pub rrpp_skew: f64,
-    /// Total torus link traversals.
-    pub hops: u64,
     /// Cycles simulated.
     pub cycles: u64,
+    /// The rack's counters at the end of the run.
+    pub snapshot: Snapshot,
 }
 
 fn rrpp_latency_skew(rack: &Rack) -> f64 {
@@ -776,17 +774,13 @@ pub fn run_scenario_point(scenario: &dyn Scenario, cycles: u64) -> ScenarioPoint
     };
     let mut rack = Rack::with_scenario(cfg, scenario);
     rack.run(cycles);
-    let s = rack.snapshot();
     ScenarioPoint {
         name: rack.scenario_name().to_string(),
-        completed_ops: s.cores.completed,
-        agg_ni_gbps: Frequency::GHZ2
-            .gbps_from_bytes_per_cycle(s.app_payload_bytes() as f64 / cycles.max(1) as f64),
         peak_link_gbps: rack.peak_link_gbps(),
         link_skew: rack.link_byte_skew(),
         rrpp_skew: rrpp_latency_skew(&rack),
-        hops: s.hops,
         cycles,
+        snapshot: rack.snapshot(),
     }
 }
 
@@ -817,208 +811,38 @@ pub fn scenario_sweep_render(scale: Scale) -> String {
     for p in &pts {
         t.row_owned(vec![
             p.name.clone(),
-            p.completed_ops.to_string(),
-            f1(p.agg_ni_gbps),
+            p.snapshot.cores.completed.to_string(),
+            f1(p.snapshot.app_gbps(p.cycles)),
             f1(p.peak_link_gbps),
             format!("{:.2}x", p.link_skew),
             format!("{:.2}x", p.rrpp_skew),
-            p.hops.to_string(),
+            p.snapshot.hops.to_string(),
         ]);
     }
     t.render()
 }
 
-/// One cell of the torus routing-policy sweep: a traffic scenario run to
-/// completion on one rack under one [`RoutingKind`].
-#[derive(Clone, Debug)]
-pub struct RoutingPoint {
-    /// Traffic scenario label (`"uniform"`, `"opposite"`, `"zipf"`).
-    pub scenario: &'static str,
-    /// Torus routing policy.
-    pub routing: RoutingKind,
-    /// Torus dimensions.
-    pub dims: (u16, u16, u16),
-    /// Operations the capped job was expected to complete.
-    pub expected_ops: u64,
-    /// Operations actually completed (can fall short if the horizon hit).
-    pub completed_ops: u64,
-    /// Cycles until every capped op completed — the job-completion-time
-    /// metric (= the horizon when the run timed out).
-    pub completion_cycles: u64,
-    /// Median end-to-end remote-read latency in cycles (sync + async).
-    pub p50_read_cycles: u64,
-    /// 99th-percentile end-to-end remote-read latency in cycles.
-    pub p99_read_cycles: u64,
-    /// Busiest link's total bytes over the mean of all loaded links.
-    pub link_skew: f64,
-    /// Total torus link traversals.
-    pub hops: u64,
-}
+// ---- capped-job studies: routing, failure, availability ----------------------
 
-/// A labeled scenario constructor: grid cells build their own prototypes
-/// because scenarios are not `Clone`.
-type ScenarioFactory = fn() -> Box<dyn Scenario>;
+/// A scenario constructor: a cell builds its own prototype because
+/// scenarios are not `Clone`.
+pub type ScenarioFactory = fn() -> Box<dyn Scenario>;
 
-/// The sweep's traffic axis: uniformly spread asynchronous reads, the
-/// antipodal bisection stressor, and the Zipf hotspot — the three points
-/// span balanced, adversarial-but-symmetric, and skewed load.
-fn routing_scenarios() -> Vec<(&'static str, ScenarioFactory)> {
-    fn reads() -> Workload {
-        Workload::AsyncRead {
+/// 512 B asynchronous reads sent where `pattern` says.
+fn reads(pattern: TrafficPattern) -> Box<dyn Scenario> {
+    Box::new(
+        Synthetic::from_workload(Workload::AsyncRead {
             size: 512,
             poll_every: 4,
-        }
-    }
-    vec![
-        ("uniform", || {
-            Box::new(Synthetic::from_workload(reads()).with_pattern(TrafficPattern::Uniform))
-        }),
-        ("opposite", || {
-            Box::new(Synthetic::from_workload(reads()).with_pattern(TrafficPattern::Opposite))
-        }),
-        ("zipf", || Box::<ZipfHotspot>::default()),
-    ]
+        })
+        .with_pattern(pattern),
+    )
 }
 
-/// Per-core op budget of one routing point at this scale.
-fn routing_ops_per_core(scale: Scale) -> u64 {
-    match scale {
-        Scale::Quick => 8,
-        Scale::Full => 40,
-    }
-}
+/// Placement seed every availability cell derives its [`ReplicaCfg`] from.
+const REPLICA_SEED: u64 = 0x5eed_ab1e;
 
-/// Run `scenario` capped at `ops_per_core` ops per active core on a serial
-/// rack built from `cfg`, in 200-cycle slices (a tight completion cycle
-/// without checking every cycle), until every capped op completes or
-/// `horizon` passes; `observe` sees the rack after each slice. Returns the
-/// rack and the op count the job expects.
-fn run_capped_job(
-    cfg: RackSimConfig,
-    scenario: Box<dyn Scenario>,
-    ops_per_core: u64,
-    horizon: u64,
-    mut observe: impl FnMut(&Rack),
-) -> (Rack, u64) {
-    // Grid cells already saturate the host via `par_map`; nesting the
-    // rack's worker pool inside would oversubscribe it.
-    let cfg = RackSimConfig { threads: 1, ..cfg };
-    let expected_ops = u64::from(cfg.torus.nodes()) * cfg.chip.active_cores as u64 * ops_per_core;
-    let capped = Capped::new(scenario, ops_per_core);
-    let mut rack = Rack::with_scenario(cfg, &capped);
-    const SLICE: u64 = 200;
-    let completed = |rack: &Rack| rack.chips().iter().map(Chip::completed_ops).sum::<u64>();
-    while completed(&rack) < expected_ops && rack.now().0 < horizon {
-        rack.run(SLICE.min(horizon - rack.now().0));
-        observe(&rack);
-    }
-    (rack, expected_ops)
-}
-
-/// Run one cell of the routing grid: `scenario` capped at `ops_per_core`
-/// ops per core on a `dims` rack routed by `routing`, until the job
-/// completes (or `horizon` cycles pass).
-pub fn run_routing_point(
-    dims: (u16, u16, u16),
-    scenario_label: &'static str,
-    scenario: Box<dyn Scenario>,
-    routing: RoutingKind,
-    ops_per_core: u64,
-    horizon: u64,
-) -> RoutingPoint {
-    let cfg = RackSimConfig {
-        torus: Torus3D::new(dims.0, dims.1, dims.2),
-        chip: ChipConfig {
-            active_cores: 2,
-            ..ChipConfig::default()
-        },
-        routing,
-        ..RackSimConfig::default()
-    };
-    let (rack, expected_ops) = run_capped_job(cfg, scenario, ops_per_core, horizon, |_| {});
-    let s = rack.snapshot();
-    RoutingPoint {
-        scenario: scenario_label,
-        routing,
-        dims,
-        expected_ops,
-        completed_ops: s.cores.completed,
-        completion_cycles: rack.now().0,
-        p50_read_cycles: s.reads.percentile(0.50),
-        p99_read_cycles: s.reads.percentile(0.99),
-        link_skew: rack.link_byte_skew(),
-        hops: s.hops,
-    }
-}
-
-/// The routing-policy grid at arbitrary torus dimensions:
-/// `{uniform, opposite, zipf}` x [`RoutingKind::ALL`], each cell a capped
-/// job run to completion. Exposed separately from [`routing_sweep`] so
-/// tests can use small racks.
-pub fn routing_sweep_at(scale: Scale, dims: (u16, u16, u16)) -> Vec<RoutingPoint> {
-    let ops = routing_ops_per_core(scale);
-    let horizon = scale.rack_cycles() * 4;
-    let grid: Vec<(&'static str, ScenarioFactory, RoutingKind)> = routing_scenarios()
-        .into_iter()
-        .flat_map(|(label, make)| RoutingKind::ALL.into_iter().map(move |r| (label, make, r)))
-        .collect();
-    par_map(grid, move |(label, make, routing)| {
-        run_routing_point(dims, label, make(), routing, ops, horizon)
-    })
-}
-
-/// The paper-facing routing sweep (ROADMAP's "adaptive routing under
-/// congestion"): dimension-order vs minimal-adaptive vs random-minimal
-/// torus routing on a 4x4x4 64-node rack, across balanced, antipodal, and
-/// Zipf-skewed traffic. Reports job completion time, the remote-read tail,
-/// and per-link byte skew — the axis where congestion-aware routing should
-/// buy tail latency and balance without costing the deterministic
-/// baseline anything at zero load.
-pub fn routing_sweep(scale: Scale) -> Vec<RoutingPoint> {
-    routing_sweep_at(scale, (4, 4, 4))
-}
-
-/// Render a routing-sweep grid, grouped by scenario, with the DOR-relative
-/// skew deltas that make the comparison legible.
-pub fn routing_points_render(pts: &[RoutingPoint]) -> String {
-    let mut t = Table::new(&[
-        "scenario",
-        "routing",
-        "ops",
-        "completion (cycles)",
-        "p50 read",
-        "p99 read",
-        "link skew",
-        "vs DOR skew",
-        "hops",
-    ]);
-    for p in pts {
-        let dor_skew = pts
-            .iter()
-            .find(|q| q.scenario == p.scenario && q.routing == RoutingKind::DimensionOrder)
-            .map(|q| q.link_skew);
-        let rel = match dor_skew {
-            Some(d) if d > 0.0 && p.routing != RoutingKind::DimensionOrder => {
-                format!("{:+.1}%", (p.link_skew / d - 1.0) * 100.0)
-            }
-            _ => "-".into(),
-        };
-        t.row_owned(vec![
-            p.scenario.into(),
-            p.routing.name().into(),
-            format!("{}/{}", p.completed_ops, p.expected_ops),
-            p.completion_cycles.to_string(),
-            p.p50_read_cycles.to_string(),
-            p.p99_read_cycles.to_string(),
-            format!("{:.2}x", p.link_skew),
-            rel,
-            p.hops.to_string(),
-        ]);
-    }
-    t.render()
-}
-
-/// Which element of the torus one failure-sweep cell kills mid-run.
+/// Which failure schedule one cell injects mid-run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultCase {
     /// Healthy fabric — the baseline every degraded cell is read against.
@@ -1027,35 +851,41 @@ pub enum FaultCase {
     /// `+x` neighbor: the busiest kill a single link can be under hotspot
     /// traffic, and a routable-around fault (the torus stays connected).
     LinkKill,
-    /// Kill node 0 (the Zipf hot node) outright: its traffic — sourced,
-    /// relayed, and addressed — is erased, so every op targeting it can
-    /// only finish through the ITT's error completion.
+    /// Kill node 0 (the Zipf hot node) outright and never repair it: its
+    /// traffic — sourced, relayed, and addressed — is erased, so every op
+    /// targeting it finishes through the ITT's error completion or a
+    /// replica. The single-permanent-failure case the zero-lost-reads
+    /// claim is made on.
     NodeKill,
+    /// A rolling fault storm: two waves of one random node kill each,
+    /// every kill repaired before the run ends — the churn case where
+    /// repair-aware re-balancing (new ops always restart at the primary)
+    /// matters.
+    Storm,
 }
 
 impl FaultCase {
-    /// The three cases in sweep order.
-    pub const ALL: [FaultCase; 3] = [FaultCase::None, FaultCase::LinkKill, FaultCase::NodeKill];
-
     /// Stable label for tables and JSON (`"none"`, `"link-kill"`,
-    /// `"node-kill"`).
+    /// `"node-kill"`, `"storm"`).
     pub fn label(self) -> &'static str {
         match self {
             FaultCase::None => "none",
             FaultCase::LinkKill => "link-kill",
             FaultCase::NodeKill => "node-kill",
+            FaultCase::Storm => "storm",
         }
     }
 
-    /// The canonical [`FaultPlan`] of this case on `torus`, firing at
-    /// `at_cycle`. The link kill targets node 0's first real neighbor in
-    /// dimension order (`+x` on any torus wider than one in x; degenerate
-    /// 1-wide dimensions are skipped rather than producing a self-link).
-    /// On a 1×1×1 "torus" — a single node with no links — a
-    /// [`FaultCase::LinkKill`] degrades to the empty plan (there is
-    /// nothing to kill, and a healthy run is the honest result) instead of
-    /// panicking.
-    pub fn plan(self, torus: Torus3D, at_cycle: u64) -> FaultPlan {
+    /// The canonical [`FaultPlan`] of this case on `torus`, its first
+    /// fault firing at `params.kill_at`. The link kill targets node 0's
+    /// first real neighbor in dimension order (`+x` on any torus wider
+    /// than one in x; degenerate 1-wide dimensions are skipped rather than
+    /// producing a self-link). On a 1×1×1 "torus" — a single node with no
+    /// links — a [`FaultCase::LinkKill`] degrades to the empty plan (there
+    /// is nothing to kill, and a healthy run is the honest result) instead
+    /// of panicking.
+    pub fn plan(self, torus: Torus3D, params: FailureParams) -> FaultPlan {
+        let at = params.kill_at;
         match self {
             FaultCase::None => FaultPlan::new(),
             FaultCase::LinkKill => {
@@ -1064,59 +894,17 @@ impl FaultCase {
                     .map(|&d| torus.neighbor(0, d))
                     .find(|&n| n != 0)
                 {
-                    Some(neighbor) => FaultPlan::new().link_down(0, neighbor, at_cycle),
+                    Some(neighbor) => FaultPlan::new().link_down(0, neighbor, at),
                     None => FaultPlan::new(),
                 }
             }
-            FaultCase::NodeKill => FaultPlan::new().node_down(0, at_cycle),
+            FaultCase::NodeKill => FaultPlan::new().node_down(0, at),
+            FaultCase::Storm => {
+                let t = params.itt_timeout;
+                FaultPlan::fault_storm(torus, REPLICA_SEED, 2, 1, at, t * 4, t * 2)
+            }
         }
     }
-}
-
-/// One cell of the failure sweep: a capped job on one rack under one
-/// routing policy with one mid-run fault.
-#[derive(Clone, Debug)]
-pub struct FailurePoint {
-    /// Traffic scenario label (`"uniform"`, `"zipf"`).
-    pub scenario: &'static str,
-    /// Injected fault.
-    pub fault: FaultCase,
-    /// Torus routing policy.
-    pub routing: RoutingKind,
-    /// Torus dimensions.
-    pub dims: (u16, u16, u16),
-    /// Cycle the fault fired at (meaningless for [`FaultCase::None`]).
-    pub kill_at: u64,
-    /// Operations the capped job was expected to complete.
-    pub expected_ops: u64,
-    /// Operations that completed — successfully *or* with an error CQ
-    /// status. `< expected_ops` means the run hit the horizon with work
-    /// still wedged (the DOR-under-link-kill signature when the ITT
-    /// watchdog is generous).
-    pub completed_ops: u64,
-    /// Operations that completed with an error CQ status — the op-level
-    /// blast radius.
-    pub failed_ops: u64,
-    /// Cycles until every capped op completed (= the horizon on timeout).
-    pub completion_cycles: u64,
-    /// True when every expected op completed within the horizon.
-    pub completed_all: bool,
-    /// Median end-to-end latency of *successful* remote reads, cycles.
-    pub p50_read_cycles: u64,
-    /// 99th-percentile latency of successful remote reads, cycles.
-    pub p99_read_cycles: u64,
-    /// Busiest link's total bytes over the mean of all loaded links.
-    pub link_skew: f64,
-    /// ITT watchdog expiries rack-wide.
-    pub itt_timeouts: u64,
-    /// ITT re-sends rack-wide.
-    pub itt_retries: u64,
-    /// Packets erased by the dead node (fabric-level blast radius).
-    pub packets_dropped: u64,
-    /// Forward attempts parked at a dead link (stall pressure).
-    pub dead_link_stalls: u64,
-    /// Non-minimal escape hops `fault-adaptive` actually spent.
-    pub escape_hops: u64,
 }
 
 /// Failure-sweep knobs at one [`Scale`]: per-core op budget, fault firing
@@ -1160,222 +948,118 @@ impl FailureParams {
     }
 }
 
-/// The failure sweep's traffic axis: balanced asynchronous reads and the
-/// Zipf hotspot (whose hot node is exactly what the canonical faults hit).
-fn failure_scenarios() -> Vec<(&'static str, ScenarioFactory)> {
-    vec![
-        ("uniform", || {
-            Box::new(
-                Synthetic::from_workload(Workload::AsyncRead {
-                    size: 512,
-                    poll_every: 4,
-                })
-                .with_pattern(TrafficPattern::Uniform),
-            )
-        }),
-        ("zipf", || Box::<ZipfHotspot>::default()),
-    ]
-}
-
-/// Run one cell of the failure grid: `scenario` capped at
-/// `params.ops_per_core` ops per core on a `dims` rack routed by
-/// `routing`, with `fault`'s canonical kill firing at `params.kill_at`,
-/// until the job completes or `params.horizon` passes.
-pub fn run_failure_point(
-    dims: (u16, u16, u16),
-    scenario_label: &'static str,
-    scenario: Box<dyn Scenario>,
-    routing: RoutingKind,
-    fault: FaultCase,
-    params: FailureParams,
-) -> FailurePoint {
-    let torus = Torus3D::new(dims.0, dims.1, dims.2);
-    let mut chip = ChipConfig {
-        active_cores: 2,
-        ..ChipConfig::default()
-    };
-    // The ITT watchdog is the recovery story for erased traffic; without
-    // it a node kill would wedge every op targeting the corpse.
-    chip.rmc.itt_timeout = params.itt_timeout;
-    chip.rmc.itt_retries = params.itt_retries;
-    let cfg = RackSimConfig {
-        torus,
-        chip,
-        routing,
-        faults: fault.plan(torus, params.kill_at),
-        ..RackSimConfig::default()
-    };
-    let (rack, expected_ops) =
-        run_capped_job(cfg, scenario, params.ops_per_core, params.horizon, |_| {});
-    let s = rack.snapshot();
-    FailurePoint {
-        scenario: scenario_label,
-        fault,
-        routing,
-        dims,
-        kill_at: params.kill_at,
-        expected_ops,
-        completed_ops: s.cores.completed,
-        failed_ops: s.cores.failed,
-        completion_cycles: rack.now().0,
-        completed_all: s.cores.completed >= expected_ops,
-        p50_read_cycles: s.reads.percentile(0.50),
-        p99_read_cycles: s.reads.percentile(0.99),
-        link_skew: rack.link_byte_skew(),
-        itt_timeouts: s.backends.itt_timeouts.get(),
-        itt_retries: s.backends.itt_retries.get(),
-        packets_dropped: s.faults.packets_dropped.get(),
-        dead_link_stalls: s.faults.dead_link_stalls.get(),
-        escape_hops: s.faults.escape_hops.get(),
-    }
-}
-
-/// The failure grid at arbitrary torus dimensions:
-/// `{uniform, zipf}` × `{none, link-kill, node-kill}` ×
-/// `{dor, fault-adaptive}`, each cell a capped job run to completion (or
-/// the horizon). Exposed separately from [`failure_sweep`] so tests can
-/// use small racks.
-pub fn failure_sweep_at(scale: Scale, dims: (u16, u16, u16)) -> Vec<FailurePoint> {
-    let params = FailureParams::at(scale);
-    let routings = [RoutingKind::DimensionOrder, RoutingKind::FaultAdaptive];
-    let grid: Vec<(&'static str, ScenarioFactory, FaultCase, RoutingKind)> = failure_scenarios()
-        .into_iter()
-        .flat_map(|(label, make)| {
-            FaultCase::ALL
-                .into_iter()
-                .flat_map(move |f| routings.into_iter().map(move |r| (label, make, f, r)))
-        })
-        .collect();
-    par_map(grid, move |(label, make, fault, routing)| {
-        run_failure_point(dims, label, make(), routing, fault, params)
-    })
-}
-
-/// The paper-facing failure sweep (ROADMAP's "failure injection"): kill a
-/// link or a node of a 4x4x4 64-node rack mid-run and measure the blast
-/// radius — job completion, failed-op count, the surviving reads' tail,
-/// and link skew — under health-blind dimension-order routing versus
-/// [`FaultAdaptive`](ni_fabric::FaultAdaptive). The claims the CI-run
-/// `examples/failure_study.rs` asserts come from exactly this grid.
-pub fn failure_sweep(scale: Scale) -> Vec<FailurePoint> {
-    failure_sweep_at(scale, (4, 4, 4))
-}
-
-/// Render the failure sweep grouped by scenario and fault.
-pub fn failure_points_render(pts: &[FailurePoint]) -> String {
-    let mut t = Table::new(&[
-        "scenario",
-        "fault",
-        "routing",
-        "ops",
-        "failed",
-        "completion (cycles)",
-        "p50 ok-read",
-        "p99 ok-read",
-        "timeouts",
-        "retries",
-        "dropped",
-        "stalls",
-        "escapes",
-    ]);
-    for p in pts {
-        t.row_owned(vec![
-            p.scenario.into(),
-            p.fault.label().into(),
-            p.routing.name().into(),
-            format!("{}/{}", p.completed_ops, p.expected_ops),
-            p.failed_ops.to_string(),
-            if p.completed_all {
-                p.completion_cycles.to_string()
-            } else {
-                format!(">{} (horizon)", p.completion_cycles)
-            },
-            p.p50_read_cycles.to_string(),
-            p.p99_read_cycles.to_string(),
-            p.itt_timeouts.to_string(),
-            p.itt_retries.to_string(),
-            p.packets_dropped.to_string(),
-            p.dead_link_stalls.to_string(),
-            p.escape_hops.to_string(),
-        ]);
-    }
-    t.render()
-}
-
-// ---- availability sweep ------------------------------------------------------
-
-/// Placement seed every availability cell derives its [`ReplicaCfg`] from.
-const REPLICA_SEED: u64 = 0x5eed_ab1e;
-
-/// Which failure schedule one availability-sweep cell injects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AvailFault {
-    /// Healthy rack — the baseline throughput/latency reference.
-    None,
-    /// Kill node 0 outright at `kill_at` and never repair it: the
-    /// single-permanent-failure case the zero-lost-reads claim is made on.
-    NodeKill,
-    /// A rolling fault storm: two waves of one random node kill each,
-    /// every kill repaired before the run ends — the churn case where
-    /// repair-aware re-balancing (new ops always restart at the primary)
-    /// matters.
-    Storm,
-}
-
-impl AvailFault {
-    /// The three cases in sweep order.
-    pub const ALL: [AvailFault; 3] = [AvailFault::None, AvailFault::NodeKill, AvailFault::Storm];
-
-    /// Stable label for tables and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            AvailFault::None => "none",
-            AvailFault::NodeKill => "node-kill",
-            AvailFault::Storm => "storm",
-        }
-    }
-
-    /// This case's canonical [`FaultPlan`] on `torus` under `params`.
-    pub fn plan(self, torus: Torus3D, params: FailureParams) -> FaultPlan {
-        match self {
-            AvailFault::None => FaultPlan::new(),
-            AvailFault::NodeKill => FaultPlan::new().node_down(0, params.kill_at),
-            AvailFault::Storm => FaultPlan::fault_storm(
-                torus,
-                REPLICA_SEED,
-                2,
-                1,
-                params.kill_at,
-                params.itt_timeout * 4,
-                params.itt_timeout * 2,
-            ),
-        }
-    }
-}
-
-/// One cell of the availability sweep: a capped job under one replication
-/// config (`k`, `w`) and one fault schedule, with WQ replay armed
-/// (`replay_budget == k - 1`) and fault-adaptive routing.
+/// One cell of the routing, failure or availability study: a scenario
+/// capped at `ops_per_core` ops per active core on the rack `cfg`
+/// describes, run until every capped op completed or `horizon` passed.
 #[derive(Clone, Debug)]
-pub struct AvailabilityPoint {
-    /// Traffic scenario label (`"reads"`, `"writes"`).
+pub struct JobCell {
+    /// Traffic scenario label (`"uniform"`, `"zipf"`, `"reads"`, ...).
     pub scenario: &'static str,
-    /// Injected fault schedule.
-    pub fault: AvailFault,
-    /// Replication degree.
-    pub k: u8,
-    /// Write quorum.
-    pub w: u8,
-    /// Torus dimensions.
-    pub dims: (u16, u16, u16),
-    /// Cycle the first fault fired at.
+    /// Builds the scenario.
+    pub make: ScenarioFactory,
+    /// The injected fault; `cfg.faults` is its plan.
+    pub fault: FaultCase,
+    /// Cycle the fault fires at (0 in a routing cell).
     pub kill_at: u64,
+    /// Ops per active core of the capped job.
+    pub ops_per_core: u64,
+    /// Hard cycle cap.
+    pub horizon: u64,
+    /// The rack: torus, routing, chips and fault plan.
+    pub cfg: RackSimConfig,
+}
+
+impl JobCell {
+    /// A routing cell: `scenario` on a `dims` rack of two-core chips with
+    /// the default RMC, routed by `routing`, with no fault.
+    pub fn routing(
+        dims: (u16, u16, u16),
+        (scenario, make): (&'static str, ScenarioFactory),
+        routing: RoutingKind,
+        ops_per_core: u64,
+        horizon: u64,
+    ) -> JobCell {
+        JobCell {
+            scenario,
+            make,
+            fault: FaultCase::None,
+            kill_at: 0,
+            ops_per_core,
+            horizon,
+            cfg: RackSimConfig {
+                torus: Torus3D::new(dims.0, dims.1, dims.2),
+                chip: ChipConfig {
+                    active_cores: 2,
+                    ..ChipConfig::default()
+                },
+                routing,
+                // Grid cells already saturate the host via `par_map`;
+                // nesting the rack's worker pool inside would oversubscribe
+                // it.
+                threads: 1,
+                ..RackSimConfig::default()
+            },
+        }
+    }
+
+    /// A failure cell: a routing cell with the ITT watchdog of `params`
+    /// armed and `fault`'s plan firing at `params.kill_at`.
+    pub fn failure(
+        dims: (u16, u16, u16),
+        scenario: (&'static str, ScenarioFactory),
+        routing: RoutingKind,
+        fault: FaultCase,
+        params: FailureParams,
+    ) -> JobCell {
+        let mut cell =
+            JobCell::routing(dims, scenario, routing, params.ops_per_core, params.horizon);
+        // The ITT watchdog is the recovery story for erased traffic;
+        // without it a node kill would wedge every op targeting the corpse.
+        cell.cfg.chip.rmc.itt_timeout = params.itt_timeout;
+        cell.cfg.chip.rmc.itt_retries = params.itt_retries;
+        cell.cfg.faults = fault.plan(cell.cfg.torus, params);
+        JobCell {
+            fault,
+            kill_at: params.kill_at,
+            ..cell
+        }
+    }
+
+    /// An availability cell: a fault-adaptive failure cell whose chips
+    /// replicate `k` ways with write quorum `w` and replay a timed-out
+    /// request up to `k - 1` times.
+    pub fn availability(
+        dims: (u16, u16, u16),
+        scenario: (&'static str, ScenarioFactory),
+        fault: FaultCase,
+        (k, w): (u8, u8),
+        params: FailureParams,
+    ) -> JobCell {
+        let mut cell = JobCell::failure(dims, scenario, RoutingKind::FaultAdaptive, fault, params);
+        let rmc = &mut cell.cfg.chip.rmc;
+        rmc.replication = ReplicaCfg {
+            k,
+            w,
+            seed: REPLICA_SEED,
+        };
+        rmc.replay_budget = u32::from(k.saturating_sub(1));
+        cell
+    }
+}
+
+/// What one [`JobCell`] measured.
+#[derive(Clone, Debug)]
+pub struct JobPoint {
+    /// The cell that ran.
+    pub cell: JobCell,
     /// Operations the capped job was expected to complete.
     pub expected_ops: u64,
-    /// Operations that completed (ok or error).
-    pub completed_ops: u64,
-    /// Operations rack-wide that completed with an error CQ status.
-    pub failed_ops: u64,
+    /// Cycles until every capped op completed (= the horizon on timeout).
+    pub completion_cycles: u64,
+    /// Recovery time: cycles from the first kill to the last 200-cycle
+    /// slice in which a failed or degraded completion landed — how long
+    /// the rack stayed visibly degraded. Zero when none landed.
+    pub recovery_cycles: u64,
     /// Remote reads *lost* — error-completed on nodes the fault plan never
     /// killed. Corpse-issued work is excluded on purpose: a dead server's
     /// own in-flight client activity is not user traffic, while a
@@ -1386,48 +1070,246 @@ pub struct AvailabilityPoint {
     /// Error-completed reads on killed nodes (reported for transparency,
     /// not counted as losses).
     pub corpse_failed_reads: u64,
-    /// Operations that completed ok through a recovery path (replay or a
-    /// quorum that absorbed a dead leg) — the degraded-mode work.
-    pub degraded_ops: u64,
-    /// WQ replays rack-wide.
-    pub replays: u64,
-    /// Writes fanned out to a quorum rack-wide.
-    pub quorum_writes: u64,
-    /// Quorum fan-out legs lost to the watchdog rack-wide.
-    pub quorum_leg_failures: u64,
-    /// Cycles until every capped op completed (= the horizon on timeout).
-    pub completion_cycles: u64,
-    /// True when every expected op completed within the horizon.
-    pub completed_all: bool,
-    /// Recovery time: cycles from the first kill to the last observed
-    /// failed/degraded completion — how long the rack stayed visibly
-    /// degraded. Zero for the healthy baseline.
-    pub recovery_cycles: u64,
-    /// Degraded-mode throughput: completed ops per kilocycle.
-    pub ops_per_kcycle: f64,
-    /// Median latency of healthy (first-try) remote reads, cycles.
-    pub p50_read_cycles: u64,
-    /// 99th percentile of healthy remote reads, cycles.
-    pub p99_read_cycles: u64,
-    /// 99th percentile of *degraded* (replayed) remote reads, cycles — the
-    /// price of transparent failover, reported apart from the healthy tail.
-    pub p99_degraded_read_cycles: u64,
+    /// Busiest link's total bytes over the mean of all loaded links.
+    pub link_skew: f64,
+    /// The rack's counters at the end of the run.
+    pub snapshot: Snapshot,
 }
 
-/// The availability sweep's traffic axis: a read-only and a write-only
-/// uniform job, so read failover and write quorums are each exercised in
-/// isolation and attribution stays unambiguous.
-fn availability_scenarios() -> Vec<(&'static str, ScenarioFactory)> {
-    vec![
-        ("reads", || {
-            Box::new(
-                Synthetic::from_workload(Workload::AsyncRead {
-                    size: 512,
-                    poll_every: 4,
-                })
-                .with_pattern(TrafficPattern::Uniform),
-            )
-        }),
+impl JobPoint {
+    /// True when every expected op completed (ok or with an error status)
+    /// within the horizon.
+    pub fn completed_all(&self) -> bool {
+        self.snapshot.cores.completed >= self.expected_ops
+    }
+
+    /// Throughput, degraded or not: completed ops per kilocycle.
+    pub fn ops_per_kcycle(&self) -> f64 {
+        if self.completion_cycles == 0 {
+            0.0
+        } else {
+            self.snapshot.cores.completed as f64 * 1000.0 / self.completion_cycles as f64
+        }
+    }
+
+    /// This cell's `BENCH_failure.json` point.
+    pub fn failure_row(&self) -> JsonRow {
+        let (c, s) = (&self.cell, &self.snapshot);
+        let mut row = JsonRow::default();
+        row.str("scenario", c.scenario)
+            .str("fault", c.fault.label())
+            .str("routing", c.cfg.routing.name())
+            .str("torus", dims_label(c.cfg.torus.dims()))
+            .num("kill_at", c.kill_at)
+            .num("expected_ops", self.expected_ops)
+            .num("completed_ops", s.cores.completed)
+            .num("failed_ops", s.cores.failed)
+            .num("completed_all", self.completed_all())
+            .num("completion_cycles", self.completion_cycles)
+            .num("p50_ok_read", s.reads.percentile(0.50))
+            .num("p99_ok_read", s.reads.percentile(0.99))
+            .float("link_skew", self.link_skew, 4)
+            .num("itt_timeouts", s.backends.itt_timeouts)
+            .num("itt_retries", s.backends.itt_retries)
+            .num("packets_dropped", s.faults.packets_dropped)
+            .num("dead_link_stalls", s.faults.dead_link_stalls)
+            .num("escape_hops", s.faults.escape_hops);
+        row
+    }
+
+    /// This cell's `BENCH_availability.json` point.
+    pub fn availability_row(&self) -> JsonRow {
+        let (c, s) = (&self.cell, &self.snapshot);
+        let mut row = JsonRow::default();
+        row.str("scenario", c.scenario)
+            .str("fault", c.fault.label())
+            .num("k", c.cfg.chip.rmc.replication.k)
+            .num("w", c.cfg.chip.rmc.replication.w)
+            .str("torus", dims_label(c.cfg.torus.dims()))
+            .num("kill_at", c.kill_at)
+            .num("expected_ops", self.expected_ops)
+            .num("completed_ops", s.cores.completed)
+            .num("failed_ops", s.cores.failed)
+            .num("lost_reads", self.lost_reads)
+            .num("corpse_failed_reads", self.corpse_failed_reads)
+            .num("degraded_ops", s.cores.degraded)
+            .num("replays", s.backends.replays)
+            .num("quorum_writes", s.backends.quorum_writes)
+            .num("quorum_leg_failures", s.backends.quorum_leg_failures)
+            .num("completed_all", self.completed_all())
+            .num("completion_cycles", self.completion_cycles)
+            .num("recovery_cycles", self.recovery_cycles)
+            .float("ops_per_kcycle", self.ops_per_kcycle(), 4)
+            .num("p50_ok_read", s.reads.percentile(0.50))
+            .num("p99_ok_read", s.reads.percentile(0.99))
+            .num("p99_degraded_read", s.degraded_reads.percentile(0.99));
+        row
+    }
+}
+
+/// Run `cell`'s capped job in 200-cycle slices (a tight completion cycle
+/// without checking every cycle) until every capped op completes or the
+/// horizon passes, noting after each slice whether a failed or degraded
+/// completion landed.
+pub fn run_job(cell: JobCell) -> JobPoint {
+    const SLICE: u64 = 200;
+    let cfg = &cell.cfg;
+    let expected_ops =
+        u64::from(cfg.torus.nodes()) * cfg.chip.active_cores as u64 * cell.ops_per_core;
+    let killed = cfg.faults.killed_nodes();
+    let capped = Capped::new((cell.make)(), cell.ops_per_core);
+    let mut rack = Rack::with_scenario(cfg.clone(), &capped);
+    let completed = |rack: &Rack| rack.chips().iter().map(Chip::completed_ops).sum::<u64>();
+    let (mut seen, mut last_degraded) = ((0, 0), 0);
+    while completed(&rack) < expected_ops && rack.now().0 < cell.horizon {
+        rack.run(SLICE.min(cell.horizon - rack.now().0));
+        let chips = rack.chips().iter();
+        let cur = chips.fold((0, 0), |(f, d), c| {
+            (f + c.failed_ops(), d + c.degraded_ops())
+        });
+        if cur != seen {
+            seen = cur;
+            last_degraded = rack.now().0;
+        }
+    }
+    let (mut lost_reads, mut corpse_failed_reads) = (0, 0);
+    for (node, c) in rack.chips().iter().enumerate() {
+        let failed = c.snapshot().cores.failed_reads;
+        if killed.contains(&(node as u32)) {
+            corpse_failed_reads += failed;
+        } else {
+            lost_reads += failed;
+        }
+    }
+    JobPoint {
+        expected_ops,
+        completion_cycles: rack.now().0,
+        recovery_cycles: last_degraded.saturating_sub(cell.kill_at),
+        lost_reads,
+        corpse_failed_reads,
+        link_skew: rack.link_byte_skew(),
+        snapshot: rack.snapshot(),
+        cell,
+    }
+}
+
+/// The paper-facing routing sweep (ROADMAP's "adaptive routing under
+/// congestion"): dimension-order vs minimal-adaptive vs random-minimal
+/// torus routing on a 4x4x4 64-node rack, across uniformly spread
+/// asynchronous reads, the antipodal bisection stressor, and the Zipf
+/// hotspot — balanced, adversarial-but-symmetric, and skewed load — each
+/// cell a capped job run to completion. Reports job completion time, the
+/// remote-read tail, and per-link byte skew — the axis where
+/// congestion-aware routing should buy tail latency and balance without
+/// costing the deterministic baseline anything at zero load.
+pub fn routing_sweep(scale: Scale) -> Vec<JobPoint> {
+    let ops = match scale {
+        Scale::Quick => 8,
+        Scale::Full => 40,
+    };
+    let horizon = scale.rack_cycles() * 4;
+    let scenarios: [(&'static str, ScenarioFactory); 3] = [
+        ("uniform", || reads(TrafficPattern::Uniform)),
+        ("opposite", || reads(TrafficPattern::Opposite)),
+        ("zipf", || Box::<ZipfHotspot>::default()),
+    ];
+    let grid = scenarios.into_iter().flat_map(|s| {
+        RoutingKind::ALL
+            .into_iter()
+            .map(move |r| JobCell::routing((4, 4, 4), s, r, ops, horizon))
+    });
+    par_map(grid.collect(), run_job)
+}
+
+/// Render a routing-sweep grid, grouped by scenario, with the DOR-relative
+/// skew deltas that make the comparison legible.
+pub fn routing_points_render(pts: &[JobPoint]) -> String {
+    let mut t = Table::new(&[
+        "scenario",
+        "routing",
+        "ops",
+        "completion (cycles)",
+        "p50 read",
+        "p99 read",
+        "link skew",
+        "vs DOR skew",
+        "hops",
+    ]);
+    let dor = RoutingKind::DimensionOrder;
+    for p in pts {
+        let (c, s) = (&p.cell, &p.snapshot);
+        let dor_skew = pts
+            .iter()
+            .find(|q| q.cell.scenario == c.scenario && q.cell.cfg.routing == dor)
+            .map(|q| q.link_skew);
+        let rel = match dor_skew {
+            Some(d) if d > 0.0 && c.cfg.routing != dor => {
+                format!("{:+.1}%", (p.link_skew / d - 1.0) * 100.0)
+            }
+            _ => "-".into(),
+        };
+        t.row_owned(vec![
+            c.scenario.into(),
+            c.cfg.routing.name().into(),
+            format!("{}/{}", s.cores.completed, p.expected_ops),
+            p.completion_cycles.to_string(),
+            s.reads.percentile(0.50).to_string(),
+            s.reads.percentile(0.99).to_string(),
+            format!("{:.2}x", p.link_skew),
+            rel,
+            s.hops.to_string(),
+        ]);
+    }
+    t.render()
+}
+
+/// The paper-facing failure sweep (ROADMAP's "failure injection"): kill a
+/// link or a node of a 4x4x4 64-node rack mid-run and measure the blast
+/// radius — job completion, failed-op count, the surviving reads' tail,
+/// and link skew — under health-blind dimension-order routing versus
+/// [`FaultAdaptive`](ni_fabric::FaultAdaptive). The grid is
+/// `{uniform, zipf}` × `{none, link-kill, node-kill}` ×
+/// `{dor, fault-adaptive}`, each cell a capped job run to completion (or
+/// the horizon). The claims the CI-run `examples/failure_study.rs` asserts
+/// come from exactly this grid.
+pub fn failure_sweep(scale: Scale) -> Vec<JobPoint> {
+    let params = FailureParams::at(scale);
+    // The Zipf hot node (node 0) is the one the canonical faults hit.
+    let scenarios: [(&'static str, ScenarioFactory); 2] = [
+        ("uniform", || reads(TrafficPattern::Uniform)),
+        ("zipf", || Box::<ZipfHotspot>::default()),
+    ];
+    let faults = [FaultCase::None, FaultCase::LinkKill, FaultCase::NodeKill];
+    let routings = [RoutingKind::DimensionOrder, RoutingKind::FaultAdaptive];
+    let grid = scenarios.into_iter().flat_map(|s| {
+        faults.into_iter().flat_map(move |f| {
+            routings
+                .into_iter()
+                .map(move |r| JobCell::failure((4, 4, 4), s, r, f, params))
+        })
+    });
+    par_map(grid.collect(), run_job)
+}
+
+/// The sweep's replication axis: no replication (the blast-radius
+/// baseline), mirrored pairs completing on one ack, and 3-way replication
+/// with a majority write quorum.
+pub const AVAIL_KW: [(u8, u8); 3] = [(1, 1), (2, 1), (3, 2)];
+
+/// The paper-facing availability study (ROADMAP's "transparent recovery"):
+/// on a 4×4×4 64-node rack, sweep replication degree and write quorum
+/// against mid-run node kills and fault storms, and report requests lost,
+/// degraded-mode throughput, replay counts, and recovery time. The grid is
+/// `{reads, writes}` × [`AVAIL_KW`] × `{none, node-kill, storm}`: a
+/// read-only and a write-only uniform job, so read failover and write
+/// quorums are each exercised in isolation and attribution stays
+/// unambiguous. The claims the CI-run `examples/availability_study.rs`
+/// asserts — above all "a node kill at `k >= 2` loses zero reads" — come
+/// from exactly this grid.
+pub fn availability_sweep(scale: Scale) -> Vec<JobPoint> {
+    let params = FailureParams::at(scale);
+    let scenarios: [(&'static str, ScenarioFactory); 2] = [
+        ("reads", || reads(TrafficPattern::Uniform)),
         ("writes", || {
             Box::new(
                 Synthetic::from_workload(Workload::AsyncWrite {
@@ -1437,169 +1319,16 @@ fn availability_scenarios() -> Vec<(&'static str, ScenarioFactory)> {
                 .with_pattern(TrafficPattern::Uniform),
             )
         }),
-    ]
-}
-
-/// The sweep's replication axis: no replication (the blast-radius
-/// baseline), mirrored pairs completing on one ack, and 3-way replication
-/// with a majority write quorum.
-pub const AVAIL_KW: [(u8, u8); 3] = [(1, 1), (2, 1), (3, 2)];
-
-/// Run one cell of the availability grid: `scenario` capped at
-/// `params.ops_per_core` ops per core on a `dims` rack with `k`-way
-/// replication (write quorum `w`, replay budget `k - 1`), under `fault`'s
-/// schedule and fault-adaptive routing, until the job completes or the
-/// horizon passes.
-pub fn run_availability_point(
-    dims: (u16, u16, u16),
-    scenario_label: &'static str,
-    scenario: Box<dyn Scenario>,
-    fault: AvailFault,
-    k: u8,
-    w: u8,
-    params: FailureParams,
-) -> AvailabilityPoint {
-    let torus = Torus3D::new(dims.0, dims.1, dims.2);
-    let mut chip = ChipConfig {
-        active_cores: 2,
-        ..ChipConfig::default()
-    };
-    chip.rmc.itt_timeout = params.itt_timeout;
-    chip.rmc.itt_retries = params.itt_retries;
-    chip.rmc.replication = ReplicaCfg {
-        k,
-        w,
-        seed: REPLICA_SEED,
-    };
-    chip.rmc.replay_budget = u32::from(k.saturating_sub(1));
-    let plan = fault.plan(torus, params);
-    let killed = plan.killed_nodes();
-    let cfg = RackSimConfig {
-        torus,
-        chip,
-        routing: RoutingKind::FaultAdaptive,
-        faults: plan,
-        ..RackSimConfig::default()
-    };
-    // Track when the rack last *looked* degraded: the last slice boundary
-    // at which a failed or degraded completion landed.
-    let mut last_degraded_activity = 0u64;
-    let mut seen = (0u64, 0u64);
-    let (rack, expected_ops) =
-        run_capped_job(cfg, scenario, params.ops_per_core, params.horizon, |rack| {
-            let chips = rack.chips().iter();
-            let cur = chips.fold((0, 0), |(f, d), c| {
-                (f + c.failed_ops(), d + c.degraded_ops())
-            });
-            if cur != seen {
-                seen = cur;
-                last_degraded_activity = rack.now().0;
-            }
-        });
-    let (mut lost_reads, mut corpse_failed_reads) = (0u64, 0u64);
-    for (node, c) in rack.chips().iter().enumerate() {
-        if killed.contains(&(node as u32)) {
-            corpse_failed_reads += c.snapshot().cores.failed_reads;
-        } else {
-            lost_reads += c.snapshot().cores.failed_reads;
-        }
-    }
-    let s = rack.snapshot();
-    let completion_cycles = rack.now().0;
-    AvailabilityPoint {
-        scenario: scenario_label,
-        fault,
-        k,
-        w,
-        dims,
-        kill_at: params.kill_at,
-        expected_ops,
-        completed_ops: s.cores.completed,
-        failed_ops: s.cores.failed,
-        lost_reads,
-        corpse_failed_reads,
-        degraded_ops: s.cores.degraded,
-        replays: s.backends.replays.get(),
-        quorum_writes: s.backends.quorum_writes.get(),
-        quorum_leg_failures: s.backends.quorum_leg_failures.get(),
-        completion_cycles,
-        completed_all: s.cores.completed >= expected_ops,
-        recovery_cycles: last_degraded_activity.saturating_sub(params.kill_at),
-        ops_per_kcycle: if completion_cycles == 0 {
-            0.0
-        } else {
-            s.cores.completed as f64 * 1000.0 / completion_cycles as f64
-        },
-        p50_read_cycles: s.reads.percentile(0.50),
-        p99_read_cycles: s.reads.percentile(0.99),
-        p99_degraded_read_cycles: s.degraded_reads.percentile(0.99),
-    }
-}
-
-/// The availability grid at arbitrary torus dimensions:
-/// `{reads, writes}` × `{(k,w)}` × `{none, node-kill, storm}`, every cell
-/// under fault-adaptive routing with replay armed. Exposed separately from
-/// [`availability_sweep`] so tests can use small racks.
-pub fn availability_sweep_at(scale: Scale, dims: (u16, u16, u16)) -> Vec<AvailabilityPoint> {
-    let params = FailureParams::at(scale);
-    let grid: Vec<(&'static str, ScenarioFactory, (u8, u8), AvailFault)> = availability_scenarios()
-        .into_iter()
-        .flat_map(|(label, make)| {
-            AVAIL_KW.into_iter().flat_map(move |kw| {
-                AvailFault::ALL
-                    .into_iter()
-                    .map(move |f| (label, make, kw, f))
-            })
+    ];
+    let faults = [FaultCase::None, FaultCase::NodeKill, FaultCase::Storm];
+    let grid = scenarios.into_iter().flat_map(|s| {
+        AVAIL_KW.into_iter().flat_map(move |kw| {
+            faults
+                .into_iter()
+                .map(move |f| JobCell::availability((4, 4, 4), s, f, kw, params))
         })
-        .collect();
-    par_map(grid, move |(label, make, (k, w), fault)| {
-        run_availability_point(dims, label, make(), fault, k, w, params)
-    })
-}
-
-/// The paper-facing availability study (ROADMAP's "transparent recovery"):
-/// on a 4×4×4 64-node rack, sweep replication degree and write quorum
-/// against mid-run node kills and fault storms, and report requests lost,
-/// degraded-mode throughput, replay counts, and recovery time. The claims
-/// the CI-run `examples/availability_study.rs` asserts — above all "a node
-/// kill at `k >= 2` loses zero reads" — come from exactly this grid.
-pub fn availability_sweep(scale: Scale) -> Vec<AvailabilityPoint> {
-    availability_sweep_at(scale, (4, 4, 4))
-}
-
-/// Render the availability sweep grouped by scenario, replication, fault.
-pub fn availability_points_render(pts: &[AvailabilityPoint]) -> String {
-    let mut t = Table::new(&[
-        "scenario",
-        "k/w",
-        "fault",
-        "ops",
-        "lost reads",
-        "degraded",
-        "replays",
-        "quorum legs lost",
-        "recovery (cycles)",
-        "ops/kcycle",
-        "p99 ok-read",
-        "p99 degraded",
-    ]);
-    for p in pts {
-        t.row_owned(vec![
-            p.scenario.into(),
-            format!("{}/{}", p.k, p.w),
-            p.fault.label().into(),
-            format!("{}/{}", p.completed_ops, p.expected_ops),
-            p.lost_reads.to_string(),
-            p.degraded_ops.to_string(),
-            p.replays.to_string(),
-            p.quorum_leg_failures.to_string(),
-            p.recovery_cycles.to_string(),
-            f1(p.ops_per_kcycle),
-            p.p99_read_cycles.to_string(),
-            p.p99_degraded_read_cycles.to_string(),
-        ]);
-    }
-    t.render()
+    });
+    par_map(grid.collect(), run_job)
 }
 
 /// Tenant tag of the latency-sensitive closed-loop KV tenant in the
@@ -1712,6 +1441,32 @@ impl ServingPoint {
     pub fn tenant(&self, tag: u8) -> Option<&SloSummary> {
         self.tenants.iter().find(|t| t.tag == tag).map(|t| &t.slo)
     }
+
+    /// This point's `BENCH_serving.json` points, one per live tenant.
+    pub fn rows(&self) -> Vec<JsonRow> {
+        let row = |t: &ServingTenant| {
+            let mut row = JsonRow::default();
+            row.str("case", self.case)
+                .str("tenant", t.label)
+                .num("tag", t.tag)
+                .str("torus", dims_label(self.dims))
+                .num("cycles", self.cycles)
+                .float("offered_per_kcycle", t.slo.offered_per_kcycle, 4)
+                .float("achieved_per_kcycle", t.slo.achieved_per_kcycle, 4)
+                .float(
+                    "goodput_bytes_per_kcycle",
+                    t.slo.goodput_bytes_per_kcycle,
+                    4,
+                )
+                .float("failure_rate", t.slo.failure_rate, 6)
+                .num("p50", t.slo.p50)
+                .num("p99", t.slo.p99)
+                .num("p999", t.slo.p999)
+                .num("samples", t.slo.samples);
+            row
+        };
+        self.tenants.iter().map(row).collect()
+    }
 }
 
 /// Run one serving case: `scenario` on a `dims` rack for `cycles` cycles.
@@ -1767,12 +1522,15 @@ pub fn run_serving_point(
     }
 }
 
-/// The serving grid at arbitrary torus dimensions: solo baselines for
-/// each tenant, the shared mix, and a diurnal run that phase-changes
-/// from off-peak (8× think time, no bulk) to the peak shared mix at
-/// half-time. Exposed separately from [`serving_sweep`] so tests can use
-/// small racks.
-pub fn serving_sweep_at(scale: Scale, dims: (u16, u16, u16)) -> Vec<ServingPoint> {
+/// The paper-facing multi-tenant serving study: on a 4×4×4 64-node rack,
+/// a closed-loop KV tenant and a bulk graph tenant on disjoint cores of
+/// every chip, measured solo and shared, plus a diurnal run that
+/// phase-changes from off-peak (8× think time, no bulk) to the peak shared
+/// mix at half-time. The claims the CI-run `examples/serving_study.rs`
+/// gates on — the KV tenant's p99 SLO under the shared mix, its goodput
+/// floor, and measurable cross-tenant interference — come from exactly
+/// this grid.
+pub fn serving_sweep(scale: Scale) -> Vec<ServingPoint> {
     let cycles = scale.rack_cycles();
     type Mk = fn() -> Box<dyn Scenario>;
     let grid: Vec<(&'static str, Mk, Option<Mk>)> = vec![
@@ -1787,18 +1545,8 @@ pub fn serving_sweep_at(scale: Scale, dims: (u16, u16, u16)) -> Vec<ServingPoint
     ];
     par_map(grid, move |(case, mk, mk2)| {
         let phase2 = mk2.map(|f| f());
-        run_serving_point(dims, case, mk().as_ref(), phase2.as_deref(), cycles)
+        run_serving_point((4, 4, 4), case, mk().as_ref(), phase2.as_deref(), cycles)
     })
-}
-
-/// The paper-facing multi-tenant serving study: on a 4×4×4 64-node rack,
-/// a closed-loop KV tenant and a bulk graph tenant on disjoint cores of
-/// every chip, measured solo and shared. The claims the CI-run
-/// `examples/serving_study.rs` gates on — the KV tenant's p99 SLO under
-/// the shared mix, its goodput floor, and measurable cross-tenant
-/// interference — come from exactly this grid.
-pub fn serving_sweep(scale: Scale) -> Vec<ServingPoint> {
-    serving_sweep_at(scale, (4, 4, 4))
 }
 
 /// The KV tenant's interference index across a serving sweep: its p99
@@ -1814,45 +1562,26 @@ pub fn serving_interference(pts: &[ServingPoint]) -> f64 {
     interference_index(p99("shared"), p99("solo-kv"))
 }
 
-/// Render the serving sweep: one row per (case, tenant), plus the KV
-/// interference index.
-pub fn serving_points_render(pts: &[ServingPoint]) -> String {
-    let mut t = Table::new(&[
-        "case",
-        "tenant",
-        "offered/kcyc",
-        "achieved/kcyc",
-        "goodput B/kcyc",
-        "p50",
-        "p99",
-        "p999",
-        "fail",
-    ]);
-    for p in pts {
-        for ten in &p.tenants {
-            t.row_owned(vec![
-                p.case.into(),
-                ten.label.into(),
-                f1(ten.slo.offered_per_kcycle),
-                f1(ten.slo.achieved_per_kcycle),
-                f1(ten.slo.goodput_bytes_per_kcycle),
-                ten.slo.p50.to_string(),
-                ten.slo.p99.to_string(),
-                ten.slo.p999.to_string(),
-                pct(100.0 * ten.slo.failure_rate),
-            ]);
-        }
-    }
-    let mut out = t.render();
-    out.push_str(&format!(
-        "\nkv interference index (shared p99 / solo p99): {:.2}x\n",
-        serving_interference(pts)
-    ));
-    out
-}
-
 /// The default size sweep of the paper's latency figures (64B to 16KB).
 pub const LATENCY_SIZES: [u64; 9] = [64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384];
 
 /// The default size sweep of the paper's bandwidth figures (64B to 8KB).
 pub const BANDWIDTH_SIZES: [u64; 8] = [64, 128, 256, 512, 1024, 2048, 4096, 8192];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rackni_scale_reads_unset_as_quick_and_names_both_scales() {
+        assert_eq!(Scale::parse(None), Scale::Quick);
+        assert_eq!(Scale::parse(Some("quick")), Scale::Quick);
+        assert_eq!(Scale::parse(Some("full")), Scale::Full);
+    }
+
+    #[test]
+    #[should_panic(expected = "RACKNI_SCALE=\"Full\"")]
+    fn rackni_scale_rejects_any_other_value() {
+        Scale::parse(Some("Full"));
+    }
+}

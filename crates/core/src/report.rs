@@ -1,7 +1,8 @@
 //! Report output: plain-text tables for the experiment reports, and the
-//! one writer and reader of the `BENCH_*.json` files.
+//! one writer and reader of the `BENCH_*.json` files. A study with a BENCH
+//! file prints its table from the file's rows ([`project`]).
 
-use std::fmt::{Display, Write as _};
+use std::fmt::{self, Display, Write as _};
 use std::io;
 use std::path::Path;
 
@@ -63,9 +64,8 @@ impl Table {
             out.push('\n');
         };
         fmt_row(&mut out, &self.header);
-        for (i, w) in widths.iter().enumerate() {
+        for w in &widths {
             let _ = write!(&mut out, "{}  ", "-".repeat(*w));
-            let _ = i;
         }
         out.push('\n');
         for r in &self.rows {
@@ -73,6 +73,29 @@ impl Table {
         }
         out
     }
+}
+
+/// The table of `rows` that shows `keys`: one column per key, headed by
+/// the key, each cell the value as written, `-` where a row lacks the key.
+///
+/// # Panics
+/// Panics on a key no row has, which would print a column of dashes.
+pub fn project(rows: &[JsonRow], keys: &[&str]) -> String {
+    for key in keys {
+        assert!(
+            rows.iter().any(|r| r.get(key).is_some()),
+            "no row has the key {key:?}"
+        );
+    }
+    let mut t = Table::new(keys);
+    for r in rows {
+        t.row_owned(
+            keys.iter()
+                .map(|k| r.get(k).unwrap_or("-").into())
+                .collect(),
+        );
+    }
+    t.render()
 }
 
 /// Format a float with one decimal.
@@ -87,7 +110,7 @@ pub fn pct(x: f64) -> String {
 
 /// One flat JSON object — a `BENCH_*.json` header or one of its points —
 /// as `(key, value text)` pairs in insertion order.
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct JsonRow {
     fields: Vec<(String, String)>,
 }
@@ -123,13 +146,9 @@ impl JsonRow {
         Some(text.trim_matches('"'))
     }
 
-    fn render(&self) -> String {
-        let fields: Vec<String> = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", fields.join(", "))
+    /// The keys in the order they were appended.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.fields.iter().map(|(k, _)| k.as_str())
     }
 
     /// Parse one point line as [`BenchFile`] writes it, or `None` if the
@@ -145,6 +164,18 @@ impl JsonRow {
     }
 }
 
+/// The row as one JSON object on one line.
+impl Display for JsonRow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fields: Vec<String> = self
+            .fields
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        write!(f, "{{{}}}", fields.join(", "))
+    }
+}
+
 /// A `BENCH_*.json` file: its header fields one per line, then a `points`
 /// array one point per line, so [`read_points`] can read it line by line.
 #[derive(Debug)]
@@ -154,16 +185,14 @@ pub struct BenchFile {
 }
 
 impl BenchFile {
-    /// Start a file tagged with its `schema` and the `scale` it ran at.
-    pub fn new(schema: &str, scale: Scale) -> BenchFile {
+    /// A file of `points` tagged with its `schema` and the `scale` it ran
+    /// at.
+    pub fn new(schema: &str, scale: Scale, points: Vec<JsonRow>) -> BenchFile {
         let mut header = JsonRow::default();
         header
             .str("schema", schema)
             .str("scale", format!("{scale:?}").to_lowercase());
-        BenchFile {
-            header,
-            points: Vec::new(),
-        }
+        BenchFile { header, points }
     }
 
     /// The header, for fields after `schema` and `scale`.
@@ -171,29 +200,21 @@ impl BenchFile {
         &mut self.header
     }
 
-    /// Append an empty point to fill in.
-    pub fn point(&mut self) -> &mut JsonRow {
-        self.points.push(JsonRow::default());
-        self.points.last_mut().expect("a point was just pushed")
-    }
-
-    fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        for (k, v) in &self.header.fields {
-            let _ = writeln!(out, "  \"{k}\": {v},");
-        }
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| format!("    {}", p.render()))
-            .collect();
-        let _ = write!(out, "  \"points\": [\n{}\n  ]\n}}\n", points.join(",\n"));
-        out
-    }
-
     /// Write the file to `path`.
     pub fn write(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.render())
+        std::fs::write(path, self.to_string())
+    }
+}
+
+/// The file's text as [`BenchFile::write`] writes it.
+impl Display for BenchFile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "{{")?;
+        for (k, v) in &self.header.fields {
+            writeln!(f, "  \"{k}\": {v},")?;
+        }
+        let points: Vec<String> = self.points.iter().map(|p| format!("    {p}")).collect();
+        write!(f, "  \"points\": [\n{}\n  ]\n}}\n", points.join(",\n"))
     }
 }
 
@@ -239,18 +260,22 @@ mod tests {
         assert_eq!(pct(79.66), "79.7%");
     }
 
-    #[test]
-    fn bench_rows_round_trip() {
-        let mut bench = BenchFile::new("rackni-bench-test/1", Scale::Quick);
-        bench.header().num("host_threads", 2);
-        bench
-            .point()
-            .str("name", "a_4x4x4")
+    /// Two rows with different keys: `a_4x4x4`'s, then `b`'s.
+    fn rows() -> Vec<JsonRow> {
+        let (mut a, mut b) = (JsonRow::default(), JsonRow::default());
+        a.str("name", "a_4x4x4")
             .num("cycles", 1200)
             .float("cps", 12.345, 1)
             .num("ok", true);
-        bench.point().str("name", "b").float("skew", -0.5, 4);
-        let text = bench.render();
+        b.str("name", "b").float("skew", -0.5, 4);
+        vec![a, b]
+    }
+
+    #[test]
+    fn bench_rows_round_trip() {
+        let mut bench = BenchFile::new("rackni-bench-test/1", Scale::Quick, rows());
+        bench.header().num("host_threads", 2);
+        let text = bench.to_string();
         assert!(text.starts_with(
             "{\n  \"schema\": \"rackni-bench-test/1\",\n  \"scale\": \"quick\",\n  \"host_threads\": 2,\n"
         ));
@@ -261,6 +286,25 @@ mod tests {
         assert_eq!(points[1].get("skew"), Some("-0.5000"));
         assert_eq!(points[1].get("cps"), None);
         assert!(read_points("    {\"name\" \"x\", \"cps\": 1},").is_err());
+    }
+
+    #[test]
+    fn a_projection_shows_the_chosen_keys_in_order_and_dashes_for_missing_ones() {
+        let table = project(&rows(), &["skew", "name", "cps"]);
+        let lines: Vec<Vec<&str>> = table
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(lines[0], ["skew", "name", "cps"]);
+        assert_eq!(lines[2], ["-", "a_4x4x4", "12.3"]);
+        assert_eq!(lines[3], ["-0.5000", "b", "-"]);
+        assert_eq!(lines.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "no row has the key \"cpu\"")]
+    fn a_projection_rejects_a_key_no_row_has() {
+        project(&rows(), &["name", "cpu"]);
     }
 
     #[test]

@@ -159,9 +159,10 @@ fn scenario_sweep_covers_every_builtin() {
         "stable scenario order"
     );
     for p in &pts {
-        assert!(p.completed_ops > 0, "{}: rack idle", p.name);
-        assert!(p.agg_ni_gbps > 0.0, "{}: no NI traffic", p.name);
-        assert!(p.hops > 0, "{}: nothing crossed the fabric", p.name);
+        let s = &p.snapshot;
+        assert!(s.cores.completed > 0, "{}: rack idle", p.name);
+        assert!(s.app_gbps(p.cycles) > 0.0, "{}: no NI traffic", p.name);
+        assert!(s.hops > 0, "{}: nothing crossed the fabric", p.name);
         assert!(
             p.link_skew >= 1.0 && p.rrpp_skew >= 1.0,
             "{}: skews are ratios",

@@ -14,17 +14,27 @@ use std::sync::Mutex;
 /// Default worker-thread count: the `RACKNI_THREADS` environment variable
 /// when set to a positive integer, else
 /// [`std::thread::available_parallelism`].
+///
+/// # Panics
+/// Panics when `RACKNI_THREADS` is set to anything but an integer.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("RACKNI_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+    let value = std::env::var_os("RACKNI_THREADS").map(|v| v.to_string_lossy().into_owned());
+    match parse_threads(value.as_deref()) {
+        0 => std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1),
+        n => n,
     }
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
+}
+
+/// The worker count a `RACKNI_THREADS` value asks for; unset and `0` both
+/// mean the host's parallelism and read as 0.
+fn parse_threads(value: Option<&str>) -> usize {
+    value.map_or(0, |v| {
+        v.trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("RACKNI_THREADS={v:?}: expected a worker count"))
+    })
 }
 
 /// Map `f` over `items` using up to [`default_threads`] worker threads,
@@ -134,6 +144,20 @@ mod tests {
     #[test]
     fn single_item_runs_inline() {
         assert_eq!(par_map(vec![7], |x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn rackni_threads_reads_unset_and_zero_as_the_host_and_integers_as_counts() {
+        assert_eq!(parse_threads(None), 0);
+        assert_eq!(parse_threads(Some("0")), 0);
+        assert_eq!(parse_threads(Some("3")), 3);
+        assert_eq!(parse_threads(Some(" 12 ")), 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "RACKNI_THREADS=\"four\"")]
+    fn rackni_threads_rejects_a_non_integer() {
+        parse_threads(Some("four"));
     }
 
     #[test]

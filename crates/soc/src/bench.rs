@@ -1,13 +1,11 @@
-//! Experiment drivers: the paper's latency and bandwidth microbenchmarks,
-//! plus the fixed-horizon scenario runner.
+//! Experiment drivers: the paper's latency and bandwidth microbenchmarks.
 
-use ni_engine::{ConvergenceMonitor, Frequency, Histogram, RunningMean, WindowStatus};
+use ni_engine::{ConvergenceMonitor, Frequency, WindowStatus};
 use ni_rmc::Stage;
 
 use crate::chip::Chip;
 use crate::config::ChipConfig;
 use crate::core_model::Workload;
-use crate::scenario::Scenario;
 
 /// Result of a synchronous-read latency run.
 #[derive(Clone, Copy, Debug)]
@@ -177,68 +175,6 @@ pub fn run_write_bandwidth(
         window,
         max_windows,
     )
-}
-
-/// Result of a fixed-horizon scenario run on one chip.
-#[derive(Clone, Debug)]
-pub struct ScenarioRunResult {
-    /// Name of the scenario that ran.
-    pub scenario: String,
-    /// Cycles simulated.
-    pub cycles: u64,
-    /// Operations completed across all cores.
-    pub ops: u64,
-    /// Aggregate application bandwidth over the run, GBps (both directions,
-    /// §6.2).
-    pub app_gbps: f64,
-    /// End-to-end latency of synchronous operations, merged over all cores
-    /// (cycles); empty when the scenario issues only asynchronous ops.
-    pub sync_latency: RunningMean,
-    /// 99th-percentile synchronous latency in cycles (0 without sync ops).
-    pub p99_sync_cycles: u64,
-}
-
-impl ScenarioRunResult {
-    /// Mean synchronous latency in nanoseconds at 2 GHz.
-    pub fn mean_sync_ns(&self) -> f64 {
-        self.sync_latency.mean() * Frequency::GHZ2.nanos_per_cycle()
-    }
-
-    /// Completed operations per second at 2 GHz.
-    pub fn ops_per_sec(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.ops as f64 / self.cycles as f64 * 2e9
-        }
-    }
-}
-
-/// Run `scenario` on a single chip (behind the paper's rack emulator) for a
-/// fixed horizon of `cycles` and aggregate the per-core statistics. The
-/// uniform counterpart for multi-node racks is
-/// [`Rack::with_scenario`](crate::Rack::with_scenario) plus the rack's own
-/// accessors.
-pub fn run_chip_scenario(
-    cfg: ChipConfig,
-    scenario: &dyn Scenario,
-    cycles: u64,
-) -> ScenarioRunResult {
-    let mut chip = Chip::with_scenario(cfg, scenario);
-    chip.run(cycles);
-    let mut hist = Histogram::new();
-    for core in &chip.cores {
-        hist.merge(core.latency_histogram());
-    }
-    ScenarioRunResult {
-        scenario: scenario.name().to_string(),
-        cycles,
-        ops: chip.completed_ops(),
-        app_gbps: Frequency::GHZ2
-            .gbps_from_bytes_per_cycle(chip.app_payload_bytes() as f64 / cycles.max(1) as f64),
-        sync_latency: *hist.stats(),
-        p99_sync_cycles: hist.percentile(0.99),
-    }
 }
 
 fn run_bandwidth_workload(

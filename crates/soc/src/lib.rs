@@ -36,9 +36,8 @@ pub mod scenario;
 pub mod snapshot;
 
 pub use bench::{
-    run_bandwidth, run_chip_scenario, run_sync_latency, run_sync_write_latency,
-    run_write_bandwidth, stage_breakdown, BandwidthResult, LatencyResult, ScenarioRunResult,
-    StageBreakdown,
+    run_bandwidth, run_sync_latency, run_sync_write_latency, run_write_bandwidth, stage_breakdown,
+    BandwidthResult, LatencyResult, StageBreakdown,
 };
 pub use chip::{Chip, ChipMsg, Visits};
 pub use config::{ChipConfig, TickMode, Topology};

@@ -4,7 +4,7 @@
 //! comparison of snapshots with no further edit.
 
 use ni_coherence::{ComplexStats, DirStats};
-use ni_engine::{Histogram, Stat};
+use ni_engine::{Frequency, Histogram, Stat};
 use ni_fabric::{FabricStats, FaultStats};
 use ni_mem::MemStats;
 use ni_metrics::TenantStats;
@@ -80,6 +80,16 @@ impl Snapshot {
     /// data the RRPPs sent out (§6.2's bandwidth definition).
     pub fn app_payload_bytes(&self) -> u64 {
         self.backends.payload_bytes.get() + self.rrpps.payload_bytes.get()
+    }
+
+    /// Aggregate application bandwidth over a run of `cycles`, GB/s at
+    /// 2 GHz: [`Snapshot::app_payload_bytes`] per cycle. Summed over a
+    /// rack's nodes, a cross-node transfer counts at both ends (the
+    /// requester's RCP and the server's RRPP), so this reads about twice a
+    /// wire-level payload rate.
+    pub fn app_gbps(&self, cycles: u64) -> f64 {
+        Frequency::GHZ2
+            .gbps_from_bytes_per_cycle(self.app_payload_bytes() as f64 / cycles.max(1) as f64)
     }
 
     /// `None` when equal to `other`, else the first reading that differs

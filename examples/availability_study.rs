@@ -27,10 +27,27 @@
 //! ```
 
 use rackni::experiments::{
-    availability_points_render, availability_sweep, AvailFault, AvailabilityPoint, FailureParams,
-    Scale, AVAIL_KW,
+    availability_sweep, FailureParams, FaultCase, JobPoint, Scale, AVAIL_KW,
 };
-use rackni::report::BenchFile;
+use rackni::report::{project, BenchFile, JsonRow};
+
+/// The BENCH keys the printed table shows.
+const TABLE: [&str; 14] = [
+    "scenario",
+    "k",
+    "w",
+    "fault",
+    "completed_ops",
+    "expected_ops",
+    "lost_reads",
+    "degraded_ops",
+    "replays",
+    "quorum_leg_failures",
+    "recovery_cycles",
+    "ops_per_kcycle",
+    "p99_ok_read",
+    "p99_degraded_read",
+];
 
 fn main() {
     let scale = Scale::from_env();
@@ -42,120 +59,110 @@ fn main() {
     );
 
     let pts = availability_sweep(scale);
-    println!("{}", availability_points_render(&pts));
+    let rows: Vec<JsonRow> = pts.iter().map(JobPoint::availability_row).collect();
+    println!("{}", project(&rows, &TABLE));
     println!("'lost reads' counts error-completed reads on *surviving* nodes only;");
     println!("a dead node's own in-flight client work is reported as corpse losses.");
 
-    let find = |scenario: &str, k: u8, fault: AvailFault| -> &AvailabilityPoint {
+    let find = |scenario: &str, k: u8, fault: FaultCase| -> &JobPoint {
         pts.iter()
-            .find(|p| p.scenario == scenario && p.k == k && p.fault == fault)
+            .find(|p| {
+                let c = &p.cell;
+                c.scenario == scenario && c.cfg.chip.rmc.replication.k == k && c.fault == fault
+            })
             .expect("sweep covers the full grid")
     };
 
     // Control group: healthy cells complete everything with no losses, no
     // degraded completions, no replays — at every replication degree.
-    for p in pts.iter().filter(|p| p.fault == AvailFault::None) {
+    for p in pts.iter().filter(|p| p.cell.fault == FaultCase::None) {
+        let s = &p.snapshot;
         assert!(
-            p.completed_all && p.failed_ops == 0 && p.degraded_ops == 0 && p.replays == 0,
-            "healthy {}/k={} cell degraded: {p:?}",
-            p.scenario,
-            p.k
+            p.completed_all()
+                && s.cores.failed == 0
+                && s.cores.degraded == 0
+                && s.backends.replays.get() == 0,
+            "healthy {}/k={} cell degraded: {}",
+            p.cell.scenario,
+            p.cell.cfg.chip.rmc.replication.k,
+            p.availability_row()
         );
     }
 
     // Baseline: without replication a node kill must cost read losses —
     // this is the blast radius the recovery machinery is judged against.
-    let base = find("reads", 1, AvailFault::NodeKill);
+    let base = find("reads", 1, FaultCase::NodeKill);
     assert!(
         base.lost_reads > 0,
-        "k=1 node kill must lose reads or the cell is not stressing anything: {base:?}"
+        "k=1 node kill must lose reads or the cell is not stressing anything: {}",
+        base.availability_row()
     );
 
     // Headline: at k >= 2 with replay, a node kill loses ZERO reads on
     // surviving nodes — every read addressed to the corpse fails over.
     for (k, _) in AVAIL_KW.iter().copied().filter(|&(k, _)| k >= 2) {
-        for fault in [AvailFault::NodeKill, AvailFault::Storm] {
+        for fault in [FaultCase::NodeKill, FaultCase::Storm] {
             let p = find("reads", k, fault);
             assert!(
-                p.completed_all,
-                "reads/k={k}/{}: job did not complete: {p:?}",
-                fault.label()
+                p.completed_all(),
+                "reads/k={k}/{}: job did not complete: {}",
+                fault.label(),
+                p.availability_row()
             );
             assert!(
                 p.lost_reads == 0,
-                "reads/k={k}/{}: {} reads lost on surviving nodes (expected 0): {p:?}",
+                "reads/k={k}/{}: {} reads lost on surviving nodes (expected 0): {}",
                 fault.label(),
-                p.lost_reads
+                p.lost_reads,
+                p.availability_row()
             );
         }
-        let p = find("reads", k, AvailFault::NodeKill);
+        let p = find("reads", k, FaultCase::NodeKill);
         assert!(
-            p.degraded_ops > 0 && p.replays > 0,
-            "reads/k={k}/node-kill: recovery should be visible as replays: {p:?}"
+            p.snapshot.cores.degraded > 0 && p.snapshot.backends.replays.get() > 0,
+            "reads/k={k}/node-kill: recovery should be visible as replays: {}",
+            p.availability_row()
         );
     }
 
     // Writes: the quorum absorbs the dead replica — no errors on surviving
     // nodes, and the absorbed legs show up in the quorum counters.
     for (k, w) in AVAIL_KW.iter().copied().filter(|&(k, _)| k >= 2) {
-        let p = find("writes", k, AvailFault::NodeKill);
+        let p = find("writes", k, FaultCase::NodeKill);
         assert!(
-            p.completed_all && p.lost_reads == 0,
-            "writes/k={k}/w={w}/node-kill: losses on surviving nodes: {p:?}"
+            p.completed_all() && p.lost_reads == 0,
+            "writes/k={k}/w={w}/node-kill: losses on surviving nodes: {}",
+            p.availability_row()
         );
         assert!(
-            p.quorum_writes > 0,
-            "writes/k={k}: no write ever fanned out — replication not engaged: {p:?}"
+            p.snapshot.backends.quorum_writes.get() > 0,
+            "writes/k={k}: no write ever fanned out — replication not engaged: {}",
+            p.availability_row()
         );
     }
 
-    let nk2 = find("reads", 2, AvailFault::NodeKill);
+    let nk2 = find("reads", 2, FaultCase::NodeKill);
+    let s = &nk2.snapshot;
     println!(
         "\nnode-kill reads: k=1 lost {} reads; k=2 lost {} (of {} ops, {} degraded via {} \
          replays, recovery {} cycles, p99 ok {} vs degraded {})",
         base.lost_reads,
         nk2.lost_reads,
         nk2.expected_ops,
-        nk2.degraded_ops,
-        nk2.replays,
+        s.cores.degraded,
+        s.backends.replays,
         nk2.recovery_cycles,
-        nk2.p99_read_cycles,
-        nk2.p99_degraded_read_cycles,
+        s.reads.percentile(0.99),
+        s.degraded_reads.percentile(0.99),
     );
 
     // Machine-readable table for CI artifacts.
-    let mut bench = BenchFile::new("rackni-bench-availability/1", scale);
+    let mut bench = BenchFile::new("rackni-bench-availability/1", scale, rows);
     bench
         .header()
         .num("kill_at", params.kill_at)
         .num("itt_timeout", params.itt_timeout)
         .num("itt_retries", params.itt_retries);
-    for p in &pts {
-        bench
-            .point()
-            .str("scenario", p.scenario)
-            .str("fault", p.fault.label())
-            .num("k", p.k)
-            .num("w", p.w)
-            .str("torus", format!("{}x{}x{}", p.dims.0, p.dims.1, p.dims.2))
-            .num("kill_at", p.kill_at)
-            .num("expected_ops", p.expected_ops)
-            .num("completed_ops", p.completed_ops)
-            .num("failed_ops", p.failed_ops)
-            .num("lost_reads", p.lost_reads)
-            .num("corpse_failed_reads", p.corpse_failed_reads)
-            .num("degraded_ops", p.degraded_ops)
-            .num("replays", p.replays)
-            .num("quorum_writes", p.quorum_writes)
-            .num("quorum_leg_failures", p.quorum_leg_failures)
-            .num("completed_all", p.completed_all)
-            .num("completion_cycles", p.completion_cycles)
-            .num("recovery_cycles", p.recovery_cycles)
-            .float("ops_per_kcycle", p.ops_per_kcycle, 4)
-            .num("p50_ok_read", p.p50_read_cycles)
-            .num("p99_ok_read", p.p99_read_cycles)
-            .num("p99_degraded_read", p.p99_degraded_read_cycles);
-    }
     let path = "BENCH_availability.json";
     bench.write(path).expect("write BENCH_availability.json");
     println!("\navailability table written to {path}");

@@ -24,11 +24,28 @@
 //! RACKNI_SCALE=full cargo run --release --example failure_study
 //! ```
 
-use rackni::experiments::{
-    failure_points_render, failure_sweep, FailureParams, FailurePoint, FaultCase, Scale,
-};
+use rackni::experiments::{failure_sweep, FailureParams, FaultCase, JobPoint, Scale};
 use rackni::ni_fabric::RoutingKind;
-use rackni::report::BenchFile;
+use rackni::report::{project, BenchFile, JsonRow};
+
+/// The BENCH keys the printed table shows.
+const TABLE: [&str; 15] = [
+    "scenario",
+    "fault",
+    "routing",
+    "completed_ops",
+    "expected_ops",
+    "failed_ops",
+    "completed_all",
+    "completion_cycles",
+    "p50_ok_read",
+    "p99_ok_read",
+    "itt_timeouts",
+    "itt_retries",
+    "packets_dropped",
+    "dead_link_stalls",
+    "escape_hops",
+];
 
 fn main() {
     let scale = Scale::from_env();
@@ -40,27 +57,33 @@ fn main() {
     );
 
     let pts = failure_sweep(scale);
-    println!("{}", failure_points_render(&pts));
+    let rows: Vec<JsonRow> = pts.iter().map(JobPoint::failure_row).collect();
+    println!("{}", project(&rows, &TABLE));
     println!(
         "faults fire at cycle {}; 'ops' counts error completions too, so a",
         params.kill_at
     );
     println!("cell can complete its job with casualties — 'failed' is the blast radius.");
 
-    let find = |scenario: &str, fault: FaultCase, routing: RoutingKind| -> &FailurePoint {
+    let find = |scenario: &str, fault: FaultCase, routing: RoutingKind| -> &JobPoint {
         pts.iter()
-            .find(|p| p.scenario == scenario && p.fault == fault && p.routing == routing)
+            .find(|p| {
+                let c = &p.cell;
+                c.scenario == scenario && c.fault == fault && c.cfg.routing == routing
+            })
             .expect("sweep covers the full grid")
     };
 
     // Healthy cells are the control group: everything completes, nothing
     // fails, the watchdog never fires.
-    for p in pts.iter().filter(|p| p.fault == FaultCase::None) {
+    for p in pts.iter().filter(|p| p.cell.fault == FaultCase::None) {
+        let s = &p.snapshot;
         assert!(
-            p.completed_all && p.failed_ops == 0 && p.itt_timeouts == 0,
-            "healthy {}/{} cell degraded: {p:?}",
-            p.scenario,
-            p.routing.name()
+            p.completed_all() && s.cores.failed == 0 && s.backends.itt_timeouts.get() == 0,
+            "healthy {}/{} cell degraded: {}",
+            p.cell.scenario,
+            p.cell.cfg.routing.name(),
+            p.failure_row()
         );
     }
 
@@ -69,17 +92,20 @@ fn main() {
     // dimension-order either never finishes inside the horizon or pays at
     // least 2x the completion time grinding through ITT timeouts.
     let ada = find("zipf", FaultCase::LinkKill, RoutingKind::FaultAdaptive);
+    let (ada_s, ada_faults) = (&ada.snapshot, &ada.snapshot.faults);
     assert!(
-        ada.completed_all && ada.failed_ops == 0,
-        "fault-adaptive must complete the link-kill Zipf job cleanly: {ada:?}"
+        ada.completed_all() && ada_s.cores.failed == 0,
+        "fault-adaptive must complete the link-kill Zipf job cleanly: {}",
+        ada.failure_row()
     );
     assert!(
-        ada.escape_hops > 0 || ada.dead_link_stalls == 0,
-        "the detour should show up as escape hops, not stalls: {ada:?}"
+        ada_faults.escape_hops.get() > 0 || ada_faults.dead_link_stalls.get() == 0,
+        "the detour should show up as escape hops, not stalls: {}",
+        ada.failure_row()
     );
     let dor = find("zipf", FaultCase::LinkKill, RoutingKind::DimensionOrder);
     assert!(
-        !dor.completed_all || dor.completion_cycles >= 2 * ada.completion_cycles,
+        !dor.completed_all() || dor.completion_cycles >= 2 * ada.completion_cycles,
         "DOR must stall (or finish >=2x slower) on the dead link: dor {} vs ada {} cycles",
         dor.completion_cycles,
         ada.completion_cycles
@@ -87,19 +113,19 @@ fn main() {
     println!(
         "\nlink-kill zipf: fault-adaptive completed {}/{} ops in {} cycles with {} failures \
          ({} escape hops); DOR {} in {}{} cycles with {} failures",
-        ada.completed_ops,
+        ada_s.cores.completed,
         ada.expected_ops,
         ada.completion_cycles,
-        ada.failed_ops,
-        ada.escape_hops,
-        if dor.completed_all {
+        ada_s.cores.failed,
+        ada_faults.escape_hops,
+        if dor.completed_all() {
             "completed"
         } else {
             "DID NOT complete"
         },
-        if dor.completed_all { "" } else { ">" },
+        if dor.completed_all() { "" } else { ">" },
         dor.completion_cycles,
-        dor.failed_ops,
+        dor.snapshot.cores.failed,
     );
 
     // Headline 2 (node kill): no policy can reach a corpse, but the rack
@@ -108,20 +134,19 @@ fn main() {
     for routing in [RoutingKind::DimensionOrder, RoutingKind::FaultAdaptive] {
         for scenario in ["uniform", "zipf"] {
             let p = find(scenario, FaultCase::NodeKill, routing);
+            let row = p.failure_row();
+            let name = routing.name();
             assert!(
-                p.completed_all,
-                "{scenario}/{}: node kill hung the rack: {p:?}",
-                routing.name()
+                p.completed_all(),
+                "{scenario}/{name}: node kill hung the rack: {row}"
             );
             assert!(
-                p.failed_ops > 0,
-                "{scenario}/{}: a dead hot node must cost error completions: {p:?}",
-                routing.name()
+                p.snapshot.cores.failed > 0,
+                "{scenario}/{name}: a dead hot node must cost error completions: {row}"
             );
             assert!(
                 p.completion_cycles < params.horizon,
-                "{scenario}/{}: completion rode the horizon: {p:?}",
-                routing.name()
+                "{scenario}/{name}: completion rode the horizon: {row}"
             );
         }
     }
@@ -129,49 +154,27 @@ fn main() {
     // ops (those addressed to the corpse); health-blind DOR additionally
     // wedges flows that merely *relayed* through it, so its casualty count
     // must never be lower.
-    let nk_ada = find("zipf", FaultCase::NodeKill, RoutingKind::FaultAdaptive);
-    let nk_dor = find("zipf", FaultCase::NodeKill, RoutingKind::DimensionOrder);
+    let nk_ada = &find("zipf", FaultCase::NodeKill, RoutingKind::FaultAdaptive).snapshot;
+    let nk_dor = &find("zipf", FaultCase::NodeKill, RoutingKind::DimensionOrder).snapshot;
     assert!(
-        nk_ada.failed_ops <= nk_dor.failed_ops,
+        nk_ada.cores.failed <= nk_dor.cores.failed,
         "fault-adaptive must not widen the node-kill blast radius: ada {} vs dor {}",
-        nk_ada.failed_ops,
-        nk_dor.failed_ops
+        nk_ada.cores.failed,
+        nk_dor.cores.failed
     );
     println!(
         "node-kill zipf: every op completed; blast radius {} failed ops (fault-adaptive) vs {} \
          (DOR), {} packets erased by the dead node",
-        nk_ada.failed_ops, nk_dor.failed_ops, nk_ada.packets_dropped
+        nk_ada.cores.failed, nk_dor.cores.failed, nk_ada.faults.packets_dropped
     );
 
     // Machine-readable trajectory for CI artifacts.
-    let mut bench = BenchFile::new("rackni-bench-failure/1", scale);
+    let mut bench = BenchFile::new("rackni-bench-failure/1", scale, rows);
     bench
         .header()
         .num("kill_at", params.kill_at)
         .num("itt_timeout", params.itt_timeout)
         .num("itt_retries", params.itt_retries);
-    for p in &pts {
-        bench
-            .point()
-            .str("scenario", p.scenario)
-            .str("fault", p.fault.label())
-            .str("routing", p.routing.name())
-            .str("torus", format!("{}x{}x{}", p.dims.0, p.dims.1, p.dims.2))
-            .num("kill_at", p.kill_at)
-            .num("expected_ops", p.expected_ops)
-            .num("completed_ops", p.completed_ops)
-            .num("failed_ops", p.failed_ops)
-            .num("completed_all", p.completed_all)
-            .num("completion_cycles", p.completion_cycles)
-            .num("p50_ok_read", p.p50_read_cycles)
-            .num("p99_ok_read", p.p99_read_cycles)
-            .float("link_skew", p.link_skew, 4)
-            .num("itt_timeouts", p.itt_timeouts)
-            .num("itt_retries", p.itt_retries)
-            .num("packets_dropped", p.packets_dropped)
-            .num("dead_link_stalls", p.dead_link_stalls)
-            .num("escape_hops", p.escape_hops);
-    }
     let path = "BENCH_failure.json";
     bench.write(path).expect("write BENCH_failure.json");
     println!("\nblast-radius table written to {path}");

@@ -15,7 +15,7 @@
 use rackni::experiments::{run_scenario_point, Scale};
 use rackni::ni_engine::parallel::par_map;
 use rackni::ni_rmc::NiPlacement;
-use rackni::ni_soc::{run_chip_scenario, ChipConfig, GraphShard};
+use rackni::ni_soc::{Chip, ChipConfig, GraphShard};
 use rackni::report::{f1, Table};
 
 /// Bytes per edge in the fetched adjacency lists (destination id + weight).
@@ -27,23 +27,23 @@ fn main() {
     let chip_cycles = 4 * scale.rack_cycles();
     let designs = [NiPlacement::Edge, NiPlacement::PerTile, NiPlacement::Split];
 
-    let runs = par_map(designs.to_vec(), move |p| {
+    let gbps = par_map(designs.to_vec(), move |p| {
         let cfg = ChipConfig {
             placement: p,
             ..ChipConfig::default()
         };
-        run_chip_scenario(cfg, &GraphShard::default(), chip_cycles)
+        let mut chip = Chip::with_scenario(cfg, &GraphShard::default());
+        chip.run(chip_cycles);
+        chip.snapshot().app_gbps(chip_cycles)
     });
 
     let mut t = Table::new(&["design", "GBps", "edges/s"]);
-    let mut gbps = [0.0f64; 3];
-    for (di, (p, r)) in designs.iter().zip(&runs).enumerate() {
-        gbps[di] = r.app_gbps;
+    for (p, g) in designs.iter().zip(&gbps) {
         // Traversed edges: fetched bytes (one direction) / edge size.
-        let edges = r.app_gbps / 2.0 * 1e9 / EDGE_BYTES;
+        let edges = g / 2.0 * 1e9 / EDGE_BYTES;
         t.row_owned(vec![
             p.name().to_string(),
-            f1(r.app_gbps),
+            f1(*g),
             format!("{:.1}B", edges / 1e9),
         ]);
     }
@@ -63,8 +63,8 @@ fn main() {
     println!(
         "8-node rack ({} scenario): {} fetches, {} GBps aggregate NI, {} fabric hops",
         pt.name,
-        pt.completed_ops,
-        f1(pt.agg_ni_gbps),
-        pt.hops
+        pt.snapshot.cores.completed,
+        f1(pt.snapshot.app_gbps(pt.cycles)),
+        pt.snapshot.hops
     );
 }

@@ -18,8 +18,9 @@
 
 use rackni::experiments::{run_scenario_point, Scale};
 use rackni::ni_engine::parallel::par_map;
+use rackni::ni_engine::{Frequency, Histogram};
 use rackni::ni_rmc::NiPlacement;
-use rackni::ni_soc::{run_chip_scenario, ChipConfig, KvStore};
+use rackni::ni_soc::{Chip, ChipConfig, KvStore};
 use rackni::report::{f1, Table};
 
 fn cfg(p: NiPlacement) -> ChipConfig {
@@ -37,18 +38,24 @@ fn main() {
 
     // Latency: one core issuing synchronous GET/PUTs over the object mix.
     let lat_runs = par_map(designs.to_vec(), move |p| {
-        let scenario = KvStore::default().synchronous();
         let mut c = cfg(p);
         c.active_cores = 1;
-        run_chip_scenario(c, &scenario, chip_cycles)
+        let mut chip = Chip::with_scenario(c, &KvStore::default().synchronous());
+        chip.run(chip_cycles);
+        // Synchronous latency over the whole GET/PUT mix, not just reads.
+        let mut sync = Histogram::new();
+        for core in &chip.cores {
+            sync.merge(core.latency_histogram());
+        }
+        (chip.snapshot().cores.completed, sync)
     });
     let mut t = Table::new(&["design", "ops", "mix mean (ns)", "p99 (ns)"]);
-    for (p, r) in designs.iter().zip(&lat_runs) {
+    for (p, (ops, sync)) in designs.iter().zip(&lat_runs) {
         t.row_owned(vec![
             p.name().to_string(),
-            r.ops.to_string(),
-            f1(r.mean_sync_ns()),
-            f1(r.p99_sync_cycles as f64 * 0.5),
+            ops.to_string(),
+            f1(sync.stats().mean() * Frequency::GHZ2.nanos_per_cycle()),
+            f1(sync.percentile(0.99) as f64 * 0.5),
         ]);
     }
     println!(
@@ -58,14 +65,17 @@ fn main() {
 
     // Throughput: all 64 cores streaming the async GET/PUT mix.
     let thr_runs = par_map(designs.to_vec(), move |p| {
-        run_chip_scenario(cfg(p), &KvStore::default(), chip_cycles)
+        let mut chip = Chip::with_scenario(cfg(p), &KvStore::default());
+        chip.run(chip_cycles);
+        chip.snapshot()
     });
     let mut t = Table::new(&["design", "GBps", "requests/s"]);
-    for (p, r) in designs.iter().zip(&thr_runs) {
+    for (p, s) in designs.iter().zip(&thr_runs) {
+        let per_sec = s.cores.completed as f64 / chip_cycles as f64 * 2e9;
         t.row_owned(vec![
             p.name().into(),
-            f1(r.app_gbps),
-            format!("{:.1}M", r.ops_per_sec() / 1e6),
+            f1(s.app_gbps(chip_cycles)),
+            format!("{:.1}M", per_sec / 1e6),
         ]);
     }
     println!("loaded throughput (64 cores async):\n{}", t.render());
@@ -75,8 +85,8 @@ fn main() {
     println!(
         "8-node rack ({} scenario): {} requests served, {} GBps aggregate NI, peak link {} GBps",
         pt.name,
-        pt.completed_ops,
-        f1(pt.agg_ni_gbps),
+        pt.snapshot.cores.completed,
+        f1(pt.snapshot.app_gbps(pt.cycles)),
         f1(pt.peak_link_gbps)
     );
     println!("\nNI_split keeps per-tile GET latency while matching edge throughput —");

@@ -8,7 +8,6 @@
 //! ```
 
 use rackni::experiments::Scale;
-use rackni::ni_engine::Frequency;
 use rackni::ni_fabric::Torus3D;
 use rackni::ni_soc::{
     ChipConfig, Rack, RackSimConfig, Synthetic, TrafficPattern, Workload, ZipfHotspot,
@@ -57,12 +56,10 @@ fn main() {
         let mut rack = Rack::with_scenario(cfg, &reads);
         rack.run(cycles);
         let s = rack.snapshot();
-        let agg =
-            Frequency::GHZ2.gbps_from_bytes_per_cycle(s.app_payload_bytes() as f64 / cycles as f64);
         summary.row_owned(vec![
             format!("{traffic:?}"),
             s.cores.completed.to_string(),
-            f1(agg),
+            f1(s.app_gbps(cycles)),
             s.hops.to_string(),
             f1(rack.peak_link_gbps()),
         ]);
@@ -120,6 +117,7 @@ fn main() {
     );
 
     // Machine-readable per-link dump for offline congestion analysis.
+    std::fs::create_dir_all("target").expect("create target/");
     let csv_path = std::path::Path::new("target").join("rack_scale_links.csv");
     let mut csv = std::fs::File::create(&csv_path).expect("create link report");
     rack.write_link_report(&mut csv).expect("write link report");

@@ -59,7 +59,7 @@ fn main() {
     // node's load and beat dimension order on link byte skew.
     let skew = |routing: RoutingKind| {
         pts.iter()
-            .find(|p| p.scenario == "zipf" && p.routing == routing)
+            .find(|p| p.cell.scenario == "zipf" && p.cell.cfg.routing == routing)
             .expect("sweep covers the zipf rows")
             .link_skew
     };

@@ -26,10 +26,23 @@
 //! ```
 
 use rackni::experiments::{
-    serving_interference, serving_points_render, serving_sweep, Scale, ServingPoint,
-    SERVING_KV_SERVICE, SERVING_THINK, SERVING_WINDOW, TENANT_BULK, TENANT_KV,
+    serving_interference, serving_sweep, Scale, ServingPoint, SERVING_KV_SERVICE, SERVING_THINK,
+    SERVING_WINDOW, TENANT_BULK, TENANT_KV,
 };
-use rackni::report::BenchFile;
+use rackni::report::{project, BenchFile};
+
+/// The BENCH keys the printed table shows.
+const TABLE: [&str; 9] = [
+    "case",
+    "tenant",
+    "offered_per_kcycle",
+    "achieved_per_kcycle",
+    "goodput_bytes_per_kcycle",
+    "p50",
+    "p99",
+    "p999",
+    "failure_rate",
+];
 
 /// The kv tenant's p99 ceiling under the shared mix, in cycles, at quick
 /// scale. Quick scale measures ~13k on the 4x4x4 rack (the bulk tenant
@@ -55,7 +68,10 @@ fn main() {
     );
 
     let pts = serving_sweep(scale);
-    println!("{}", serving_points_render(&pts));
+    let rows: Vec<_> = pts.iter().flat_map(ServingPoint::rows).collect();
+    let interference = serving_interference(&pts);
+    println!("{}", project(&rows, &TABLE));
+    println!("kv interference index (shared p99 / solo p99): {interference:.2}x\n");
 
     let find = |case: &str| -> &ServingPoint {
         pts.iter()
@@ -110,7 +126,6 @@ fn main() {
     // fabric measurably stretches the kv tail — shared p99 strictly above
     // solo p99. If these are equal the tenants are not actually
     // contending and the study measures nothing.
-    let interference = serving_interference(&pts);
     assert!(
         shared.p99 > solo.p99,
         "no cross-tenant interference: shared kv p99 {} <= solo p99 {}",
@@ -162,36 +177,13 @@ fn main() {
     );
 
     // Machine-readable table for CI artifacts.
-    let mut bench = BenchFile::new("rackni-bench-serving/1", scale);
+    let mut bench = BenchFile::new("rackni-bench-serving/1", scale, rows);
     bench
         .header()
         .num("window", SERVING_WINDOW)
         .num("think", SERVING_THINK)
         .num("service", SERVING_KV_SERVICE)
         .float("kv_interference_index", interference, 4);
-    for p in &pts {
-        for t in &p.tenants {
-            bench
-                .point()
-                .str("case", p.case)
-                .str("tenant", t.label)
-                .num("tag", t.tag)
-                .str("torus", format!("{}x{}x{}", p.dims.0, p.dims.1, p.dims.2))
-                .num("cycles", p.cycles)
-                .float("offered_per_kcycle", t.slo.offered_per_kcycle, 4)
-                .float("achieved_per_kcycle", t.slo.achieved_per_kcycle, 4)
-                .float(
-                    "goodput_bytes_per_kcycle",
-                    t.slo.goodput_bytes_per_kcycle,
-                    4,
-                )
-                .float("failure_rate", t.slo.failure_rate, 6)
-                .num("p50", t.slo.p50)
-                .num("p99", t.slo.p99)
-                .num("p999", t.slo.p999)
-                .num("samples", t.slo.samples);
-        }
-    }
     let path = "BENCH_serving.json";
     bench.write(path).expect("write BENCH_serving.json");
     println!("serving table written to {path}");

@@ -5,9 +5,12 @@
 //! instead of a hang, and healthy-fabric equivalence between
 //! `fault-adaptive` and `minimal-adaptive` through the whole rack stack.
 
-use rackni::experiments::{run_failure_point, FailureParams, FaultCase};
+use rackni::experiments::{
+    run_job, FailureParams, FaultCase, JobCell, JobPoint, Scale, ScenarioFactory,
+};
 use rackni::ni_fabric::{FabricStats, FaultPlan, ReplicaCfg, RoutingKind, Torus3D};
 use rackni::ni_soc::{Capped, ChipConfig, Rack, RackSimConfig, Synthetic, Workload, ZipfHotspot};
+use rackni::report::{read_points, BenchFile};
 
 mod common;
 use common::{assert_conserved, assert_same, snapshots};
@@ -24,15 +27,15 @@ fn params() -> FailureParams {
     }
 }
 
-fn zipf_point(fault: FaultCase, routing: RoutingKind) -> rackni::experiments::FailurePoint {
-    run_failure_point(
+fn zipf_point(fault: FaultCase, routing: RoutingKind) -> JobPoint {
+    let zipf: ScenarioFactory = || Box::<ZipfHotspot>::default();
+    run_job(JobCell::failure(
         (3, 3, 1),
-        "zipf",
-        Box::<ZipfHotspot>::default(),
+        ("zipf", zipf),
         routing,
         fault,
         params(),
-    )
+    ))
 }
 
 /// The acceptance property at tier-1 size: after a mid-run link kill,
@@ -42,18 +45,20 @@ fn zipf_point(fault: FaultCase, routing: RoutingKind) -> rackni::experiments::Fa
 #[test]
 fn fault_adaptive_completes_the_link_kill_job_dor_stalls_on() {
     let ada = zipf_point(FaultCase::LinkKill, RoutingKind::FaultAdaptive);
+    let ada_row = ada.failure_row();
     assert!(
-        ada.completed_all,
-        "fault-adaptive must finish the job: {ada:?}"
+        ada.completed_all(),
+        "fault-adaptive must finish the job: {ada_row}"
     );
     assert_eq!(
-        ada.failed_ops, 0,
-        "a single dead link is routable-around: {ada:?}"
+        ada.snapshot.cores.failed, 0,
+        "a single dead link is routable-around: {ada_row}"
     );
     let dor = zipf_point(FaultCase::LinkKill, RoutingKind::DimensionOrder);
+    let dor_row = dor.failure_row();
     assert!(
-        dor.dead_link_stalls > 0,
-        "DOR must actually hit the dead link: {dor:?}"
+        dor.snapshot.faults.dead_link_stalls.get() > 0,
+        "DOR must actually hit the dead link: {dor_row}"
     );
     // The structural form of the acceptance property (the strict >=2x
     // completion-time version runs at 4x4x4 scale in
@@ -61,11 +66,11 @@ fn fault_adaptive_completes_the_link_kill_job_dor_stalls_on() {
     // routing stalls into the ITT watchdog and loses ops the detour-capable
     // policy saves, and pays more cycles doing it.
     assert!(
-        !dor.completed_all
-            || (dor.itt_timeouts > 0
-                && dor.failed_ops > ada.failed_ops
+        !dor.completed_all()
+            || (dor.snapshot.backends.itt_timeouts.get() > 0
+                && dor.snapshot.cores.failed > ada.snapshot.cores.failed
                 && dor.completion_cycles > ada.completion_cycles),
-        "DOR must stall into the watchdog and pay for it: dor {dor:?} vs ada {ada:?}"
+        "DOR must stall into the watchdog and pay for it: dor {dor_row} vs ada {ada_row}"
     );
 }
 
@@ -76,26 +81,23 @@ fn fault_adaptive_completes_the_link_kill_job_dor_stalls_on() {
 fn node_kill_completes_with_error_cq_entries_instead_of_hanging() {
     for routing in [RoutingKind::DimensionOrder, RoutingKind::FaultAdaptive] {
         let p = zipf_point(FaultCase::NodeKill, routing);
-        assert!(p.completed_all, "{}: rack hung: {p:?}", routing.name());
+        let (s, row, name) = (&p.snapshot, p.failure_row(), routing.name());
+        assert!(p.completed_all(), "{name}: rack hung: {row}");
         assert!(
-            p.failed_ops > 0,
-            "{}: killing the hot node must cost failures: {p:?}",
-            routing.name()
+            s.cores.failed > 0,
+            "{name}: killing the hot node must cost failures: {row}"
         );
         assert!(
             p.completion_cycles < params().horizon,
-            "{}: completion rode the horizon: {p:?}",
-            routing.name()
+            "{name}: completion rode the horizon: {row}"
         );
         assert!(
-            p.packets_dropped > 0,
-            "{}: the dead node must erase traffic: {p:?}",
-            routing.name()
+            s.faults.packets_dropped.get() > 0,
+            "{name}: the dead node must erase traffic: {row}"
         );
         assert!(
-            p.itt_timeouts >= p.failed_ops,
-            "{}: every failure implies at least one watchdog expiry: {p:?}",
-            routing.name()
+            s.backends.itt_timeouts.get() >= s.cores.failed,
+            "{name}: every failure implies at least one watchdog expiry: {row}"
         );
     }
 }
@@ -106,9 +108,14 @@ fn node_kill_completes_with_error_cq_entries_instead_of_hanging() {
 fn healthy_cells_complete_clean_under_both_policies() {
     for routing in [RoutingKind::DimensionOrder, RoutingKind::FaultAdaptive] {
         let p = zipf_point(FaultCase::None, routing);
-        assert!(p.completed_all && p.failed_ops == 0, "{p:?}");
-        assert_eq!(p.itt_timeouts, 0, "spurious watchdog expiry: {p:?}");
-        assert_eq!(p.escape_hops, 0, "no fault, no escapes: {p:?}");
+        let (s, row) = (&p.snapshot, p.failure_row());
+        assert!(p.completed_all() && s.cores.failed == 0, "{row}");
+        assert_eq!(
+            s.backends.itt_timeouts.get(),
+            0,
+            "spurious watchdog expiry: {row}"
+        );
+        assert_eq!(s.faults.escape_hops.get(), 0, "no fault, no escapes: {row}");
     }
 }
 
@@ -402,4 +409,90 @@ fn drained_jobs_conserve_ops_and_packets() {
         }
         assert_eq!(ports, s.fabric, "{job}: the ports' counters vs the torus's");
     }
+}
+
+/// A study's BENCH point reads back as written, with the study's keys in
+/// order: one small failure cell's row and one availability cell's row
+/// through `BenchFile` and `read_points`.
+#[test]
+fn study_rows_read_back_with_their_keys_in_order() {
+    let reads: ScenarioFactory = || {
+        Box::new(Synthetic::from_workload(Workload::AsyncRead {
+            size: 256,
+            poll_every: 4,
+        }))
+    };
+    let small = FailureParams {
+        ops_per_core: 2,
+        ..params()
+    };
+    let failure = JobCell::failure(
+        (2, 1, 1),
+        ("uniform", reads),
+        RoutingKind::FaultAdaptive,
+        FaultCase::NodeKill,
+        small,
+    );
+    let availability = JobCell::availability(
+        (3, 1, 1),
+        ("reads", reads),
+        FaultCase::NodeKill,
+        (2, 1),
+        small,
+    );
+    let failure_keys = [
+        "scenario",
+        "fault",
+        "routing",
+        "torus",
+        "kill_at",
+        "expected_ops",
+        "completed_ops",
+        "failed_ops",
+        "completed_all",
+        "completion_cycles",
+        "p50_ok_read",
+        "p99_ok_read",
+        "link_skew",
+        "itt_timeouts",
+        "itt_retries",
+        "packets_dropped",
+        "dead_link_stalls",
+        "escape_hops",
+    ];
+    let availability_keys = [
+        "scenario",
+        "fault",
+        "k",
+        "w",
+        "torus",
+        "kill_at",
+        "expected_ops",
+        "completed_ops",
+        "failed_ops",
+        "lost_reads",
+        "corpse_failed_reads",
+        "degraded_ops",
+        "replays",
+        "quorum_writes",
+        "quorum_leg_failures",
+        "completed_all",
+        "completion_cycles",
+        "recovery_cycles",
+        "ops_per_kcycle",
+        "p50_ok_read",
+        "p99_ok_read",
+        "p99_degraded_read",
+    ];
+    let rows = [
+        run_job(failure).failure_row(),
+        run_job(availability).availability_row(),
+    ];
+    let text = BenchFile::new("rackni-bench-test/1", Scale::Quick, rows.to_vec()).to_string();
+    let points = read_points(&text).expect("the file reads back");
+    assert_eq!(points, rows, "read back as written");
+    assert!(points[0].keys().eq(failure_keys), "{}", points[0]);
+    assert!(points[1].keys().eq(availability_keys), "{}", points[1]);
+    assert_eq!(points[0].get("torus"), Some("2x1x1"));
+    assert_eq!(points[1].get("fault"), Some("node-kill"));
 }

@@ -389,7 +389,7 @@ fn rack_runs_are_reproducible_from_the_config_seed() {
 /// The rack-scale experiment sweep produces structurally sound rows.
 #[test]
 fn rack_scale_experiment_reports_scaling_rows() {
-    use rackni::experiments::{rack_scale, Scale};
+    use rackni::experiments::{rack_scale, RackScalePoint, Scale};
     let pts = rack_scale(Scale::Quick, TrafficPattern::Uniform);
     assert_eq!(pts.len(), 3);
     for p in &pts {
@@ -397,8 +397,8 @@ fn rack_scale_experiment_reports_scaling_rows() {
             p.nodes,
             u32::from(p.dims.0) * u32::from(p.dims.1) * u32::from(p.dims.2)
         );
-        assert!(p.completed_ops > 0, "{:?} rack idle", p.dims);
-        assert!(p.agg_ni_gbps > 0.0);
+        assert!(p.snapshot.cores.completed > 0, "{:?} rack idle", p.dims);
+        assert!(p.snapshot.app_gbps(p.cycles) > 0.0);
         if p.nodes > 1 {
             assert!(p.peak_link_gbps > 0.0);
             assert!(
@@ -411,8 +411,9 @@ fn rack_scale_experiment_reports_scaling_rows() {
     }
     // More nodes, more aggregate NI throughput (each node adds both
     // requesters and servers).
+    let agg = |p: &RackScalePoint| p.snapshot.app_gbps(p.cycles);
     assert!(
-        pts.last().expect("rows").agg_ni_gbps > pts[0].agg_ni_gbps,
+        agg(pts.last().expect("rows")) > agg(&pts[0]),
         "aggregate bandwidth should grow with rack size"
     );
 }

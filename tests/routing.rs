@@ -4,7 +4,7 @@
 //! determinism of the random baseline, and the capped-job completion
 //! machinery the routing sweep is built on.
 
-use rackni::experiments::run_routing_point;
+use rackni::experiments::{run_job, JobCell, ScenarioFactory};
 use rackni::ni_fabric::{RoutingKind, Torus3D};
 use rackni::ni_soc::{
     Capped, ChipConfig, Rack, RackSimConfig, Synthetic, TrafficPattern, Workload, ZipfHotspot,
@@ -123,24 +123,31 @@ fn adaptive_routing_changes_paths_but_not_outcomes() {
 /// asserts the same property at the paper-facing scale.)
 #[test]
 fn adaptive_routing_reduces_zipf_link_skew() {
-    let run = |routing: RoutingKind| {
-        run_routing_point(
+    let zipf: ScenarioFactory = || Box::<ZipfHotspot>::default();
+    let run = |routing| {
+        run_job(JobCell::routing(
             (3, 3, 1),
-            "zipf",
-            Box::<ZipfHotspot>::default(),
+            ("zipf", zipf),
             routing,
             8,
             60_000,
-        )
+        ))
     };
     let dor = run(RoutingKind::DimensionOrder);
     let ada = run(RoutingKind::MinimalAdaptive);
-    assert_eq!(dor.completed_ops, dor.expected_ops, "DOR job must finish");
+    let (dor_s, ada_s) = (&dor.snapshot, &ada.snapshot);
     assert_eq!(
-        ada.completed_ops, ada.expected_ops,
+        dor_s.cores.completed, dor.expected_ops,
+        "DOR job must finish"
+    );
+    assert_eq!(
+        ada_s.cores.completed, ada.expected_ops,
         "adaptive job must finish"
     );
-    assert_eq!(ada.hops, dor.hops, "minimal policies traverse equal hops");
+    assert_eq!(
+        ada_s.hops, dor_s.hops,
+        "minimal policies traverse equal hops"
+    );
     assert!(
         ada.link_skew < dor.link_skew,
         "adaptive skew {:.2} must undercut DOR skew {:.2} on hotspot traffic",
@@ -148,9 +155,9 @@ fn adaptive_routing_reduces_zipf_link_skew() {
         dor.link_skew
     );
     // Reads complete, so the tail metric has real samples on both.
-    assert!(dor.p99_read_cycles >= dor.p50_read_cycles);
-    assert!(ada.p99_read_cycles >= ada.p50_read_cycles);
-    assert!(dor.p50_read_cycles > 0);
+    assert!(dor_s.reads.percentile(0.99) >= dor_s.reads.percentile(0.50));
+    assert!(ada_s.reads.percentile(0.99) >= ada_s.reads.percentile(0.50));
+    assert!(dor_s.reads.percentile(0.50) > 0);
 }
 
 /// The random-minimal baseline is seeded: same seed, same rack, bit-equal

@@ -5,8 +5,8 @@
 
 use rackni::ni_fabric::Torus3D;
 use rackni::ni_soc::{
-    builtin_scenarios, run_chip_scenario, Chip, ChipConfig, Op, OpCtx, Rack, RackSimConfig,
-    Scenario, Synthetic, TrafficPattern, Workload, ZipfHotspot,
+    builtin_scenarios, Chip, ChipConfig, Op, OpCtx, Rack, RackSimConfig, Scenario, Synthetic,
+    TrafficPattern, Workload, ZipfHotspot,
 };
 
 mod common;
@@ -33,14 +33,15 @@ fn every_builtin_scenario_completes_on_the_single_chip_path() {
             active_cores: 4,
             ..ChipConfig::default()
         };
-        let r = run_chip_scenario(cfg, s.as_ref(), 30_000);
+        let mut chip = Chip::with_scenario(cfg, s.as_ref());
+        chip.run(30_000);
+        let (r, name) = (chip.snapshot(), s.name());
         assert!(
-            r.ops > 10,
-            "{}: only {} ops on the chip path",
-            r.scenario,
-            r.ops
+            r.cores.completed > 10,
+            "{name}: only {} ops on the chip path",
+            r.cores.completed
         );
-        assert!(r.app_gbps > 0.0, "{}: no payload moved", r.scenario);
+        assert!(r.app_gbps(30_000) > 0.0, "{name}: no payload moved");
     }
 }
 
@@ -221,8 +222,13 @@ fn finite_scenarios_reap_all_outstanding_completions() {
     };
     // 3 is not a multiple of poll_every (4) and never fills the WQ, so only
     // the idle-drain path can reap these completions.
-    let r = run_chip_scenario(cfg, &FiniteReads { ops: 3 }, 20_000);
-    assert_eq!(r.ops, 3, "all issued ops must be reaped after going idle");
+    let mut chip = Chip::with_scenario(cfg, &FiniteReads { ops: 3 });
+    chip.run(20_000);
+    assert_eq!(
+        chip.snapshot().cores.completed,
+        3,
+        "all issued ops must be reaped after going idle"
+    );
 }
 
 /// `reset_scenario` mid-run must not strand completions: in-flight pre-reset
