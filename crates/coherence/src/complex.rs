@@ -255,6 +255,45 @@ impl CacheComplex {
         self.mshrs.is_empty() && self.writebacks.is_empty() && self.events.is_empty()
     }
 
+    /// True when nothing is in progress at all: no miss, writeback or timed
+    /// event, and no undrained egress or completion. Only a submit or a
+    /// delivery changes an idle complex.
+    pub fn is_idle(&self) -> bool {
+        self.is_quiescent() && self.egress.is_empty() && self.completions.is_empty()
+    }
+
+    /// The token an NI load of `block` would read if its lookup ran now
+    /// and hit: the block's value when the NI cache holds it, `None` when
+    /// the lookup would miss, transfer from the L1 or wait on a miss or
+    /// writeback.
+    pub fn ni_hit_value(&self, block: BlockAddr) -> Option<u64> {
+        if self.mshrs.contains_key(&block) || self.writebacks.contains_key(&block) {
+            return None;
+        }
+        let line = self.lines.get(&block)?;
+        line.ni.present().then_some(line.value)
+    }
+
+    /// Apply `n` NI load hits in closed form, as if their lookups had run
+    /// one after another: hit `k` touches `blocks[(first + k) % blocks.len()]`.
+    /// `hits` and the LRU clock advance by `n`, and each touched line keeps
+    /// the stamp of its last touch, so eviction order is what the lookups
+    /// would have left. Every touched block must be an NI hit
+    /// ([`CacheComplex::ni_hit_value`]).
+    pub fn credit_ni_hits(&mut self, blocks: &[BlockAddr], first: usize, n: u64) {
+        let len = blocks.len() as u64;
+        // Only the last lap's touches leave a stamp.
+        for k in n.saturating_sub(len)..n {
+            let block = blocks[((first as u64 + k) % len) as usize];
+            debug_assert!(self.ni_hit_value(block).is_some(), "{block:?} is no NI hit");
+            if let Some(l) = self.lines.get_mut(&block) {
+                l.lru = self.lru_clock + k + 1;
+            }
+        }
+        self.lru_clock += n;
+        self.stats.hits.add(n);
+    }
+
     /// Earliest cycle (>= `now`) at which this complex does anything on its
     /// own. `None` means it only acts on external input — an outstanding
     /// miss or writeback is parked until the directory answers, so it does
@@ -1335,6 +1374,86 @@ mod tests {
         assert!(cx.submit(Cycle(4), load(2, 2, AccessOrigin::Core)).is_err());
         // Same block: merges.
         assert!(cx.submit(Cycle(4), load(1, 3, AccessOrigin::Core)).is_ok());
+    }
+
+    /// Miss on `block` from `origin` at `now`, fill it shared, and return
+    /// the cycle after the completion.
+    fn fill(cx: &mut CacheComplex, now: Cycle, origin: AccessOrigin, block: u64) -> Cycle {
+        cx.submit(now, load(block, block, origin)).unwrap();
+        cx.tick(now + L1_LATENCY);
+        assert!(matches!(cx.pop_egress().unwrap().msg, CohMsg::GetS { .. }));
+        let at = now + L1_LATENCY + 1;
+        let value = 1_000 + block;
+        let fill = CohMsg::DataS {
+            block: BlockAddr(block),
+            value,
+        };
+        cx.deliver(at, fill);
+        let (c, done) = run_until_completion(cx, at, 10);
+        assert_eq!(c.value, value);
+        done + 1
+    }
+
+    /// Resident blocks among `0..64`.
+    fn resident(cx: &CacheComplex) -> Vec<u64> {
+        (0..64)
+            .filter(|&b| cx.probe(BlockAddr(b)) != (false, false, false))
+            .collect()
+    }
+
+    /// `credit_ni_hits` against the lookups it stands for: two complexes
+    /// with the same lines, one running `n` NI loads through
+    /// `submit`/`tick`, the other credited. Their statistics agree, and so
+    /// does every eviction once core fills push them past capacity, which
+    /// only holds if each credited line carries its last touch's LRU stamp.
+    #[test]
+    fn credited_ni_hits_match_the_lookups_they_stand_for() {
+        let cfg = CoherenceConfig {
+            l1_blocks: 3,
+            ni_cache_blocks: 2,
+            ..CoherenceConfig::default()
+        };
+        let cases: [(&[u64], usize, u64); 4] = [
+            (&[10], 0, 5),
+            (&[10, 11, 12], 1, 2),
+            (&[10, 11, 12], 2, 7),
+            (&[10, 11, 12], 1, 3),
+        ];
+        for (polled, first, n) in cases {
+            let warm = || {
+                let mut cx = CacheComplex::new(cfg, NocNode::tile(1, 1), true, home, 64);
+                let mut now = Cycle(0);
+                for &b in polled {
+                    now = fill(&mut cx, now, AccessOrigin::Ni, b);
+                }
+                // A core line younger than every polled one, until the
+                // polls touch them again.
+                fill(&mut cx, now, AccessOrigin::Core, 20);
+                cx
+            };
+            let (mut looked_up, mut credited) = (warm(), warm());
+            let mut now = Cycle(100);
+            for k in 0..n {
+                let b = polled[(first + k as usize) % polled.len()];
+                assert_eq!(looked_up.ni_hit_value(BlockAddr(b)), Some(1_000 + b));
+                looked_up.submit(now, load(b, k, AccessOrigin::Ni)).unwrap();
+                looked_up.tick(now + 1);
+                assert!(looked_up.pop_completion().is_some(), "poll {k} hit");
+                now += 2;
+            }
+            assert!(looked_up.is_idle());
+            let blocks: Vec<BlockAddr> = polled.iter().map(|&b| BlockAddr(b)).collect();
+            credited.credit_ni_hits(&blocks, first, n);
+            let case = format!("{polled:?} from {first}, {n} hits");
+            assert_eq!(looked_up.stats(), credited.stats(), "{case}");
+            for fresh in 30..36 {
+                fill(&mut looked_up, now, AccessOrigin::Core, fresh);
+                fill(&mut credited, now, AccessOrigin::Core, fresh);
+                now += 20;
+                let at = format!("{case}, after filling {fresh}");
+                assert_eq!(resident(&looked_up), resident(&credited), "{at}");
+            }
+        }
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! machine-readable trajectory. Four jobs:
 //!
 //! 1. **Trajectory** — writes `BENCH_simperf.json` (schema
-//!    `rackni-bench-simperf/3`) at the workspace root, one row per point.
+//!    `rackni-bench-simperf/4`) at the workspace root, one row per point.
 //!    Rack rows add `build_ms`, `hops`, `sync_rounds` (one per lookahead
 //!    window) and the rack's work from its snapshot (`ni_soc::Work`): full
-//!    chip ticks (`full_ticks`) and component visits per class
-//!    (`visits_*`), summed over its chips and printed in a second table.
+//!    chip ticks (`full_ticks`), component visits per class (`visits_*`)
+//!    and parked WQ poll loops (`parks`), summed over its chips and
+//!    printed in a second table.
 //!    Every event-mode rack point runs at one worker (`serial_cps`) and at
 //!    the default worker count (`cps`; `speedup` is their ratio); on a
 //!    one-thread host the serial run fills both. Poll twins run once, at
@@ -391,7 +392,7 @@ fn main() {
         .chain(readings.iter().map(|(key, _)| key.as_str()))
         .collect();
     println!("{}", project(&rows, &TABLE));
-    println!("work per rack point (summed over chips): full ticks and component visits\n");
+    println!("work per rack point (summed over chips): full ticks, component visits, parks\n");
     println!("{}", project(&rack_rows, &work_table));
     if host_threads > 1 {
         println!(
@@ -422,7 +423,7 @@ fn main() {
     println!("bursty 8x8x8: event tick {bursty_speedup:.2}x over poll");
 
     let out = workspace_root().join("BENCH_simperf.json");
-    let mut bench = BenchFile::new("rackni-bench-simperf/3", scale, rows);
+    let mut bench = BenchFile::new("rackni-bench-simperf/4", scale, rows);
     bench.header().num("host_threads", host_threads);
     bench.write(&out).expect("write BENCH_simperf.json");
     println!("\nsimperf trajectory written to {}", out.display());

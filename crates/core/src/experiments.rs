@@ -592,14 +592,12 @@ pub fn build_idle_rack_point(dims: (u16, u16, u16), threads: usize, tick_mode: T
         tick_mode,
         ..ChipConfig::default()
     };
-    // A zero backoff keeps the frontends' WQ poll loop hot every cycle —
-    // and every WQ poll is a real cache/NOC transaction in this simulator —
-    // which would pin `dormant_until` to `now` and erase the idle windows
-    // the scenario declares. A 512-cycle cadence makes the think windows
-    // genuinely quiet (edge placement assigns every row's QPs to its
-    // frontend, so all four edge frontends poll regardless of how many
-    // cores issue work). The cadence is part of the workload, so it is
-    // identical under both tick modes.
+    // The frontends poll their WQs on a 512-cycle cadence (edge placement
+    // assigns every row's QPs to its frontend, so all edge frontends poll
+    // regardless of how many cores issue work). The event tick would park
+    // a quiet loop at any backoff; the cadence stays because it defines
+    // the workload that perfbench's `rack-idle` and `simperf`'s
+    // idle-heavy baselines measure, identically under both tick modes.
     chip.rmc.poll_backoff = 512;
     let cfg = RackSimConfig {
         torus: Torus3D::new(dims.0, dims.1, dims.2),

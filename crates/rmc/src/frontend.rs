@@ -15,11 +15,18 @@
 //! A frontend keeps its per-QP state at the QP's position in the list it
 //! serves, inline: at most [`GRID`] QPs, so a poll costs no ordered-map
 //! operation and no allocation.
+//!
+//! A quiet poll loop can *park* ([`NiFrontend::park`]): when every coming
+//! poll is an NI-cache hit that reads nothing new, the frontend and its
+//! cache stop being ticked, and [`NiFrontend::settle`] later applies the
+//! polls the loop would have made in closed form. Only an event-driven
+//! chip parks; it settles before anything touches the pair.
 
 use std::collections::VecDeque;
 
 use ni_coherence::{Access, AccessKind, AccessOrigin, CacheComplex};
 use ni_engine::{Cycle, DelayLine};
+use ni_mem::BlockAddr;
 use ni_noc::{NocNode, GRID};
 use ni_qp::QueuePair;
 
@@ -39,9 +46,18 @@ pub const RCP_FE_PROC: u64 = 4;
 /// Tag-space discriminators for the frontend's cache accesses.
 const TAG_POLL: u64 = 1 << 62;
 const TAG_CQ: u64 = 2 << 62;
+/// The sequence part of a tag.
+const TAG_MASK: u64 = (1 << 62) - 1;
 
 /// Most QPs one frontend serves: an NIedge frontend's row or column.
 const MAX_QPS: usize = GRID as usize;
+
+/// Parked polls a park must be sure to complete before a known settle.
+/// A park and its settle cost about one poll's frontend and cache visits,
+/// so a park that saves only one poll saves nothing (on `chip-paper`,
+/// where a spinning core settles its tile's loop every few cycles, such
+/// parks made the run slower).
+const MIN_PARKED_POLLS: u64 = 2;
 
 #[derive(Debug)]
 enum FeEv {
@@ -91,7 +107,14 @@ pub struct NiFrontend {
     events: DelayLine<FeEv>,
     egress: VecDeque<RmcEgress>,
     next_tag: u64,
+    /// First cycle the next poll may issue: the last poll's completion
+    /// plus `poll_backoff`. A parked frontend keeps it, and its schedule
+    /// starts from it.
     poll_ready_at: Cycle,
+    /// Parked: the poll loop runs virtually ([`NiFrontend::park`]). The
+    /// round-robin cursor, the tag counter and `poll_ready_at` hold what
+    /// they held at the park until [`NiFrontend::settle`].
+    parked: bool,
     /// A submit was rejected (MSHR full); retry it.
     retry: Option<Access>,
     /// Highest WQ entry id already scheduled for forwarding, per QP
@@ -140,6 +163,7 @@ impl NiFrontend {
             egress: VecDeque::new(),
             next_tag: 0,
             poll_ready_at: Cycle::ZERO,
+            parked: false,
             retry: None,
             dispatched: [0; MAX_QPS],
         }
@@ -161,6 +185,7 @@ impl NiFrontend {
     /// path. The frontend writes the CQ entry either way, with both flags
     /// carried through to the application.
     pub fn on_notify(&mut self, qp: u32, wq_id: u64, ok: bool, degraded: bool) {
+        debug_assert!(!self.parked, "notified while parked");
         self.cq_queue.push_back((qp, wq_id, ok, degraded));
     }
 
@@ -168,13 +193,16 @@ impl NiFrontend {
     /// its own: a pending retry, an undrained egress queue, a queued CQ
     /// notification, a due internal event, or the next WQ-poll issue slot.
     /// `None` means only external input (a notification or a cache
-    /// completion) wakes it. The poll term may be conservatively early — a
-    /// tick that finds every QP already in-poll only rotates the
-    /// round-robin cursor by a full lap, which is invisible mod the QP
-    /// count — but it is never late: a frontend holding poll credit is due
-    /// at `max(now, poll_ready_at)` exactly as the poll-everything tick
-    /// would observe.
+    /// completion) wakes it, and always while parked. The poll term may be
+    /// conservatively early — a tick that finds every QP already in-poll
+    /// only rotates the round-robin cursor by a full lap, which is
+    /// invisible mod the QP count — but it is never late: a frontend
+    /// holding poll credit is due at `max(now, poll_ready_at)` exactly as
+    /// the poll-everything tick would observe.
     pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+        if self.parked {
+            return None;
+        }
         if self.retry.is_some()
             || !self.egress.is_empty()
             || (!self.cq_busy && !self.cq_queue.is_empty())
@@ -192,6 +220,7 @@ impl NiFrontend {
     /// Drive the frontend one cycle. Needs the shared QP table and the
     /// cache complex hosting the NI cache.
     pub fn tick(&mut self, now: Cycle, qps: &mut [QueuePair], cache: &mut CacheComplex) {
+        debug_assert!(!self.parked, "ticked while parked");
         // Retry a rejected submit first.
         if let Some(a) = self.retry.take() {
             if let Err(a) = cache.submit(now, a) {
@@ -268,19 +297,23 @@ impl NiFrontend {
         };
         let block = qps[self.qp_ids[usize::from(pos)] as usize].wq_head_block();
         let tag = TAG_POLL | self.bump_tag();
+        if let Err(a) = cache.submit(now, self.record_poll(pos, block, tag)) {
+            self.retry = Some(a);
+        }
+    }
+
+    /// Record an outstanding poll of the QP at `pos` and return its load.
+    fn record_poll(&mut self, pos: u8, block: BlockAddr, tag: u64) -> Access {
         let k = usize::from(self.n_polls);
         self.poll_tags[k] = tag;
         self.poll_pos[k] = pos;
         self.n_polls += 1;
-        let a = Access {
+        Access {
             origin: AccessOrigin::Ni,
             kind: AccessKind::Load,
             block,
             store_value: 0,
             tag,
-        };
-        if let Err(a) = cache.submit(now, a) {
-            self.retry = Some(a);
         }
     }
 
@@ -299,6 +332,7 @@ impl NiFrontend {
     /// Handle a completed NI-cache access (routed here by the SoC for
     /// completions with `AccessOrigin::Ni`).
     pub fn on_cache_completion(&mut self, now: Cycle, tag: u64, value: u64, qps: &[QueuePair]) {
+        debug_assert!(!self.parked, "cache completion while parked");
         if tag & TAG_CQ != 0 {
             let (stag, qp, wq_id) = self.storing_cq.take().expect("CQ store outstanding");
             debug_assert_eq!(stag, tag);
@@ -318,11 +352,13 @@ impl NiFrontend {
             .position(|&t| t == tag)
             .expect("poll outstanding");
         let pos = usize::from(self.poll_pos[k]);
-        // Move the last record into the freed one.
+        // Move the last record into the freed one, and clear the last:
+        // records past `n_polls` stay zero, so equal states compare equal.
         self.n_polls -= 1;
         let last = usize::from(self.n_polls);
         self.poll_tags[k] = self.poll_tags[last];
         self.poll_pos[k] = self.poll_pos[last];
+        (self.poll_tags[last], self.poll_pos[last]) = (0, 0);
         let qp = self.qp_ids[pos];
         // The block token is the newest entry id written into that block;
         // take every pending entry the poll made visible. Only peeked so
@@ -354,7 +390,150 @@ impl NiFrontend {
     }
 
     fn bump_tag(&mut self) -> u64 {
-        self.next_tag = (self.next_tag + 1) & ((1 << 62) - 1);
+        self.next_tag = (self.next_tag + 1) & TAG_MASK;
         self.next_tag
+    }
+
+    // ---- the parked poll loop ---------------------------------------------
+
+    /// True while the poll loop runs virtually.
+    pub fn is_parked(&self) -> bool {
+        self.parked
+    }
+
+    /// Whether polling can change nothing: no retry, egress, event, CQ
+    /// work or poll in flight, `cache` idle, and every served QP's WQ head
+    /// block an NI-cache hit whose token shows no entry this frontend has
+    /// not dispatched yet. Then each coming poll is a hit that reads the
+    /// same token, until a core store or a coherence message moves a
+    /// block.
+    pub fn is_quiet(&self, qps: &[QueuePair], cache: &CacheComplex) -> bool {
+        if self.n_qps == 0
+            || self.n_polls > 0
+            || self.retry.is_some()
+            || !self.egress.is_empty()
+            || !self.events.is_empty()
+            || self.cq_busy
+            || !self.cq_queue.is_empty()
+            || !cache.is_idle()
+        {
+            return false;
+        }
+        let served = &self.qp_ids[..usize::from(self.n_qps)];
+        served.iter().zip(&self.dispatched).all(|(&qp, &already)| {
+            let q = &qps[qp as usize];
+            cache.ni_hit_value(q.wq_head_block()).is_some_and(|token| {
+                let mut unseen = q.pending_entries().skip_while(|e| e.id <= already);
+                unseen.next().is_none_or(|e| e.id > token)
+            })
+        })
+    }
+
+    /// Park at `now`, in the cache's subphase after an NI-cache
+    /// completion, if the loop [is quiet](NiFrontend::is_quiet) and at
+    /// most one poll can ever be in flight: the frontend serves one QP, or
+    /// `fe_poll_concurrency` is 1. `settle_by` is a cycle by which
+    /// something settles the loop anyway (on a per-tile placement, the
+    /// tile core's next tick), `Cycle(u64::MAX)` if none is known; a park
+    /// settled before its second poll completes would save too little, so
+    /// it is refused. Returns whether it parked.
+    ///
+    /// Parked poll `k` (from 0) issues at `x0 + k * P`, polls the QP at
+    /// position `rr + k` (mod the QP count) with tag `next_tag + k + 1`,
+    /// and hits one cycle later; `x0` is the first cycle after `now` at
+    /// which a poll may issue, `P` is `1 + max(1, poll_backoff)`. A
+    /// parked frontend must not be ticked, notified or handed a completion
+    /// until [`NiFrontend::settle`], and its
+    /// [`next_activity`](NiFrontend::next_activity) is `None`.
+    pub fn park(
+        &mut self,
+        now: Cycle,
+        qps: &[QueuePair],
+        cache: &CacheComplex,
+        settle_by: Cycle,
+    ) -> bool {
+        let serial = self.n_qps == 1 || self.cfg.fe_poll_concurrency == 1;
+        // The schedule restarts from the last poll's completion; a poll
+        // that is already due at `now + 1` (a CQ store outlasted the
+        // backoff) goes out the usual way.
+        let first = self.first_parked_issue();
+        let last_hit = first + (MIN_PARKED_POLLS - 1) * self.poll_period() + 1;
+        if !serial || first <= now || settle_by <= last_hit || !self.is_quiet(qps, cache) {
+            return false;
+        }
+        self.parked = true;
+        true
+    }
+
+    /// Leave the parked state at the start of cycle `t`, before any
+    /// frontend or cache subphase of `t` runs: apply the polls the loop
+    /// made since the park, so this frontend and `cache` hold what the
+    /// poll-every-cycle loop leaves. Completed polls become hits
+    /// ([`CacheComplex::credit_ni_hits`]); a poll issued at `t - 1` is
+    /// still in flight, so it is recorded and submitted again, its lookup
+    /// due at `t`. Does nothing unless parked.
+    pub fn settle(&mut self, t: Cycle, qps: &[QueuePair], cache: &mut CacheComplex) {
+        if !self.parked {
+            return;
+        }
+        let (issued, done) = (self.parked_polls_before(t), self.parked_hits(t));
+        self.parked = false;
+        let n = self.n_qps;
+        let blocks = self.head_blocks(qps);
+        let blocks = &blocks[..usize::from(n)];
+        cache.credit_ni_hits(blocks, usize::from(self.rr), done);
+        self.poll_ready_at += done * self.poll_period();
+        self.next_tag = (self.next_tag + issued) & TAG_MASK;
+        self.rr = ((u64::from(self.rr) + issued) % u64::from(n)) as u8;
+        if issued > done {
+            let pos = (self.rr + n - 1) % n;
+            let a = self.record_poll(pos, blocks[usize::from(pos)], TAG_POLL | self.next_tag);
+            cache
+                .submit(Cycle(t.0 - 1), a)
+                .expect("an idle cache takes the poll");
+        }
+    }
+
+    /// Polls a parked loop has completed by the start of cycle `t` (0 when
+    /// not parked): the NI-cache hits [`NiFrontend::settle`] at `t` would
+    /// credit.
+    pub fn parked_hits(&self, t: Cycle) -> u64 {
+        if !self.parked {
+            return 0;
+        }
+        self.parked_polls_before(Cycle(t.0.saturating_sub(1)))
+    }
+
+    /// Cycles from one parked poll's issue to the next: its one-cycle
+    /// lookup, then the backoff, or at least the one cycle the frontend's
+    /// subphase waits for the cache's.
+    fn poll_period(&self) -> u64 {
+        1 + self.cfg.poll_backoff.max(1)
+    }
+
+    /// Issue cycle of the first parked poll: `poll_ready_at`, or the cycle
+    /// after the last completion when the backoff is 0.
+    fn first_parked_issue(&self) -> Cycle {
+        let backoff = self.cfg.poll_backoff;
+        self.poll_ready_at + (backoff.max(1) - backoff)
+    }
+
+    /// Parked polls issued before cycle `end`.
+    fn parked_polls_before(&self, end: Cycle) -> u64 {
+        let first = self.first_parked_issue();
+        if end <= first {
+            return 0;
+        }
+        (end.0 - first.0 - 1) / self.poll_period() + 1
+    }
+
+    /// The served QPs' WQ head blocks, by position (`[..n_qps]`).
+    fn head_blocks(&self, qps: &[QueuePair]) -> [BlockAddr; MAX_QPS] {
+        let mut blocks = [BlockAddr(0); MAX_QPS];
+        let served = &self.qp_ids[..usize::from(self.n_qps)];
+        for (b, &qp) in blocks.iter_mut().zip(served) {
+            *b = qps[qp as usize].wq_head_block();
+        }
+        blocks
     }
 }

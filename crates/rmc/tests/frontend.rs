@@ -10,10 +10,17 @@
 //! token the application last wrote. The application writes a WQ entry
 //! by enqueueing it and storing its id straight into the directory's
 //! memory, the token the core's stores would leave in the block.
+//!
+//! A rig that `keep`s its grants leaves every block with the cache, so
+//! polls hit once each head block came in; a rig that `park`s lets its
+//! frontend park after any completion, and steps over the cycles it stays
+//! parked, touching neither the frontend nor the cache.
 
 use std::collections::BTreeMap;
 
-use ni_coherence::{CacheComplex, ClientKind, CohMsg, CoherenceConfig};
+use ni_coherence::{
+    Access, AccessKind, AccessOrigin, CacheComplex, ClientKind, CohMsg, CoherenceConfig,
+};
 use ni_engine::Cycle;
 use ni_mem::{Addr, BlockAddr};
 use ni_noc::NocNode;
@@ -22,6 +29,9 @@ use ni_rmc::{NiFrontend, NiMsg, RmcConfig, RmcEgress, Stage, RCP_FE_PROC};
 
 /// Where the stand-in directory sits; the complex addresses it there.
 const HOME: NocNode = NocNode::Llc(0);
+
+/// No core's tick settles a parked loop here.
+const NO_SETTLE: Cycle = Cycle(u64::MAX);
 
 fn home(_: BlockAddr, _: u32) -> NocNode {
     HOME
@@ -72,6 +82,8 @@ struct Log {
     observed: Vec<(u32, u64, u64)>,
     /// `(qp, wq_id, cycle)` of every `CqWritten` stamp.
     cq_written: Vec<(u32, u64, u64)>,
+    /// Cycles at which the frontend parked.
+    parks: Vec<u64>,
 }
 
 struct Rig {
@@ -86,6 +98,10 @@ struct Rig {
     mem: BTreeMap<BlockAddr, u64>,
     /// Answers waiting for their cycle: `(due, message)`.
     replies: Vec<(u64, CohMsg)>,
+    /// Leave granted blocks with the cache instead of taking them back.
+    keep: bool,
+    /// Park the frontend whenever a completion leaves it quiet.
+    park: bool,
     log: Log,
 }
 
@@ -104,6 +120,8 @@ impl Rig {
             delay: BTreeMap::new(),
             mem: BTreeMap::new(),
             replies: Vec::new(),
+            keep: false,
+            park: false,
             log: Log::default(),
         }
     }
@@ -148,6 +166,12 @@ impl Rig {
     /// One cycle, in the chip's order.
     fn step(&mut self) {
         let now = Cycle(self.now);
+        if self.fe.is_parked() {
+            // Nothing is in flight: the cache is idle.
+            assert!(self.replies.is_empty(), "a parked frontend's cache missed");
+            self.now += 1;
+            return;
+        }
         let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.replies)
             .into_iter()
             .partition(|&(at, _)| at <= self.now);
@@ -185,9 +209,14 @@ impl Rig {
             let delay = self.delay.get(&block).copied().unwrap_or(1);
             self.replies.push((self.now + delay, reply));
         }
+        let mut completed = false;
         while let Some(c) = self.cx.pop_completion() {
             self.fe.on_cache_completion(c.at, c.tag, c.value, &self.qps);
             self.drain_frontend(Some((c.at.0, c.value)));
+            completed = true;
+        }
+        if self.keep {
+            granted.clear();
         }
         // Take back every block whose grant was used this cycle.
         for block in granted {
@@ -197,6 +226,9 @@ impl Rig {
                 akind: ClientKind::Directory,
             };
             self.cx.deliver(now, inv);
+        }
+        if self.park && completed && self.fe.park(now, &self.qps, &self.cx, NO_SETTLE) {
+            self.log.parks.push(self.now);
         }
         self.now += 1;
     }
@@ -478,6 +510,209 @@ fn cq_stores_go_ahead_of_polls_one_at_a_time() {
     assert_eq!(
         reaped,
         [(1, true, false), (2, false, false), (3, true, true)]
+    );
+}
+
+/// A frontend for the parking tests: a per-tile one when it serves one QP,
+/// else an NIedge one.
+fn parking_rig(served: &[u32], poll_backoff: u64, fe_poll_concurrency: usize) -> Rig {
+    let node = match served {
+        [_] => NocNode::tile(5, 0),
+        _ => NocNode::NiBlock(2),
+    };
+    Rig::new(node, 24, served, cfg(poll_backoff, fe_poll_concurrency))
+}
+
+/// A rig whose poll loop goes quiet: one entry on the first served QP is
+/// written, seen and forwarded while the directory still takes blocks
+/// back; from then on the cache keeps every head block, so once each came
+/// in, every poll hits and reads nothing new. With `park` the frontend
+/// parks at its first chance.
+fn quiet_rig(served: &[u32], poll_backoff: u64, park: bool) -> Rig {
+    let mut rig = parking_rig(served, poll_backoff, 1);
+    rig.run_to(10);
+    rig.write_entry(served[0]);
+    rig.run_until(2_000, |log| log.forwarded.len() == 1);
+    rig.keep = true;
+    rig.park = park;
+    rig
+}
+
+/// A loop parked and settled at the start of cycle `t` leaves the
+/// frontend and its cache as polling every cycle up to `t` does: the
+/// frontend's whole state (tags, cursor, poll records, `poll_ready_at`),
+/// compared through its `Debug` form, and the cache's statistics; and
+/// the two go on alike. `t` runs from the cycle after the park over both
+/// sides of an in-flight poll: as it issues, while it is out, and once
+/// it hit.
+#[test]
+fn a_settled_loop_matches_one_that_polled_every_cycle() {
+    for poll_backoff in [0, 1, 2, 512] {
+        for served in [&[5][..], &[2, 10, 18]] {
+            let mut probe = quiet_rig(served, poll_backoff, true);
+            probe.run_until(5_000, |log| !log.parks.is_empty());
+            let parked_at = probe.log.parks[0];
+            let period = 1 + poll_backoff.max(1);
+            let first_issue = parked_at + poll_backoff.max(1);
+            let mut settle_at = vec![parked_at + 1];
+            for k in [0, 1, 4] {
+                let issue = first_issue + k * period;
+                settle_at.extend([issue, issue + 1, issue + 2]);
+            }
+            for t in settle_at {
+                let at = format!(
+                    "backoff {poll_backoff}, QPs {served:?}, parked at {parked_at}, settled at {t}"
+                );
+                let mut live = quiet_rig(served, poll_backoff, false);
+                live.run_to(t);
+                let mut parked = quiet_rig(served, poll_backoff, true);
+                parked.run_to(t);
+                assert_eq!(parked.log.parks, [parked_at], "{at}");
+                parked.fe.settle(Cycle(t), &parked.qps, &mut parked.cx);
+                assert!(!parked.fe.is_parked());
+                assert_eq!(format!("{:?}", parked.fe), format!("{:?}", live.fe), "{at}");
+                assert_eq!(parked.cx.stats(), live.cx.stats(), "{at}");
+                parked.park = false;
+                let end = t + 3 * period;
+                live.run_to(end);
+                parked.run_to(end);
+                let after = |rig: &Rig| -> Vec<u64> {
+                    let done = rig.completions(Kind::Poll);
+                    done.into_iter().filter(|&c| c >= t).collect()
+                };
+                assert_eq!(after(&parked), after(&live), "{at}: polls after");
+                assert_eq!(
+                    format!("{:?}", parked.fe),
+                    format!("{:?}", live.fe),
+                    "{at}, then {end}"
+                );
+                assert_eq!(parked.cx.stats(), live.cx.stats(), "{at}, then {end}");
+            }
+        }
+    }
+}
+
+/// Run `rig`, keeping its grants, until a completion leaves its frontend
+/// [quiet](NiFrontend::is_quiet); returns it stopped after that cycle,
+/// with the completion's cycle.
+fn until_quiet(mut rig: Rig) -> (Rig, Cycle) {
+    rig.keep = true;
+    loop {
+        assert!(rig.now < 5_000, "the loop never went quiet");
+        let done = rig.log.done.len();
+        rig.step();
+        if rig.log.done.len() > done && rig.fe.is_quiet(&rig.qps, &rig.cx) {
+            let completed_at = Cycle(rig.now - 1);
+            return (rig, completed_at);
+        }
+    }
+}
+
+/// A quiet loop parks; a park is refused when a coming poll could read
+/// something new (the core's store left an unseen entry's token in the
+/// block the NI cache shares, or the head block left the NI cache), when
+/// the cache has work of its own, and when two polls could overlap (an
+/// NIedge row at concurrency 2).
+#[test]
+fn a_park_is_refused_unless_every_coming_poll_is_a_quiet_hit() {
+    let quiet = || until_quiet(parking_rig(&[5], 0, 1));
+    let (mut rig, c) = quiet();
+    assert!(
+        rig.fe.park(c, &rig.qps, &rig.cx, NO_SETTLE),
+        "a quiet loop parks"
+    );
+
+    // At backoff 0 the parked polls issue at `c + 1` and `c + 3` and hit
+    // at `c + 2` and `c + 4`: a core that ticks (and settles) at `c + 4`
+    // leaves the park one poll to save, too few; one at `c + 5`, two.
+    let (mut rig, c) = quiet();
+    assert!(
+        !rig.fe.park(c, &rig.qps, &rig.cx, c + 4),
+        "settled too soon"
+    );
+    assert!(
+        rig.fe.park(c, &rig.qps, &rig.cx, c + 5),
+        "settled after two polls"
+    );
+
+    // An entry the cache cannot show yet does not stop the loop parking;
+    // once the core's store put its token in the shared block, it does.
+    let (mut rig, c) = quiet();
+    let id = rig.write_entry(5);
+    assert!(rig.fe.is_quiet(&rig.qps, &rig.cx), "unseen entry");
+    let head = rig.qps[5].wq_head_block();
+    let now = Cycle(rig.now);
+    let store = Access {
+        origin: AccessOrigin::Core,
+        kind: AccessKind::Store,
+        block: head,
+        store_value: id,
+        tag: 0,
+    };
+    rig.cx.submit(now, store).unwrap();
+    // The L1 finds the NI cache's shared copy and upgrades it.
+    let mut at = now;
+    let upgrade = loop {
+        rig.cx.tick(at);
+        if let Some(e) = rig.cx.pop_egress() {
+            break e.msg;
+        }
+        at += 1;
+    };
+    assert_eq!(upgrade, CohMsg::GetX { block: head });
+    let grant = CohMsg::DataE {
+        block: head,
+        value: id - 1,
+        acks: 0,
+    };
+    rig.cx.deliver(at + 1, grant);
+    assert!(rig.cx.pop_completion().is_some(), "the store completed");
+    assert!(rig.cx.is_idle());
+    assert_eq!(rig.cx.ni_hit_value(head), Some(id));
+    assert!(
+        !rig.fe.park(c, &rig.qps, &rig.cx, NO_SETTLE),
+        "visible entry"
+    );
+
+    // The head block left the NI cache.
+    let (mut rig, c) = quiet();
+    let head = rig.qps[5].wq_head_block();
+    let inv = CohMsg::Inv {
+        block: head,
+        ack_to: HOME,
+        akind: ClientKind::Directory,
+    };
+    rig.cx.deliver(Cycle(rig.now), inv);
+    assert!(rig.cx.pop_egress().is_some(), "the InvAck");
+    assert!(rig.cx.is_idle());
+    assert!(
+        !rig.fe.park(c, &rig.qps, &rig.cx, NO_SETTLE),
+        "head block not cached"
+    );
+
+    // The cache has a lookup of its own due.
+    let (mut rig, c) = quiet();
+    let load = Access {
+        origin: AccessOrigin::Core,
+        kind: AccessKind::Load,
+        block: BlockAddr(7),
+        store_value: 0,
+        tag: 0,
+    };
+    rig.cx.submit(Cycle(rig.now), load).unwrap();
+    assert!(!rig.fe.park(c, &rig.qps, &rig.cx, NO_SETTLE), "cache event");
+
+    // Three QPs: one poll at a time parks, two at a time does not.
+    let row = [2, 10, 18];
+    let (mut rig, c) = until_quiet(parking_rig(&row, 512, 1));
+    assert!(
+        rig.fe.park(c, &rig.qps, &rig.cx, NO_SETTLE),
+        "a row polled serially"
+    );
+    let (mut rig, c) = until_quiet(parking_rig(&row, 512, 2));
+    assert!(
+        !rig.fe.park(c, &rig.qps, &rig.cx, NO_SETTLE),
+        "two polls could overlap"
     );
 }
 

@@ -33,6 +33,9 @@ ni_engine::stats! {
         pub full_ticks: u64,
         /// Component visits per class.
         pub visits: Visits,
+        /// Times a frontend parked its poll loop together with its NI
+        /// cache (event tick only).
+        pub parks: u64,
     }
 
     /// Every counter and latency distribution of a chip

@@ -472,8 +472,7 @@ fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
     }
 
     // (placement, topology, workload, event-mode full ticks summed over
-    // the four chips, recorded before cores and memory controllers had
-    // wake slots).
+    // the four chips).
     let async_read = Workload::AsyncRead {
         size: 256,
         poll_every: 4,
@@ -482,8 +481,8 @@ fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
         (NiPlacement::Split, Topology::Mesh, async_read, 19_872),
         (NiPlacement::Edge, Topology::Mesh, async_read, 19_688),
         (NiPlacement::PerTile, Topology::Mesh, async_read, 19_872),
-        (NiPlacement::Split, Topology::NocOut, async_read, 19_856),
-        (NiPlacement::Edge, Topology::NocOut, async_read, 19_020),
+        (NiPlacement::Split, Topology::NocOut, async_read, 19_594),
+        (NiPlacement::Edge, Topology::NocOut, async_read, 18_978),
         (NiPlacement::Numa, Topology::Mesh, Workload::NumaRead, 6_864),
     ];
     for (placement, topology, workload, full_ticks) in cases {
@@ -571,8 +570,9 @@ fn event_tick_is_bit_identical_to_poll_on_a_faulted_rack() {
 /// A finished job leaves the poll reference no private shortcut: on a
 /// 2x1x1 NIedge rack whose cores each issue four 64B async reads and then
 /// idle, the WQ poll loop keeps running at its 512-cycle cadence for the
-/// rest of the run, and every one of those polls is NOC traffic. The poll
-/// tick must perform exactly the polls the event tick does.
+/// rest of the run. The poll tick performs every one of those polls; the
+/// event tick parks each quiet loop and credits its polls in closed form,
+/// and must end with the same counts, the NI caches' hits included.
 #[test]
 fn event_tick_matches_poll_after_a_finite_job_drains() {
     use rackni::ni_rmc::NiPlacement;
@@ -606,25 +606,93 @@ fn event_tick_matches_poll_after_a_finite_job_drains() {
     );
 }
 
+/// The parked poll loop at every boundary. A snapshot credits a parked
+/// loop's polls by the phase of the cycle it is taken at, so on a small
+/// serving mix (NIsplit, 16 of 64 cores active: closed-loop KV RPCs on 15
+/// plus a bulk tenant, the 48 idle tiles' loops parked) the event tick's
+/// outputs must equal the poll tick's after every single cycle, rack-wide
+/// and per chip. Midway, while loops are parked, both racks take the same
+/// outside changes: `Rack::chip_mut`, `Chip::core_mut` starting an idle
+/// tile's core, `Chip::reset_scenario` and `Rack::reset_scenario`.
+#[test]
+fn event_tick_matches_poll_after_every_cycle_of_a_serving_mix() {
+    use rackni::ni_soc::{ClosedLoop, GraphShard, KvStore, Scenario, TenantMix, TickMode};
+
+    let mix = |think: u64| -> Box<dyn Scenario> {
+        let kv = KvStore::default().with_service(150).with_get_fraction(0.8);
+        let bulk = GraphShard::default().with_lists(1024, 2048);
+        Box::new(
+            TenantMix::new()
+                .with_tenant(1, Box::new(ClosedLoop::new(Box::new(kv), 4, think)), 15)
+                .with_tenant(2, Box::new(bulk), 1),
+        )
+    };
+    let build = |mode: TickMode| {
+        let mut cfg = rack_cfg(Torus3D::new(2, 2, 1), 16);
+        cfg.chip.seed = 0x5e7;
+        cfg.chip.tick_mode = mode;
+        cfg.threads = 1;
+        Rack::with_scenario(cfg, &*mix(64))
+    };
+    let (mut poll, mut event) = (build(TickMode::Poll), build(TickMode::Event));
+    let compare_each_cycle = |poll: &mut Rack, event: &mut Rack, cycles: u64| {
+        for _ in 0..cycles {
+            poll.run(1);
+            event.run(1);
+            let context = format!("event tick vs poll after cycle {}", poll.now().0 - 1);
+            assert_same(&outputs(event), &outputs(poll), &context);
+        }
+    };
+    compare_each_cycle(&mut poll, &mut event, 400);
+    let parks = event.snapshot().work.parks;
+    assert!(parks > 0, "no poll loop parked");
+    for rack in [&mut poll, &mut event] {
+        rack.chip_mut(0)
+            .core_mut(40)
+            .reset_workload(Workload::AsyncRead {
+                size: 64,
+                poll_every: 2,
+            });
+        rack.chip_mut(1).reset_scenario(&*mix(16));
+    }
+    compare_each_cycle(&mut poll, &mut event, 300);
+    for rack in [&mut poll, &mut event] {
+        rack.reset_scenario(&*mix(0));
+    }
+    compare_each_cycle(&mut poll, &mut event, 300);
+    let s = event.snapshot();
+    assert!(s.work.parks > parks, "woken loops never parked again");
+    assert!(s.cores.completed > 0, "no op completed");
+    assert!(
+        poll.chips()[0].cores[40].stats.completed > 0,
+        "the started core completed nothing"
+    );
+}
+
 mod tick_equivalence_props {
     use super::*;
     use proptest::prelude::*;
     use rackni::ni_fabric::RoutingKind;
+    use rackni::ni_rmc::NiPlacement;
     use rackni::ni_soc::{builtin_scenarios, Bursty, Scenario, TickMode};
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
+        #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Next-event skipping never reorders or drops a delivery: across
         /// every builtin scenario — plus a `Bursty` duty-cycled one, whose
         /// `IdleFor` windows are exactly what the dormant fast path and
-        /// idle-until-X jumps elide — and every routing policy, a seeded
-        /// 2x2x2 rack produces identical snapshots, rack-wide and per chip,
-        /// `work` aside, under the poll and event ticks.
+        /// idle-until-X jumps elide — every routing policy, every QP
+        /// placement and poll backoffs from 0 to 512 (which set when and
+        /// how long WQ poll loops park), a seeded 2x2x2 rack produces
+        /// identical snapshots, rack-wide and per chip, `work` aside,
+        /// under the poll and event ticks.
         #[test]
         fn event_tick_preserves_deliveries_across_scenarios_and_policies(
             scenario_idx in 0usize..5,
             routing_idx in 0usize..3,
+            placement_idx in 0usize..3,
+            backoff_idx in 0usize..4,
             seed in 0u64..1_000_000,
         ) {
             let routing = [
@@ -632,10 +700,15 @@ mod tick_equivalence_props {
                 RoutingKind::MinimalAdaptive,
                 RoutingKind::FaultAdaptive,
             ][routing_idx];
+            let placement = [NiPlacement::Split, NiPlacement::PerTile, NiPlacement::Edge]
+                [placement_idx];
+            let poll_backoff = [0, 1, 2, 512][backoff_idx];
             let run = |mode: TickMode| {
                 let mut cfg = rack_cfg(Torus3D::new(2, 2, 2), 2);
                 cfg.chip.seed = seed;
                 cfg.chip.tick_mode = mode;
+                cfg.chip.placement = placement;
+                cfg.chip.rmc.poll_backoff = poll_backoff;
                 cfg.routing = routing;
                 cfg.threads = 1;
                 let scenario: Box<dyn Scenario> = if scenario_idx == 4 {
@@ -654,7 +727,10 @@ mod tick_equivalence_props {
                 rack.run(4_000);
                 outputs(&rack)
             };
-            let context = format!("scenario {scenario_idx} under {routing:?} (seed {seed})");
+            let context = format!(
+                "scenario {scenario_idx} under {routing:?}, {placement:?}, backoff {poll_backoff} \
+                 (seed {seed})"
+            );
             assert_same(&run(TickMode::Event), &run(TickMode::Poll), &context);
         }
     }
