@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use ni_engine::{Counter, Cycle, DelayLine};
 use ni_mem::BlockAddr;
-use ni_noc::NocNode;
+use ni_noc::{NocNode, GRID};
 
 use crate::config::CoherenceConfig;
 use crate::msg::{ClientKind, CohMsg, Egress};
@@ -75,6 +75,81 @@ pub struct Completion {
     pub value: u64,
     /// Cycle the access completed.
     pub at: Cycle,
+}
+
+/// The load hits of one parked poll loop, in closed form: hit `k` of `n`
+/// (from 0) lands at cycle `at + k * period` and touches
+/// `blocks[(first + k) % blocks.len()]`. A loop polls at most one mesh
+/// row of QPs, so it touches at most [`GRID`] blocks. See
+/// [`CacheComplex::credit_hits`].
+#[derive(Clone, Copy, Debug)]
+pub struct HitRun {
+    origin: AccessOrigin,
+    at: Cycle,
+    period: u64,
+    n: u64,
+    first: usize,
+    blocks: [BlockAddr; GRID as usize],
+    len: usize,
+}
+
+impl HitRun {
+    /// No hits.
+    pub const NONE: HitRun = HitRun {
+        origin: AccessOrigin::Core,
+        at: Cycle::ZERO,
+        period: 1,
+        n: 0,
+        first: 0,
+        blocks: [BlockAddr(0); GRID as usize],
+        len: 1,
+    };
+
+    /// `n` hits of loads from `origin`, the first at `at`, one every
+    /// `period` cycles, touching `blocks` round robin from `blocks[first]`.
+    ///
+    /// # Panics
+    /// If `blocks` is empty or longer than [`GRID`], or `period` is 0.
+    pub fn new(
+        origin: AccessOrigin,
+        at: Cycle,
+        period: u64,
+        n: u64,
+        blocks: &[BlockAddr],
+        first: usize,
+    ) -> HitRun {
+        assert!(period > 0, "a hit run needs a period of at least 1");
+        let mut run = HitRun {
+            origin,
+            at,
+            period,
+            n,
+            first,
+            len: blocks.len(),
+            ..HitRun::NONE
+        };
+        run.blocks[..blocks.len()].copy_from_slice(blocks);
+        assert!(run.len > 0, "a hit run touches at least one block");
+        run
+    }
+
+    /// Hits in the run.
+    pub fn hits(&self) -> u64 {
+        self.n
+    }
+
+    /// Hits landing before cycle `end`.
+    fn before(&self, end: Cycle) -> u64 {
+        if end <= self.at {
+            return 0;
+        }
+        ((end.0 - self.at.0 - 1) / self.period + 1).min(self.n)
+    }
+
+    /// The block hit `k` touches.
+    fn block(&self, k: u64) -> BlockAddr {
+        self.blocks[((self.first as u64 + k) % self.len as u64) as usize]
+    }
 }
 
 /// Stable per-holder line state. `Owned` exists only in the NI cache.
@@ -259,39 +334,72 @@ impl CacheComplex {
     /// event, and no undrained egress or completion. Only a submit or a
     /// delivery changes an idle complex.
     pub fn is_idle(&self) -> bool {
-        self.is_quiescent() && self.egress.is_empty() && self.completions.is_empty()
+        self.is_waiting() && self.mshrs.is_empty() && self.writebacks.is_empty()
     }
 
-    /// The token an NI load of `block` would read if its lookup ran now
-    /// and hit: the block's value when the NI cache holds it, `None` when
-    /// the lookup would miss, transfer from the L1 or wait on a miss or
-    /// writeback.
-    pub fn ni_hit_value(&self, block: BlockAddr) -> Option<u64> {
+    /// True when the complex does nothing until a submit or a delivery:
+    /// no timed event, and no undrained egress or completion. Misses and
+    /// writebacks may be outstanding; only the directory's answers move
+    /// them.
+    pub fn is_waiting(&self) -> bool {
+        self.events.is_empty() && self.egress.is_empty() && self.completions.is_empty()
+    }
+
+    /// The token a load of `block` from `origin` would read if its lookup
+    /// ran now and hit: the block's value when that side's cache holds it,
+    /// `None` when the lookup would miss, transfer from the other side or
+    /// wait on a miss or writeback.
+    pub fn hit_value(&self, origin: AccessOrigin, block: BlockAddr) -> Option<u64> {
         if self.mshrs.contains_key(&block) || self.writebacks.contains_key(&block) {
             return None;
         }
         let line = self.lines.get(&block)?;
-        line.ni.present().then_some(line.value)
+        line.state_of(origin).present().then_some(line.value)
     }
 
-    /// Apply `n` NI load hits in closed form, as if their lookups had run
-    /// one after another: hit `k` touches `blocks[(first + k) % blocks.len()]`.
-    /// `hits` and the LRU clock advance by `n`, and each touched line keeps
-    /// the stamp of its last touch, so eviction order is what the lookups
-    /// would have left. Every touched block must be an NI hit
-    /// ([`CacheComplex::ni_hit_value`]).
-    pub fn credit_ni_hits(&mut self, blocks: &[BlockAddr], first: usize, n: u64) {
-        let len = blocks.len() as u64;
-        // Only the last lap's touches leave a stamp.
-        for k in n.saturating_sub(len)..n {
-            let block = blocks[((first as u64 + k) % len) as usize];
-            debug_assert!(self.ni_hit_value(block).is_some(), "{block:?} is no NI hit");
-            if let Some(l) = self.lines.get_mut(&block) {
-                l.lru = self.lru_clock + k + 1;
+    /// [`CacheComplex::hit_value`] of an NI load.
+    pub fn ni_hit_value(&self, block: BlockAddr) -> Option<u64> {
+        self.hit_value(AccessOrigin::Ni, block)
+    }
+
+    /// [`CacheComplex::hit_value`] of a core load.
+    pub fn l1_hit_value(&self, block: BlockAddr) -> Option<u64> {
+        self.hit_value(AccessOrigin::Core, block)
+    }
+
+    /// Apply the load hits of every run in closed form, as if their
+    /// lookups had run in cycle order, an earlier run's first on a tie.
+    /// `hits` and the LRU clock advance by the total, and each touched
+    /// line is stamped with the rank of its last touch in that order, so
+    /// eviction order is what the lookups would have left. Every touched
+    /// block must be a hit for its run's origin
+    /// ([`CacheComplex::hit_value`]).
+    pub fn credit_hits(&mut self, runs: &[HitRun]) {
+        let base = self.lru_clock;
+        for (i, run) in runs.iter().enumerate() {
+            // Only the last lap's touches leave a stamp.
+            for k in run.n.saturating_sub(run.len as u64)..run.n {
+                let at = run.at + k * run.period;
+                let others: u64 = runs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
+                    .map(|(j, r)| r.before(if j < i { at + 1 } else { at }))
+                    .sum();
+                let block = run.block(k);
+                debug_assert!(
+                    self.hit_value(run.origin, block).is_some(),
+                    "{block:?} is no {:?} hit",
+                    run.origin
+                );
+                if let Some(l) = self.lines.get_mut(&block) {
+                    l.lru = l.lru.max(base + k + 1 + others);
+                }
             }
         }
-        self.lru_clock += n;
-        self.stats.hits.add(n);
+        let total: u64 = runs.iter().map(|r| r.n).sum();
+        self.lru_clock += total;
+        self.stats.hits.add(total);
     }
 
     /// Earliest cycle (>= `now`) at which this complex does anything on its
@@ -1401,54 +1509,87 @@ mod tests {
             .collect()
     }
 
-    /// `credit_ni_hits` against the lookups it stands for: two complexes
-    /// with the same lines, one running `n` NI loads through
+    /// `credit_hits` against the lookups it stands for: two complexes
+    /// with the same lines, one running every load through
     /// `submit`/`tick`, the other credited. Their statistics agree, and so
     /// does every eviction once core fills push them past capacity, which
-    /// only holds if each credited line carries its last touch's LRU stamp.
+    /// only holds if each credited line carries the rank of its last
+    /// touch. The cases cover NI polls of one and of three blocks, and a
+    /// core poll merged with an NI poll, among them one whose last touches
+    /// tie: the core's load, submitted two cycles earlier, looks up first.
     #[test]
-    fn credited_ni_hits_match_the_lookups_they_stand_for() {
+    fn credited_hits_match_the_lookups_they_stand_for() {
+        use AccessOrigin::{Core, Ni};
         let cfg = CoherenceConfig {
             l1_blocks: 3,
             ni_cache_blocks: 2,
             ..CoherenceConfig::default()
         };
-        let cases: [(&[u64], usize, u64); 4] = [
-            (&[10], 0, 5),
-            (&[10, 11, 12], 1, 2),
-            (&[10, 11, 12], 2, 7),
-            (&[10, 11, 12], 1, 3),
+        // Runs of (origin, blocks, first, first hit, period, hits).
+        type Run = (AccessOrigin, &'static [u64], usize, u64, u64, u64);
+        let cases: [&[Run]; 7] = [
+            &[(Ni, &[10], 0, 101, 2, 5)],
+            &[(Ni, &[10, 11, 12], 1, 101, 2, 2)],
+            &[(Ni, &[10, 11, 12], 2, 101, 2, 7)],
+            &[(Ni, &[10, 11, 12], 1, 101, 2, 3)],
+            &[(Core, &[13], 0, 106, 7, 2), (Ni, &[10], 0, 101, 2, 7)],
+            &[(Core, &[13], 0, 103, 6, 4), (Ni, &[10], 0, 104, 2, 9)],
+            &[(Core, &[13], 0, 106, 7, 3), (Ni, &[10], 0, 101, 2, 0)],
         ];
-        for (polled, first, n) in cases {
+        let latency = |o: AccessOrigin| if o == Core { L1_LATENCY } else { 1 };
+        for runs in cases {
             let warm = || {
                 let mut cx = CacheComplex::new(cfg, NocNode::tile(1, 1), true, home, 64);
                 let mut now = Cycle(0);
-                for &b in polled {
-                    now = fill(&mut cx, now, AccessOrigin::Ni, b);
+                for &(origin, blocks, ..) in runs {
+                    for &b in blocks {
+                        now = fill(&mut cx, now, origin, b);
+                    }
                 }
                 // A core line younger than every polled one, until the
                 // polls touch them again.
-                fill(&mut cx, now, AccessOrigin::Core, 20);
+                fill(&mut cx, now, Core, 20);
                 cx
             };
             let (mut looked_up, mut credited) = (warm(), warm());
-            let mut now = Cycle(100);
-            for k in 0..n {
-                let b = polled[(first + k as usize) % polled.len()];
-                assert_eq!(looked_up.ni_hit_value(BlockAddr(b)), Some(1_000 + b));
-                looked_up.submit(now, load(b, k, AccessOrigin::Ni)).unwrap();
-                looked_up.tick(now + 1);
-                assert!(looked_up.pop_completion().is_some(), "poll {k} hit");
-                now += 2;
+            // Every load by submit cycle; on a tie the core (its subphase
+            // runs first) submits first.
+            let mut loads: Vec<(u64, bool, AccessOrigin, u64)> = Vec::new();
+            for &(origin, blocks, first, at, period, n) in runs {
+                for k in 0..n {
+                    let b = blocks[(first + k as usize) % blocks.len()];
+                    let submit = at + k * period - latency(origin);
+                    loads.push((submit, origin == Ni, origin, b));
+                }
+            }
+            loads.sort_by_key(|&(submit, ni, _, b)| (submit, ni, b));
+            let (mut hits, mut now) = (0, Cycle(96));
+            for c in 96..130 {
+                now = Cycle(c);
+                for &(_, _, origin, b) in loads.iter().filter(|l| l.0 == c) {
+                    assert!(looked_up.hit_value(origin, BlockAddr(b)).is_some());
+                    looked_up.submit(now, load(b, c, origin)).unwrap();
+                }
+                looked_up.tick(now);
+                while looked_up.pop_completion().is_some() {
+                    hits += 1;
+                }
             }
             assert!(looked_up.is_idle());
-            let blocks: Vec<BlockAddr> = polled.iter().map(|&b| BlockAddr(b)).collect();
-            credited.credit_ni_hits(&blocks, first, n);
-            let case = format!("{polled:?} from {first}, {n} hits");
+            let case = format!("{runs:?}");
+            assert_eq!(hits, loads.len(), "{case}: every load hit");
+            let credit: Vec<HitRun> = runs
+                .iter()
+                .map(|&(origin, blocks, first, at, period, n)| {
+                    let blocks: Vec<BlockAddr> = blocks.iter().map(|&b| BlockAddr(b)).collect();
+                    HitRun::new(origin, Cycle(at), period, n, &blocks, first)
+                })
+                .collect();
+            credited.credit_hits(&credit);
             assert_eq!(looked_up.stats(), credited.stats(), "{case}");
             for fresh in 30..36 {
-                fill(&mut looked_up, now, AccessOrigin::Core, fresh);
-                fill(&mut credited, now, AccessOrigin::Core, fresh);
+                fill(&mut looked_up, now, Core, fresh);
+                fill(&mut credited, now, Core, fresh);
                 now += 20;
                 let at = format!("{case}, after filling {fresh}");
                 assert_eq!(resident(&looked_up), resident(&credited), "{at}");

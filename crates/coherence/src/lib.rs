@@ -33,7 +33,8 @@ pub mod llc;
 pub mod msg;
 
 pub use complex::{
-    Access, AccessKind, AccessOrigin, CacheComplex, Completion, ComplexStats, NI_TRANSFER_LATENCY,
+    Access, AccessKind, AccessOrigin, CacheComplex, Completion, ComplexStats, HitRun,
+    NI_TRANSFER_LATENCY,
 };
 pub use config::CoherenceConfig;
 pub use directory::{DirStats, DirectoryBank};

@@ -10,12 +10,13 @@
 //! machine-readable trajectory. Four jobs:
 //!
 //! 1. **Trajectory** — writes `BENCH_simperf.json` (schema
-//!    `rackni-bench-simperf/4`) at the workspace root, one row per point.
-//!    Rack rows add `build_ms`, `hops`, `sync_rounds` (one per lookahead
-//!    window) and the rack's work from its snapshot (`ni_soc::Work`): full
-//!    chip ticks (`full_ticks`), component visits per class (`visits_*`)
-//!    and parked WQ poll loops (`parks`), summed over its chips and
-//!    printed in a second table.
+//!    `rackni-bench-simperf/5`) at the workspace root, one row per point.
+//!    Every row carries the work from its snapshot (`ni_soc::Work`): full
+//!    chip ticks (`full_ticks`), component visits per class (`visits_*`),
+//!    parked WQ poll loops (`parks`) and parked CQ poll loops
+//!    (`core_parks`), summed over a rack's chips and printed in a second
+//!    table. Rack rows add `build_ms`, `hops` and `sync_rounds` (one per
+//!    lookahead window).
 //!    Every event-mode rack point runs at one worker (`serial_cps`) and at
 //!    the default worker count (`cps`; `speedup` is their ratio); on a
 //!    one-thread host the serial run fills both. Poll twins run once, at
@@ -32,9 +33,13 @@
 //! 4. **Regression gate** (baseline-relative) — if
 //!    `BENCH_simperf_baseline.json` exists at the workspace root, every
 //!    point it names must be measured and reach `TOLERANCE` (0.25) of its
-//!    recorded cycles/sec (`cps`). The committed baseline is from a slow
-//!    1-core container, and the wide tolerance absorbs host variance while
-//!    still catching order-of-magnitude regressions.
+//!    recorded cycles/sec (`cps`). The committed baseline's `cps` values
+//!    are from a slow 1-core container, and the wide tolerance absorbs
+//!    host variance while still catching order-of-magnitude regressions.
+//!    Work counts are deterministic, so they are gated exactly: every work
+//!    column a point measures must equal the baseline's, and a difference
+//!    fails naming the point and the counter, however noisy the host. A
+//!    change that moves a fast path on purpose re-records those columns.
 //!
 //! `RACKNI_SCALE=full` adds long-horizon rack points (names ending in
 //! `_full`, among them the 512-node rack at 50k cycles) and leaves the
@@ -53,8 +58,8 @@ use rackni::ni_engine::parallel::default_threads;
 use rackni::ni_engine::Stat;
 use rackni::ni_rmc::NiPlacement;
 use rackni::ni_soc::{
-    Bursty, Chip, ChipConfig, Rack, RackSimConfig, Snapshot, Synthetic, TickMode, TrafficPattern,
-    Work, Workload,
+    Bursty, Chip, ChipConfig, ClosedLoop, Rack, RackSimConfig, Scenario, Snapshot, Synthetic,
+    TenantMix, TickMode, TrafficPattern, Work, Workload,
 };
 use rackni::report::{project, read_points, BenchFile, JsonRow};
 
@@ -65,7 +70,7 @@ const MIN_SPEEDUP: f64 = 3.0;
 const TOLERANCE: f64 = 0.25;
 
 /// The BENCH keys the first printed table shows; the second shows each
-/// rack point's work ([`work_readings`]).
+/// point's work ([`work_readings`]).
 const TABLE: [&str; 10] = [
     "name",
     "cycles",
@@ -88,6 +93,8 @@ struct Measured {
     wall_ms: f64,
     cps: f64,
     completed_ops: u64,
+    /// The chip's or the rack's work.
+    work: Work,
     rack: Option<RackRun>,
 }
 
@@ -146,8 +153,36 @@ fn measure_chip(name: &str, mut chip: Chip, cycles: u64) -> Measured {
         wall_ms: wall * 1e3,
         cps: cycles as f64 / wall.max(1e-9),
         completed_ops: chip.completed_ops(),
+        work: chip.snapshot().work,
         rack: None,
     }
+}
+
+/// `chip-paper`'s shape: 64 closed-loop cores at window 4 with no think
+/// time, half issuing 512 B reads and half 512 B writes, on a default
+/// (NIsplit) chip. Cores spend most cycles spinning on a full window.
+fn closed_loop_chip() -> Chip {
+    let closed = |w: Workload| -> Box<dyn Scenario> {
+        Box::new(ClosedLoop::new(Box::new(Synthetic::from_workload(w)), 4, 0))
+    };
+    let mix = TenantMix::new()
+        .with_tenant(
+            1,
+            closed(Workload::AsyncRead {
+                size: 512,
+                poll_every: 4,
+            }),
+            1,
+        )
+        .with_tenant(
+            2,
+            closed(Workload::AsyncWrite {
+                size: 512,
+                poll_every: 4,
+            }),
+            1,
+        );
+    Chip::with_scenario(ChipConfig::default(), &mix)
 }
 
 /// Build and time one run of a rack point on `threads` workers (0 = the
@@ -175,6 +210,7 @@ fn time_rack(
         wall_ms: wall * 1e3,
         cps: cycles as f64 / wall.max(1e-9),
         completed_ops: snapshots[0].cores.completed,
+        work: snapshots[0].work,
         rack: Some(RackRun {
             build_ms,
             sync_rounds: rack.sync_rounds(),
@@ -252,8 +288,8 @@ fn build_bursty_rack(dims: Dims, threads: usize, mode: TickMode) -> Rack {
     Rack::with_scenario(cfg, &scenario)
 }
 
-/// A rack's work under its BENCH keys: `full_ticks`, then `visits_cores`
-/// and the other classes.
+/// A point's work under its BENCH keys: `full_ticks`, then `visits_cores`
+/// and the other classes, then the parks.
 fn work_readings(work: &Work) -> Vec<(String, u64)> {
     let mut readings = Vec::new();
     work.walk("", &mut |name, n| {
@@ -270,13 +306,13 @@ fn row(m: &Measured) -> JsonRow {
         .float("wall_ms", m.wall_ms, 2)
         .float("cps", m.cps, 1)
         .num("completed_ops", m.completed_ops);
+    for (key, n) in work_readings(&m.work) {
+        row.num(&key, n);
+    }
     if let Some(r) = &m.rack {
         row.float("build_ms", r.build_ms, 1)
             .num("hops", r.snapshots[0].hops)
             .num("sync_rounds", r.sync_rounds);
-        for (key, n) in work_readings(&r.snapshots[0].work) {
-            row.num(&key, n);
-        }
         if let Some(s) = r.serial_cps {
             row.float("serial_cps", s, 1).float("speedup", m.cps / s, 4);
         }
@@ -315,6 +351,11 @@ fn main() {
             },
         ),
         5_000,
+    ));
+    results.push(measure_chip(
+        "chip_closed_loop_split_512B",
+        closed_loop_chip(),
+        10_000,
     ));
 
     // Rack points: (shape, dims, cycles, with a poll twin). The idle-heavy
@@ -381,19 +422,14 @@ fn main() {
     }
 
     let rows: Vec<JsonRow> = results.iter().map(row).collect();
-    let rack_rows: Vec<JsonRow> = rows
-        .iter()
-        .filter(|r| r.get("full_ticks").is_some())
-        .cloned()
-        .collect();
     let readings = work_readings(&Work::default());
     let work_table: Vec<&str> = ["name"]
         .into_iter()
         .chain(readings.iter().map(|(key, _)| key.as_str()))
         .collect();
     println!("{}", project(&rows, &TABLE));
-    println!("work per rack point (summed over chips): full ticks, component visits, parks\n");
-    println!("{}", project(&rack_rows, &work_table));
+    println!("work per point (summed over a rack's chips): full ticks, component visits, parks\n");
+    println!("{}", project(&rows, &work_table));
     if host_threads > 1 {
         println!(
             "one-worker and default-worker runs agreed on sync rounds and on the rack's \
@@ -423,7 +459,7 @@ fn main() {
     println!("bursty 8x8x8: event tick {bursty_speedup:.2}x over poll");
 
     let out = workspace_root().join("BENCH_simperf.json");
-    let mut bench = BenchFile::new("rackni-bench-simperf/4", scale, rows);
+    let mut bench = BenchFile::new("rackni-bench-simperf/5", scale, rows.clone());
     bench.header().num("host_threads", host_threads);
     bench.write(&out).expect("write BENCH_simperf.json");
     println!("\nsimperf trajectory written to {}", out.display());
@@ -469,6 +505,16 @@ fn main() {
                     failed = true;
                     continue;
                 };
+                for (key, n) in work_readings(&m.work) {
+                    let recorded = point.get(&key);
+                    if recorded != Some(n.to_string().as_str()) {
+                        eprintln!(
+                            "GATE FAIL: {name} {key} is {n}, baseline {}",
+                            recorded.unwrap_or("missing")
+                        );
+                        failed = true;
+                    }
+                }
                 let floor = base_cps * TOLERANCE;
                 if m.cps < floor {
                     eprintln!(
@@ -481,7 +527,8 @@ fn main() {
             }
             if !failed {
                 println!(
-                    "gate: all {} baselined points measured and within {TOLERANCE}x of {}",
+                    "gate: all {} baselined points measured, within {TOLERANCE}x of {} \
+                     and at its work counts",
                     baseline.len(),
                     baseline_path.display()
                 );

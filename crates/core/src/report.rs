@@ -308,14 +308,18 @@ mod tests {
     }
 
     #[test]
-    fn committed_simperf_baseline_reads_as_eleven_named_points() {
+    fn committed_simperf_baseline_reads_as_twelve_named_points_with_work() {
         let text = include_str!("../../../BENCH_simperf_baseline.json");
         let points = read_points(text).expect("baseline parses");
-        assert_eq!(points.len(), 11);
+        assert_eq!(points.len(), 12);
         for p in &points {
             assert!(p.get("name").is_some_and(|n| !n.is_empty()), "{p:?}");
             let cps: f64 = p.get("cps").and_then(|c| c.parse().ok()).expect("cps");
             assert!(cps > 0.0, "{p:?}");
+            for key in ["full_ticks", "visits_cores", "parks", "core_parks"] {
+                let n = p.get(key).and_then(|n| n.parse::<u64>().ok());
+                assert!(n.is_some(), "{key} of {p:?}");
+            }
         }
     }
 }

@@ -6,6 +6,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
 
 use crate::clock::Cycle;
 
@@ -13,7 +14,6 @@ use crate::clock::Cycle;
 ///
 /// Ties are broken by insertion sequence so equal-time completions drain in
 /// FIFO order — this keeps the simulator deterministic.
-#[derive(Debug)]
 struct Pending<T> {
     ready_at: Cycle,
     seq: u64,
@@ -49,7 +49,6 @@ impl<T> Ord for Pending<T> {
 /// assert_eq!(d.pop_ready(Cycle(15)), None);
 /// assert_eq!(d.pop_ready(Cycle(25)), Some("b"));
 /// ```
-#[derive(Debug)]
 pub struct DelayLine<T> {
     heap: BinaryHeap<Reverse<Pending<T>>>,
     next_seq: u64,
@@ -105,6 +104,18 @@ impl<T> DelayLine<T> {
     }
 }
 
+/// The pending items in pop order, each with its ready time. Sequence
+/// numbers are left out: they only order items ready at the same cycle,
+/// and the pop order shows that order.
+impl<T: fmt::Debug> fmt::Debug for DelayLine<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut pending: Vec<&Pending<T>> = self.heap.iter().map(|p| &p.0).collect();
+        pending.sort_unstable();
+        let items = pending.iter().map(|p| (p.ready_at, &p.item));
+        f.debug_list().entries(items).finish()
+    }
+}
+
 impl<T> Default for DelayLine<T> {
     fn default() -> Self {
         DelayLine::new()
@@ -127,6 +138,23 @@ mod tests {
         assert_eq!(d.pop_ready(Cycle(10)), Some('x'));
         assert_eq!(d.pop_ready(Cycle(10)), Some('y'));
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn delay_line_debug_shows_the_pop_order_without_sequence_numbers() {
+        let mut a = DelayLine::new();
+        a.push_at(Cycle(9), 'p');
+        a.push_at(Cycle(9), 'q');
+        a.push_at(Cycle(4), 'r');
+        // The same pending items after a different history.
+        let mut b = DelayLine::new();
+        b.push_at(Cycle(1), 'x');
+        assert_eq!(b.pop_ready(Cycle(1)), Some('x'));
+        b.push_at(Cycle(4), 'r');
+        b.push_at(Cycle(9), 'p');
+        b.push_at(Cycle(9), 'q');
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(format!("{a:?}"), "[(c4, 'r'), (c9, 'p'), (c9, 'q')]");
     }
 
     #[test]

@@ -68,4 +68,11 @@ pub trait Interconnect<P> {
 
     /// True when no packet is buffered or in flight anywhere.
     fn is_idle(&self) -> bool;
+
+    /// Earliest cycle (>= `now`) at which a tick can move a packet: `None`
+    /// when idle. Ticks before it are no-ops, so a caller may skip them;
+    /// the default, `now` while anything is in flight, skips nothing.
+    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+        (!self.is_idle()).then_some(now)
+    }
 }

@@ -68,6 +68,14 @@ impl<P> LinkRing<P> {
         self.slots[s].push_back(ev);
     }
 
+    /// Arrival cycle of the earliest event on the wires: the first
+    /// non-empty slot after `absorbed`.
+    fn next_arrival(&self) -> Option<Cycle> {
+        (1..self.slots.len() as u64)
+            .map(|d| self.absorbed + d)
+            .find(|&at| !self.slots[self.slot(at)].is_empty())
+    }
+
     /// Events on the wires.
     fn len(&self) -> usize {
         self.slots.iter().map(VecDeque::len).sum()
@@ -496,6 +504,19 @@ impl<P> Interconnect<P> for MeshNoc<P> {
 
     fn is_idle(&self) -> bool {
         self.in_flight == 0
+    }
+
+    /// `now` while a router buffers a packet (arbitration runs every
+    /// cycle); otherwise every packet in flight is on a wire, and the tick
+    /// that absorbs the first arrival is the first to do anything.
+    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+        if self.in_flight == 0 {
+            return None;
+        }
+        if self.active.first().is_some() {
+            return Some(now);
+        }
+        self.links.next_arrival().map(|at| at.max(now))
     }
 }
 

@@ -18,13 +18,16 @@
 //!
 //! A quiet poll loop can *park* ([`NiFrontend::park`]): when every coming
 //! poll is an NI-cache hit that reads nothing new, the frontend and its
-//! cache stop being ticked, and [`NiFrontend::settle`] later applies the
-//! polls the loop would have made in closed form. Only an event-driven
-//! chip parks; it settles before anything touches the pair.
+//! cache stop being ticked, and the polls the loop would have made are
+//! applied in closed form later: their hits by
+//! [`CacheComplex::credit_hits`] from [`NiFrontend::parked_run`], merged
+//! with the tile core's parked CQ polls, the rest by
+//! [`NiFrontend::settle`]. Only an event-driven chip parks; it settles
+//! before anything touches the tile.
 
 use std::collections::VecDeque;
 
-use ni_coherence::{Access, AccessKind, AccessOrigin, CacheComplex};
+use ni_coherence::{Access, AccessKind, AccessOrigin, CacheComplex, HitRun};
 use ni_engine::{Cycle, DelayLine};
 use ni_mem::BlockAddr;
 use ni_noc::{NocNode, GRID};
@@ -55,8 +58,8 @@ const MAX_QPS: usize = GRID as usize;
 /// Parked polls a park must be sure to complete before a known settle.
 /// A park and its settle cost about one poll's frontend and cache visits,
 /// so a park that saves only one poll saves nothing (on `chip-paper`,
-/// where a spinning core settles its tile's loop every few cycles, such
-/// parks made the run slower).
+/// a core that spins on its CQ without parking settles its tile's loop
+/// every few cycles, and such parks made the run slower).
 const MIN_PARKED_POLLS: u64 = 2;
 
 #[derive(Debug)]
@@ -465,43 +468,49 @@ impl NiFrontend {
         true
     }
 
+    /// The NI-cache hits of the polls a parked loop has completed by the
+    /// start of cycle `t` ([`HitRun::NONE`] when not parked): what
+    /// [`NiFrontend::settle`] at `t` leaves for the caller to credit.
+    pub fn parked_run(&self, t: Cycle, qps: &[QueuePair]) -> HitRun {
+        if !self.parked {
+            return HitRun::NONE;
+        }
+        let done = self.parked_polls_before(Cycle(t.0.saturating_sub(1)));
+        let blocks = self.head_blocks(qps);
+        let blocks = &blocks[..usize::from(self.n_qps)];
+        let first_hit = self.first_parked_issue() + 1;
+        let (period, first) = (self.poll_period(), usize::from(self.rr));
+        HitRun::new(AccessOrigin::Ni, first_hit, period, done, blocks, first)
+    }
+
     /// Leave the parked state at the start of cycle `t`, before any
-    /// frontend or cache subphase of `t` runs: apply the polls the loop
-    /// made since the park, so this frontend and `cache` hold what the
-    /// poll-every-cycle loop leaves. Completed polls become hits
-    /// ([`CacheComplex::credit_ni_hits`]); a poll issued at `t - 1` is
-    /// still in flight, so it is recorded and submitted again, its lookup
-    /// due at `t`. Does nothing unless parked.
+    /// frontend or cache subphase of `t` runs: advance this frontend past
+    /// the polls the loop made since the park, so it holds what the
+    /// poll-every-cycle loop leaves. A poll issued at `t - 1` is still in
+    /// flight, so it is recorded and submitted again, its lookup due at
+    /// `t`. The completed polls' hits are the caller's to credit first
+    /// ([`NiFrontend::parked_run`], [`CacheComplex::credit_hits`]),
+    /// merged with any other loop parked on `cache`. Does nothing unless
+    /// parked.
     pub fn settle(&mut self, t: Cycle, qps: &[QueuePair], cache: &mut CacheComplex) {
         if !self.parked {
             return;
         }
-        let (issued, done) = (self.parked_polls_before(t), self.parked_hits(t));
+        let issued = self.parked_polls_before(t);
+        let done = self.parked_polls_before(Cycle(t.0 - 1));
         self.parked = false;
         let n = self.n_qps;
-        let blocks = self.head_blocks(qps);
-        let blocks = &blocks[..usize::from(n)];
-        cache.credit_ni_hits(blocks, usize::from(self.rr), done);
         self.poll_ready_at += done * self.poll_period();
         self.next_tag = (self.next_tag + issued) & TAG_MASK;
         self.rr = ((u64::from(self.rr) + issued) % u64::from(n)) as u8;
         if issued > done {
             let pos = (self.rr + n - 1) % n;
-            let a = self.record_poll(pos, blocks[usize::from(pos)], TAG_POLL | self.next_tag);
+            let block = self.head_blocks(qps)[usize::from(pos)];
+            let a = self.record_poll(pos, block, TAG_POLL | self.next_tag);
             cache
                 .submit(Cycle(t.0 - 1), a)
                 .expect("an idle cache takes the poll");
         }
-    }
-
-    /// Polls a parked loop has completed by the start of cycle `t` (0 when
-    /// not parked): the NI-cache hits [`NiFrontend::settle`] at `t` would
-    /// credit.
-    pub fn parked_hits(&self, t: Cycle) -> u64 {
-        if !self.parked {
-            return 0;
-        }
-        self.parked_polls_before(Cycle(t.0.saturating_sub(1)))
     }
 
     /// Cycles from one parked poll's issue to the next: its one-cycle

@@ -568,6 +568,8 @@ fn a_settled_loop_matches_one_that_polled_every_cycle() {
                 let mut parked = quiet_rig(served, poll_backoff, true);
                 parked.run_to(t);
                 assert_eq!(parked.log.parks, [parked_at], "{at}");
+                let run = parked.fe.parked_run(Cycle(t), &parked.qps);
+                parked.cx.credit_hits(&[run]);
                 parked.fe.settle(Cycle(t), &parked.qps, &mut parked.cx);
                 assert!(!parked.fe.is_parked());
                 assert_eq!(format!("{:?}", parked.fe), format!("{:?}", live.fe), "{at}");

@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use ni_coherence::{wire_of, CacheComplex, ClientKind, CohMsg, DirectoryBank, Egress};
+use ni_coherence::{wire_of, CacheComplex, ClientKind, CohMsg, DirectoryBank, Egress, HitRun};
 use ni_engine::stats::sum;
 use ni_engine::{Cycle, DelayLine};
 use ni_fabric::{Fabric, FabricStats, RackConfig, RackEmulator, RemoteResp, ReplicaMap, Torus3D};
@@ -691,12 +691,18 @@ impl Chip {
     /// Every counter of this chip, each component class summed in index
     /// order. `faults` and `hops` stay zero: the torus keeps them (see
     /// [`Rack::snapshot`](crate::Rack::snapshot)). The hits of parked poll
-    /// loops count as settling them now would credit them, so the reading
-    /// is the poll tick's.
+    /// loops, the frontends' and the cores', count as settling them now
+    /// would credit them, so the reading is the poll tick's.
     pub fn snapshot(&self) -> Snapshot {
         let mut complexes = sum(self.complexes.iter().map(CacheComplex::stats));
-        let parked = self.frontends.iter().map(|f| f.parked_hits(self.now));
-        complexes.hits.add(parked.sum());
+        let (now, qps) = (self.now, &self.qps);
+        let fes = self.frontends.iter().map(|f| f.parked_run(now, qps));
+        let cores = self
+            .cores
+            .iter()
+            .zip(qps)
+            .map(|(c, q)| c.parked_run(now, q));
+        complexes.hits.add(fes.chain(cores).map(|r| r.hits()).sum());
         Snapshot {
             cores: sum(self.cores.iter().map(|c| &c.stats)),
             backends: self.backend_stats(),
@@ -724,11 +730,13 @@ impl Chip {
     /// in-flight operations drain normally, new issues come from the new
     /// phase's generators, per-core seeds are unchanged.
     pub fn reset_scenario(&mut self, scenario: &dyn Scenario) {
+        // Wake first: settling a parked core credits its `next_op` calls,
+        // which belong to the generator it is about to drop.
+        self.wake();
         let active = self.cfg.active_cores;
         for c in self.cores.iter_mut().take(active) {
             c.rebind_scenario(scenario);
         }
-        self.wake();
     }
 
     /// Mutable access to core `i` (workload resets, retargeting). The chip
@@ -839,11 +847,14 @@ impl Chip {
     }
 
     /// Earliest future cycle any component acts on its own, seen from
-    /// `self.now` (the next cycle to simulate): the least class minimum or
-    /// latch delivery. `self.now` itself when backlogged or mid-NOC-flight
-    /// — those need the full per-cycle loop.
+    /// `self.now` (the next cycle to simulate): the least class minimum,
+    /// latch delivery or NOC activity ([`Interconnect::next_activity`]: a
+    /// mesh whose packets are all on wires acts at the first arrival).
+    /// `self.now` itself when backlogged or while the NOC arbitrates —
+    /// those need the full per-cycle loop.
     fn compute_dormant_until(&self) -> Cycle {
-        if !self.backlog.is_empty() || !self.noc.is_idle() {
+        let noc = self.noc.next_activity(self.now).unwrap_or(NEVER);
+        if !self.backlog.is_empty() || noc == self.now {
             return self.now;
         }
         [
@@ -856,18 +867,19 @@ impl Chip {
             &self.wake_mcs,
         ]
         .iter()
-        .fold(self.latch.next_ready_at().unwrap_or(NEVER), |next, w| {
-            next.min(w.min)
-        })
+        .fold(
+            self.latch.next_ready_at().unwrap_or(NEVER).min(noc),
+            |next, w| next.min(w.min),
+        )
     }
 
     /// Debug audit of the wake bookkeeping at the end of a full event tick,
     /// seen from `self.now`: every class minimum equals the minimum of its
     /// slots, every slot equals its component's next activity once both
-    /// are clamped to `self.now`, and every parked frontend's loop is
-    /// still quiet, which fails when something touched the pair without
-    /// settling it first. Side-effect free, so it can run inside
-    /// `debug_assert!`.
+    /// are clamped to `self.now`, and every parked loop is still quiet, a
+    /// parked core's tile frontend parked or asleep, which fails when
+    /// something touched a tile without settling it first. Side-effect free, so it
+    /// can run inside `debug_assert!`.
     fn audit_wake(&self) -> Result<(), String> {
         let now = self.now;
         for (f, fe) in self.frontends.iter().enumerate() {
@@ -875,6 +887,16 @@ impl Chip {
             if fe.is_parked() && !fe.is_quiet(&self.qps, cx) {
                 return Err(format!(
                     "frontend {f}: parked, but its poll loop is not quiet"
+                ));
+            }
+        }
+        for (i, core) in self.cores.iter().enumerate() {
+            let fe = |f: usize| &self.frontends[f];
+            let still = |f: usize| fe(f).is_parked() || fe(f).next_activity(now).is_none();
+            let alone = self.frontend_at(tile_node(i)).is_none_or(still);
+            if core.is_parked() && !(alone && core.is_quiet(&self.qps[i], &self.complexes[i])) {
+                return Err(format!(
+                    "core {i}: parked, but its tile's poll loops are not quiet"
                 ));
             }
         }
@@ -896,12 +918,13 @@ impl Chip {
 
     /// Re-activate everything after external mutation: settle every
     /// parked poll loop, make every wake slot due and reset the dormant
-    /// horizon. The rack driver calls this from `chip_mut` and
-    /// [`Chip::core_mut`] calls it too; anything else that reaches around
-    /// the public API to mutate components directly should as well.
+    /// horizon. The rack driver calls this from `chip_mut`, and
+    /// [`Chip::core_mut`] and [`Chip::reset_scenario`] call it too;
+    /// anything else that reaches around the public API to mutate
+    /// components directly should as well.
     pub fn wake(&mut self) {
-        for f in 0..self.frontends.len() {
-            self.settle(f, self.now);
+        for c in 0..self.complexes.len() {
+            self.settle(c, self.now);
         }
         self.dormant_until = Cycle::ZERO;
         for w in [
@@ -1097,9 +1120,7 @@ impl Chip {
         // The core may enqueue into its WQ and submit into its tile
         // complex, which hosts its frontend's NI cache on per-tile
         // placements.
-        if let Some(f) = self.frontend_at(tile_node(i)) {
-            self.settle(f, now);
-        }
+        self.settle(i, now);
         self.cores[i].tick(now, &mut self.qps[i], &mut self.complexes[i]);
         // The core may have submitted into its tile complex: wake the
         // complex when that lookup is due.
@@ -1171,20 +1192,46 @@ impl Chip {
         self.wake_dirs.lower(d, at);
     }
 
-    /// Settle frontend `f`'s parked poll loop at the start of cycle `t`
-    /// (see [`NiFrontend::settle`]) and wake it and its NI cache at their
-    /// next activity. Every path that touches a parked pair calls this
-    /// first: a core's tick (it stores into the WQ through its tile
-    /// complex), a coherence delivery to the complex, a completion
-    /// notification to the frontend, and [`Chip::wake`].
-    fn settle(&mut self, f: usize, t: Cycle) {
-        if !self.frontends[f].is_parked() {
+    /// Settle the poll loops parked on complex `c` at the start of cycle
+    /// `t`: the tile's core ([`Core::settle`]) and the frontend whose NI
+    /// cache `c` holds ([`NiFrontend::settle`]). Their hits are credited
+    /// in one merged pass, the core's first on a tie: its L1 lookup was
+    /// submitted two cycles before an NI lookup due on the same cycle.
+    /// Each loop and the complex then wake at their next activity. Every
+    /// path that touches a parked tile calls this first: a core's tick (it
+    /// stores into the WQ through its tile complex), a coherence delivery
+    /// to the complex, a completion notification to the frontend,
+    /// [`Chip::wake`] and [`Chip::reset_scenario`].
+    fn settle(&mut self, c: usize, t: Cycle) {
+        let node = self.complexes[c].node();
+        let fe = self
+            .frontend_at(node)
+            .filter(|&f| self.frontends[f].is_parked());
+        let core = self.cores.get(c).is_some_and(Core::is_parked);
+        if fe.is_none() && !core {
             return;
         }
-        let cx = self.complex_at(self.frontends[f].node());
-        self.frontends[f].settle(t, &self.qps, &mut self.complexes[cx]);
-        self.lower_frontend(f, t);
-        self.lower_complex(cx, t);
+        let runs = [
+            if core {
+                self.cores[c].parked_run(t, &self.qps[c])
+            } else {
+                HitRun::NONE
+            },
+            fe.map_or(HitRun::NONE, |f| self.frontends[f].parked_run(t, &self.qps)),
+        ];
+        self.complexes[c].credit_hits(&runs);
+        // The core resubmits an in-flight load first, as it submitted it
+        // first.
+        if core {
+            self.cores[c].settle(t, &self.qps[c], &mut self.complexes[c]);
+            let at = self.cores[c].next_activity(t).unwrap_or(NEVER);
+            self.wake_cores.lower(c, at);
+        }
+        if let Some(f) = fe {
+            self.frontends[f].settle(t, &self.qps, &mut self.complexes[c]);
+            self.lower_frontend(f, t);
+        }
+        self.lower_complex(c, t);
     }
 
     fn tick_rmc_backends(&mut self, now: Cycle, gated: bool) {
@@ -1274,8 +1321,9 @@ impl Chip {
                 let pkt = Self::coh_packet(node, e, false);
                 self.inject(pkt);
             }
-            // The frontend this NI cache serves, once it had a completion.
-            let mut ni_done = None;
+            // The frontend this NI cache serves, once it had a completion,
+            // and whether the core had one.
+            let (mut ni_done, mut core_done) = (None, false);
             while let Some(done) = self.complexes[c].pop_completion() {
                 match done.origin {
                     ni_coherence::AccessOrigin::Core => {
@@ -1291,6 +1339,7 @@ impl Chip {
                         // to `now`, which would cost a needless full tick).
                         self.wake_cores
                             .lower(i, self.cores[i].next_activity(now).unwrap_or(NEVER));
+                        core_done = true;
                     }
                     ni_coherence::AccessOrigin::Ni => {
                         let f = position(node);
@@ -1303,29 +1352,55 @@ impl Chip {
                     }
                 }
             }
-            if let Some(f) = ni_done {
-                // With every completion handed out, the event tick parks a
-                // quiet poll loop together with this cache, unless the
-                // tile's core (exact slot; tile complexes come first) ticks
-                // and settles it before a parked poll completes. Otherwise
-                // the completions may have given the frontend work (a
-                // poll, a forward, a CQ store); its subphase already ran
-                // this cycle, so its slot falls to its next activity, at
-                // `now` meaning the next cycle.
-                let core_due = self.wake_cores.slots.get(c).copied();
-                let settle_by = core_due.map_or(NEVER, |at| at.max(now + 1));
-                let cx = &self.complexes[c];
-                if gated && self.frontends[f].park(now, &self.qps, cx, settle_by) {
-                    self.work.parks += 1;
-                    self.wake_fes.clear(f);
-                } else {
-                    self.lower_frontend(f, now);
-                }
+            if gated && (core_done || ni_done.is_some()) {
+                self.park_tile(c, now, ni_done.is_some());
+            } else if let Some(f) = ni_done {
+                self.lower_frontend(f, now);
             }
             if gated {
                 self.wake_cxs
                     .set(c, self.complexes[c].next_activity(now + 1).unwrap_or(NEVER));
             }
+        }
+    }
+
+    /// With every completion of complex `c`'s visit at `now` handed out,
+    /// park the quiet poll loops on it (event tick only): the frontend
+    /// whose NI cache `c` holds ([`NiFrontend::park`]) and the tile's core
+    /// ([`Core::park`]). Both submit into `c`, which keeps one LRU clock
+    /// and one event queue, so the tile parks as one: a core parks only if
+    /// that frontend is parked, parks now, or sleeps until a notification
+    /// or a fill (both settle the tile first), and a frontend whose core
+    /// parks now has nothing to settle it early. A frontend that had a
+    /// completion (`ni_done`) and stays awake falls to its next activity:
+    /// its subphase already ran this cycle, so `now` means the next cycle.
+    fn park_tile(&mut self, c: usize, now: Cycle, ni_done: bool) {
+        let cx = &self.complexes[c];
+        let core = c < self.cores.len() && self.cores[c].can_park(now, &self.qps[c], cx);
+        let fe_still = match self.frontend_at(cx.node()) {
+            None => true,
+            Some(f) if self.frontends[f].is_parked() => true,
+            Some(f) => {
+                // Unless its core parks, the tile's core (exact slot; tile
+                // complexes come first) ticks and settles the loop.
+                let core_due = self.wake_cores.slots.get(c).filter(|_| !core);
+                let settle_by = core_due.map_or(NEVER, |&at| at.max(now + 1));
+                if self.frontends[f].park(now, &self.qps, cx, settle_by) {
+                    self.work.parks += 1;
+                    self.wake_fes.clear(f);
+                    true
+                } else {
+                    if ni_done {
+                        self.lower_frontend(f, now);
+                    }
+                    self.frontends[f].next_activity(now).is_none()
+                }
+            }
+        };
+        if core && fe_still {
+            self.cores[c].park(now);
+            self.work.core_parks += 1;
+            self.wake_cores.clear(c);
         }
     }
 
@@ -1440,10 +1515,8 @@ impl Chip {
                 self.lower_dir(d, now);
             }
             (_, ClientKind::Cache) => {
-                if let Some(f) = self.frontend_at(dst) {
-                    self.settle(f, next);
-                }
                 let c = self.complex_at(dst);
+                self.settle(c, next);
                 self.complexes[c].deliver(now, msg);
                 self.lower_complex(c, now);
             }
@@ -1493,7 +1566,7 @@ impl Chip {
                 degraded,
             } => {
                 let f = position(dst);
-                self.settle(f, next);
+                self.settle(self.complex_at(dst), next);
                 self.frontends[f].on_notify(qp, wq_id, ok, degraded);
                 self.lower_frontend(f, now);
             }
@@ -1602,6 +1675,112 @@ mod tests {
             mcs: 8_000,
         };
         assert_eq!(poll, every_cycle);
+    }
+
+    /// A default (NIsplit) chip whose core 0 runs a closed loop at window
+    /// 1, the other cores idle.
+    fn one_closed_loop(tick_mode: TickMode) -> Chip {
+        let cfg = ChipConfig {
+            tick_mode,
+            active_cores: 1,
+            ..ChipConfig::default()
+        };
+        let inner = Synthetic::from_workload(Workload::AsyncRead {
+            size: 64,
+            poll_every: 1,
+        });
+        Chip::with_scenario(cfg, &crate::ClosedLoop::new(Box::new(inner), 1, 0))
+    }
+
+    /// The event chip of [`one_closed_loop`] run to the end of the first
+    /// cycle at which tile 0's core and frontend parked together.
+    fn tile_parked_as_one() -> (Chip, Cycle) {
+        let mut chip = one_closed_loop(TickMode::Event);
+        loop {
+            assert!(chip.now.0 < 5_000, "tile 0 never parked as one");
+            let fe_parked = chip.frontends[0].is_parked();
+            let before = chip.work;
+            chip.run(1);
+            let parked_now = chip.work.core_parks > before.core_parks && !fe_parked;
+            if parked_now && chip.frontends[0].is_parked() && chip.cores[0].is_parked() {
+                let at = Cycle(chip.now.0 - 1);
+                return (chip, at);
+            }
+        }
+    }
+
+    /// Tile 0's core, frontend and complex, through their `Debug` forms.
+    fn tile_state(chip: &Chip) -> [String; 3] {
+        [
+            format!("{:?}", chip.cores[0]),
+            format!("{:?}", chip.frontends[0]),
+            format!("{:?}", chip.complexes[0]),
+        ]
+    }
+
+    /// A tile whose core and frontend parked in the same step, settled by
+    /// [`Chip::wake`] at the start of cycle `t`, holds what the poll tick
+    /// leaves at `t`: the core, the frontend and the complex they share
+    /// (LRU stamps of both loops' blocks included), and the chip's
+    /// snapshot. `t` runs over both sides of the core's scheduled poll,
+    /// in-flight load and hit, interleaved with the frontend's polls.
+    #[test]
+    fn a_tile_parked_as_one_settles_to_what_the_poll_tick_leaves() {
+        let (_, parked_at) = tile_parked_as_one();
+        let mut poll = one_closed_loop(TickMode::Poll);
+        for t in parked_at.0 + 1..=parked_at.0 + 3 * 7 + 2 {
+            poll.run(t - poll.now.0);
+            let mut event = one_closed_loop(TickMode::Event);
+            event.run(t);
+            assert!(event.cores[0].is_parked(), "settled at {t}");
+            event.wake();
+            let at = format!("parked at {parked_at:?}, settled at {t}");
+            assert_eq!(tile_state(&event), tile_state(&poll), "{at}");
+            let (mut e, mut p) = (event.snapshot(), poll.snapshot());
+            (e.work, p.work) = (Work::default(), Work::default());
+            assert_eq!(e.diff(&p), None, "{at}");
+        }
+    }
+
+    /// `Chip::reset_scenario` on a parked core settles it before it
+    /// rebinds: the credited `next_op` calls count against the generator
+    /// that answered them, and the rebound core's call count and context
+    /// start from zero as the poll tick's do.
+    #[test]
+    fn reset_scenario_settles_a_parked_core_before_it_rebinds() {
+        let (_, parked_at) = tile_parked_as_one();
+        let t = parked_at.0 + 12;
+        let (mut poll, mut event) = (
+            one_closed_loop(TickMode::Poll),
+            one_closed_loop(TickMode::Event),
+        );
+        poll.run(t);
+        event.run(t);
+        assert!(event.cores[0].is_parked());
+        let inner = Synthetic::from_workload(Workload::AsyncRead {
+            size: 64,
+            poll_every: 1,
+        });
+        let next = crate::ClosedLoop::new(Box::new(inner), 2, 0);
+        poll.reset_scenario(&next);
+        event.reset_scenario(&next);
+        assert_eq!(tile_state(&event), tile_state(&poll));
+    }
+
+    /// A tile parks as one: at the completion where tile 0 parked, its
+    /// core parks again once woken, but not while the frontend has work
+    /// (here a completion notification to turn into a CQ store).
+    #[test]
+    fn a_core_parks_only_beside_a_still_frontend() {
+        let (mut chip, parked_at) = tile_parked_as_one();
+        chip.wake();
+        chip.park_tile(0, parked_at, false);
+        assert!(chip.cores[0].is_parked(), "a quiet tile parks");
+        chip.wake();
+        chip.frontends[0].on_notify(0, 1, true, false);
+        chip.park_tile(0, parked_at, false);
+        assert!(!chip.frontends[0].is_parked());
+        assert!(!chip.cores[0].is_parked(), "frontend active");
     }
 
     /// A chip with replication `(k, w)`, watchdog and replay budget; single

@@ -17,7 +17,8 @@
 //! built-in [`Synthetic`](crate::Synthetic) scenario and of the thin
 //! compatibility constructor [`Chip::new`](crate::Chip::new).
 
-use ni_coherence::{Access, AccessKind, AccessOrigin, CacheComplex};
+use ni_coherence::complex::L1_LATENCY;
+use ni_coherence::{Access, AccessKind, AccessOrigin, CacheComplex, HitRun};
 use ni_engine::{Cycle, DelayLine, Histogram};
 use ni_fabric::RemoteReq;
 use ni_mem::{Addr, BlockAddr};
@@ -149,6 +150,9 @@ enum Phase {
     WaitStore2,
     WaitPoll,
     WaitNuma,
+    /// The CQ poll loop runs virtually ([`Core::park`]); the first parked
+    /// poll is the one event scheduled.
+    Parked,
 }
 
 /// One core.
@@ -187,6 +191,10 @@ pub struct Core {
     pending_second_store: Option<(Cycle, Access)>,
     /// Issue count at the last opportunistic poll (prevents poll loops).
     last_poll_at_issue: u64,
+    /// The last [`Scenario::next_op`] call answered [`Op::Idle`] with ops
+    /// in flight, and none was reaped since: by the `Op::Idle` contract
+    /// every call answers `Op::Idle` until one is.
+    stalled: bool,
     /// End of the current declared idle window ([`Op::IdleFor`]); the core
     /// does nothing — not even consult the scenario — while `now` is below
     /// it.
@@ -209,6 +217,15 @@ pub struct Core {
     /// shows as its own distribution instead of fattening the healthy
     /// tail.
     degraded_read_latency_hist: Histogram,
+}
+
+/// Events of a loop that starts at `first` and repeats every `period`
+/// cycles that fall before cycle `end`.
+fn spins_before(first: Cycle, period: u64, end: Cycle) -> u64 {
+    if end <= first {
+        return 0;
+    }
+    (end.0 - first.0 - 1) / period + 1
 }
 
 impl Core {
@@ -245,6 +262,7 @@ impl Core {
             awaiting_sync: None,
             pending_second_store: None,
             last_poll_at_issue: u64::MAX,
+            stalled: false,
             idle_until: Cycle::ZERO,
             stats: CoreStats::default(),
             latency_hist: Histogram::new(),
@@ -302,6 +320,7 @@ impl Core {
     /// same addresses. Safe between operations; pending completion
     /// counters (`reaped`) survive so CQ tokens stay consistent.
     pub fn reset_scenario(&mut self, scenario: Box<dyn Scenario>) {
+        debug_assert!(!self.is_parked(), "reset while parked");
         self.scenario = scenario;
         self.phase = Phase::Idle;
         self.events = DelayLine::new();
@@ -310,6 +329,7 @@ impl Core {
         self.issued = 0;
         self.op_seq = 0;
         self.last_poll_at_issue = u64::MAX;
+        self.stalled = false;
         self.idle_until = Cycle::ZERO;
         if let Some(t) = self.scenario.fixed_target() {
             self.target_node = t;
@@ -326,6 +346,7 @@ impl Core {
     /// new generator. This is how phase-changing experiments (diurnal
     /// load, burst arrival) swap the whole rack's workload mid-run.
     pub fn rebind_scenario(&mut self, scenario: &dyn Scenario) {
+        debug_assert!(!self.is_parked(), "rebound while parked");
         let mut ctx = self.ctx;
         ctx.issued = 0;
         ctx.inflight = 0;
@@ -334,6 +355,7 @@ impl Core {
         self.issued = 0;
         self.op_seq = 0;
         self.last_poll_at_issue = u64::MAX;
+        self.stalled = false;
         // A pending IdleFor ends now: the new phase decides its own pacing.
         self.idle_until = Cycle::ZERO;
         if let Some(t) = self.scenario.fixed_target() {
@@ -397,8 +419,12 @@ impl Core {
     ///   is itself a state change), except inside a declared
     ///   [`Op::IdleFor`] window — the one idle shape the core may sleep
     ///   through — or once the generator promises permanent idleness with
-    ///   nothing left in flight.
+    ///   nothing left in flight;
+    /// - a parked core waits for [`Core::settle`].
     pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+        if self.is_parked() {
+            return None;
+        }
         if !self.traces.is_empty() || self.numa_out.is_some() {
             return Some(now);
         }
@@ -414,6 +440,149 @@ impl Core {
         next
     }
 
+    /// A cadence poll is due: ops are in flight and the scenario's
+    /// `poll_every` issues went by since the last one.
+    fn cadence_poll_due(&self) -> bool {
+        let poll_every = u64::from(self.scenario.poll_every().max(1));
+        self.inflight > 0
+            && self.issued > 0
+            && self.issued.is_multiple_of(poll_every)
+            && self.last_poll_at_issue != self.issued
+    }
+
+    // ---- the parked CQ poll loop -------------------------------------------
+
+    /// True while the CQ poll loop runs virtually.
+    pub fn is_parked(&self) -> bool {
+        self.phase == Phase::Parked
+    }
+
+    /// Whether the core spins on its CQ and polling can change nothing:
+    /// it waits for its synchronous op, or its scenario is stalled (the
+    /// last `next_op` answered [`Op::Idle`] with ops in flight, the WQ has
+    /// room and no cadence poll is due); no second store, trace or NUMA
+    /// request is pending; `cx` [waits](CacheComplex::is_waiting) for a
+    /// submit or a delivery; and the CQ head block is an L1 hit whose
+    /// token shows nothing to reap. Then every coming poll is a hit that
+    /// reads the same token, and every `next_op` call answers `Op::Idle`
+    /// again, until a coherence message or the tile's NI moves the block.
+    /// The NI only ever frees WQ slots, so the WQ keeps room.
+    pub fn is_quiet(&self, qp: &QueuePair, cx: &CacheComplex) -> bool {
+        let spinning = self.awaiting_sync.is_some()
+            || (self.stalled && self.inflight > 0 && !qp.wq_full() && !self.cadence_poll_due());
+        spinning
+            && self.pending_second_store.is_none()
+            && self.traces.is_empty()
+            && self.numa_out.is_none()
+            && cx.is_waiting()
+            && cx.l1_hit_value(qp.cq_head_block()) == Some(self.reaped)
+    }
+
+    /// Whether an empty CQ poll that completed at `now` left a loop
+    /// [`Core::park`] may park: the core [is quiet](Core::is_quiet), no
+    /// [`Op::IdleFor`] window is open, and it is where that poll left it,
+    /// idle before its next `next_op` call (stalled) or with only its next
+    /// poll scheduled (synchronous).
+    pub fn can_park(&self, now: Cycle, qp: &QueuePair, cx: &CacheComplex) -> bool {
+        let resumes = if self.awaiting_sync.is_some() {
+            self.phase == Phase::WaitPoll
+                && self.events.len() == 1
+                && self.events.next_ready_at() == Some(now + CQ_READ_COMPUTE)
+        } else {
+            self.phase == Phase::Idle && self.events.is_empty()
+        };
+        resumes && self.idle_until <= now && self.is_quiet(qp, cx)
+    }
+
+    /// Park at `now`, in the complex subphase after an empty CQ poll
+    /// completed, where [`Core::can_park`] allows it. The loop then runs
+    /// virtually, each iteration `P` cycles long ([`CQ_READ_COMPUTE`] plus
+    /// the L1 latency, plus one on a stall):
+    ///
+    /// - stalled: `next_op` is called at `s + P*j` (`s = now + 1`) and
+    ///   answers [`Op::Idle`], the poll issues 3 cycles later and hits 3
+    ///   after that;
+    /// - synchronous: the poll issues at `p + P*j` (`p = now + 3`) and
+    ///   hits 3 cycles later.
+    ///
+    /// A parked core must not be ticked, rebound or handed a completion
+    /// until [`Core::settle`], and its
+    /// [`next_activity`](Core::next_activity) is `None`. It keeps only the
+    /// first parked poll, as its one scheduled event; everything else
+    /// holds what it held at the park.
+    pub fn park(&mut self, now: Cycle) {
+        debug_assert!(!self.is_parked(), "parked twice");
+        if self.awaiting_sync.is_none() {
+            self.events.push_at(now + 1 + CQ_READ_COMPUTE, Ev::Poll);
+        }
+        self.phase = Phase::Parked;
+    }
+
+    /// The first parked poll's cycle, when parked.
+    fn first_parked_poll(&self) -> Option<Cycle> {
+        self.is_parked()
+            .then(|| self.events.next_ready_at().expect("the first parked poll"))
+    }
+
+    /// Cycles from one poll of the parked loop to the next.
+    fn spin_period(&self) -> u64 {
+        CQ_READ_COMPUTE + L1_LATENCY + u64::from(self.awaiting_sync.is_none())
+    }
+
+    /// The L1 hits of the polls a parked loop has completed by the start
+    /// of cycle `t` ([`HitRun::NONE`] when not parked): what
+    /// [`Core::settle`] at `t` leaves for the caller to credit.
+    pub fn parked_run(&self, t: Cycle, qp: &QueuePair) -> HitRun {
+        let Some(first_poll) = self.first_parked_poll() else {
+            return HitRun::NONE;
+        };
+        let (first_hit, period) = (first_poll + L1_LATENCY, self.spin_period());
+        let hits = spins_before(first_hit, period, t);
+        let block = [qp.cq_head_block()];
+        HitRun::new(AccessOrigin::Core, first_hit, period, hits, &block, 0)
+    }
+
+    /// Leave the parked state at the start of cycle `t`, before any core
+    /// or complex subphase of `t` runs: apply the `next_op` calls and polls
+    /// the loop made since the park, so the core holds what the
+    /// poll-every-cycle loop leaves, and restore the iteration in
+    /// progress: an idle core, a scheduled poll, or a load in flight,
+    /// submitted again into `cx` so its lookup lands on its original
+    /// cycle. The completed polls' hits are the caller's to credit first
+    /// ([`Core::parked_run`], [`CacheComplex::credit_hits`]), merged with
+    /// any other loop parked on `cx`. Does nothing unless parked.
+    pub fn settle(&mut self, t: Cycle, qp: &QueuePair, cx: &mut CacheComplex) {
+        let Some(first_poll) = self.first_parked_poll() else {
+            return;
+        };
+        self.events.pop_ready(first_poll);
+        let period = self.spin_period();
+        let polls = spins_before(first_poll, period, t);
+        let hits = spins_before(first_poll + L1_LATENCY, period, t);
+        self.seq += polls;
+        let mut poll_scheduled = self.awaiting_sync.is_some();
+        if !poll_scheduled {
+            let first_call = Cycle(first_poll.0 - CQ_READ_COMPUTE);
+            let calls = spins_before(first_call, period, t);
+            if calls > 0 {
+                self.ctx.issued = self.op_seq + calls - 1;
+                self.ctx.now = first_call + (calls - 1) * period;
+                self.op_seq += calls;
+            }
+            poll_scheduled = calls > polls;
+        }
+        self.phase = Phase::WaitPoll;
+        if polls > hits {
+            let issued_at = first_poll + (polls - 1) * period;
+            let (block, tag) = (qp.cq_head_block(), self.seq);
+            self.submit(issued_at, cx, AccessKind::Load, block, 0, tag);
+        } else if poll_scheduled {
+            self.events.push_at(first_poll + polls * period, Ev::Poll);
+        } else {
+            self.phase = Phase::Idle;
+        }
+    }
+
     fn tag(&mut self) -> u64 {
         self.seq += 1;
         self.seq
@@ -426,6 +595,7 @@ impl Core {
 
     /// Drive one cycle.
     pub fn tick(&mut self, now: Cycle, qp: &mut QueuePair, cx: &mut CacheComplex) {
+        debug_assert!(!self.is_parked(), "ticked while parked");
         if let Some((at, a)) = self.pending_second_store.take() {
             if now >= at {
                 cx.submit(now, a).expect("core access accepted");
@@ -484,12 +654,7 @@ impl Core {
         // Asynchronous housekeeping first: poll the CQ when the WQ has no
         // room for another entry, or when completions are outstanding and
         // the scenario's poll cadence is due.
-        let poll_every = u64::from(self.scenario.poll_every().max(1));
-        let due = self.inflight > 0
-            && self.issued > 0
-            && self.issued.is_multiple_of(poll_every)
-            && self.last_poll_at_issue != self.issued;
-        if qp.wq_full() || due {
+        if qp.wq_full() || self.cadence_poll_due() {
             // Poll: blocking when full, opportunistic otherwise.
             self.last_poll_at_issue = self.issued;
             self.phase = Phase::WaitPoll;
@@ -502,6 +667,7 @@ impl Core {
         self.ctx.now = now;
         let op = self.scenario.next_op(&self.ctx);
         self.op_seq += 1;
+        self.stalled = op == Op::Idle && self.inflight > 0;
         match op {
             Op::Idle => {
                 // Drain outstanding async completions while the scenario
@@ -624,6 +790,7 @@ impl Core {
 
     /// A cache access completed (routed here by the chip).
     pub fn on_cache_completion(&mut self, now: Cycle, _tag: u64, value: u64, qp: &mut QueuePair) {
+        debug_assert!(!self.is_parked(), "cache completion while parked");
         match self.phase {
             Phase::WaitStore1 => {
                 // Second store of the WQ entry, same block.
@@ -659,6 +826,7 @@ impl Core {
                 if value > self.reaped {
                     // New completions: reap them.
                     let newly = value - self.reaped;
+                    self.stalled = false;
                     for _ in 0..newly {
                         let c = qp.app_reap().expect("token promised a completion");
                         self.stats.completed += 1;
@@ -721,7 +889,12 @@ impl Core {
                         self.phase = Phase::Idle;
                     }
                 } else {
-                    // Sync (and full-WQ async): keep spinning.
+                    // Sync (and full-WQ async): keep spinning. Only the
+                    // sync spin may park ([`Core::park`]): the full-WQ
+                    // spin ends when the NI completes an entry, which
+                    // frees a WQ slot in `qp` at once, while on NIedge the
+                    // CQ store that would settle this tile is still on its
+                    // way.
                     if self.awaiting_sync.is_some() || qp.wq_full() {
                         self.events.push_after(now, CQ_READ_COMPUTE, Ev::Poll);
                     } else {
@@ -729,9 +902,307 @@ impl Core {
                     }
                 }
             }
-            Phase::Idle | Phase::WaitNuma => {
+            Phase::Idle | Phase::WaitNuma | Phase::Parked => {
                 panic!("unexpected cache completion in phase {:?}", self.phase)
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use ni_coherence::{ClientKind, CohMsg, CoherenceConfig};
+    use ni_noc::NocNode;
+
+    use super::*;
+    use crate::scenario::{ClosedLoop, Synthetic};
+
+    /// Where the stand-in directory sits.
+    const HOME: NocNode = NocNode::Llc(0);
+
+    /// Cycles from the NI taking a WQ entry to its completion.
+    const SERVICE: u64 = 200;
+
+    fn home(_: BlockAddr, _: u32) -> NocNode {
+        HOME
+    }
+
+    /// One core and its tile complex, which has no NI cache (as on
+    /// NIedge), in the chip's per-cycle order: deliveries, the core's
+    /// tick, then the complex's, its completions handed to the core. A
+    /// stand-in NI takes each WQ entry once written and completes it
+    /// [`SERVICE`] cycles later: it records the completion, raises its CQ
+    /// block's token and invalidates the core's copy. A stand-in directory
+    /// answers every miss the next cycle with the block's token.
+    ///
+    /// A rig that `park`s parks the core after any empty poll that leaves
+    /// it parkable and steps over the cycles it stays parked, touching
+    /// neither the core nor the complex; a delivery settles it first.
+    struct Rig {
+        core: Core,
+        qp: QueuePair,
+        cx: CacheComplex,
+        now: Cycle,
+        mem: BTreeMap<BlockAddr, u64>,
+        replies: Vec<(Cycle, CohMsg)>,
+        /// NI completions due: (cycle, WQ id).
+        completions: Vec<(Cycle, u64)>,
+        park: bool,
+        /// Cycles at which the core parked.
+        parks: Vec<Cycle>,
+    }
+
+    impl Rig {
+        fn new(scenario: &dyn Scenario) -> Rig {
+            let ctx = OpCtx::bind(0, 0, 2, None, 7);
+            let core = Core::new(0, 0, scenario.for_core(&ctx), ctx, 1 << 30, 1 << 20);
+            let cx = CacheComplex::new(
+                CoherenceConfig::default(),
+                NocNode::tile(0, 0),
+                false,
+                home,
+                1,
+            );
+            Rig {
+                core,
+                qp: QueuePair::new(0, Addr(0x10_0000), Addr(0x10_2000)),
+                cx,
+                now: Cycle::ZERO,
+                mem: BTreeMap::new(),
+                replies: Vec::new(),
+                completions: Vec::new(),
+                park: false,
+                parks: Vec::new(),
+            }
+        }
+
+        /// A closed-loop core at window 1: one op in flight, then a stall.
+        fn stalled() -> Rig {
+            let inner = Synthetic::from_workload(Workload::AsyncRead {
+                size: 64,
+                poll_every: 1,
+            });
+            Rig::new(&ClosedLoop::new(Box::new(inner), 1, 0))
+        }
+
+        /// A core spinning on each synchronous read.
+        fn sync() -> Rig {
+            Rig::new(&Synthetic::from_workload(Workload::SyncRead { size: 64 }))
+        }
+
+        /// Settle a parked core at the start of the current cycle.
+        fn settle(&mut self) {
+            let run = self.core.parked_run(self.now, &self.qp);
+            self.cx.credit_hits(&[run]);
+            self.core.settle(self.now, &self.qp, &mut self.cx);
+        }
+
+        fn deliver(&mut self, msg: CohMsg) {
+            self.settle();
+            self.cx.deliver(self.now, msg);
+        }
+
+        /// One cycle, in the chip's order.
+        fn step(&mut self) {
+            let now = self.now;
+            let (due, later) = std::mem::take(&mut self.replies)
+                .into_iter()
+                .partition(|&(at, _)| at <= now);
+            self.replies = later;
+            for (_, msg) in due {
+                self.deliver(msg);
+            }
+            let (done, later) = std::mem::take(&mut self.completions)
+                .into_iter()
+                .partition(|&(at, _)| at <= now);
+            self.completions = later;
+            for (_, id) in done {
+                let block = self.qp.cq_tail_block();
+                self.qp.ni_complete_with(id, true, false);
+                self.mem.insert(block, self.qp.completions_written());
+                let inv = CohMsg::Inv {
+                    block,
+                    ack_to: HOME,
+                    akind: ClientKind::Directory,
+                };
+                self.deliver(inv);
+            }
+            if self.core.is_parked() {
+                self.now += 1;
+                return;
+            }
+            self.core.tick(now, &mut self.qp, &mut self.cx);
+            self.core.drain_traces();
+            self.cx.tick(now);
+            while let Some(e) = self.cx.pop_egress() {
+                let value = self.mem.get(&e.msg.block()).copied().unwrap_or(0);
+                let reply = match e.msg {
+                    CohMsg::GetS { block } => CohMsg::DataS { block, value },
+                    CohMsg::GetX { block } => CohMsg::DataE {
+                        block,
+                        value,
+                        acks: 0,
+                    },
+                    CohMsg::InvAck { .. } => continue,
+                    other => panic!("unexpected request {other:?}"),
+                };
+                self.replies.push((now + 1, reply));
+            }
+            let mut polled = false;
+            while let Some(c) = self.cx.pop_completion() {
+                self.core
+                    .on_cache_completion(c.at, c.tag, c.value, &mut self.qp);
+                polled = true;
+            }
+            while let Some(entry) = self.qp.ni_take() {
+                self.completions.push((now + SERVICE, entry.id));
+            }
+            if self.park && polled && self.core.can_park(now, &self.qp, &self.cx) {
+                self.core.park(now);
+                self.parks.push(now);
+            }
+            self.now += 1;
+        }
+
+        fn run_to(&mut self, cycle: u64) {
+            while self.now.0 < cycle {
+                self.step();
+            }
+        }
+
+        /// Run to cycle `from`, then on to the first completion that
+        /// leaves the core parkable, and stop after that cycle.
+        fn until_parkable(mut self, from: u64) -> Rig {
+            self.run_to(from);
+            loop {
+                assert!(self.now.0 < 2_000, "the core never became parkable");
+                self.step();
+                let at = Cycle(self.now.0 - 1);
+                if self.core.can_park(at, &self.qp, &self.cx) {
+                    return self;
+                }
+            }
+        }
+
+        fn state(&self) -> (String, String) {
+            (format!("{:?}", self.core), format!("{:?}", self.cx))
+        }
+    }
+
+    /// A core parked and settled at the start of cycle `t` holds what one
+    /// that polled every cycle holds, compared through the `Debug` form of
+    /// the core (phase, events, tags, `next_op` count and context) and of
+    /// the complex (statistics, LRU clock and stamps, pending lookups),
+    /// and the two go on alike. Both schedules, the stall's 7-cycle one
+    /// and the synchronous spin's 6-cycle one, with `t` on both sides of
+    /// a scheduled poll, of an in-flight load and of its hit.
+    #[test]
+    fn a_settled_core_matches_one_that_polled_every_cycle() {
+        for name in ["stalled", "sync"] {
+            let rig = || {
+                if name == "sync" {
+                    Rig::sync()
+                } else {
+                    Rig::stalled()
+                }
+            };
+            let mut probe = rig();
+            probe.park = true;
+            probe.run_to(SERVICE);
+            let parked_at = probe.parks[0].0;
+            let stall = u64::from(name == "stalled");
+            let period = CQ_READ_COMPUTE + L1_LATENCY + stall;
+            let first_poll = parked_at + CQ_READ_COMPUTE + stall;
+            let mut settle_at = vec![parked_at + 1];
+            for j in [0, 1, 3] {
+                let poll = first_poll + j * period;
+                settle_at.extend((poll - 2 - stall)..=(poll + L1_LATENCY + 1));
+            }
+            for t in settle_at {
+                let at = format!("{name}: parked at {parked_at}, settled at {t}");
+                let mut live = rig();
+                live.run_to(t);
+                let mut parked = rig();
+                parked.park = true;
+                parked.run_to(t);
+                assert_eq!(parked.parks, [Cycle(parked_at)], "{at}");
+                parked.settle();
+                assert!(!parked.core.is_parked(), "{at}");
+                assert_eq!(parked.state(), live.state(), "{at}");
+                parked.park = false;
+                let end = t + 3 * period;
+                live.run_to(end);
+                parked.run_to(end);
+                assert_eq!(parked.state(), live.state(), "{at}, then {end}");
+            }
+        }
+    }
+
+    /// A spinning core is parkable at an empty poll; the park is refused
+    /// once the L1 holds a token above `reaped` (the next poll reaps),
+    /// once the CQ head block left the L1, while a second WQ store is
+    /// pending, and, for the stall, once the WQ is full (the full-WQ spin
+    /// ends when the NI frees a slot, not when the CQ block moves).
+    #[test]
+    fn a_park_is_refused_unless_every_coming_poll_is_an_empty_hit() {
+        // Past the first op's completion: `reaped` is 1, and so is the
+        // token the L1 holds.
+        let parkable = |rig: fn() -> Rig| {
+            let rig = rig().until_parkable(SERVICE + 50);
+            assert_eq!(rig.core.reaped, 1);
+            let at = Cycle(rig.now.0 - 1);
+            (rig, at)
+        };
+        for make in [Rig::stalled, Rig::sync] {
+            let (rig, at) = parkable(make);
+            assert!(rig.core.can_park(at, &rig.qp, &rig.cx), "an empty poll");
+
+            let (mut rig, at) = parkable(make);
+            rig.core.reaped -= 1;
+            assert!(
+                !rig.core.can_park(at, &rig.qp, &rig.cx),
+                "token above reaped"
+            );
+
+            let (mut rig, at) = parkable(make);
+            let cq = rig.qp.cq_head_block();
+            let inv = CohMsg::Inv {
+                block: cq,
+                ack_to: HOME,
+                akind: ClientKind::Directory,
+            };
+            rig.cx.deliver(rig.now, inv);
+            assert!(rig.cx.pop_egress().is_some(), "the InvAck");
+            assert_eq!(rig.cx.l1_hit_value(cq), None);
+            assert!(
+                !rig.core.can_park(at, &rig.qp, &rig.cx),
+                "CQ block not in the L1"
+            );
+
+            let (mut rig, at) = parkable(make);
+            let block = rig.qp.wq_head_block();
+            let store = Access {
+                origin: AccessOrigin::Core,
+                kind: AccessKind::Store,
+                block,
+                store_value: 1,
+                tag: 0,
+            };
+            rig.core.pending_second_store = Some((at + 1, store));
+            assert!(
+                !rig.core.can_park(at, &rig.qp, &rig.cx),
+                "second store pending"
+            );
+        }
+        let (mut rig, at) = parkable(Rig::stalled);
+        while !rig.qp.wq_full() {
+            let (remote, local) = (Addr(REMOTE_BASE), Addr(1 << 30));
+            rig.qp
+                .enqueue(RemoteOp::Read, 1, remote, local, 64)
+                .unwrap();
+        }
+        assert!(!rig.core.can_park(at, &rig.qp, &rig.cx), "WQ full");
     }
 }

@@ -99,7 +99,14 @@ impl OpCtx {
 /// One application-level operation, as a core issues it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
-    /// Nothing this cycle; the core asks again next cycle.
+    /// Nothing this cycle; the core asks again next cycle. A generator
+    /// answers `Idle` only when the call changes none of its state, and
+    /// only when it will keep answering `Idle` until [`OpCtx::inflight`]
+    /// changes, or forever: a closed loop at a full window, a spent cap,
+    /// an idle workload. A pause that ends with time is
+    /// [`Op::IdleFor`]. The event-driven chip relies on this: a core that
+    /// spins on its CQ while its generator answers `Idle` parks, and the
+    /// calls it skips are counted, not made.
     Idle,
     /// Nothing for the next `cycles` cycles: a *declared* idle window the
     /// core commits to up front, so event-driven drivers can skip it in one
@@ -204,7 +211,9 @@ pub trait Scenario: std::fmt::Debug + Send + Sync {
 
     /// The next operation this core should issue. Called whenever the core
     /// is ready (WQ has room, no synchronous op outstanding); returning
-    /// [`Op::Idle`] defers by one cycle.
+    /// [`Op::Idle`] defers by one cycle, and must keep the contract
+    /// written there: no state change, and `Op::Idle` again until
+    /// `ctx.inflight` changes.
     fn next_op(&mut self, ctx: &OpCtx) -> Op;
 
     /// Asynchronous issue discipline: poll the CQ after this many issues
@@ -1252,6 +1261,70 @@ mod tests {
                 g.next_op(&c)
             })
             .collect()
+    }
+
+    /// The `Op::Idle` contract a parked core relies on: an `Op::Idle`
+    /// answer changes no state, and the answers stay `Op::Idle` until
+    /// `ctx.inflight` changes. Every generator in the crate, wrapped in a
+    /// closed loop whose window is full after a few real draws, answers
+    /// `Op::Idle` to repeated calls at any issue count and cycle without
+    /// its `Debug` form moving; so do the generators that idle on their
+    /// own (an idle workload, a spent cap, a tenant mix's prototype).
+    #[test]
+    fn op_idle_changes_nothing_until_inflight_moves() {
+        // A small key space keeps the Zipf tables' `Debug` form short.
+        let zipf = || ZipfHotspot {
+            keys: 64,
+            ..ZipfHotspot::default()
+        };
+        let sync = Synthetic::from_workload(Workload::SyncRead { size: 64 });
+        let mut generators = builtin_scenarios();
+        generators[1] = Box::new(zipf());
+        generators.extend::<[Box<dyn Scenario>; 5]>([
+            Box::new(sync),
+            Box::new(Capped::new(Box::new(KvStore::default()), 3)),
+            Box::new(Bursty::new(Box::new(GraphShard::default()), 2, 100)),
+            Box::new(ClosedLoop::new(Box::new(zipf()), 3, 8)),
+            Box::new(TenantMix::new().with_tenant(4, Box::new(KvStore::default()), 1)),
+        ]);
+        let mut c = ctx(3, 5, 8, 0x1d1e);
+        for proto in generators {
+            let name = proto.name().to_string();
+            let mut g = ClosedLoop::new(proto, 2, 16).for_core(&c);
+            let mut reals = 0;
+            while reals < 2 {
+                assert!(c.issued < 100, "{name} issued nothing");
+                c.inflight = reals;
+                if !matches!(g.next_op(&c), Op::Idle | Op::IdleFor { .. }) {
+                    reals += 1;
+                }
+                c.issued += 1;
+            }
+            c.inflight = 2;
+            let before = format!("{g:?}");
+            for k in 0..5 {
+                (c.issued, c.now) = (c.issued + 1, Cycle(100 + 7 * k));
+                assert_eq!(g.next_op(&c), Op::Idle, "{name} at a full window");
+                assert_eq!(
+                    format!("{g:?}"),
+                    before,
+                    "{name}: an Op::Idle call moved it"
+                );
+            }
+        }
+        let own: [Box<dyn Scenario>; 3] = [
+            Box::new(Synthetic::from_workload(Workload::Idle)),
+            Box::new(Capped::new(Box::new(KvStore::default()), 0)),
+            Box::new(TenantMix::new().with_tenant(1, Box::new(KvStore::default()), 1)),
+        ];
+        for mut g in own {
+            let before = format!("{g:?}");
+            for k in 0..5 {
+                (c.issued, c.inflight) = (k, k % 2);
+                assert_eq!(g.next_op(&c), Op::Idle, "{}", g.name());
+                assert_eq!(format!("{g:?}"), before, "{}", g.name());
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,8 @@ ni_engine::stats! {
         /// Times a frontend parked its poll loop together with its NI
         /// cache (event tick only).
         pub parks: u64,
+        /// Times a core parked its CQ poll loop (event tick only).
+        pub core_parks: u64,
     }
 
     /// Every counter and latency distribution of a chip

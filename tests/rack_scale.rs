@@ -478,12 +478,12 @@ fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
         poll_every: 4,
     };
     let cases = [
-        (NiPlacement::Split, Topology::Mesh, async_read, 19_872),
-        (NiPlacement::Edge, Topology::Mesh, async_read, 19_688),
-        (NiPlacement::PerTile, Topology::Mesh, async_read, 19_872),
+        (NiPlacement::Split, Topology::Mesh, async_read, 19_853),
+        (NiPlacement::Edge, Topology::Mesh, async_read, 19_450),
+        (NiPlacement::PerTile, Topology::Mesh, async_read, 19_853),
         (NiPlacement::Split, Topology::NocOut, async_read, 19_594),
         (NiPlacement::Edge, Topology::NocOut, async_read, 18_978),
-        (NiPlacement::Numa, Topology::Mesh, Workload::NumaRead, 6_864),
+        (NiPlacement::Numa, Topology::Mesh, Workload::NumaRead, 4_304),
     ];
     for (placement, topology, workload, full_ticks) in cases {
         let run = |mode: TickMode| {
@@ -669,27 +669,75 @@ fn event_tick_matches_poll_after_every_cycle_of_a_serving_mix() {
     );
 }
 
+/// Parked loops beside caches that evict on every fill. With one L1
+/// block and one NI-cache block per tile, every block a closed-loop core
+/// and its frontend bring in (WQ entries, CQ entries, the advancing head
+/// blocks) evicts another, so each fill's victim is chosen among lines
+/// whose latest touches were credited by a settle. On a 2x1x1 NIsplit
+/// rack the event tick's outputs must equal the poll tick's after every
+/// cycle.
+#[test]
+fn event_tick_matches_poll_after_every_cycle_with_one_block_caches() {
+    use rackni::ni_coherence::CoherenceConfig;
+    use rackni::ni_soc::{ClosedLoop, TickMode};
+
+    let build = |mode: TickMode| {
+        let mut cfg = rack_cfg(Torus3D::new(2, 1, 1), 4);
+        cfg.chip.seed = 0xe71c;
+        cfg.chip.tick_mode = mode;
+        cfg.chip.coherence = CoherenceConfig {
+            l1_blocks: 1,
+            ni_cache_blocks: 1,
+            ..CoherenceConfig::default()
+        };
+        cfg.threads = 1;
+        let reads = Synthetic::from_workload(Workload::AsyncRead {
+            size: 64,
+            poll_every: 1,
+        })
+        .with_pattern(TrafficPattern::Neighbor);
+        Rack::with_scenario(cfg, &ClosedLoop::new(Box::new(reads), 2, 0))
+    };
+    let (mut poll, mut event) = (build(TickMode::Poll), build(TickMode::Event));
+    for _ in 0..4_000 {
+        poll.run(1);
+        event.run(1);
+        let context = format!("event tick vs poll after cycle {}", poll.now().0 - 1);
+        assert_same(&outputs(&event), &outputs(&poll), &context);
+    }
+    let s = event.snapshot();
+    assert!(s.cores.completed > 0, "no op completed");
+    assert!(s.work.core_parks > 0 && s.work.parks > 0, "{:?}", s.work);
+    assert!(
+        s.complexes.writebacks.get() > 0,
+        "nothing was evicted dirty"
+    );
+}
+
 mod tick_equivalence_props {
     use super::*;
     use proptest::prelude::*;
     use rackni::ni_fabric::RoutingKind;
     use rackni::ni_rmc::NiPlacement;
-    use rackni::ni_soc::{builtin_scenarios, Bursty, Scenario, TickMode};
+    use rackni::ni_soc::{builtin_scenarios, Bursty, ClosedLoop, Scenario, TickMode};
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Next-event skipping never reorders or drops a delivery: across
         /// every builtin scenario — plus a `Bursty` duty-cycled one, whose
         /// `IdleFor` windows are exactly what the dormant fast path and
-        /// idle-until-X jumps elide — every routing policy, every QP
+        /// idle-until-X jumps elide, and synchronous reads, whose cores
+        /// spin on the CQ — each open loop or closed at a window of 1 or 4
+        /// (where cores stall and spin), every routing policy, every QP
         /// placement and poll backoffs from 0 to 512 (which set when and
         /// how long WQ poll loops park), a seeded 2x2x2 rack produces
         /// identical snapshots, rack-wide and per chip, `work` aside,
         /// under the poll and event ticks.
         #[test]
         fn event_tick_preserves_deliveries_across_scenarios_and_policies(
-            scenario_idx in 0usize..5,
+            scenario_idx in 0usize..6,
+            window_idx in 0usize..3,
             routing_idx in 0usize..3,
             placement_idx in 0usize..3,
             backoff_idx in 0usize..4,
@@ -703,6 +751,7 @@ mod tick_equivalence_props {
             let placement = [NiPlacement::Split, NiPlacement::PerTile, NiPlacement::Edge]
                 [placement_idx];
             let poll_backoff = [0, 1, 2, 512][backoff_idx];
+            let window = [None, Some(1), Some(4)][window_idx];
             let run = |mode: TickMode| {
                 let mut cfg = rack_cfg(Torus3D::new(2, 2, 2), 2);
                 cfg.chip.seed = seed;
@@ -711,25 +760,28 @@ mod tick_equivalence_props {
                 cfg.chip.rmc.poll_backoff = poll_backoff;
                 cfg.routing = routing;
                 cfg.threads = 1;
-                let scenario: Box<dyn Scenario> = if scenario_idx == 4 {
-                    Box::new(Bursty::new(
+                let mut scenario: Box<dyn Scenario> = match scenario_idx {
+                    4 => Box::new(Bursty::new(
                         Box::new(Synthetic::from_workload(Workload::AsyncRead {
                             size: 64,
                             poll_every: 2,
                         })),
                         2,
                         1_000,
-                    ))
-                } else {
-                    builtin_scenarios().swap_remove(scenario_idx)
+                    )),
+                    5 => Box::new(Synthetic::from_workload(Workload::SyncRead { size: 64 })),
+                    i => builtin_scenarios().swap_remove(i),
                 };
+                if let Some(w) = window {
+                    scenario = Box::new(ClosedLoop::new(scenario, w, 0));
+                }
                 let mut rack = Rack::with_scenario(cfg, &*scenario);
                 rack.run(4_000);
                 outputs(&rack)
             };
             let context = format!(
-                "scenario {scenario_idx} under {routing:?}, {placement:?}, backoff {poll_backoff} \
-                 (seed {seed})"
+                "scenario {scenario_idx}, window {window:?}, under {routing:?}, {placement:?}, \
+                 backoff {poll_backoff} (seed {seed})"
             );
             assert_same(&run(TickMode::Event), &run(TickMode::Poll), &context);
         }
